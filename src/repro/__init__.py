@@ -59,7 +59,6 @@ from repro.models.scenario import (
     single_hop_config,
 )
 from repro.sim.events import Event, Timeout
-from repro.sim.scheduler import CalendarScheduler, HeapScheduler, Scheduler
 from repro.sim.simulator import Simulator
 from repro.stats.metrics import RunResult
 from repro.testbed.experiment import (
@@ -74,10 +73,8 @@ __all__ = [
     "BcpAgent",
     "BcpConfig",
     "CABLETRON",
-    "CalendarScheduler",
     "DualRadioLink",
     "Event",
-    "HeapScheduler",
     "LUCENT_11",
     "LUCENT_2",
     "MICA",
@@ -87,7 +84,6 @@ __all__ = [
     "RadioSpec",
     "RunResult",
     "ScenarioConfig",
-    "Scheduler",
     "Simulator",
     "TABLE_1",
     "Timeout",

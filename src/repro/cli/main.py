@@ -61,7 +61,6 @@ import typing
 from repro.channel.propagation import PROPAGATION, PropagationSpec
 from repro.energy.radio_specs import TABLE_1, get_spec
 from repro.faults import FaultPlan
-from repro.mac.base import MAC_ENGINES
 from repro.models.scenario import (
     RadioAssignment,
     ScenarioConfig,
@@ -69,7 +68,6 @@ from repro.models.scenario import (
     run_scenario,
 )
 from repro.net.policy import ROUTING_POLICIES, ROUTING_POLICY_NAMES
-from repro.sim.scheduler import SCHEDULER_MODES
 from repro.models.sweeps import SweepScale, sweep_plan
 from repro.report import figures
 from repro.report.scenario import render_run_report
@@ -566,7 +564,7 @@ def _bench_parser() -> argparse.ArgumentParser:
 
 def _bench_main(argv: typing.Sequence[str]) -> int:
     from repro.perf import bench as perf_bench
-    from repro.perf.suite import bench_cases, wall_budgets
+    from repro.perf.suite import bench_cases, throughput_gates, wall_budgets
 
     args = _bench_parser().parse_args(list(argv))
     if args.list:
@@ -590,11 +588,17 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
         )
         print(f"{name:26s} {result.wall_s:9.4f}s  {ops}")
     budget_names = {budget.name for budget in wall_budgets(report.results)}
+    rate_units = {
+        gate.name: f"{gate.ops_key}/s"
+        for gate in throughput_gates(report.results)
+    }
     for name, value in report.checks.items():
-        # Ratio gates read as speedups ("43.1x"); wall budgets read as
-        # the measured seconds against their absolute budget.
+        # Ratio gates read as speedups ("43.1x"), wall budgets as the
+        # measured seconds, throughput floors as the achieved rate.
         if name in budget_names:
             print(f"{name:26s} {value:9.2f}s")
+        elif name in rate_units:
+            print(f"{name:26s} {value:9.0f} {rate_units[name]}")
         else:
             print(f"{name:26s} {value:9.1f}x")
 
@@ -664,8 +668,8 @@ def _scenarios_main(argv: typing.Sequence[str]) -> int:
         prog="repro scenarios",
         description=(
             "Inspect the registered scenario-composition axes (topologies, "
-            "propagation models, traffic sources, radios, schedulers, MAC "
-            "engines, routing policies)."
+            "propagation models, traffic sources, radios, routing "
+            "policies)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -714,40 +718,6 @@ def _scenarios_main(argv: typing.Sequence[str]) -> int:
                 f"range {spec.range_m:g} m",
             )
             for name, spec in TABLE_1.items()
-        ],
-    )
-    # Summaries for the plain-tuple axes (no registry to carry them);
-    # keyed by name so registering a new backend without describing it
-    # here fails the listing loudly instead of printing a blank line.
-    scheduler_summaries = {
-        "heap": "binary-heap agenda; the historical byte-identity default",
-        "calendar": (
-            "calendar-queue agenda batching same-timestamp timers; "
-            "byte-identical results"
-        ),
-    }
-    out += section(
-        "schedulers (--scheduler name)",
-        [
-            (name, "", scheduler_summaries[name])
-            for name in SCHEDULER_MODES
-        ],
-    )
-    mac_engine_summaries = {
-        "flat": (
-            "callback state machine with pooled timers (default); "
-            "byte-identical results"
-        ),
-        "generator": (
-            "historical one-worker-process-per-MAC engine (byte-identity "
-            "reference)"
-        ),
-    }
-    out += section(
-        "MAC engines (--mac-engine name)",
-        [
-            (name, "", mac_engine_summaries[name])
-            for name in MAC_ENGINES
         ],
     )
     out += section(
@@ -832,25 +802,6 @@ def _run_parser() -> argparse.ArgumentParser:
             "(distance-dependent transmit energy), or residual-energy "
             "(tx energy scaled by live battery residual); see 'repro "
             "scenarios list'"
-        ),
-    )
-    parser.add_argument(
-        "--mac-engine",
-        choices=("flat", "generator"),
-        default="flat",
-        help=(
-            "MAC send-path engine: flat (default, callback state machine "
-            "with pooled timers) or generator (historical worker-process "
-            "engine); results are byte-identical"
-        ),
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default="heap",
-        help=(
-            "simulator agenda backend: heap (default) or calendar, which "
-            "batches same-timestamp timers; results are byte-identical"
         ),
     )
     parser.add_argument(
@@ -979,8 +930,6 @@ def _run_config(args: argparse.Namespace) -> ScenarioConfig:
             high_radios=high_radios,
             routing=args.routing,
             routing_policy=args.routing_policy,
-            scheduler=args.scheduler,
-            mac_engine=args.mac_engine,
         )
         if args.faults is not None:
             with open(args.faults) as handle:

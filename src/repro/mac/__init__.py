@@ -1,11 +1,6 @@
 """MAC layers: frames, timing presets, CSMA (sensor) and DCF (802.11)."""
 
-from repro.mac.base import (
-    ENGINE_FLAT,
-    ENGINE_GENERATOR,
-    MAC_ENGINES,
-    ContentionMac,
-)
+from repro.mac.base import ContentionMac
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
 from repro.mac.frames import BROADCAST, Frame, FrameKind, make_ack
@@ -15,11 +10,8 @@ __all__ = [
     "BROADCAST",
     "ContentionMac",
     "DcfMac",
-    "ENGINE_FLAT",
-    "ENGINE_GENERATOR",
     "Frame",
     "FrameKind",
-    "MAC_ENGINES",
     "MacParams",
     "SensorCsmaMac",
     "dcf_params",

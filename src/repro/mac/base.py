@@ -10,24 +10,24 @@ Receiver-side duties: ACK generation for addressed data frames, duplicate
 suppression (retransmissions after a lost ACK), and upward delivery through
 a pluggable callback.
 
-Two interchangeable engines drive the send path:
+The send path is a flat callback state machine: every continuation is a
+plain bound-method callback on the event that resumes it, backoff/ack
+timers come from the kernel's :class:`Timeout` free-list, and
+ack-completion events are pooled per MAC.  No generator resume, no
+``Event | Timeout`` condition allocation per ack wait.
 
-``flat`` (default)
-    A callback state machine: every continuation is a plain bound-method
-    callback on the event that resumes it, backoff/ack timers come from the
-    kernel's :class:`Timeout` free-list, and ack-completion events are
-    pooled per MAC.  No generator resume, no ``Event | Timeout`` condition
-    allocation per ack wait.
-
-``generator``
-    The historical one-worker-process-per-MAC engine.  It is kept as the
-    byte-identity reference: the flat engine schedules *exactly* the same
-    agenda entries — same timeout values, same priorities, same rng draw
-    order from the same ``{name}.backoff`` stream, and the same
-    intermediate delay-0 hop events the generator's wakeup/``AnyOf``
-    plumbing produces — so both engines yield identical event traces and
-    golden digests.  ``tests/test_mac_flat.py`` pins that equivalence with
-    a hypothesis property.
+It was written to replay the historical one-worker-process-per-MAC
+generator engine entry for entry: same timeout values, same priorities,
+same rng draw order from the same ``{name}.backoff`` stream.  That
+includes the delay-0 "hop" event each ack wait enqueues where the
+generator's ``AnyOf`` condition used to fire.  The hop events carry no
+behaviour of their own, but they take agenda sequence numbers, so they
+decide the ``(time, priority, sequence)`` order of everything queued at
+the same instant.  Every pinned golden digest and benchmark pin was
+recorded with them in place, which is why they remain; dropping them is
+a deliberate re-pin.  The test suite keeps the generator engine as a
+test-only reference subclass and checks that both produce identical
+traces.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ _DEDUP_WINDOW = 64
 #: Upper bound on pooled ack-completion events retained per MAC.
 _ACK_POOL_MAX = 4
 
-#: Valid values for the ``engine`` constructor argument (and the
-#: ``ScenarioConfig.mac_engine`` axis).  ``flat`` is the default; the
-#: generator engine is the byte-identity reference.
-MAC_ENGINES = ("flat", "generator")
-ENGINE_FLAT, ENGINE_GENERATOR = MAC_ENGINES
-
 
 class ContentionMac:
     """Carrier-sense MAC with stop-and-wait ACKs.
@@ -65,10 +59,6 @@ class ContentionMac:
         Kernel, the radio port to drive, timing constants.
     name:
         RNG stream / trace label; defaults to ``mac.<node>.<radio>``.
-    engine:
-        ``"flat"`` (callback state machine, default) or ``"generator"``
-        (historical worker process).  Both produce byte-identical event
-        traces; flat is substantially faster on retry-heavy cells.
 
     Notes
     -----
@@ -84,16 +74,10 @@ class ContentionMac:
         radio: RadioPort,
         params: MacParams,
         name: str | None = None,
-        engine: str = ENGINE_FLAT,
     ):
-        if engine not in MAC_ENGINES:
-            raise ValueError(
-                f"unknown MAC engine {engine!r}; valid engines: {MAC_ENGINES}"
-            )
         self.sim = sim
         self.radio = radio
         self.params = params
-        self.engine = engine
         self.name = name or f"mac.{radio.node_id}.{radio.spec.name}"
         # The backoff stream materializes on first contention: its seed is
         # a pure function of the stream *name*, so deferring creation is
@@ -119,15 +103,12 @@ class ContentionMac:
         self.queue_drops = 0
         self.retransmissions = 0
         #: ACKs abandoned because the radio was not ready after SIFS (the
-        #: half-duplex race documented on :meth:`_transmit_ack`).
+        #: half-duplex race documented on :meth:`_on_sifs`).
         self.acks_dropped = 0
         #: Frames dropped (queued or in flight) because :meth:`power_down`
         #: killed the node; only fault injection moves this.
         self.power_down_drops = 0
-        if engine == ENGINE_GENERATOR:
-            sim.process(self._worker(), name=self.name)
-        else:
-            self._init_flat()
+        self._init_flat()
 
     # -- upper-layer wiring -------------------------------------------------
 
@@ -196,98 +177,11 @@ class ContentionMac:
         """Whether the radio can transmit right now (subclass hook)."""
         return not self._powered_down and not self.radio.is_transmitting
 
-    # -- generator engine ------------------------------------------------------
-
-    def _worker(self) -> typing.Generator:
-        while True:
-            while not self._queue and not self._ack_queue:
-                yield self._wakeup
-                self._wakeup = self.sim.event()
-            if self._ack_queue:
-                ack = self._ack_queue.popleft()
-                yield from self._transmit_ack(ack)
-                continue
-            frame, done = self._queue.popleft()
-            success = yield from self._send_with_retries(frame)
-            if success:
-                self.sent_ok += 1
-            else:
-                self.sent_failed += 1
-            if not done.triggered:
-                done.succeed(success)
-
-    def _transmit_ack(self, ack: Frame) -> typing.Generator:
-        """SIFS, then send the ACK without contending for the channel.
-
-        Half-duplex race: the radio can stop being ready *during* SIFS —
-        a DCF radio may have been put to sleep or powered down by the
-        node's duty-cycle logic between queueing the ACK and the SIFS
-        expiry.  Real hardware drops the ACK on the floor in that state
-        (there is no retry path for ACKs; the data sender's retry timer
-        covers the loss), so the MAC does the same — but counts it in
-        ``acks_dropped`` instead of dropping silently.
-        """
-        self._ack_in_progress = True
-        try:
-            yield self.sim.timeout(self.params.sifs_s)
-            if not self._radio_ready():
-                self.acks_dropped += 1
-                return
-            yield self.radio.transmit(ack)
-        finally:
-            self._ack_in_progress = False
-
-    def _send_with_retries(self, frame: Frame) -> typing.Generator:
-        needs_ack = frame.require_ack and not frame.is_broadcast
-        attempts = 1 + (self.params.max_retries if needs_ack else 0)
-        # The ack wait depends only on MAC params and the radio rate —
-        # compute it once per frame, not once per retry attempt.
-        ack_wait_s = self._ack_wait_s() if needs_ack else 0.0
-        for attempt in range(attempts):
-            if attempt > 0:
-                self.retransmissions += 1
-            yield from self._contend(attempt)
-            if not self._radio_ready():
-                return False
-            yield self.radio.transmit(frame)
-            if not needs_ack:
-                return True
-            ack_event = self.sim.event()
-            key = (frame.dst, frame.seq)
-            self._pending_ack[key] = ack_event
-            timeout = self.sim.timeout(ack_wait_s)
-            outcome = yield ack_event | timeout
-            self._pending_ack.pop(key, None)
-            if ack_event in outcome:
-                # The ack won the race: the timer is dead weight on the
-                # agenda.  Cancel it so the kernel discards it at pop time
-                # instead of dispatching a no-op callback — on retry-heavy
-                # contention runs abandoned ack timers used to be a
-                # noticeable slice of events_processed.
-                timeout.cancel()
-                return True
-        return False
-
-    def _contend(self, attempt: int) -> typing.Generator:
-        """DIFS + random backoff; on a busy sense, re-draw with a doubled
-        window (802.15.4's backoff-exponent increment)."""
-        params = self.params
-        busy_cap = params.busy_cap_slots or params.cw_max_slots
-        window = params.contention_window(attempt)
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = self.sim.rng.stream(f"{self.name}.backoff")
-        while True:
-            slots = rng.randrange(window)
-            yield self.sim.timeout(params.difs_s + slots * params.slot_s)
-            if not self.medium_busy():
-                return
-            window = min(window * 2, max(busy_cap, window))
-
-    # -- flat engine -----------------------------------------------------------
+    # -- send-path state machine ------------------------------------------------
     #
-    # The callback state machine below replays the generator engine's
-    # agenda trace entry for entry.  The correspondence, per continuation:
+    # The callback state machine below replays the historical generator
+    # engine's agenda trace entry for entry (see the module docstring).
+    # The correspondence, per continuation:
     #
     # * worker start        → one URGENT delay-0 event at construction
     #                         (mirrors ``Process.__init__``);
@@ -438,9 +332,19 @@ class ContentionMac:
             self._wire_flat()
         self._resume_loop()
 
-    # ACK transmission (see _transmit_ack for the half-duplex race note).
+    # ACK transmission.
 
     def _on_sifs(self, event: Event) -> None:
+        """SIFS expired: send the ACK without contending for the channel.
+
+        Half-duplex race: the radio can stop being ready *during* SIFS —
+        a DCF radio may have been put to sleep or powered down by the
+        node's duty-cycle logic between queueing the ACK and the SIFS
+        expiry.  Real hardware drops the ACK on the floor in that state
+        (there is no retry path for ACKs; the data sender's retry timer
+        covers the loss), so the MAC does the same — but counts it in
+        ``acks_dropped`` instead of dropping silently.
+        """
         self._flat_timer = None
         if not self._radio_ready():
             self.acks_dropped += 1
@@ -605,20 +509,16 @@ class ContentionMac:
 
         Queued and in-flight frames resolve their completion events False
         (counted in ``power_down_drops``) so upper layers see drops
-        instead of waiting forever.  The flat engine halts immediately:
-        its pending SIFS/backoff timer and ack plumbing are cancelled via
+        instead of waiting forever.  The machine halts immediately: its
+        pending SIFS/backoff timer and ack plumbing are cancelled via
         ``Event.cancel`` and its continuation is detached from any
-        in-flight radio end event.  The generator engine cannot be
-        cancelled mid-yield, so its current contention cycle runs to the
-        ``_radio_ready`` gate (a handful of residual timer events, no
-        transmissions) and the worker then parks on a wakeup that can no
-        longer arrive.  Idempotent.
+        in-flight radio end event.  Idempotent.
         """
         if self._powered_down:
             return
         self._powered_down = True
         drops = 0
-        if self.engine == ENGINE_FLAT and self._flat_wired:
+        if self._flat_wired:
             timer = self._flat_timer
             if timer is not None:
                 self._flat_timer = None
@@ -664,12 +564,10 @@ class ContentionMac:
         self._ack_queue.clear()
         self._pending_ack.clear()
         self.power_down_drops += drops
-        if self.engine == ENGINE_FLAT:
-            # Re-park on a fresh wakeup so power_up's kick restarts the
-            # machine (it halted without reaching _resume_loop's park).
-            # The generator worker owns its own parking and is left alone.
-            self._wakeup = self.sim.event()
-            self._wakeup.callbacks.append(self._on_wakeup)
+        # Re-park on a fresh wakeup so power_up's kick restarts the
+        # machine (it halted without reaching _resume_loop's park).
+        self._wakeup = self.sim.event()
+        self._wakeup.callbacks.append(self._on_wakeup)
 
     def power_up(self) -> None:
         """Undo :meth:`power_down`; the engine resumes on the next kick."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.mac.base import ENGINE_FLAT, ContentionMac
+from repro.mac.base import ContentionMac
 from repro.mac.timing import MacParams, sensor_csma_params
 from repro.radio.radio import RadioPort
 
@@ -33,8 +33,5 @@ class SensorCsmaMac(ContentionMac):
         radio: RadioPort,
         params: MacParams | None = None,
         name: str | None = None,
-        engine: str = ENGINE_FLAT,
     ):
-        super().__init__(
-            sim, radio, params or _DEFAULT_PARAMS, name=name, engine=engine
-        )
+        super().__init__(sim, radio, params or _DEFAULT_PARAMS, name=name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.mac.base import ENGINE_FLAT, ContentionMac
+from repro.mac.base import ContentionMac
 from repro.mac.timing import MacParams, dcf_params
 from repro.radio.radio import HighPowerRadio
 
@@ -36,11 +36,8 @@ class DcfMac(ContentionMac):
         radio: HighPowerRadio,
         params: MacParams | None = None,
         name: str | None = None,
-        engine: str = ENGINE_FLAT,
     ):
-        super().__init__(
-            sim, radio, params or _DEFAULT_PARAMS, name=name, engine=engine
-        )
+        super().__init__(sim, radio, params or _DEFAULT_PARAMS, name=name)
 
     def _radio_ready(self) -> bool:
         radio = typing.cast(HighPowerRadio, self.radio)

@@ -74,7 +74,6 @@ from repro.energy.radio_specs import (
 )
 from repro.energy.residual import live_residual_fraction
 from repro.faults import FaultInjector, FaultPlan
-from repro.mac.base import MAC_ENGINES
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
 from repro.models.forwarding import ForwardingAgent
@@ -102,7 +101,6 @@ from repro.radio.radio import (
     HighPowerRadio,
     LowPowerRadio,
 )
-from repro.sim.scheduler import SCHEDULER_MODES
 from repro.sim.simulator import Simulator
 from repro.stats.collector import SinkCollector
 from repro.stats.metrics import (
@@ -253,21 +251,6 @@ class ScenarioConfig:
     #: changes *which* routes are taken, so it is part of the cached
     #: identity in the strongest sense.
     routing_policy: str = POLICY_HOPS
-    #: Simulator agenda backend (:data:`repro.sim.scheduler.SCHEDULER_MODES`):
-    #: ``"heap"`` is the historical default, ``"calendar"`` batches
-    #: same-timestamp timers (faster on slot-aligned MAC workloads).  Both
-    #: produce byte-identical results — the choice is performance-only —
-    #: but it is still part of the cached identity so a cache hit records
-    #: which backend produced it.
-    scheduler: str = "heap"
-    #: MAC send-path engine (:data:`repro.mac.base.MAC_ENGINES`):
-    #: ``"flat"`` (default) drives contention with a callback state
-    #: machine and pooled timers; ``"generator"`` is the historical
-    #: one-worker-process-per-MAC engine kept as the byte-identity
-    #: reference.  Both produce byte-identical results — the choice is
-    #: performance-only — but like ``scheduler`` it is part of the cached
-    #: identity so a cache hit records which engine produced it.
-    mac_engine: str = "flat"
     #: Fault schedule (:mod:`repro.faults`): scripted node crashes and
     #: recoveries, link up/down events, random churn, battery-depletion
     #: deaths.  ``None`` (and the zero plan ``FaultPlan()``) leave the
@@ -288,16 +271,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown routing policy {self.routing_policy!r}; "
                 f"registered: {ROUTING_POLICIES.names()}"
-            )
-        if self.scheduler not in SCHEDULER_MODES:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"expected one of {SCHEDULER_MODES}"
-            )
-        if self.mac_engine not in MAC_ENGINES:
-            raise ValueError(
-                f"unknown MAC engine {self.mac_engine!r}; "
-                f"expected one of {MAC_ENGINES}"
             )
         if self.topology is not None and self.topology.kind not in TOPOLOGIES:
             raise ValueError(
@@ -611,7 +584,7 @@ def _build_low_stack(
     for node in range(config.n_nodes):
         radio = LowPowerRadio(sim, node, low_spec, medium, meters[node])
         built.low_radios.append(radio)
-        built.low_macs.append(SensorCsmaMac(sim, radio, engine=config.mac_engine))
+        built.low_macs.append(SensorCsmaMac(sim, radio))
     engine = config.routing_engine()
     with phase("routing_build"):
         if config.routing_policy != POLICY_HOPS:
@@ -666,7 +639,7 @@ def _build_high_stack(
         )
         radio = HighPowerRadio(sim, node, spec, medium, meters[node])
         built.high_radios.append(radio)
-        built.high_macs.append(DcfMac(sim, radio, engine=config.mac_engine))
+        built.high_macs.append(DcfMac(sim, radio))
     engine = config.routing_engine()
     with phase("routing_build"):
         uniform = config.high_radios is None and config.propagation is None
@@ -944,7 +917,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     the run reports ``network_build`` (which includes ``routing_build``)
     and ``sim_loop`` wall-clock phases into it.
     """
-    sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+    sim = Simulator(seed=config.seed)
     with phase("network_build"):
         built = build_network(config, sim)
     # A zero/absent plan skips the injector entirely: the no-fault path

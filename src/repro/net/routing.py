@@ -6,7 +6,8 @@ the collection tree to a next-hop table because BCP's wake-up handshake
 also routes *away* from the sink: the WAKEUP travels sender → receiver and
 the WAKEUP-ACK travels back.
 
-Three engines implement the same query API:
+Three engines implement the same query API, written once in
+:class:`_QueryMixin` over one per-engine ``_tree`` accessor:
 
 * :class:`RoutingTable` — the historical eager engine: one BFS per
   destination, all destinations materialized at construction.  O(n · (V+E))
@@ -92,14 +93,31 @@ def destination_rng(tie_seed: int, dst: int) -> random.Random:
 
 
 class _QueryMixin:
-    """The query API shared by both engines (next_hop/hops/path/...)."""
+    """The query API shared by every engine, written once.
 
+    An engine supplies ``adjacency`` (a :class:`CsrGraph`) and one
+    accessor, ``_tree(dst_idx, src_idx=None)``, returning the parent and
+    depth rows of the destination's tree in CSR index space (a negative
+    entry means no route).  With ``src_idx`` the rows need only be
+    settled for that source; without it they must cover the whole
+    component.  Everything else — ``has_route``, ``next_hop``, ``hops``,
+    ``depths_to``, ``path`` and the :class:`RoutingError` text — lives
+    here.
+    """
+
+    adjacency: CsrGraph
     #: Topology epoch the current trees were computed against (0 =
     #: pristine build; only :meth:`invalidate_epoch` moves it).
     epoch: int = 0
     #: Currently-dead node ids / CSR indexes (empty on the no-fault path).
     _dead: frozenset[int] = frozenset()
     _dead_idx: frozenset[int] = frozenset()
+
+    def _tree(
+        self, dst_idx: int, src_idx: int | None = None
+    ) -> tuple[list[int], list[int]]:
+        """Parent and depth rows of ``dst_idx``'s tree (see class doc)."""
+        raise NotImplementedError
 
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
@@ -126,23 +144,74 @@ class _QueryMixin:
         )
         return self._dead_idx
 
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        """All routable node ids, ascending."""
+        return self.adjacency.ids
+
+    def __len__(self) -> int:
+        return len(self.adjacency.ids)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        """Whether ``a`` and ``b`` are directly linked."""
+        return self.adjacency.has_edge(a, b)
+
+    def _pair_indexes(self, src: int, dst: int) -> tuple[int, int] | None:
+        """Both ids' CSR indexes, or None when either id is unknown.
+
+        Unknown ids surface through the same documented paths as
+        disconnected pairs (RoutingError / has_route False), never as a
+        bare KeyError.
+        """
+        # The CSR's id map read directly, not via two ``index`` calls:
+        # every route query passes through here.
+        index_of = self.adjacency._index_of
+        try:
+            return index_of[src], index_of[dst]
+        except KeyError:
+            return None
+
+    def _no_route(self, src: int, dst: int) -> RoutingError:
+        """The error every query raises for an unroutable pair."""
+        return RoutingError(
+            f"no route from {src} to {dst} (topology epoch {self.epoch})"
+        )
+
     def has_route(self, src: int, dst: int) -> bool:
-        """Whether a path from ``src`` to ``dst`` exists."""
-        raise NotImplementedError
+        """Whether a path from ``src`` to ``dst`` exists.
+
+        ``src == dst`` is trivially True; an unknown id is False.
+        """
+        if src == dst:
+            return True
+        indexes = self._pair_indexes(src, dst)
+        if indexes is None:
+            return False
+        src_idx, dst_idx = indexes
+        return self._tree(dst_idx, src_idx)[0][src_idx] >= 0
 
     def next_hop(self, src: int, dst: int) -> int:
-        """The neighbor of ``src`` on the shortest path to ``dst``.
+        """The neighbor of ``src`` on the chosen path to ``dst``.
 
         Raises
         ------
         RoutingError
             If the graph has no ``src`` → ``dst`` path (the pair is in
-            different components, or either node is isolated), or
-            ``src == dst`` (nothing to route).  Disconnected pairs are an
-            *expected* outcome for composed deployments — callers that can
-            degrade should probe :meth:`has_route` first.
+            different components, either node is isolated, dead or
+            unknown), or ``src == dst`` (nothing to route).  Disconnected
+            pairs are an *expected* outcome for composed deployments —
+            callers that can degrade should probe :meth:`has_route` first.
         """
-        raise NotImplementedError
+        if src == dst:
+            raise RoutingError(f"node {src} routing to itself")
+        indexes = self._pair_indexes(src, dst)
+        if indexes is None:
+            raise self._no_route(src, dst)
+        src_idx, dst_idx = indexes
+        hop = self._tree(dst_idx, src_idx)[0][src_idx]
+        if hop < 0:
+            raise self._no_route(src, dst)
+        return self.adjacency.ids[hop]
 
     def hops(self, src: int, dst: int) -> int:
         """Path length in hops (0 for ``src == dst``).
@@ -152,7 +221,30 @@ class _QueryMixin:
         RoutingError
             If the graph has no ``src`` → ``dst`` path.
         """
-        raise NotImplementedError
+        if src == dst:
+            return 0
+        indexes = self._pair_indexes(src, dst)
+        if indexes is None:
+            raise self._no_route(src, dst)
+        src_idx, dst_idx = indexes
+        count = self._tree(dst_idx, src_idx)[1][src_idx]
+        if count < 0:
+            raise self._no_route(src, dst)
+        return count
+
+    def depths_to(self, sink: int) -> dict[int, int]:
+        """Hop length of every node's route to ``sink`` (incl. itself).
+
+        Nodes with no route are left out; an unknown ``sink`` yields an
+        empty dict.
+        """
+        csr = self.adjacency
+        if sink not in csr:
+            return {}
+        depth = self._tree(csr.index(sink))[1]
+        return {
+            node: depth[i] for i, node in enumerate(csr.ids) if depth[i] >= 0
+        }
 
     def path(self, src: int, dst: int) -> list[int]:
         """The full node sequence ``src ... dst`` of the chosen route.
@@ -173,14 +265,6 @@ class _QueryMixin:
             if len(path) > limit:  # pragma: no cover - safety
                 raise RoutingError(f"routing loop from {src} to {dst}")
         return path
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """All routable node ids."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return len(self.node_ids)
 
 
 class RoutingTable(_QueryMixin):
@@ -236,11 +320,10 @@ class RoutingTable(_QueryMixin):
         self._tie_seed: int | None = None
         if rng is not None and tie_break == TIE_PER_DESTINATION:
             self._tie_seed = rng.getrandbits(64)
-        #: Per-destination-index parent/depth arrays (index space; -1 =
+        #: Per-destination-index (parent, depth) rows (index space; -1 =
         #: unreachable) — the same tree layout the lazy engine memoizes,
         #: materialized for every destination up front.
-        self._parents: list[list[int]] = []
-        self._depths: list[list[int]] = []
+        self._rows: list[tuple[list[int], list[int]]] = []
         self._build()
 
     def _build(self) -> None:
@@ -258,8 +341,7 @@ class RoutingTable(_QueryMixin):
             if dead_idx and dst_idx in dead_idx:
                 # A dead destination terminates nothing: every source
                 # reads unreachable without running the BFS.
-                self._parents.append([-1] * n)
-                self._depths.append([-1] * n)
+                self._rows.append(([-1] * n, [-1] * n))
                 continue
             if self._tie_seed is not None:
                 rng = destination_rng(self._tie_seed, csr.ids[dst_idx])
@@ -301,8 +383,7 @@ class RoutingTable(_QueryMixin):
                                 depth[neighbor] = node_depth
                                 next_frontier.append(neighbor)
                 frontier = next_frontier
-            self._parents.append(parent)
-            self._depths.append(depth)
+            self._rows.append((parent, depth))
 
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
@@ -315,82 +396,14 @@ class RoutingTable(_QueryMixin):
         path, where no golden digest applies.
         """
         self._resolve_dead(epoch, dead)
-        self._parents = []
-        self._depths = []
+        self._rows = []
         self._build()
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """All routable node ids, ascending."""
-        return self.adjacency.ids
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` are directly linked."""
-        return self.adjacency.has_edge(a, b)
-
-    def _pair_indexes(self, src: int, dst: int) -> tuple[int, int] | None:
-        """Both ids' CSR indexes, or None when either id is unknown."""
-        csr = self.adjacency
-        try:
-            return csr.index(src), csr.index(dst)
-        except KeyError:
-            return None
-
-    def has_route(self, src: int, dst: int) -> bool:
-        """Whether a path from ``src`` to ``dst`` exists."""
-        if src == dst:
-            return True
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            return False
-        src_idx, dst_idx = indexes
-        return self._parents[dst_idx][src_idx] >= 0
-
-    def next_hop(self, src: int, dst: int) -> int:
-        if src == dst:
-            raise RoutingError(f"node {src} routing to itself")
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        hop = self._parents[dst_idx][src_idx]
-        if hop < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return self.adjacency.ids[hop]
-
-    next_hop.__doc__ = _QueryMixin.next_hop.__doc__
-
-    def hops(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        count = self._depths[dst_idx][src_idx]
-        if count < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return count
-
-    hops.__doc__ = _QueryMixin.hops.__doc__
-
-    def depths_to(self, sink: int) -> dict[int, int]:
-        """Hop distance of every node that can reach ``sink`` (incl. itself)."""
-        csr = self.adjacency
-        if sink not in csr:
-            return {}
-        depth = self._depths[csr.index(sink)]
-        return {
-            node: depth[i] for i, node in enumerate(csr.ids) if depth[i] >= 0
-        }
+    def _tree(
+        self, dst_idx: int, src_idx: int | None = None
+    ) -> tuple[list[int], list[int]]:
+        """The stored rows: every tree is complete from construction."""
+        return self._rows[dst_idx]
 
 
 class _LazyTree:
@@ -406,7 +419,7 @@ class _LazyTree:
     rather than not-yet-expanded.
     """
 
-    __slots__ = ("parent", "depth", "rng", "frontier")
+    __slots__ = ("parent", "depth", "rows", "rng", "frontier")
 
     def __init__(
         self, n: int, dst_idx: int, rng: typing.Any
@@ -415,6 +428,8 @@ class _LazyTree:
         self.depth = [-1] * n
         self.parent[dst_idx] = dst_idx
         self.depth[dst_idx] = 0
+        #: ``(parent, depth)``, built once for the shared queries.
+        self.rows = (self.parent, self.depth)
         self.rng = rng
         self.frontier: list[int] = [dst_idx]
 
@@ -466,15 +481,6 @@ class LazyRoutingTable(_QueryMixin):
         """Lazy routing for radios of ``range_m`` deployed as ``layout``."""
         return cls(CsrGraph.from_layout(layout, range_m), rng=rng)
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """All routable node ids, ascending."""
-        return self.adjacency.ids
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` are directly linked."""
-        return self.adjacency.has_edge(a, b)
-
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
@@ -488,11 +494,27 @@ class LazyRoutingTable(_QueryMixin):
         self._resolve_dead(epoch, dead)
         self._trees.clear()
 
-    def _tree(self, dst_idx: int) -> _LazyTree:
-        """The (possibly partially expanded) tree state for ``dst_idx``."""
+    def _tree(
+        self, dst_idx: int, src_idx: int | None = None
+    ) -> tuple[list[int], list[int]]:
+        """``dst_idx``'s rows, expanded until ``src_idx`` settles.
+
+        Stops at the first BFS level that reaches ``src_idx`` (or when
+        the component is exhausted, which marks it unreachable); without
+        ``src_idx`` the whole component is expanded.
+        """
         tree = self._trees.get(dst_idx)
-        if tree is not None:
-            return tree
+        if tree is None:
+            tree = self._start_tree(dst_idx)
+        # == -1 (not < 0): a dead source carries the _DEAD sentinel and
+        # will never settle — expanding its component would be wasted.
+        parent = tree.parent
+        while tree.frontier and (src_idx is None or parent[src_idx] == -1):
+            self._expand_level(tree)
+        return tree.rows
+
+    def _start_tree(self, dst_idx: int) -> _LazyTree:
+        """Create and memoize the unexpanded tree state for ``dst_idx``."""
         csr = self.adjacency
         rng = (
             None
@@ -547,115 +569,19 @@ class LazyRoutingTable(_QueryMixin):
                         next_frontier.append(neighbor)
         tree.frontier = next_frontier
 
-    def _settled_tree(self, dst_idx: int, src_idx: int) -> _LazyTree:
-        """The tree for ``dst_idx``, expanded until ``src_idx`` settles.
-
-        Stops at the first BFS level that reaches ``src_idx`` (or when
-        the component is exhausted, which marks ``src_idx`` unreachable).
-        """
-        tree = self._tree(dst_idx)
-        parent = tree.parent
-        # == -1 (not < 0): a dead source carries the _DEAD sentinel and
-        # will never settle — expanding its component would be wasted.
-        while parent[src_idx] == -1 and tree.frontier:
-            self._expand_level(tree)
-        return tree
-
-    def _full_tree(self, dst_idx: int) -> _LazyTree:
-        """The tree for ``dst_idx``, expanded to its whole component."""
-        tree = self._tree(dst_idx)
-        while tree.frontier:
-            self._expand_level(tree)
-        return tree
-
-    def _pair_indexes(self, src: int, dst: int) -> tuple[int, int] | None:
-        """Both ids' CSR indexes, or None when either id is unknown.
-
-        Unknown ids must surface through the same documented paths as
-        disconnected pairs (RoutingError / has_route False), matching the
-        eager engine's dict-miss behavior — never a bare KeyError.
-        """
-        csr = self.adjacency
-        try:
-            return csr.index(src), csr.index(dst)
-        except KeyError:
-            return None
-
-    def has_route(self, src: int, dst: int) -> bool:
-        """Whether a path from ``src`` to ``dst`` exists.
-
-        Computes (and memoizes) the destination's tree on first use.
-        ``src == dst`` is trivially True (matching the eager engine).
-        """
-        if src == dst:
-            return True
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            return False
-        src_idx, dst_idx = indexes
-        return self._settled_tree(dst_idx, src_idx).parent[src_idx] >= 0
-
-    def next_hop(self, src: int, dst: int) -> int:
-        if src == dst:
-            raise RoutingError(f"node {src} routing to itself")
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        hop = self._settled_tree(dst_idx, src_idx).parent[src_idx]
-        if hop < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return self.adjacency.ids[hop]
-
-    next_hop.__doc__ = _QueryMixin.next_hop.__doc__
-
-    def hops(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        count = self._settled_tree(dst_idx, src_idx).depth[src_idx]
-        if count < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return count
-
-    hops.__doc__ = _QueryMixin.hops.__doc__
-
-    def depths_to(self, sink: int) -> dict[int, int]:
-        """Hop distance of every node that can reach ``sink`` (one BFS).
-
-        An unknown ``sink`` yields an empty dict, like the eager engine.
-        """
-        csr = self.adjacency
-        if sink not in csr:
-            return {}
-        depth = self._full_tree(csr.index(sink)).depth
-        return {
-            node: depth[i] for i, node in enumerate(csr.ids) if depth[i] >= 0
-        }
-
 
 class _CostTree:
     """One destination's settled Dijkstra tree (cost-space sibling of
     :class:`_LazyTree`; computed whole, as cost frontiers have no clean
     level structure to pause between)."""
 
-    __slots__ = ("parent", "depth", "cost")
+    __slots__ = ("parent", "depth", "cost", "rows")
 
     def __init__(self, n: int):
         self.parent = [-1] * n
         self.depth = [-1] * n
         self.cost = [float("inf")] * n
+        self.rows = (self.parent, self.depth)
 
 
 class DijkstraRoutingTable(_QueryMixin):
@@ -714,15 +640,6 @@ class DijkstraRoutingTable(_QueryMixin):
         self._trees: dict[int, _CostTree] = {}
         self.trees_computed = 0
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        """All routable node ids, ascending."""
-        return self.adjacency.ids
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """Whether ``a`` and ``b`` are directly linked."""
-        return self.adjacency.has_edge(a, b)
-
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
@@ -749,7 +666,13 @@ class DijkstraRoutingTable(_QueryMixin):
         self._factors = self.cost_model.node_factors(self.adjacency)
         self._trees.clear()
 
-    def _tree(self, dst_idx: int) -> _CostTree:
+    def _tree(
+        self, dst_idx: int, src_idx: int | None = None
+    ) -> tuple[list[int], list[int]]:
+        """The memoized tree's rows (always settled whole)."""
+        return self._cost_tree(dst_idx).rows
+
+    def _cost_tree(self, dst_idx: int) -> _CostTree:
         """The memoized settled tree for ``dst_idx``."""
         tree = self._trees.get(dst_idx)
         if tree is None:
@@ -829,60 +752,6 @@ class DijkstraRoutingTable(_QueryMixin):
                     counter += 1
         return tree
 
-    def _pair_indexes(self, src: int, dst: int) -> tuple[int, int] | None:
-        """Both ids' CSR indexes, or None when either id is unknown."""
-        csr = self.adjacency
-        try:
-            return csr.index(src), csr.index(dst)
-        except KeyError:
-            return None
-
-    def has_route(self, src: int, dst: int) -> bool:
-        """Whether a path from ``src`` to ``dst`` exists."""
-        if src == dst:
-            return True
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            return False
-        src_idx, dst_idx = indexes
-        return self._tree(dst_idx).parent[src_idx] >= 0
-
-    def next_hop(self, src: int, dst: int) -> int:
-        if src == dst:
-            raise RoutingError(f"node {src} routing to itself")
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        hop = self._tree(dst_idx).parent[src_idx]
-        if hop < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return self.adjacency.ids[hop]
-
-    next_hop.__doc__ = _QueryMixin.next_hop.__doc__
-
-    def hops(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        indexes = self._pair_indexes(src, dst)
-        if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        src_idx, dst_idx = indexes
-        count = self._tree(dst_idx).depth[src_idx]
-        if count < 0:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
-        return count
-
-    hops.__doc__ = _QueryMixin.hops.__doc__
-
     def path_cost(self, src: int, dst: int) -> float:
         """Total link cost of the chosen route (0.0 for ``src == dst``).
 
@@ -895,30 +764,12 @@ class DijkstraRoutingTable(_QueryMixin):
             return 0.0
         indexes = self._pair_indexes(src, dst)
         if indexes is None:
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
+            raise self._no_route(src, dst)
         src_idx, dst_idx = indexes
-        total = self._tree(dst_idx).cost[src_idx]
+        total = self._cost_tree(dst_idx).cost[src_idx]
         if total == float("inf"):
-            raise RoutingError(
-                f"no route from {src} to {dst} (topology epoch {self.epoch})"
-            )
+            raise self._no_route(src, dst)
         return total
-
-    def depths_to(self, sink: int) -> dict[int, int]:
-        """Hop length of every connected node's chosen route to ``sink``.
-
-        Note: hop count *along the min-cost route*, not the min hop
-        count — energy policies happily take more, shorter hops.
-        """
-        csr = self.adjacency
-        if sink not in csr:
-            return {}
-        depth = self._tree(csr.index(sink)).depth
-        return {
-            node: depth[i] for i, node in enumerate(csr.ids) if depth[i] >= 0
-        }
 
 
 #: Any routing engine; the query API is identical.

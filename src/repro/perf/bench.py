@@ -265,8 +265,8 @@ def failed_gates(report: BenchReport) -> list[str]:
         if rate < gate.min_per_s:
             failures.append(
                 f"{gate.name}: {gate.case} sustained "
-                f"{rate / 1e6:.2f}M {gate.ops_key}/s, below the required "
-                f"{gate.min_per_s / 1e6:g}M/s floor"
+                f"{rate:,.0f} {gate.ops_key}/s, below the required "
+                f"{gate.min_per_s:,.0f}/s floor"
             )
     return failures
 

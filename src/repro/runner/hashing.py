@@ -48,7 +48,12 @@ import typing
 #: ``"hops"`` default with an empty ladder is byte-identical (golden
 #: digests unchanged), but both fields widen every config key, so
 #: pre-policy keys are retired wholesale.
-CACHE_SCHEMA_VERSION = 8
+#: v9: ScenarioConfig lost the ``scheduler`` and ``mac_engine`` selectors
+#: (the calendar agenda and the generator MAC engine were deleted; the
+#: heap agenda and the flat MAC were the defaults every golden digest
+#: was pinned on, so results are unchanged).  Keys that canonicalized
+#: the removed fields are retired wholesale.
+CACHE_SCHEMA_VERSION = 9
 
 
 def _canonicalize(value: typing.Any) -> typing.Any:

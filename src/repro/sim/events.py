@@ -126,7 +126,7 @@ class Event:
         """Abandon the event: the kernel discards it instead of dispatching.
 
         Marks the event dead *in place* — the agenda is never searched.
-        When the entry's time comes up the scheduler still pops it, but
+        When the entry's time comes up the run loop still pops it, but
         the kernel drops it undelivered: callbacks never run, the event
         never becomes *processed*, and it counts in
         ``Simulator.events_cancelled`` rather than ``events_processed``.

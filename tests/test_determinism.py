@@ -10,6 +10,7 @@ either the simulator's semantics changed (bump
 commit that explains why) or a nondeterminism bug crept in (fix it).
 """
 
+from generator_mac import MAC_ENGINES, scenario_macs
 from repro.cli.main import build_parser, render_artifact
 from repro.models.scenario import run_scenario
 from repro.models.sweeps import SweepScale, run_sweep, sweep_digest, sweep_plan
@@ -41,8 +42,9 @@ GOLDEN_RATE = 2000.0
 #: ``mac.acks_dropped`` counter (the previously silent half-duplex ACK
 #: drop), which is part of the digested counters dict.  Every delivery,
 #: energy figure and pre-existing counter is byte-identical to the v5
-#: goldens; only the new key changed the serialization.  Both MAC
-#: engines × both schedulers reproduce these digests (asserted below).
+#: goldens; only the new key changed the serialization.  The flat MAC
+#: and the test-only generator reference both reproduce these digests
+#: (asserted below).
 GOLDEN_DIGEST = "f6a136749dadd377938a50c314f7c2b945021fafceaa10e5f51211735d3f0d6e"
 
 #: Same contract for the prototype testbed path.  Unchanged by the v6
@@ -108,6 +110,16 @@ def composed_config():
     )
 
 
+def digests_across_mac_engines(config):
+    """``{digest}`` of ``config`` run on the flat MAC and on the
+    generator reference: one element when the engines agree."""
+    digests = set()
+    for engine in MAC_ENGINES:
+        with scenario_macs(engine):
+            digests.add(results_digest([run_scenario(config)]))
+    return digests
+
+
 def golden_sweep(runner=None):
     return run_sweep(
         GOLDEN_CASE, GOLDEN_SCALE, rate_bps=GOLDEN_RATE, runner=runner
@@ -135,79 +147,36 @@ class TestGoldenDigest:
             == GOLDEN_COMPOSED_DIGEST
         )
 
-    def test_composed_scenario_calendar_scheduler_matches_pinned_digest(self):
-        # The agenda backend is performance-only: the calendar scheduler
-        # must reproduce the SAME pinned bytes as the heap default.
-        import dataclasses
-
-        config = dataclasses.replace(composed_config(), scheduler="calendar")
-        assert (
-            results_digest([run_scenario(config)]) == GOLDEN_COMPOSED_DIGEST
-        )
-
     def test_composed_scenario_generator_mac_matches_pinned_digest(self):
-        # The MAC engine is performance-only too: the historical generator
-        # engine must reproduce the SAME pinned bytes as the flat default.
-        import dataclasses
+        # The flat MAC replays the historical generator engine: the
+        # test-only reference must reproduce the SAME pinned bytes.
+        with scenario_macs("generator"):
+            result = run_scenario(composed_config())
+        assert results_digest([result]) == GOLDEN_COMPOSED_DIGEST
 
-        config = dataclasses.replace(composed_config(), mac_engine="generator")
-        assert (
-            results_digest([run_scenario(config)]) == GOLDEN_COMPOSED_DIGEST
-        )
-
-    def test_schedulers_and_mac_engines_byte_identical_on_paper_grid_cell(self):
-        # The full engine × scheduler grid on a paper cell collapses to
-        # one digest: agenda backend and MAC engine are both
-        # performance-only axes.
-        import dataclasses
-
+    def test_mac_engines_byte_identical_on_paper_grid_cell(self):
+        # On a paper cell both MAC engines collapse to one digest.
         from repro.models.scenario import single_hop_config
 
         config = single_hop_config(
             n_senders=3, burst_packets=10, rate_bps=2000.0, sim_time_s=10.0
         )
-        digests = {
-            results_digest(
-                [
-                    run_scenario(
-                        dataclasses.replace(
-                            config, mac_engine=engine, scheduler=scheduler
-                        )
-                    )
-                ]
-            )
-            for engine in ("flat", "generator")
-            for scheduler in ("heap", "calendar")
-        }
-        assert len(digests) == 1
+        assert len(digests_across_mac_engines(config)) == 1
 
     def test_zero_fault_plan_byte_identical_across_engine_grid(self):
         # A configured-but-empty FaultPlan must be inert: no injector, no
         # extra counters, no perturbed rng draws — the pinned composed
-        # digest reproduces across the full scheduler × MAC engine grid.
+        # digest reproduces on both MAC engines.
         import dataclasses
 
         from repro.faults import FaultPlan
 
         plan = FaultPlan()
         assert plan.is_zero
-        digests = {
-            results_digest(
-                [
-                    run_scenario(
-                        dataclasses.replace(
-                            composed_config(),
-                            faults=plan,
-                            mac_engine=engine,
-                            scheduler=scheduler,
-                        )
-                    )
-                ]
-            )
-            for engine in ("flat", "generator")
-            for scheduler in ("heap", "calendar")
+        config = dataclasses.replace(composed_config(), faults=plan)
+        assert digests_across_mac_engines(config) == {
+            GOLDEN_COMPOSED_DIGEST
         }
-        assert digests == {GOLDEN_COMPOSED_DIGEST}
 
     def test_tx_energy_policy_matches_pinned_digest(self):
         # The energy policy diverges from the hops goldens on purpose;
@@ -236,27 +205,16 @@ class TestGoldenDigest:
         )
 
     def test_policy_digests_reproduce_across_engine_grid(self):
-        # Scheduler and MAC engine stay performance-only under the new
-        # policies too: the full grid collapses onto the same pins.
+        # The MAC engine stays behaviour-neutral under the energy
+        # policies too: both engines land on the same pin.
         import dataclasses
 
-        digests = {
-            results_digest(
-                [
-                    run_scenario(
-                        dataclasses.replace(
-                            composed_config(),
-                            routing_policy="tx-energy",
-                            mac_engine=engine,
-                            scheduler=scheduler,
-                        )
-                    )
-                ]
-            )
-            for engine in ("flat", "generator")
-            for scheduler in ("heap", "calendar")
+        config = dataclasses.replace(
+            composed_config(), routing_policy="tx-energy"
+        )
+        assert digests_across_mac_engines(config) == {
+            GOLDEN_TX_ENERGY_DIGEST
         }
-        assert digests == {GOLDEN_TX_ENERGY_DIGEST}
 
     def test_digest_is_sensitive_to_results(self):
         sweep = golden_sweep(SweepRunner(backend=SerialBackend()))

@@ -11,6 +11,7 @@ revivals, random churn, and battery depletion through every model.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generator_mac import MAC_ENGINES, scenario_macs
 from repro.channel.medium import Medium
 from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
@@ -193,24 +194,19 @@ class TestScriptedScenarioChurn:
         assert first.counters == second.counters
         assert first.counters["faults.deaths"] > 0
 
-    def test_churn_across_schedulers_and_mac_engines(self):
+    def test_churn_across_mac_engines(self):
         # Fault machinery rides on the kernel's cancel/timer paths, which
-        # differ by agenda backend and MAC engine — a faulted run must
-        # complete (and agree with itself) on the whole grid.
+        # the flat MAC and the generator reference use differently — a
+        # faulted run must complete (and agree with itself) on both.
         plan = FaultPlan(crashes=((5.0, 2), (9.0, 8)), recoveries=((15.0, 2),))
+        config = ScenarioConfig(
+            model="dual", sim_time_s=25.0, burst_packets=10, faults=plan
+        )
         results = {}
-        for scheduler in ("heap", "calendar"):
-            for engine in ("flat", "generator"):
-                config = ScenarioConfig(
-                    model="dual",
-                    sim_time_s=25.0,
-                    burst_packets=10,
-                    scheduler=scheduler,
-                    mac_engine=engine,
-                    faults=plan,
-                )
+        for engine in MAC_ENGINES:
+            with scenario_macs(engine):
                 result = run_scenario(config)
-                results[(scheduler, engine)] = result.counters["faults.deaths"]
+            results[engine] = result.counters["faults.deaths"]
         assert set(results.values()) == {2.0}
 
 
@@ -245,15 +241,12 @@ class TestPowerDownAccounting:
     def test_power_down_drops_counted_not_crashed(self):
         # Kill a busy relay mid-run on every engine: queued frames must
         # resolve as counted drops, and the run must complete.
-        for engine in ("flat", "generator"):
-            plan = FaultPlan(crashes=((6.0, 2), (6.0, 8), (7.0, 13)))
-            config = ScenarioConfig(
-                model="dual",
-                sim_time_s=20.0,
-                burst_packets=10,
-                mac_engine=engine,
-                faults=plan,
-            )
-            result = run_scenario(config)
+        plan = FaultPlan(crashes=((6.0, 2), (6.0, 8), (7.0, 13)))
+        config = ScenarioConfig(
+            model="dual", sim_time_s=20.0, burst_packets=10, faults=plan
+        )
+        for engine in MAC_ENGINES:
+            with scenario_macs(engine):
+                result = run_scenario(config)
             assert result.counters["faults.deaths"] == 3.0
             assert result.counters["faults.power_down_drops"] >= 0.0

@@ -9,6 +9,7 @@ would double-run or drop cells.  Hypothesis hunts the corners.
 
 import dataclasses
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from repro.energy.radio_specs import RadioSpec, TxPowerLevel
 from repro.faults import FaultPlan
 from repro.models.scenario import RadioAssignment, ScenarioConfig
 from repro.runner import ShardSpec, canonical_json, config_key, shard_index
+from repro.runner.hashing import CACHE_SCHEMA_VERSION
 from repro.topology.registry import TopologySpec
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,6 @@ class TestScenarioFieldSensitivity:
         "traffic_mix": ((1, "poisson"),),
         "routing": "lazy",
         "routing_policy": "tx-energy",
-        "scheduler": "calendar",
-        "mac_engine": "generator",
         "faults": FaultPlan(crashes=((1.0, 1),)),
     }
 
@@ -146,6 +146,13 @@ class TestScenarioFieldSensitivity:
         tweaked = self.BASE.replace(**{field: changed})
         assert getattr(tweaked, field) != value
         assert config_key(tweaked) != config_key(self.BASE)
+
+    def test_v9_key_has_no_engine_selectors(self):
+        # Schema v9 retired the agenda and MAC-engine selectors along with
+        # the alternate engines; neither may widen the key again.
+        payload = json.loads(canonical_json(self.BASE))
+        assert payload["schema"] == CACHE_SCHEMA_VERSION == 9
+        assert not {"scheduler", "mac_engine"} & set(payload["config"])
 
     def test_radio_spec_every_field_participates(self):
         spec = self.BASE.low_spec

@@ -1,11 +1,11 @@
 """Flat MAC engine: trace identity vs the generator reference.
 
 The flat callback state machine in :mod:`repro.mac.base` claims
-*byte-identical* behaviour to the historical generator engine: same agenda
-entries, same rng draw order, same counters, same energy.  These tests pin
-that claim — a hypothesis property over random traffic plans plus
-deterministic contention/edge-case scenarios parametrized over the full
-engine x scheduler grid.
+*byte-identical* behaviour to the historical generator engine (kept as a
+test-only reference in ``generator_mac.py``): same agenda entries, same
+rng draw order, same counters, same energy.  These tests pin that claim
+— a hypothesis property over random traffic plans plus deterministic
+contention/edge-case scenarios run on both engines.
 """
 
 import collections
@@ -18,23 +18,13 @@ from hypothesis import strategies as st
 from repro.channel.medium import LossModel, Medium
 from repro.energy.meter import EnergyMeter
 from repro.energy.radio_specs import LUCENT_11, MICAZ
-from repro.mac.base import _DEDUP_WINDOW, MAC_ENGINES, ContentionMac
-from repro.mac.csma import SensorCsmaMac
-from repro.mac.dcf import DcfMac
+from generator_mac import MAC_CLASSES, MAC_ENGINES
+from repro.mac.base import _DEDUP_WINDOW, ContentionMac
 from repro.mac.frames import BROADCAST, Frame, FrameKind
 from repro.mac.timing import sensor_csma_params
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim.simulator import Simulator
 from repro.topology import line_layout
-
-SCHEDULERS = ("heap", "calendar")
-
-GRID = [
-    (engine, scheduler)
-    for engine in MAC_ENGINES
-    for scheduler in SCHEDULERS
-]
-
 
 def data_frame(src, dst, payload_bits=256, require_ack=True):
     return Frame(
@@ -47,14 +37,14 @@ def data_frame(src, dst, payload_bits=256, require_ack=True):
     )
 
 
-def run_plan(engine, scheduler, *, n, loss_p, plan, seed, params=None):
+def run_plan(engine, *, n, loss_p, plan, seed, params=None):
     """Run a traffic plan; return the full observable trace.
 
     The trace captures everything the engines could plausibly diverge on:
     final clock, kernel event counts, timestamped deliveries, every MAC
     counter, and exact per-node energy floats.
     """
-    sim = Simulator(seed=seed, scheduler=scheduler)
+    sim = Simulator(seed=seed)
     layout = line_layout(n, 40.0)
     loss = LossModel(loss_p, sim.rng.stream("loss")) if loss_p else None
     medium = Medium(sim, layout, "m", loss=loss)
@@ -62,10 +52,8 @@ def run_plan(engine, scheduler, *, n, loss_p, plan, seed, params=None):
     radios = {
         i: LowPowerRadio(sim, i, MICAZ, medium, meters[i]) for i in range(n)
     }
-    macs = {
-        i: SensorCsmaMac(sim, radios[i], params=params, engine=engine)
-        for i in range(n)
-    }
+    csma_mac = MAC_CLASSES[engine][0]
+    macs = {i: csma_mac(sim, radios[i], params=params) for i in range(n)}
     deliveries = []
     for i in range(n):
         macs[i].set_data_handler(
@@ -128,25 +116,10 @@ class TestTraceIdentity:
         """Random plans, lossy or clean: the traces must be identical —
         including exact float equality on timestamps and joules."""
         traces = [
-            run_plan(
-                engine, "heap", n=3, loss_p=loss_p, plan=plan, seed=seed
-            )
+            run_plan(engine, n=3, loss_p=loss_p, plan=plan, seed=seed)
             for engine in MAC_ENGINES
         ]
         assert traces[0] == traces[1]
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_scheduler_backends_agree(self, scheduler):
-        """Both engines stay identical on the calendar agenda too."""
-        plan = [(0, 1, True), (2, 1, True), (1, BROADCAST, False)] * 3
-        reference = run_plan(
-            "flat", "heap", n=3, loss_p=0.4, plan=plan, seed=7
-        )
-        for engine in MAC_ENGINES:
-            trace = run_plan(
-                engine, scheduler, n=3, loss_p=0.4, plan=plan, seed=7
-            )
-            assert trace == reference
 
 
 class TestContentionStats:
@@ -157,12 +130,11 @@ class TestContentionStats:
     # before node 0's queue fills up.
     PLAN = [(0, 2, True)] + [(0, 1, True), (2, 1, True)] * 8
 
-    @pytest.mark.parametrize("engine,scheduler", GRID)
-    def test_hidden_terminal_counters(self, engine, scheduler):
+    @pytest.mark.parametrize("engine", MAC_ENGINES)
+    def test_hidden_terminal_counters(self, engine):
         params = sensor_csma_params(queue_capacity=4)
         trace = run_plan(
             engine,
-            scheduler,
             n=3,
             loss_p=0.0,
             plan=self.PLAN,
@@ -171,7 +143,6 @@ class TestContentionStats:
         )
         reference = run_plan(
             "flat",
-            "heap",
             n=3,
             loss_p=0.0,
             plan=self.PLAN,
@@ -206,9 +177,8 @@ class TestAcksDropped:
             i: HighPowerRadio(sim, i, LUCENT_11, medium, meters[i])
             for i in range(2)
         }
-        macs = {
-            i: DcfMac(sim, radios[i], engine=engine) for i in range(2)
-        }
+        dcf_mac = MAC_CLASSES[engine][1]
+        macs = {i: dcf_mac(sim, radios[i]) for i in range(2)}
         sim.run(until=radios[0].wake())
         sim.run(until=radios[1].wake())
         # The delivery callback runs after the ACK is queued but before

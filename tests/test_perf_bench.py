@@ -293,6 +293,28 @@ class TestBenchCli:
         # the report is still written for inspection
         assert (tmp_path / "BENCH_rev-two.json").exists()
 
+    def test_throughput_check_prints_a_rate(self, monkeypatch, capsys):
+        import repro.perf.suite as suite_module
+
+        gate = suite_module.THROUGHPUT_GATES[0]
+        case = BenchCase(
+            name=gate.case,
+            summary="stand-in for the gated case",
+            setup=lambda: None,
+            run=lambda _state: {gate.ops_key: 1.0e9},
+            repeats=1,
+        )
+        monkeypatch.setattr(suite_module, "all_cases", lambda: (case,))
+        assert main(["bench", "--baseline", "none", "--no-write"]) == 0
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(gate.name)
+        )
+        # An events/s figure, not a speedup ratio.
+        assert line.endswith(f" {gate.ops_key}/s")
+        assert not line.rstrip().endswith("x")
+
     def test_profile_flag_dumps_pstats(self, tmp_path, monkeypatch, capsys):
         import repro.perf.suite as suite_module
 

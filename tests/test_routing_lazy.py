@@ -7,6 +7,7 @@ import pytest
 from repro.models.scenario import ScenarioConfig
 from repro.net.csr import CsrGraph
 from repro.net.routing import (
+    DijkstraRoutingTable,
     LazyRoutingTable,
     RoutingError,
     RoutingTable,
@@ -100,33 +101,64 @@ def _two_islands() -> Layout:
     )
 
 
-@pytest.mark.parametrize("engine", ["eager", "lazy"])
+class _UnitCost:
+    """A LinkCostModel charging 1.0 per hop: the Dijkstra engine on BFS
+    costs."""
+
+    dynamic = False
+
+    def edge_costs(self, csr, layout):
+        return [1.0] * len(csr.indices)
+
+    def node_factors(self, csr):
+        return None
+
+
+def _islands_table(engine):
+    """A routing table of ``engine`` over :func:`_two_islands`."""
+    layout = _two_islands()
+    if engine == "dijkstra":
+        return DijkstraRoutingTable(
+            CsrGraph.from_layout(layout, 40.0), _UnitCost(), layout=layout
+        )
+    return build_routing(layout, 40.0, engine=engine)
+
+
+def _routing_error(query, *args):
+    """The RoutingError text ``query(*args)`` raises."""
+    with pytest.raises(RoutingError) as info:
+        query(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("engine", ["eager", "lazy", "dijkstra"])
 class TestRoutingErrorPaths:
-    """Disconnected pairs raise a documented RoutingError on both engines."""
+    """One query contract, written once and held by every engine: the
+    same answers and the same RoutingError text."""
 
     def test_next_hop_disconnected_raises(self, engine):
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         with pytest.raises(RoutingError, match="no route from 0 to 2"):
             table.next_hop(0, 2)
 
     def test_hops_disconnected_raises(self, engine):
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         with pytest.raises(RoutingError, match="no route"):
             table.hops(3, 1)
 
     def test_path_disconnected_raises(self, engine):
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         with pytest.raises(RoutingError):
             table.path(1, 3)
 
     def test_has_route_is_the_probe(self, engine):
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         assert table.has_route(0, 1)
         assert not table.has_route(0, 2)
         assert table.has_route(2, 2)
 
     def test_self_routing_raises_but_zero_hops(self, engine):
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         with pytest.raises(RoutingError, match="routing to itself"):
             table.next_hop(2, 2)
         assert table.hops(2, 2) == 0
@@ -136,7 +168,7 @@ class TestRoutingErrorPaths:
         # Ids outside the graph go through the same documented paths as
         # disconnected pairs — RoutingError / has_route False, never a
         # bare KeyError.
-        table = build_routing(_two_islands(), 40.0, engine=engine)
+        table = _islands_table(engine)
         with pytest.raises(RoutingError, match="no route"):
             table.next_hop(0, 99)
         with pytest.raises(RoutingError, match="no route"):
@@ -145,6 +177,35 @@ class TestRoutingErrorPaths:
         assert not table.has_route(99, 0)
         assert table.has_route(99, 99)  # trivially self-routable
         assert table.depths_to(99) == {}
+
+    def test_error_text_names_src_dst_and_epoch(self, engine):
+        table = _islands_table(engine)
+        # Unknown id, disconnected pair: the same message on every query.
+        for src, dst in ((0, 99), (99, 0), (0, 2)):
+            expected = f"no route from {src} to {dst} (topology epoch 0)"
+            assert _routing_error(table.next_hop, src, dst) == expected
+            assert _routing_error(table.hops, src, dst) == expected
+        assert (
+            _routing_error(table.next_hop, 2, 2) == "node 2 routing to itself"
+        )
+
+    def test_dead_node_after_invalidate_epoch(self, engine):
+        table = _islands_table(engine)
+        assert table.hops(0, 1) == 1
+        table.invalidate_epoch(3, dead={1})
+        assert table.epoch == 3
+        assert not table.has_route(0, 1)
+        assert not table.has_route(1, 0)
+        assert _routing_error(table.next_hop, 0, 1) == (
+            "no route from 0 to 1 (topology epoch 3)"
+        )
+        assert _routing_error(table.hops, 1, 0) == (
+            "no route from 1 to 0 (topology epoch 3)"
+        )
+        # The other island is untouched, and a dead node is absent from
+        # the surviving trees.
+        assert table.next_hop(2, 3) == 3
+        assert table.depths_to(0) == {0: 0}
 
 
 class TestLazyRoutingTable:

@@ -1,188 +1,94 @@
-"""Scheduler protocol conformance, cancellation, and the timeout free-list."""
+"""Agenda ordering, cancellation, and the timeout free-list."""
 
 import pytest
 
-from repro.sim import (
-    NORMAL,
-    URGENT,
-    CalendarScheduler,
-    HeapScheduler,
-    Simulator,
-    build_scheduler,
-)
-from repro.sim.scheduler import SCHEDULER_MODES, SCHEDULERS
+from repro.sim import NORMAL, URGENT, Event, Simulator
 
 
-class _FakeEvent:
-    """A stand-in payload: schedulers must treat events as opaque."""
-
-    def __init__(self, label):
-        self.label = label
-
-    def __repr__(self):
-        return f"<fake {self.label}>"
-
-
-@pytest.fixture(params=["heap", "calendar"])
-def scheduler(request):
-    return SCHEDULERS[request.param]()
+def _push(sim, when, priority, label, fired):
+    """Enqueue an event at absolute ``when`` that records ``label``."""
+    event = Event(sim)
+    event._value = None
+    event.callbacks.append(lambda _e: fired.append(label))
+    sim._enqueue(event, delay=when - sim.now, priority=priority)
+    return event
 
 
-class TestProtocolConformance:
-    """Both backends must present the exact same ordering semantics."""
+@pytest.fixture
+def agenda():
+    return Simulator(seed=1), []
 
-    def test_pop_orders_by_time(self, scheduler):
+
+class TestAgendaOrdering:
+    """The ``(time, priority, sequence)`` total order every golden
+    digest depends on."""
+
+    def test_pop_orders_by_time(self, agenda):
+        sim, fired = agenda
         for when in (5.0, 1.0, 3.0):
-            scheduler.push(when, NORMAL, _FakeEvent(when))
-        assert [scheduler.pop()[0] for _ in range(3)] == [1.0, 3.0, 5.0]
-
-    def test_fifo_within_time_and_priority(self, scheduler):
-        events = [_FakeEvent(index) for index in range(4)]
-        for event in events:
-            scheduler.push(2.0, NORMAL, event)
-        assert [scheduler.pop()[1] for _ in range(4)] == events
-
-    def test_urgent_pops_before_normal_at_same_time(self, scheduler):
-        normal = _FakeEvent("normal")
-        urgent = _FakeEvent("urgent")
-        # The urgent entry arrives AFTER the normal one: priority must
-        # still beat insertion order, exactly as heap (time, prio, seq)
-        # tuples order it.
-        scheduler.push(1.0, NORMAL, normal)
-        scheduler.push(1.0, URGENT, urgent)
-        assert scheduler.pop()[1] is urgent
-        assert scheduler.pop()[1] is normal
-
-    def test_earlier_time_beats_priority(self, scheduler):
-        late_urgent = _FakeEvent("late")
-        early_normal = _FakeEvent("early")
-        scheduler.push(2.0, URGENT, late_urgent)
-        scheduler.push(1.0, NORMAL, early_normal)
-        assert scheduler.pop()[1] is early_normal
-
-    def test_pop_empty_raises_indexerror(self, scheduler):
-        with pytest.raises(IndexError):
-            scheduler.pop()
-
-    def test_peek_empty_is_infinity(self, scheduler):
-        assert scheduler.peek() == float("inf")
-
-    def test_peek_reports_next_time_without_consuming(self, scheduler):
-        scheduler.push(4.0, NORMAL, _FakeEvent("a"))
-        assert scheduler.peek() == 4.0
-        assert len(scheduler) == 1
-
-    def test_len_counts_entries(self, scheduler):
-        for index in range(5):
-            scheduler.push(float(index % 2), NORMAL, _FakeEvent(index))
-        assert len(scheduler) == 5
-        scheduler.pop()
-        assert len(scheduler) == 4
-
-    def test_interleaved_push_pop(self, scheduler):
-        scheduler.push(1.0, NORMAL, _FakeEvent("a"))
-        assert scheduler.pop()[1].label == "a"
-        # A push at the just-drained time must still be retrievable
-        # (calendar buckets are retired and recreated exactly here).
-        scheduler.push(1.0, NORMAL, _FakeEvent("b"))
-        scheduler.push(0.5, NORMAL, _FakeEvent("c"))
-        assert scheduler.pop()[1].label == "c"
-        assert scheduler.pop()[1].label == "b"
-        assert len(scheduler) == 0
-
-
-class TestCalendarBucketRetirement:
-    """The calendar's drained-bucket cleanup must not strand the memo."""
-
-    def test_peek_retires_drained_buckets(self):
-        scheduler = CalendarScheduler()
-        scheduler.push(1.0, NORMAL, _FakeEvent("a"))
-        scheduler.pop()
-        scheduler.push(2.0, NORMAL, _FakeEvent("b"))
-        # The 1.0 bucket is empty; peek must skip past its carcass.
-        assert scheduler.peek() == 2.0
-        assert len(scheduler) == 1
-
-    def test_push_after_bucket_retired_by_pop(self):
-        scheduler = CalendarScheduler()
-        scheduler.push(1.0, NORMAL, _FakeEvent("a"))
-        scheduler.push(1.0, NORMAL, _FakeEvent("b"))
-        assert scheduler.pop()[1].label == "a"
-        assert scheduler.pop()[1].label == "b"
-        with pytest.raises(IndexError):
-            scheduler.pop()
-        # The memo pointed at the now-dead 1.0 bucket; a fresh push at
-        # the same time must land in a live bucket, not the orphan.
-        scheduler.push(1.0, NORMAL, _FakeEvent("c"))
-        assert scheduler.pop()[1].label == "c"
-
-
-class TestBuildScheduler:
-    def test_default_is_heap(self):
-        assert isinstance(build_scheduler(), HeapScheduler)
-        assert isinstance(build_scheduler(None), HeapScheduler)
-
-    def test_registry_names(self):
-        assert isinstance(build_scheduler("heap"), HeapScheduler)
-        assert isinstance(build_scheduler("calendar"), CalendarScheduler)
-        assert SCHEDULER_MODES == ("heap", "calendar")
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            build_scheduler("splay-tree")
-
-    def test_instance_passes_through(self):
-        backend = CalendarScheduler()
-        assert build_scheduler(backend) is backend
-
-    def test_non_scheduler_object_raises(self):
-        with pytest.raises(TypeError, match="Scheduler protocol"):
-            build_scheduler(object())
-
-
-class _RecordingScheduler(HeapScheduler):
-    """A bring-your-own backend: drives the generic (protocol-only) loop."""
-
-    def __init__(self):
-        super().__init__()
-        self.pushes = 0
-
-    def push(self, when, priority, event):
-        self.pushes += 1
-        super().push(when, priority, event)
-
-
-class TestCustomScheduler:
-    def test_simulator_runs_on_custom_backend(self):
-        backend = _RecordingScheduler()
-        sim = Simulator(seed=1, scheduler=backend)
-        assert sim.scheduler is backend
-        fired = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            fired.append(sim.now)
-            yield sim.timeout(2.0)
-            fired.append(sim.now)
-
-        sim.process(proc())
+            _push(sim, when, NORMAL, when, fired)
         sim.run()
-        assert fired == [1.0, 3.0]
-        assert backend.pushes > 0
+        assert fired == [1.0, 3.0, 5.0]
 
-    def test_custom_backend_honors_horizon(self):
-        sim = Simulator(seed=1, scheduler=_RecordingScheduler())
-        fired = []
-        sim.call_later(1.0, lambda: fired.append(1))
-        sim.call_later(5.0, lambda: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
+    def test_fifo_within_time_and_priority(self, agenda):
+        sim, fired = agenda
+        for index in range(4):
+            _push(sim, 2.0, NORMAL, index, fired)
+        sim.run()
+        assert fired == [0, 1, 2, 3]
+
+    def test_urgent_pops_before_normal_at_same_time(self, agenda):
+        sim, fired = agenda
+        # The urgent entry arrives AFTER the normal one: priority must
+        # still beat insertion order.
+        _push(sim, 1.0, NORMAL, "normal", fired)
+        _push(sim, 1.0, URGENT, "urgent", fired)
+        sim.run()
+        assert fired == ["urgent", "normal"]
+
+    def test_earlier_time_beats_priority(self, agenda):
+        sim, fired = agenda
+        _push(sim, 2.0, URGENT, "late", fired)
+        _push(sim, 1.0, NORMAL, "early", fired)
+        sim.run()
+        assert fired == ["early", "late"]
+
+    def test_interleaved_push_and_dispatch(self, agenda):
+        sim, fired = agenda
+        _push(sim, 1.0, NORMAL, "a", fired)
+        sim.step()
+        # A push at the just-dispatched time is still retrievable and
+        # orders against later pushes by time.
+        _push(sim, 1.0, NORMAL, "b", fired)
+        _push(sim, 1.5, NORMAL, "c", fired)
+        sim.step()
+        sim.step()
+        assert fired == ["a", "b", "c"]
+        assert sim.peek() == float("inf")
+
+    def test_step_and_run_dispatch_in_the_same_order(self):
+        def trace(drive):
+            sim = Simulator(seed=1)
+            fired = []
+            for index, (when, priority) in enumerate(
+                [(2.0, NORMAL), (1.0, URGENT), (2.0, URGENT), (1.0, NORMAL)]
+            ):
+                _push(sim, when, priority, index, fired)
+            drive(sim)
+            return fired
+
+        def step_all(sim):
+            while sim.peek() != float("inf"):
+                sim.step()
+
+        assert trace(lambda sim: sim.run()) == trace(step_all) == [1, 3, 2, 0]
 
 
-@pytest.fixture(params=["heap", "calendar"])
+# The simulator's agenda is a binary heap; the id names it in each
+# test's parameter so the report says which agenda ran the contract.
+@pytest.fixture(params=["heap"])
 def sim(request):
-    return Simulator(seed=1, scheduler=request.param)
+    return Simulator(seed=1)
 
 
 class TestCancellation:
@@ -267,6 +173,22 @@ class TestTimeoutFreeList:
         sim.run()
         assert fresh.value == "fresh"
         assert sim.events_processed == before + 1
+
+    def test_run_until_event_recycles_timeouts(self, sim):
+        # The until-event form runs the same loop as the other two, so a
+        # timeout it dispatches feeds the free-list too.
+        def proc():
+            yield sim.timeout(1.0)
+
+        done = sim.process(proc())
+        sim.run(until=done)
+        assert len(sim._pool) == 1
+        recycled = sim._pool[-1]
+        fresh = sim.timeout(2.0, value="fresh")
+        assert fresh is recycled
+        assert fresh.callbacks == []
+        assert not fresh.processed
+        assert sim.run(until=fresh) == "fresh"
 
     def test_recycled_timer_value_not_leaked(self, sim):
         def proc(values):
