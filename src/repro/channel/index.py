@@ -32,11 +32,21 @@ after the last :meth:`Medium.register` call and the inputs (layout
 positions, port ranges, per-run propagation gains) never change
 afterwards.  Fault injection relaxes that with *incremental epoch
 repair*: :meth:`retire_node` / :meth:`restore_node` (node churn) and
-:meth:`set_link` (scripted link up/down) refilter only the affected
-nodes' neighbor tuples from a pristine snapshot and repartition the
-audibility groups — the O(n · k) spatial/propagation pass is never
-re-run, and a full retire → restore round trip restores every structure
-to exactly the fresh-build state (pinned by a hypothesis property in
+:meth:`set_link` (scripted link up/down) change only the closed audible
+sets of the touched nodes T (the node plus the pristine senders it
+hears — its pristine neighbours when audibility is symmetric — or the
+link's two ends).  The repair refilters T's neighbor tuples from a
+pristine snapshot, re-keys only T's audibility groups through a
+closed-set → group-id map (freed ids are reused, so ``n_groups <= n``),
+and recomputes ``busy_groups`` only for T and its current neighbours —
+no spatial query, propagation call or global re-partition re-runs.
+Symmetry is decided once, from the pristine build: retirement and
+link-downs filter both directions, so a symmetric index stays
+symmetric, and a pristine-asymmetric one keeps per-rank singleton
+groups for the whole run.  Group *ids* after a repair are therefore not
+first-occurrence ordered, but the partition (and so every busy refcount)
+equals a fresh build's, and a full retire → restore round trip restores
+every neighbor structure exactly (pinned by a hypothesis property in
 ``tests/test_faults_churn.py``).
 """
 
@@ -135,62 +145,132 @@ class NeighborIndex:
         #: Pristine neighbor tuples, snapshotted lazily on the first
         #: retire/set_link call; None on the (common) no-fault path.
         self._pristine: dict[int, tuple[int, ...]] | None = None
+        self._hears: typing.Mapping[int, typing.Sequence[int]] = {}
         self._busy_groups: dict[int, tuple[int, ...]] = {}
+        #: Global re-partitions run (one per construction; see
+        #: :meth:`_rebuild_groups`).
+        self.global_partitions = 0
         self._rebuild_groups()
 
     def _rebuild_groups(self) -> None:
-        """(Re)partition carrier-sense audibility groups from ``_members``.
+        """Partition carrier-sense audibility groups from ``_members``.
 
-        Audibility groups for carrier sensing.  Merging is only sound
-        when audibility is symmetric: the per-rank busy count equals
-        |{active t : t.sender in N(u) | {u}}| (the union term is the
-        sender's own half-duplex increment), and with u in N(s) <=> s in
-        N(u) that count depends on u only through the closed set
-        N(u) | {u} — ranks sharing it can share one counter.  Any
-        asymmetric link breaks the equivalence, so heterogeneous-reach
+        Merging is only sound when audibility is symmetric: the per-rank
+        busy count equals |{active t : t.sender in N(u) | {u}}| (the
+        union term is the sender's own half-duplex increment), and with
+        u in N(s) <=> s in N(u) that count depends on u only through the
+        closed set N(u) | {u} — ranks sharing it can share one counter.
+        Any asymmetric link breaks the equivalence, so heterogeneous-reach
         deployments fall back to one singleton group per rank, which
         reproduces the historical per-rank refcounts exactly.
 
-        Runs once at construction and again after every epoch repair
-        (retirement only filters closed sets, so a symmetric deployment
-        stays symmetric); iteration order is the registration order, so a
-        repaired partition is id-for-id the one a fresh build computes.
+        Runs once, at construction; epoch repair re-keys only the touched
+        nodes (:meth:`_repair_groups`).  ``global_partitions`` counts the
+        calls, so a churn run can show that no repair fell back to it.
         """
+        self.global_partitions += 1
         members = self._members
         node_order = self._node_order
-        symmetric = all(
+        #: Decided from the pristine sets and kept for the whole run.
+        self._symmetric = all(
             node in members[other]
             for node, audible in members.items()
             for other in audible
         )
-        n = len(self.ports_by_rank)
-        busy_groups = self._busy_groups
-        busy_groups.clear()
-        if symmetric:
-            group_ids: dict[frozenset[int], int] = {}
+        #: Closed set → group id, id → closed set (None = free id), id →
+        #: member count, and the free ids awaiting reuse.  Only the
+        #: symmetric merge keys groups; singleton groups need none of it.
+        self._group_ids: dict[frozenset[int], int] = {}
+        self._group_key: list[frozenset[int] | None] = []
+        self._group_size: list[int] = []
+        self._free_ids: list[int] = []
+        if self._symmetric:
             group_of = [
-                group_ids.setdefault(frozenset(members[node] | {node}), len(group_ids))
+                self._join_group(frozenset(members[node] | {node}))
                 for node in node_order
             ]
-            self.n_groups = len(group_ids)
-            for rank, node in enumerate(node_order):
-                # Distinct groups covering the closed audible set; a group
-                # intersecting it is wholly inside it (same closed sets),
-                # so each member port's count moves by exactly one when
-                # the group's counter does.
-                busy_groups[node] = tuple(
-                    dict.fromkeys(
-                        [group_of[rank]]
-                        + [group_of[r] for r in self._neighbor_ranks[node]]
-                    )
-                )
+            self.n_groups = len(self._group_key)
         else:
-            group_of = list(range(n))
-            self.n_groups = n
-            for rank, node in enumerate(node_order):
-                busy_groups[node] = (rank,) + self._neighbor_ranks[node]
+            group_of = list(range(len(node_order)))
+            self.n_groups = len(group_of)
         #: Rank → audibility-group id (carrier-sense reads index this).
         self.group_of_rank: list[int] = group_of
+        self._cover(node_order)
+
+    def _join_group(self, key: frozenset[int]) -> int:
+        """Add one member to ``key``'s group, allocating an id if new."""
+        group_ids = self._group_ids
+        group = group_ids.get(key)
+        if group is None:
+            if self._free_ids:
+                group = self._free_ids.pop()
+                self._group_key[group] = key
+            else:
+                group = len(self._group_key)
+                self._group_key.append(key)
+                self._group_size.append(0)
+            group_ids[key] = group
+        self._group_size[group] += 1
+        return group
+
+    def _leave_group(self, group: int) -> None:
+        """Drop one member from ``group``, freeing its id when empty."""
+        sizes = self._group_size
+        sizes[group] -= 1
+        if not sizes[group]:
+            del self._group_ids[self._group_key[group]]
+            self._group_key[group] = None
+            self._free_ids.append(group)
+
+    def _cover(self, nodes: typing.Iterable[int]) -> None:
+        """Recompute ``nodes``' :meth:`busy_groups` tuples."""
+        busy_groups = self._busy_groups
+        neighbor_ranks = self._neighbor_ranks
+        rank_of = self._rank_of
+        if not self._symmetric:
+            for node in nodes:
+                busy_groups[node] = (rank_of[node],) + neighbor_ranks[node]
+            return
+        group_of = self.group_of_rank
+        for node in nodes:
+            # Distinct groups covering the closed audible set; a group
+            # intersecting it is wholly inside it (same closed sets), so
+            # each member port's count moves by exactly one when the
+            # group's counter does.
+            busy_groups[node] = tuple(
+                dict.fromkeys(
+                    [group_of[rank_of[node]]]
+                    + [group_of[r] for r in neighbor_ranks[node]]
+                )
+            )
+
+    def _repair_groups(self, touched: typing.Sequence[int]) -> None:
+        """Re-key the ``touched`` nodes' groups after a refilter.
+
+        Only the touched nodes' closed sets changed, so only they move
+        between groups; a node's cover changes only if its own closed set
+        did or one of its members moved, i.e. for the touched nodes and
+        (by symmetry) their current neighbours.
+        """
+        if not self._symmetric:
+            self._cover(touched)
+            return
+        group_of = self.group_of_rank
+        rank_of = self._rank_of
+        members = self._members
+        # Leave first, then join: a group emptied by this repair frees
+        # its id for reuse, which keeps every live id below n.
+        for node in touched:
+            self._leave_group(group_of[rank_of[node]])
+        for node in touched:
+            group_of[rank_of[node]] = self._join_group(
+                frozenset(members[node] | {node})
+            )
+        self.n_groups = len(self._group_key)
+        affected = dict.fromkeys(touched)
+        for node in touched:
+            affected.update(dict.fromkeys(self._neighbors[node]))
+        self._cover(affected)
 
     # -- epoch repair (fault injection) --------------------------------------
 
@@ -200,6 +280,17 @@ class NeighborIndex:
             # The values are the build's immutable tuples, so the snapshot
             # is one dict copy — O(n) pointers, taken once per run at most.
             pristine = self._pristine = dict(self._neighbors)
+            # node → the pristine senders it hears, i.e. the nodes whose
+            # audible sets (re)gain or lose it when it dies or revives.
+            # Symmetric audibility makes that its own audible set.
+            if self._symmetric:
+                self._hears = pristine
+            else:
+                hears: dict[int, list[int]] = {node: [] for node in pristine}
+                for node, audible in pristine.items():
+                    for other in audible:
+                        hears[other].append(node)
+                self._hears = hears
         return pristine
 
     def _link_up(self, a: int, b: int) -> bool:
@@ -208,19 +299,21 @@ class NeighborIndex:
             return True
         return ((a, b) if a < b else (b, a)) not in links_down
 
-    def _refilter(self, nodes: typing.Iterable[int]) -> None:
+    def _refilter(self, nodes: typing.Iterable[int]) -> list[int]:
         """Recompute ``nodes``' neighbor structures from the pristine
         snapshot minus retired nodes and downed links.
 
         Filtering the pristine tuple preserves registration order, so a
         node whose retirement is later undone reappears at exactly its
         original position — the invariant the retire → restore ==
-        fresh-build property rests on.
+        fresh-build property rests on.  Returns the refiltered nodes in
+        rank order, for :meth:`_repair_groups`.
         """
         pristine = self._ensure_pristine()
         retired = self.retired
         rank_of = self._rank_of
-        for node in sorted(nodes, key=rank_of.__getitem__):
+        ordered = sorted(nodes, key=rank_of.__getitem__)
+        for node in ordered:
             if node in retired:
                 # A retired node is deaf as well as mute — emptying its
                 # own set keeps audibility symmetric, so the group merge
@@ -235,13 +328,15 @@ class NeighborIndex:
             self._neighbors[node] = alive
             self._neighbor_ranks[node] = tuple(rank_of[i] for i in alive)
             self._members[node] = frozenset(alive)
+        return ordered
 
     def retire_node(self, node_id: int) -> None:
         """Take ``node_id`` off the air: scrub it from every audible set.
 
-        Incremental: only the node and its pristine neighbors are
-        refiltered, then the group partition is recomputed — no spatial
-        query or propagation call re-runs.  The medium (which owns the
+        Incremental: only the node and the pristine senders it hears
+        (the nodes whose audible sets hold it) are refiltered and
+        re-keyed into audibility groups — no spatial query, propagation
+        call or global re-partition re-runs.  The medium (which owns the
         busy refcounts) replays them against the repaired groups.
 
         Raises
@@ -253,11 +348,10 @@ class NeighborIndex:
         """
         if node_id in self.retired:
             raise ValueError(f"node {node_id} is already retired")
-        pristine = self._ensure_pristine()
-        touched = pristine[node_id]  # KeyError for unknown nodes
+        self._ensure_pristine()
+        touched = self._hears[node_id]  # KeyError for unknown nodes
         self.retired.add(node_id)
-        self._refilter((node_id, *touched))
-        self._rebuild_groups()
+        self._repair_groups(self._refilter((node_id, *touched)))
 
     def restore_node(self, node_id: int) -> None:
         """Put a retired ``node_id`` back on the air (inverse of
@@ -271,8 +365,9 @@ class NeighborIndex:
         if node_id not in self.retired:
             raise ValueError(f"node {node_id} is not retired")
         self.retired.discard(node_id)
-        self._refilter((node_id, *self._pristine[node_id]))
-        self._rebuild_groups()
+        self._repair_groups(
+            self._refilter((node_id, *self._hears[node_id]))
+        )
 
     def set_link(self, a: int, b: int, up: bool) -> None:
         """Force the undirected ``a`` ↔ ``b`` link down (or back up).
@@ -295,8 +390,7 @@ class NeighborIndex:
             if key in self._links_down:
                 raise ValueError(f"link {key} is already down")
             self._links_down.add(key)
-        self._refilter((a, b))
-        self._rebuild_groups()
+        self._repair_groups(self._refilter((a, b)))
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         """Audible nodes for ``node_id``, in registration order."""

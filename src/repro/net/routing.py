@@ -21,7 +21,9 @@ Three engines implement the same query API, written once in
   the hot path) plus per-destination BFS trees computed on first use and
   memoized.  A collection-tree workload (sink + WAKEUP reverse paths)
   computes O(senders + 1) trees instead of n, which is what makes 1k+
-  node deployments routable in milliseconds (see ``repro bench``).
+  node deployments routable in milliseconds (see ``repro bench``).  A
+  fault epoch rewinds memoized trees to the first level it affects
+  instead of dropping them (:meth:`LazyRoutingTable.invalidate_epoch`).
 * :class:`DijkstraRoutingTable` — the cost engine behind the routing
   *policies* (:mod:`repro.net.policy`): a binary-heap Dijkstra over the
   same CSR arrays, consuming a :class:`~repro.net.policy.LinkCostModel`
@@ -59,6 +61,7 @@ import hashlib
 import heapq
 import random
 import typing
+from array import array
 
 from repro.net.csr import CsrGraph
 from repro.topology.layout import Layout
@@ -92,6 +95,45 @@ def destination_rng(tie_seed: int, dst: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _bfs_level(
+    indptr: typing.Sequence[int],
+    indices: typing.Sequence[int],
+    parent: list[int],
+    depth: list[int],
+    frontier: list[int],
+    rng: typing.Any,
+) -> list[int]:
+    """Advance one BFS level from ``frontier``; returns the next frontier.
+
+    Every ``-1`` neighbor of a frontier node is settled under it, one
+    level deeper; parent choice order decides how ties break (CSR order
+    = deterministic, shuffled = load-spreading).  Both BFS engines run
+    their levels through here, so the draw sequence is written once.
+    """
+    next_frontier: list[int] = []
+    for node in frontier:
+        node_depth = depth[node] + 1
+        if rng is None:
+            for j in range(indptr[node], indptr[node + 1]):
+                neighbor = indices[j]
+                if parent[neighbor] == -1:
+                    parent[neighbor] = node
+                    depth[neighbor] = node_depth
+                    next_frontier.append(neighbor)
+        else:
+            # A fresh slice per visit keeps the rng draw sequence
+            # identical to the historical sort-then-shuffle (shuffle
+            # consumption depends only on list length).
+            order = indices[indptr[node] : indptr[node + 1]]
+            rng.shuffle(order)
+            for neighbor in order:
+                if parent[neighbor] == -1:
+                    parent[neighbor] = node
+                    depth[neighbor] = node_depth
+                    next_frontier.append(neighbor)
+    return next_frontier
+
+
 class _QueryMixin:
     """The query API shared by every engine, written once.
 
@@ -122,7 +164,7 @@ class _QueryMixin:
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
-        """Drop every memoized tree and recompute against ``dead`` nodes.
+        """Bring every memoized tree up to date with the ``dead`` nodes.
 
         ``dead`` is the full set of currently-retired node ids (not a
         delta); an unknown id is ignored, matching how queries treat
@@ -360,29 +402,9 @@ class RoutingTable(_QueryMixin):
             depth[dst_idx] = 0
             frontier = [dst_idx]
             while frontier:
-                next_frontier: list[int] = []
-                for node in frontier:
-                    node_depth = depth[node] + 1
-                    if rng is None:
-                        for j in range(indptr[node], indptr[node + 1]):
-                            neighbor = indices[j]
-                            if parent[neighbor] == -1:
-                                parent[neighbor] = node
-                                depth[neighbor] = node_depth
-                                next_frontier.append(neighbor)
-                    else:
-                        # A fresh slice per visit keeps the rng draw
-                        # sequence identical to the historical
-                        # sort-then-shuffle (shuffle consumption depends
-                        # only on list length).
-                        order = indices[indptr[node] : indptr[node + 1]]
-                        rng.shuffle(order)
-                        for neighbor in order:
-                            if parent[neighbor] == -1:
-                                parent[neighbor] = node
-                                depth[neighbor] = node_depth
-                                next_frontier.append(neighbor)
-                frontier = next_frontier
+                frontier = _bfs_level(
+                    indptr, indices, parent, depth, frontier, rng
+                )
             self._rows.append((parent, depth))
 
     def invalidate_epoch(
@@ -407,7 +429,7 @@ class RoutingTable(_QueryMixin):
 
 
 class _LazyTree:
-    """Resume-able BFS state for one destination's routing tree.
+    """Resume-able, rewindable BFS state for one destination's tree.
 
     ``parent``/``depth`` entries are final the moment they are assigned
     (BFS settles each node exactly once), so the tree can stop expanding
@@ -417,12 +439,19 @@ class _LazyTree:
     uninterrupted full build.  ``frontier`` is emptied when the reachable
     component is exhausted — after that a ``-1`` parent means unreachable
     rather than not-yet-expanded.
+
+    ``levels`` keeps, per expanded level k, the frontier it expanded (the
+    nodes at depth k) and the rng state taken just before — the internal
+    Mersenne words as a compact ``array('I')`` — so an epoch change can
+    rewind the tree to level k instead of discarding it.  It is None for
+    a tree that records no rewind points (see
+    :meth:`LazyRoutingTable.invalidate_epoch`).
     """
 
-    __slots__ = ("parent", "depth", "rows", "rng", "frontier")
+    __slots__ = ("parent", "depth", "rows", "rng", "frontier", "levels")
 
     def __init__(
-        self, n: int, dst_idx: int, rng: typing.Any
+        self, n: int, dst_idx: int, rng: typing.Any, rewindable: bool
     ):
         self.parent = [-1] * n
         self.depth = [-1] * n
@@ -432,6 +461,28 @@ class _LazyTree:
         self.rows = (self.parent, self.depth)
         self.rng = rng
         self.frontier: list[int] = [dst_idx]
+        self.levels: list[tuple[list[int], array | None]] | None = (
+            [] if rewindable else None
+        )
+
+    def rewind(self, level: int) -> None:
+        """Unsettle every node deeper than ``level`` and restore the BFS
+        to the moment just before ``level`` was expanded."""
+        parent, depth = self.parent, self.depth
+        levels = self.levels
+        for frontier, _state in levels[level + 1 :]:
+            for node in frontier:
+                parent[node] = -1
+                depth[node] = -1
+        for node in self.frontier:
+            parent[node] = -1
+            depth[node] = -1
+        self.frontier, state = levels[level]
+        del levels[level:]
+        if state is not None:
+            # getstate() is (version, words, gauss_next); shuffles never
+            # fill the gauss cache, so the words are the whole state.
+            self.rng.setstate((random.Random.VERSION, tuple(state), None))
 
 
 class LazyRoutingTable(_QueryMixin):
@@ -460,8 +511,11 @@ class LazyRoutingTable(_QueryMixin):
     prefix of every tree is bit-identical to a full eager build (parents
     never change once assigned, and the per-destination rng stream
     resumes exactly where the last expansion left it).
-    ``trees_computed`` counts destinations whose tree was started (an ops
-    counter ``repro bench`` records).
+
+    Work counters (deterministic; not part of any run result):
+    ``trees_computed`` counts destinations whose tree was started,
+    ``levels_expanded`` BFS levels expanded, and ``trees_rewound`` trees
+    an epoch change rewound rather than kept or dropped.
     """
 
     def __init__(self, adjacency: CsrGraph, rng: typing.Any = None):
@@ -473,6 +527,11 @@ class LazyRoutingTable(_QueryMixin):
         #: only once the tree's frontier is exhausted.
         self._trees: dict[int, _LazyTree] = {}
         self.trees_computed = 0
+        self.levels_expanded = 0
+        self.trees_rewound = 0
+        #: Whether new trees record rewind points; off until the first
+        #: epoch change, so a run without faults never pays for them.
+        self._rewindable = False
 
     @classmethod
     def from_layout(
@@ -484,15 +543,63 @@ class LazyRoutingTable(_QueryMixin):
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
-        """Drop every memoized tree; queries recompute them on demand.
+        """Repair every memoized tree against the new ``dead`` set.
 
-        Lazy engine: O(1) now, each tree re-derives its per-destination
-        rng stream on first use (identical seed, so a surviving
-        destination's tree is rebuilt bit-identically minus the dead
-        nodes).
+        Lazy engine: with C the nodes whose liveness flipped, a tree whose
+        destination is in C is dropped (recomputed on demand).  Any other
+        tree is rewound to r, the smallest depth of an already-expanded
+        node adjacent to C: nodes deeper than r are unsettled, level r's
+        rng state and frontier are restored, and queries resume from
+        there.  With no such node the tree is kept as is, with C's
+        ``_DEAD`` marks flipped.  The result is exactly the tree a fresh
+        table computes for the new dead set: a level's draws depend only
+        on visit order and slice lengths (dead nodes keep their slots),
+        and no level expanded before r saw a node of C.
+
+        Recording a level's rng state costs several shuffles' worth of
+        time, so trees record rewind points only from the first call on;
+        a tree started before it is dropped like one whose destination
+        changed.
         """
-        self._resolve_dead(epoch, dead)
-        self._trees.clear()
+        self._rewindable = True
+        old_dead = self._dead_idx
+        dead_idx = self._resolve_dead(epoch, dead)
+        changed = old_dead ^ dead_idx
+        if not changed:
+            return
+        csr = self.adjacency
+        indptr, indices = csr.indptr, csr.indices
+        trees = self._trees
+        for dst_idx in list(trees):
+            if dst_idx in changed:
+                del trees[dst_idx]
+                continue
+            if dst_idx in dead_idx:
+                # A dead destination's tree settles nothing and carries
+                # no marks besides its own, whoever else dies or revives.
+                continue
+            tree = trees[dst_idx]
+            if tree.levels is None:
+                del trees[dst_idx]
+                continue
+            depth = tree.depth
+            expanded = len(tree.levels)
+            rewind_to = expanded
+            for node in changed:
+                for j in range(indptr[node], indptr[node + 1]):
+                    d = depth[indices[j]]
+                    if 0 <= d < rewind_to:
+                        rewind_to = d
+            if rewind_to < expanded:
+                tree.rewind(rewind_to)
+                self.trees_rewound += 1
+            # Every node of C is unsettled now (its settling level was
+            # adjacent to it, so it lies deeper than the rewind point) and
+            # outside the pending frontier, which only holds nodes settled
+            # by expanded levels.
+            parent = tree.parent
+            for node in changed:
+                parent[node] = _DEAD if node in dead_idx else -1
 
     def _tree(
         self, dst_idx: int, src_idx: int | None = None
@@ -521,7 +628,7 @@ class LazyRoutingTable(_QueryMixin):
             if self._tie_seed is None
             else destination_rng(self._tie_seed, csr.ids[dst_idx])
         )
-        tree = _LazyTree(len(csr.ids), dst_idx, rng)
+        tree = _LazyTree(len(csr.ids), dst_idx, rng, self._rewindable)
         dead_idx = self._dead_idx
         if dead_idx:
             if dst_idx in dead_idx:
@@ -542,32 +649,16 @@ class LazyRoutingTable(_QueryMixin):
         return tree
 
     def _expand_level(self, tree: _LazyTree) -> None:
-        """Advance ``tree`` by one BFS level (exact historical draw order)."""
+        """Advance ``tree`` by one BFS level, recording the rewind point."""
         csr = self.adjacency
-        indptr, indices = csr.indptr, csr.indices
-        parent, depth, rng = tree.parent, tree.depth, tree.rng
-        next_frontier: list[int] = []
-        for node in tree.frontier:
-            node_depth = depth[node] + 1
-            if rng is None:
-                for j in range(indptr[node], indptr[node + 1]):
-                    neighbor = indices[j]
-                    if parent[neighbor] == -1:
-                        parent[neighbor] = node
-                        depth[neighbor] = node_depth
-                        next_frontier.append(neighbor)
-            else:
-                # A fresh slice per visit keeps the rng draw sequence
-                # identical to the historical sort-then-shuffle (shuffle
-                # consumption depends only on list length).
-                order = indices[indptr[node] : indptr[node + 1]]
-                rng.shuffle(order)
-                for neighbor in order:
-                    if parent[neighbor] == -1:
-                        parent[neighbor] = node
-                        depth[neighbor] = node_depth
-                        next_frontier.append(neighbor)
-        tree.frontier = next_frontier
+        rng = tree.rng
+        if tree.levels is not None:
+            state = None if rng is None else array("I", rng.getstate()[1])
+            tree.levels.append((tree.frontier, state))
+        tree.frontier = _bfs_level(
+            csr.indptr, csr.indices, tree.parent, tree.depth, tree.frontier, rng
+        )
+        self.levels_expanded += 1
 
 
 class _CostTree:

@@ -586,9 +586,12 @@ def _case_churn_1k() -> BenchCase:
     dies on a scripted schedule spread across the window.
 
     Every death pays the full fault path — MAC/radio power-down, medium
-    epoch repair with busy-refcount replay, lazy routing re-invalidation
-    — so this case gates the cost of topology churn at scale, which no
-    immortal case exercises.
+    epoch repair with busy-refcount replay, lazy routing tree rewinds —
+    so this case gates the cost of topology churn at scale, which no
+    immortal case exercises.  Besides the walls it records the
+    deterministic repair work: ``global_partitions`` (one per neighbor
+    index build; repairs never re-partition), ``levels_expanded`` and
+    ``trees_rewound``.
     """
 
     def setup():
@@ -627,17 +630,48 @@ def _case_churn_1k() -> BenchCase:
         )
 
     def run(config):
-        from repro.models.scenario import run_scenario
+        from repro.models import scenario
+        from repro.net.routing import LazyRoutingTable
         from repro.perf.phases import collect_phases
 
-        with collect_phases() as timings:
-            result = run_scenario(config)
+        # Keep the network the run builds: its index and routing tables
+        # carry the deterministic epoch-repair work counters.
+        captured = []
+        build_network = scenario.build_network
+
+        def capturing(config, sim):
+            captured.append(build_network(config, sim))
+            return captured[-1]
+
+        scenario.build_network = capturing
+        try:
+            with collect_phases() as timings:
+                result = scenario.run_scenario(config)
+        finally:
+            scenario.build_network = build_network
+        (built,) = captured
+        lazy = [
+            table
+            for table in built.route_tables.values()
+            if isinstance(table, LazyRoutingTable)
+        ]
         ops: dict[str, float] = {
             "nodes": float(config.n_nodes),
             "deaths": result.counters["faults.deaths"],
             "epochs": result.counters["faults.epochs"],
             "delivered_bits": result.delivered_bits,
             "power_down_drops": result.counters["faults.power_down_drops"],
+            "global_partitions": float(
+                sum(
+                    medium._index.global_partitions
+                    for medium in built.mediums
+                    if medium._index is not None
+                )
+            ),
+            "levels_expanded": float(
+                sum(table.levels_expanded for table in lazy)
+            ),
+            "trees_rewound": float(sum(table.trees_rewound for table in lazy)),
         }
         for name, seconds in timings.items():
             ops[f"phase.{name}_s"] = seconds
