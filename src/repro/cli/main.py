@@ -788,9 +788,10 @@ def _run_parser() -> argparse.ArgumentParser:
         choices=("auto", "eager", "lazy"),
         default="auto",
         help=(
-            "route-build engine: auto (default) switches from the eager "
-            "all-pairs table to the lazy array-backed engine beyond 256 "
-            "nodes; eager/lazy force one"
+            "BFS tie-break scheme: eager (one threaded rng stream, every "
+            "tree built up front) or lazy (a stream per destination, "
+            "trees built on demand); auto (default) switches from eager "
+            "to lazy beyond 256 nodes"
         ),
     )
     parser.add_argument(

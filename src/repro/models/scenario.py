@@ -27,10 +27,11 @@ plain config data — hashable, cacheable and sweepable like any other cell:
 * ``traffic`` / ``traffic_mix`` — registry names from
   :mod:`repro.traffic.registry`; the mix overrides the uniform choice per
   sender (e.g. a few audio nodes among CBR ones).
-* ``routing`` — the route-build engine: ``auto`` (default) keeps the
-  paper's eager all-pairs table up to :data:`LAZY_ROUTING_THRESHOLD`
-  nodes and switches to the lazy array-backed engine beyond it (see
-  :mod:`repro.net.routing`); ``eager``/``lazy`` force one.
+* ``routing`` — the BFS tie-break scheme: ``auto`` (default) keeps the
+  paper's ``eager`` threaded scheme (every tree built up front from one
+  rng stream) up to :data:`LAZY_ROUTING_THRESHOLD` nodes and switches to
+  the ``lazy`` per-destination scheme (trees built on demand) beyond it
+  (see :mod:`repro.net.routing`); ``eager``/``lazy`` force one.
 
 Paper defaults (Section 4.1): 200×200 m² grid of 36 nodes, 5000 s runs,
 32 B sensor packets, 1024 B 802.11 packets, buffer 5000 × 32 B, burst
@@ -85,15 +86,7 @@ from repro.net.policy import (
     RoutingPolicyContext,
     build_cost_model,
 )
-from repro.net.routing import (
-    ENGINE_EAGER,
-    ENGINE_LAZY,
-    DijkstraRoutingTable,
-    LazyRoutingTable,
-    RoutingLike,
-    RoutingTable,
-    build_routing,
-)
+from repro.net.routing import DijkstraRoutingTable, RoutingLike, RoutingTable
 from repro.perf.phases import phase
 from repro.radio.radio import (
     CATEGORY_OVERHEAR_BODY,
@@ -138,16 +131,16 @@ PAPER_BURST_SIZES = (10, 100, 500, 1000, 2500)
 PAPER_SENDER_COUNTS = (5, 10, 15, 20, 25, 30, 35)
 
 #: Deployment size above which ``routing="auto"`` switches to the lazy
-#: array-backed engine.  Below it the historical eager engine is kept:
-#: its threaded rng tie-breaking is what every pinned golden digest
-#: encodes, and at paper scale (36 nodes) the build cost is negligible.
-#: Above it the eager all-pairs build is the O(n²) wall, and the lazy
-#: engine's per-destination tie-breaking (order-independent, documented
-#: in :mod:`repro.net.routing`) takes over.
+#: per-destination tie-break scheme.  Below it the historical eager
+#: threaded scheme is kept: it is what every pinned golden digest
+#: encodes, and at paper scale (36 nodes) building every tree up front
+#: costs nothing.  Above it that all-pairs build is the O(n²) wall, and
+#: per-destination tie-breaking (order-independent, so trees are built
+#: on demand; see :mod:`repro.net.routing`) takes over.
 LAZY_ROUTING_THRESHOLD = 256
 
-#: Routing engine selectors accepted by :attr:`ScenarioConfig.routing`.
-ROUTING_MODES = ("auto", ENGINE_EAGER, ENGINE_LAZY)
+#: Tie-break schemes accepted by :attr:`ScenarioConfig.routing`.
+ROUTING_MODES = ("auto", "eager", "lazy")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,19 +230,19 @@ class ScenarioConfig:
     #: Per-sender traffic overrides ``(node_id, source_name)``; unlisted
     #: senders use ``traffic``.
     traffic_mix: tuple[tuple[int, str], ...] = ()
-    #: Routing engine: ``"auto"`` picks eager below
-    #: :data:`LAZY_ROUTING_THRESHOLD` nodes and lazy above; ``"eager"`` /
-    #: ``"lazy"`` force one.  Part of the cell's cached identity because
-    #: the engines' seeded tie-break schemes differ (see
-    #: :mod:`repro.net.routing`).
+    #: BFS tie-break scheme: ``"eager"`` (threaded: every tree built at
+    #: construction from one rng stream) or ``"lazy"`` (per-destination
+    #: streams: trees built on demand); ``"auto"`` picks eager below
+    #: :data:`LAZY_ROUTING_THRESHOLD` nodes and lazy above.  The schemes
+    #: break ties differently, so this is part of the cell's cached
+    #: identity (see :mod:`repro.net.routing`).
     routing: str = "auto"
     #: Route metric (:data:`repro.net.policy.ROUTING_POLICIES`): ``"hops"``
-    #: (default) keeps the BFS engines and every pinned golden digest
+    #: (default) keeps the BFS engine and every pinned golden digest
     #: byte-identical; ``"tx-energy"`` / ``"residual-energy"`` route over
     #: the Dijkstra cost engine and consciously diverge.  Unlike
-    #: ``routing`` (an engine choice with identical routes), the policy
-    #: changes *which* routes are taken, so it is part of the cached
-    #: identity in the strongest sense.
+    #: ``routing`` (which only picks among equal-hop routes), the policy
+    #: changes the route metric itself.
     routing_policy: str = POLICY_HOPS
     #: Fault schedule (:mod:`repro.faults`): scripted node crashes and
     #: recoveries, link up/down events, random churn, battery-depletion
@@ -359,12 +352,12 @@ class ScenarioConfig:
         return self.traffic
 
     def routing_engine(self) -> str:
-        """The resolved routing engine name (``"eager"`` or ``"lazy"``)."""
+        """The resolved tie-break scheme (``"eager"`` or ``"lazy"``)."""
         if self.routing != "auto":
             return self.routing
         if self.n_nodes > LAZY_ROUTING_THRESHOLD:
-            return ENGINE_LAZY
-        return ENGINE_EAGER
+            return "lazy"
+        return "eager"
 
     def replace(self, **changes: typing.Any) -> "ScenarioConfig":
         """Copy with ``changes`` applied."""
@@ -475,31 +468,17 @@ def _propagation_for(
     )
 
 
-def _audibility_routing(
-    layout: Layout, medium: Medium, rng: typing.Any, engine: str = ENGINE_EAGER
-) -> RoutingLike:
-    """Routing over the links the medium can actually carry this run.
+def _audibility_graph(layout: Layout, medium: Medium) -> CsrGraph:
+    """The links the medium can actually carry this run.
 
     With a non-default propagation model the nominal range lies: a
     log-normal fade can mute a 40 m link for the whole run, and routing a
     flow across it would silently deliver nothing.  The medium's neighbor
-    index *is* the per-run audibility, so build the routing graph from it
-    — keeping only bidirectional links, since every tier's protocols need
-    the reverse direction (CSMA acks, BCP's wakeup handshake).
-
-    Both engines route over the same :class:`~repro.net.csr.CsrGraph`
-    built from the bidirectional link list — networkx is out of the
-    construction path entirely (the eager engine's CSR build is
-    byte-compatible with its historical networkx one).
+    index *is* the per-run audibility (per-node ranges and per-run link
+    gains included), so the routing graph keeps its links — only the
+    bidirectional ones, since every tier's protocols need the reverse
+    direction (CSMA acks, BCP's wakeup handshake).
     """
-    graph = _audibility_graph(layout, medium)
-    if engine == ENGINE_LAZY:
-        return LazyRoutingTable(graph, rng=rng)
-    return RoutingTable(graph, rng=rng)
-
-
-def _audibility_graph(layout: Layout, medium: Medium) -> CsrGraph:
-    """The bidirectionally-audible link graph (see ``_audibility_routing``)."""
     links = [
         (a, b)
         for a in layout.node_ids
@@ -539,29 +518,48 @@ def _residual_reader(
     return fraction
 
 
-def _policy_routing(
+def _route_table(
     config: ScenarioConfig,
-    built: "_BuiltNetwork",
-    graph: CsrGraph,
-    layout: Layout,
+    built: _BuiltNetwork,
+    medium: Medium,
     spec: RadioSpec,
-    rng: typing.Any,
-) -> DijkstraRoutingTable:
-    """A cost-engine table for the configured non-default routing policy.
+    uniform: bool,
+    stream: str,
+) -> RoutingLike:
+    """One tier's routing table, drawing ties from rng ``stream``.
 
-    The context is the per-tier flyweight every cost model draws from:
-    the shared first-order energy model, this tier's on-air packet size,
-    and the live residual reader (ignored by static policies).
+    A ``uniform`` tier (every radio of ``spec``'s range, on the paper's
+    unit-disc channel) routes over the nominal-range graph; mixed fleets
+    and shadowed channels over the links the medium will actually carry
+    (:func:`_audibility_graph`).  Non-``hops`` policies route with the
+    Dijkstra cost engine, ``hops`` with the BFS engine in the tie-break
+    scheme :meth:`ScenarioConfig.routing_engine` resolves.
     """
-    context = RoutingPolicyContext(
-        energy_model=FIRST_ORDER_RADIO_MODEL,
-        packet_bits=(config.payload_bytes + spec.header_bytes)
-        * BITS_PER_BYTE,
-        residual_fraction=_residual_reader(config, built),
-    )
-    cost_model = build_cost_model(config.routing_policy, context)
-    assert cost_model is not None  # POLICY_HOPS never reaches here
-    return DijkstraRoutingTable(graph, cost_model, layout=layout, rng=rng)
+    layout = built.layout
+    assert layout is not None and built.sim is not None
+    rng = built.sim.rng.stream(stream)
+    with phase("routing_build"):
+        if uniform:
+            graph = CsrGraph.from_layout(layout, spec.range_m)
+        else:
+            graph = _audibility_graph(layout, medium)
+        if config.routing_policy != POLICY_HOPS:
+            # Every cost model draws from one per-tier flyweight: the
+            # shared first-order energy model, this tier's on-air packet
+            # size, and the live residual reader (static policies ignore
+            # it).
+            context = RoutingPolicyContext(
+                energy_model=FIRST_ORDER_RADIO_MODEL,
+                packet_bits=(config.payload_bytes + spec.header_bytes)
+                * BITS_PER_BYTE,
+                residual_fraction=_residual_reader(config, built),
+            )
+            cost_model = build_cost_model(config.routing_policy, context)
+            assert cost_model is not None  # POLICY_HOPS never reaches here
+            return DijkstraRoutingTable(graph, cost_model, layout, rng)
+        return RoutingTable(
+            graph, rng, threaded=config.routing_engine() == "eager"
+        )
 
 
 def _build_low_stack(
@@ -585,30 +583,10 @@ def _build_low_stack(
         radio = LowPowerRadio(sim, node, low_spec, medium, meters[node])
         built.low_radios.append(radio)
         built.low_macs.append(SensorCsmaMac(sim, radio))
-    engine = config.routing_engine()
-    with phase("routing_build"):
-        if config.routing_policy != POLICY_HOPS:
-            # Cost-engine path: same connectivity graph the hops path
-            # would route over, different metric.
-            if config.propagation is not None:
-                graph = _audibility_graph(layout, medium)
-            else:
-                graph = CsrGraph.from_layout(layout, config.low_spec.range_m)
-            return _policy_routing(
-                config, built, graph, layout, config.low_spec,
-                rng=sim.rng.stream("routing.low"),
-            )
-        if config.propagation is not None:
-            return _audibility_routing(
-                layout, medium, rng=sim.rng.stream("routing.low"),
-                engine=engine,
-            )
-        return build_routing(
-            layout,
-            config.low_spec.range_m,
-            rng=sim.rng.stream("routing.low"),
-            engine=engine,
-        )
+    return _route_table(
+        config, built, medium, low_spec,
+        uniform=config.propagation is None, stream="routing.low",
+    )
 
 
 def _build_high_stack(
@@ -640,35 +618,11 @@ def _build_high_stack(
         radio = HighPowerRadio(sim, node, spec, medium, meters[node])
         built.high_radios.append(radio)
         built.high_macs.append(DcfMac(sim, radio))
-    engine = config.routing_engine()
-    with phase("routing_build"):
-        uniform = config.high_radios is None and config.propagation is None
-        if config.routing_policy != POLICY_HOPS:
-            if uniform:
-                graph = CsrGraph.from_layout(
-                    layout, config.effective_high_spec().range_m
-                )
-            else:
-                graph = _audibility_graph(layout, medium)
-            return _policy_routing(
-                config, built, graph, layout, config.effective_high_spec(),
-                rng=sim.rng.stream("routing.high"),
-            )
-        if uniform:
-            # Homogeneous fleet on the paper's channel: the historical
-            # single-range construction.
-            return build_routing(
-                layout,
-                config.effective_high_spec().range_m,
-                rng=sim.rng.stream("routing.high"),
-                engine=engine,
-            )
-        # Mixed fleets and/or shadowed channels: route over the links the
-        # medium will actually carry (bidirectional audibility — the index
-        # already accounts for per-node ranges and per-run link gains).
-        return _audibility_routing(
-            layout, medium, rng=sim.rng.stream("routing.high"), engine=engine
-        )
+    return _route_table(
+        config, built, medium, config.effective_high_spec(),
+        uniform=config.high_radios is None and config.propagation is None,
+        stream="routing.high",
+    )
 
 
 def _check_sender_routes(

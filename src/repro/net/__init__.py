@@ -23,12 +23,9 @@ from repro.net.policy import (
 )
 from repro.net.routing import (
     DijkstraRoutingTable,
-    LazyRoutingTable,
     RoutingError,
     RoutingLike,
     RoutingTable,
-    build_routing,
-    tree_depths,
 )
 from repro.net.shortcut import ShortcutLearner
 
@@ -39,7 +36,6 @@ __all__ = [
     "DijkstraRoutingTable",
     "HIGH_INTERFACE",
     "LOW_INTERFACE",
-    "LazyRoutingTable",
     "LinkCostModel",
     "POLICY_HOPS",
     "POLICY_RESIDUAL",
@@ -54,8 +50,6 @@ __all__ = [
     "ShortcutLearner",
     "TxEnergyCost",
     "build_cost_model",
-    "build_routing",
     "format_eui48",
     "format_short_address",
-    "tree_depths",
 ]

@@ -6,50 +6,43 @@ the collection tree to a next-hop table because BCP's wake-up handshake
 also routes *away* from the sink: the WAKEUP travels sender → receiver and
 the WAKEUP-ACK travels back.
 
-Three engines implement the same query API, written once in
+Two engines implement the same query API, written once in
 :class:`_QueryMixin` over one per-engine ``_tree`` accessor:
 
-* :class:`RoutingTable` — the historical eager engine: one BFS per
-  destination, all destinations materialized at construction.  O(n · (V+E))
-  build, O(n²) storage; byte-compatible with every pinned golden digest.
-  Since PR 5 the build runs over the same :class:`~repro.net.csr.CsrGraph`
-  int arrays the lazy engine uses (indexes map ids monotonically, so BFS
-  visit order and every threaded-rng draw are unchanged) — networkx is
-  accepted for interop but flattened once at construction.
-* :class:`LazyRoutingTable` — the scale engine: a shared
-  :class:`~repro.net.csr.CsrGraph` adjacency (int arrays, no networkx on
-  the hot path) plus per-destination BFS trees computed on first use and
-  memoized.  A collection-tree workload (sink + WAKEUP reverse paths)
-  computes O(senders + 1) trees instead of n, which is what makes 1k+
-  node deployments routable in milliseconds (see ``repro bench``).  A
-  fault epoch rewinds memoized trees to the first level it affects
-  instead of dropping them (:meth:`LazyRoutingTable.invalidate_epoch`).
+* :class:`RoutingTable` — the BFS engine: per-destination hop-count
+  trees over a shared :class:`~repro.net.csr.CsrGraph` (int arrays, no
+  networkx on the hot path), each a resume-able level-by-level BFS
+  (:class:`_BfsTree`).  Its two tie-break modes (below) also decide when
+  trees are built.
 * :class:`DijkstraRoutingTable` — the cost engine behind the routing
   *policies* (:mod:`repro.net.policy`): a binary-heap Dijkstra over the
   same CSR arrays, consuming a :class:`~repro.net.policy.LinkCostModel`
-  instead of unit hops.  Per-destination trees are memoized like the lazy
-  engine's, ties break with the same derived per-destination streams, and
-  under unit costs its trees are draw-for-draw identical to the BFS
-  engines' (a property the test suite pins).
+  instead of unit hops.  Per-destination trees are memoized, ties break
+  with the same derived per-destination streams, and under unit costs
+  its trees are draw-for-draw identical to the BFS engine's (a property
+  the test suite pins).
 
 Tie-breaking between equal-length paths is deterministic by default
 (lowest neighbor id).  On a perfectly regular grid that concentrates every
 flow onto one row — a worst-case "backbone" that no real deployment's
 collection tree exhibits — so the evaluation passes a seeded ``rng`` to
 spread equal-cost routes across branches while keeping runs reproducible.
-Two seeded schemes exist:
+The BFS engine has two seeded schemes:
 
-* ``threaded`` (the eager default) — one rng stream is consumed across
-  destinations in ascending-id order, exactly the historical behaviour
-  the pinned golden digests encode.  Inherently order-dependent, so it
-  cannot be computed lazily.
-* ``per-destination`` (the lazy engine's scheme, also available on the
-  eager engine via ``tie_break="per-destination"``) — a single 64-bit
-  seed is drawn from the caller's rng at construction and each
+* threaded (``threaded=True``, "eager") — every destination's tree is
+  built at construction, in ascending-id order, all consuming the
+  caller's one rng stream: the historical draw sequence the pinned
+  golden digests encode.  Inherently order-dependent, so it cannot be
+  computed lazily; an epoch that changes the dead set rebuilds every
+  tree the same way, with fresh draws from the stream.
+* per-destination (``threaded=False``, "lazy", the default) — a single
+  64-bit seed is drawn from the caller's rng at construction and each
   destination's tree shuffles with its own stream derived as
   ``sha256("route-tie:<seed>:<dst>")``.  Trees are identical no matter
   which destinations are computed, or in what order — the property that
-  makes laziness sound.
+  makes laziness sound: a tree is built on first use, only as far as the
+  query needs, and a fault epoch rewinds it to the first level it
+  affects instead of dropping it.
 
 Routes minimize hop count; all query methods raise :class:`RoutingError`
 for pairs with no connecting path (see :meth:`RoutingTable.next_hop`).
@@ -69,10 +62,6 @@ from repro.topology.layout import Layout
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.policy import LinkCostModel
 
-#: Tie-break scheme names accepted by the eager engine.
-TIE_THREADED = "threaded"
-TIE_PER_DESTINATION = "per-destination"
-
 #: Parent-array sentinel for a dead (retired) node: distinguishable from
 #: ``-1`` (not settled / unreachable) so the BFS skips dead nodes without
 #: any extra membership test on the hot path, while every query still
@@ -89,7 +78,7 @@ def destination_rng(tie_seed: int, dst: int) -> random.Random:
 
     Well-mixed (sha256) so adjacent destination ids don't get correlated
     Mersenne states, and a pure function of ``(tie_seed, dst)`` so a tree
-    computed lazily is identical to one computed in a full eager build.
+    computed lazily is identical to one computed in a full build.
     """
     digest = hashlib.sha256(f"route-tie:{tie_seed}:{dst}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -107,8 +96,7 @@ def _bfs_level(
 
     Every ``-1`` neighbor of a frontier node is settled under it, one
     level deeper; parent choice order decides how ties break (CSR order
-    = deterministic, shuffled = load-spreading).  Both BFS engines run
-    their levels through here, so the draw sequence is written once.
+    = deterministic, shuffled = load-spreading).
     """
     next_frontier: list[int] = []
     for node in frontier:
@@ -135,7 +123,7 @@ def _bfs_level(
 
 
 class _QueryMixin:
-    """The query API shared by every engine, written once.
+    """The query API shared by both engines, written once.
 
     An engine supplies ``adjacency`` (a :class:`CsrGraph`) and one
     accessor, ``_tree(dst_idx, src_idx=None)``, returning the parent and
@@ -309,143 +297,24 @@ class _QueryMixin:
         return path
 
 
-class RoutingTable(_QueryMixin):
-    """All-pairs next-hop routing over one connectivity graph (eager).
-
-    Parameters
-    ----------
-    graph:
-        Undirected connectivity graph: a
-        :class:`~repro.net.csr.CsrGraph`, or any networkx-like graph
-        (e.g. from :meth:`Layout.graph`), which is flattened to CSR
-        arrays once at construction.  Either way the build itself runs on
-        the int-array adjacency — the same arrays the lazy engine walks —
-        not on networkx dict-of-dicts.
-    rng:
-        Optional ``random.Random``-like stream; when given, ties between
-        equal-cost parents break uniformly at random (deterministically
-        for a seeded stream) instead of by lowest node id.
-    tie_break:
-        ``"threaded"`` (default, the historical golden-pinned scheme) or
-        ``"per-destination"`` (the lazy engine's order-independent scheme;
-        see the module docstring).  Ignored without ``rng``.
-
-    Notes
-    -----
-    Routes minimize hop count.  ``next_hop(u, v)`` is the neighbor of ``u``
-    on the chosen shortest path to ``v``.
-
-    The CSR port is byte-compatible with the historical dict build: CSR
-    indexes map ids monotonically (both ascend), so BFS visit order,
-    per-visit neighbor order, and therefore every threaded-rng shuffle
-    draw are exactly the sequence the pinned golden digests encode.
-    """
-
-    def __init__(
-        self,
-        graph: "typing.Any",
-        rng: typing.Any = None,
-        tie_break: str = TIE_THREADED,
-    ):
-        if tie_break not in (TIE_THREADED, TIE_PER_DESTINATION):
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; expected "
-                f"{TIE_THREADED!r} or {TIE_PER_DESTINATION!r}"
-            )
-        self.graph = graph
-        if isinstance(graph, CsrGraph):
-            self.adjacency = graph
-        else:
-            self.adjacency = CsrGraph.from_networkx(graph)
-        self._rng = rng
-        self._tie_break = tie_break
-        self._tie_seed: int | None = None
-        if rng is not None and tie_break == TIE_PER_DESTINATION:
-            self._tie_seed = rng.getrandbits(64)
-        #: Per-destination-index (parent, depth) rows (index space; -1 =
-        #: unreachable) — the same tree layout the lazy engine memoizes,
-        #: materialized for every destination up front.
-        self._rows: list[tuple[list[int], list[int]]] = []
-        self._build()
-
-    def _build(self) -> None:
-        # BFS from every destination over the CSR arrays; parent choice
-        # order decides how ties break (ascending = deterministic,
-        # shuffled = load-spreading).  Destinations run in ascending id
-        # order — with a threaded rng that order *is* the draw sequence
-        # the golden digests pin.
-        csr = self.adjacency
-        indptr, indices = csr.indptr, csr.indices
-        n = len(csr.ids)
-        dead_idx = self._dead_idx
-        threaded_rng = self._rng if self._tie_seed is None else None
-        for dst_idx in range(n):
-            if dead_idx and dst_idx in dead_idx:
-                # A dead destination terminates nothing: every source
-                # reads unreachable without running the BFS.
-                self._rows.append(([-1] * n, [-1] * n))
-                continue
-            if self._tie_seed is not None:
-                rng = destination_rng(self._tie_seed, csr.ids[dst_idx])
-            else:
-                rng = threaded_rng
-            parent = [-1] * n
-            depth = [-1] * n
-            if dead_idx:
-                # Pre-marking dead nodes as the _DEAD sentinel excludes
-                # them from relaying (the == -1 settle test skips them)
-                # with zero membership tests inside the hot loops; the
-                # sentinel stays negative so queries read "no route".
-                for i in dead_idx:
-                    parent[i] = _DEAD
-            parent[dst_idx] = dst_idx
-            depth[dst_idx] = 0
-            frontier = [dst_idx]
-            while frontier:
-                frontier = _bfs_level(
-                    indptr, indices, parent, depth, frontier, rng
-                )
-            self._rows.append((parent, depth))
-
-    def invalidate_epoch(
-        self, epoch: int, dead: typing.Iterable[int] = ()
-    ) -> None:
-        """Rebuild every destination tree minus the ``dead`` nodes.
-
-        Eager engine: the whole table is recomputed (O(n · (V+E)) again).
-        With a threaded rng the rebuild consumes fresh draws from the
-        shared stream — acceptable because epochs only move on the fault
-        path, where no golden digest applies.
-        """
-        self._resolve_dead(epoch, dead)
-        self._rows = []
-        self._build()
-
-    def _tree(
-        self, dst_idx: int, src_idx: int | None = None
-    ) -> tuple[list[int], list[int]]:
-        """The stored rows: every tree is complete from construction."""
-        return self._rows[dst_idx]
-
-
-class _LazyTree:
+class _BfsTree:
     """Resume-able, rewindable BFS state for one destination's tree.
 
     ``parent``/``depth`` entries are final the moment they are assigned
     (BFS settles each node exactly once), so the tree can stop expanding
     between levels and resume later: the pending ``frontier`` plus the
-    destination's private ``rng`` capture the whole BFS state, and the
-    shuffle-draw sequence of a resumed expansion is identical to an
-    uninterrupted full build.  ``frontier`` is emptied when the reachable
-    component is exhausted — after that a ``-1`` parent means unreachable
-    rather than not-yet-expanded.
+    tree's ``rng`` capture the whole BFS state, and the shuffle-draw
+    sequence of a resumed expansion is identical to an uninterrupted full
+    build.  ``frontier`` is emptied when the reachable component is
+    exhausted — after that a ``-1`` parent means unreachable rather than
+    not-yet-expanded.
 
     ``levels`` keeps, per expanded level k, the frontier it expanded (the
     nodes at depth k) and the rng state taken just before — the internal
     Mersenne words as a compact ``array('I')`` — so an epoch change can
     rewind the tree to level k instead of discarding it.  It is None for
     a tree that records no rewind points (see
-    :meth:`LazyRoutingTable.invalidate_epoch`).
+    :meth:`RoutingTable.invalidate_epoch`).
     """
 
     __slots__ = ("parent", "depth", "rows", "rng", "frontier", "levels")
@@ -485,32 +354,44 @@ class _LazyTree:
             self.rng.setstate((random.Random.VERSION, tuple(state), None))
 
 
-class LazyRoutingTable(_QueryMixin):
-    """Per-destination BFS trees over a CSR adjacency, computed on demand.
+class RoutingTable(_QueryMixin):
+    """Per-destination hop-count BFS trees over a CSR adjacency.
 
     Parameters
     ----------
     adjacency:
         The shared :class:`~repro.net.csr.CsrGraph` (build it once from a
-        :class:`Layout`, a medium's neighbor index, or a networkx graph).
+        :class:`Layout` — see :meth:`from_layout` — or a medium's
+        neighbor index).
     rng:
-        Optional seeded stream.  Exactly **one** 64-bit draw is consumed at
-        construction; every destination then shuffles with its own derived
-        stream (:func:`destination_rng`), so memoized trees are identical
-        regardless of query order.
+        Optional seeded stream; when given, ties between equal-length
+        parents break uniformly at random (deterministically for a seeded
+        stream) instead of by lowest node id.
+    threaded:
+        The tie-break scheme (see the module docstring).  ``True`` builds
+        every destination's tree at construction, in ascending index
+        order, all drawing from ``rng`` itself — the paper goldens'
+        scheme.  ``False`` (default) draws exactly **one** 64-bit seed
+        from ``rng`` at construction; every destination then shuffles
+        with its own derived stream (:func:`destination_rng`), so trees
+        are identical regardless of query order and are built on demand.
 
     Notes
     -----
+    Routes minimize hop count.  ``next_hop(u, v)`` is the neighbor of ``u``
+    on the chosen shortest path to ``v``.
+
     Trees are not only lazy per destination but *incremental within* a
     destination: a query expands the destination's BFS level by level and
     stops as soon as the queried source is settled, memoizing the pending
-    frontier (:class:`_LazyTree`).  A reverse-route query toward an
+    frontier (:class:`_BfsTree`).  A reverse-route query toward an
     adjacent node costs O(degree) instead of O(V + E) — the difference
     between milliseconds and seconds for the many short control-plane
     reverse routes a 10k-node collection round issues — while the settled
-    prefix of every tree is bit-identical to a full eager build (parents
-    never change once assigned, and the per-destination rng stream
-    resumes exactly where the last expansion left it).
+    prefix of every tree is bit-identical to a full build (parents never
+    change once assigned, and the tree's rng stream resumes exactly where
+    the last expansion left it).  A threaded table simply expands every
+    tree whole before starting the next.
 
     Work counters (deterministic; not part of any run result):
     ``trees_computed`` counts destinations whose tree was started,
@@ -518,58 +399,93 @@ class LazyRoutingTable(_QueryMixin):
     an epoch change rewound rather than kept or dropped.
     """
 
-    def __init__(self, adjacency: CsrGraph, rng: typing.Any = None):
+    def __init__(
+        self,
+        adjacency: CsrGraph,
+        rng: typing.Any = None,
+        threaded: bool = False,
+    ):
         self.adjacency = adjacency
+        self.threaded = threaded
+        self._rng = rng
         self._tie_seed: int | None = (
-            None if rng is None else rng.getrandbits(64)
+            None if rng is None or threaded else rng.getrandbits(64)
         )
         #: dst index → resume-able BFS state; -1 parents are unreachable
         #: only once the tree's frontier is exhausted.
-        self._trees: dict[int, _LazyTree] = {}
+        self._trees: dict[int, _BfsTree] = {}
         self.trees_computed = 0
         self.levels_expanded = 0
         self.trees_rewound = 0
         #: Whether new trees record rewind points; off until the first
-        #: epoch change, so a run without faults never pays for them.
+        #: epoch change, so a run without faults never pays for them, and
+        #: always off on a threaded table, which never rewinds.
         self._rewindable = False
+        if threaded:
+            self._build_all()
 
     @classmethod
     def from_layout(
-        cls, layout: Layout, range_m: float, rng: typing.Any = None
-    ) -> "LazyRoutingTable":
-        """Lazy routing for radios of ``range_m`` deployed as ``layout``."""
-        return cls(CsrGraph.from_layout(layout, range_m), rng=rng)
+        cls,
+        layout: Layout,
+        range_m: float,
+        rng: typing.Any = None,
+        threaded: bool = False,
+    ) -> "RoutingTable":
+        """Routing for radios of ``range_m`` deployed as ``layout``."""
+        return cls(
+            CsrGraph.from_layout(layout, range_m), rng=rng, threaded=threaded
+        )
+
+    def _build_all(self) -> None:
+        """Build every destination's tree whole, in ascending index order.
+
+        With a threaded rng that order *is* the draw sequence the golden
+        digests pin.
+        """
+        for dst_idx in range(len(self.adjacency.ids)):
+            self._tree(dst_idx)
 
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
         """Repair every memoized tree against the new ``dead`` set.
 
-        Lazy engine: with C the nodes whose liveness flipped, a tree whose
-        destination is in C is dropped (recomputed on demand).  Any other
-        tree is rewound to r, the smallest depth of an already-expanded
-        node adjacent to C: nodes deeper than r are unsettled, level r's
-        rng state and frontier are restored, and queries resume from
-        there.  With no such node the tree is kept as is, with C's
-        ``_DEAD`` marks flipped.  The result is exactly the tree a fresh
-        table computes for the new dead set: a level's draws depend only
-        on visit order and slice lengths (dead nodes keep their slots),
-        and no level expanded before r saw a node of C.
+        An epoch that leaves the dead set unchanged (a link flip: routes
+        are not rebuilt around a downed link) keeps every tree as it is.
+        Otherwise a threaded table drops all its trees and rebuilds them
+        the way its constructor did, with fresh draws from the shared
+        stream.
+
+        A per-destination table, with C the nodes whose liveness flipped,
+        drops a tree whose destination is in C (recomputed on demand).
+        Any other tree is rewound to r, the smallest depth of an
+        already-expanded node adjacent to C: nodes deeper than r are
+        unsettled, level r's rng state and frontier are restored, and
+        queries resume from there.  With no such node the tree is kept as
+        is, with C's ``_DEAD`` marks flipped.  The result is exactly the
+        tree a fresh table computes for the new dead set: a level's draws
+        depend only on visit order and slice lengths (dead nodes keep
+        their slots), and no level expanded before r saw a node of C.
 
         Recording a level's rng state costs several shuffles' worth of
         time, so trees record rewind points only from the first call on;
         a tree started before it is dropped like one whose destination
         changed.
         """
-        self._rewindable = True
+        self._rewindable = not self.threaded
         old_dead = self._dead_idx
         dead_idx = self._resolve_dead(epoch, dead)
         changed = old_dead ^ dead_idx
         if not changed:
             return
+        trees = self._trees
+        if self.threaded:
+            trees.clear()
+            self._build_all()
+            return
         csr = self.adjacency
         indptr, indices = csr.indptr, csr.indices
-        trees = self._trees
         for dst_idx in list(trees):
             if dst_idx in changed:
                 del trees[dst_idx]
@@ -610,8 +526,9 @@ class LazyRoutingTable(_QueryMixin):
         the component is exhausted, which marks it unreachable); without
         ``src_idx`` the whole component is expanded.
         """
-        tree = self._trees.get(dst_idx)
-        if tree is None:
+        try:
+            tree = self._trees[dst_idx]
+        except KeyError:
             tree = self._start_tree(dst_idx)
         # == -1 (not < 0): a dead source carries the _DEAD sentinel and
         # will never settle — expanding its component would be wasted.
@@ -620,15 +537,14 @@ class LazyRoutingTable(_QueryMixin):
             self._expand_level(tree)
         return tree.rows
 
-    def _start_tree(self, dst_idx: int) -> _LazyTree:
+    def _start_tree(self, dst_idx: int) -> _BfsTree:
         """Create and memoize the unexpanded tree state for ``dst_idx``."""
         csr = self.adjacency
-        rng = (
-            None
-            if self._tie_seed is None
-            else destination_rng(self._tie_seed, csr.ids[dst_idx])
-        )
-        tree = _LazyTree(len(csr.ids), dst_idx, rng, self._rewindable)
+        if self._tie_seed is None:
+            rng = self._rng  # threaded, or None: deterministic ties
+        else:
+            rng = destination_rng(self._tie_seed, csr.ids[dst_idx])
+        tree = _BfsTree(len(csr.ids), dst_idx, rng, self._rewindable)
         dead_idx = self._dead_idx
         if dead_idx:
             if dst_idx in dead_idx:
@@ -637,10 +553,11 @@ class LazyRoutingTable(_QueryMixin):
                 tree.parent[dst_idx] = _DEAD
                 tree.depth[dst_idx] = -1
             else:
-                # Same sentinel trick as the eager build: dead nodes are
-                # never settled as relays, yet still occupy their slot in
-                # every shuffled slice so draw counts stay independent of
-                # liveness.
+                # Pre-marking dead nodes as the _DEAD sentinel excludes
+                # them from relaying (the == -1 settle test skips them)
+                # with zero membership tests inside the hot loops, yet
+                # they still occupy their slot in every shuffled slice so
+                # draw counts stay independent of liveness.
                 parent = tree.parent
                 for i in dead_idx:
                     parent[i] = _DEAD
@@ -648,7 +565,7 @@ class LazyRoutingTable(_QueryMixin):
         self.trees_computed += 1
         return tree
 
-    def _expand_level(self, tree: _LazyTree) -> None:
+    def _expand_level(self, tree: _BfsTree) -> None:
         """Advance ``tree`` by one BFS level, recording the rewind point."""
         csr = self.adjacency
         rng = tree.rng
@@ -663,7 +580,7 @@ class LazyRoutingTable(_QueryMixin):
 
 class _CostTree:
     """One destination's settled Dijkstra tree (cost-space sibling of
-    :class:`_LazyTree`; computed whole, as cost frontiers have no clean
+    :class:`_BfsTree`; computed whole, as cost frontiers have no clean
     level structure to pause between)."""
 
     __slots__ = ("parent", "depth", "cost", "rows")
@@ -689,9 +606,10 @@ class DijkstraRoutingTable(_QueryMixin):
         Deployment geometry handed to the cost model for distances (may
         be ``None`` for models that don't need it).
     rng:
-        Optional seeded stream; like the lazy engine, exactly one 64-bit
-        draw is consumed at construction and each destination shuffles
-        with its own derived stream (:func:`destination_rng`).
+        Optional seeded stream; as in a per-destination BFS table,
+        exactly one 64-bit draw is consumed at construction and each
+        destination shuffles with its own derived stream
+        (:func:`destination_rng`).
 
     Notes
     -----
@@ -700,8 +618,8 @@ class DijkstraRoutingTable(_QueryMixin):
     settle order exactly BFS frontier order, and since relaxation only
     ever *strictly* improves, parents land on the first discoverer — so
     the produced trees (and the rng draw sequence: one neighbor-slice
-    shuffle per settled node, in settle order) are identical to the BFS
-    engines'.  Energy-based costs then diverge consciously.
+    shuffle per settled node, in settle order) are identical to a
+    per-destination BFS table's.  Energy-based costs then diverge consciously.
 
     ``node_factors`` are re-read on :meth:`invalidate_epoch` (so residual
     costs see post-death meters) and on :meth:`refresh_costs` (so the
@@ -736,7 +654,7 @@ class DijkstraRoutingTable(_QueryMixin):
     ) -> None:
         """Drop every memoized tree and re-read the node cost factors.
 
-        Like the lazy engine this is O(1) plus one factor sweep; each
+        This is O(1) plus one factor sweep; each
         surviving destination's tree is recomputed on first use against
         the new liveness set and factors.
         """
@@ -784,10 +702,10 @@ class DijkstraRoutingTable(_QueryMixin):
         if dead_idx:
             if dst_idx in dead_idx:
                 # Dead destination: nothing to settle, everything
-                # unreachable (mirrors the lazy engine).
+                # unreachable (mirrors the BFS engine).
                 parent[dst_idx] = _DEAD
                 return tree
-            # Same sentinel trick as the BFS engines: dead nodes never
+            # Same sentinel trick as the BFS engine: dead nodes never
             # settle as relays yet still occupy their slice slots, so
             # shuffle draw counts stay independent of liveness.
             for i in dead_idx:
@@ -817,7 +735,7 @@ class DijkstraRoutingTable(_QueryMixin):
                 order: typing.Iterable[int] = range(lo, hi)
             else:
                 # Shuffling slot positions consumes the same draws as the
-                # BFS engines' neighbor-slice shuffle (shuffle consumption
+                # BFS engine's neighbor-slice shuffle (shuffle consumption
                 # depends only on length) and visits neighbors in the same
                 # permuted order, while keeping the slot at hand for the
                 # edge-cost lookup.
@@ -863,44 +781,5 @@ class DijkstraRoutingTable(_QueryMixin):
         return total
 
 
-#: Any routing engine; the query API is identical.
-RoutingLike = typing.Union[
-    RoutingTable, LazyRoutingTable, DijkstraRoutingTable
-]
-
-#: Engine names accepted by :func:`build_routing`.
-ENGINE_EAGER = "eager"
-ENGINE_LAZY = "lazy"
-
-
-def build_routing(
-    layout: Layout,
-    range_m: float,
-    rng: typing.Any = None,
-    engine: str = ENGINE_EAGER,
-) -> RoutingLike:
-    """Routing table for radios of ``range_m`` deployed as ``layout``.
-
-    ``engine="eager"`` (default) keeps the historical all-pairs build;
-    ``engine="lazy"`` returns a :class:`LazyRoutingTable` with
-    per-destination tie-breaking.  Both engines now share the same
-    adjacency source — :meth:`CsrGraph.from_layout`'s spatial hash, which
-    is edge-identical to ``layout.graph(range_m)`` without the O(n²)
-    pairwise scan — so the eager build too skips networkx entirely.
-    """
-    if engine == ENGINE_LAZY:
-        return LazyRoutingTable.from_layout(layout, range_m, rng=rng)
-    if engine != ENGINE_EAGER:
-        raise ValueError(
-            f"unknown routing engine {engine!r}; expected "
-            f"{ENGINE_EAGER!r} or {ENGINE_LAZY!r}"
-        )
-    return RoutingTable(CsrGraph.from_layout(layout, range_m), rng=rng)
-
-
-def tree_depths(table: RoutingLike, sink: int) -> dict[int, int]:
-    """Hop distance of every connected node to ``sink`` (collection tree).
-
-    On the lazy engine this is a single memoized BFS rather than n queries.
-    """
-    return table.depths_to(sink)
+#: Either routing engine; the query API is identical.
+RoutingLike = typing.Union[RoutingTable, DijkstraRoutingTable]

@@ -130,15 +130,17 @@ def _case_routing_eager_1k() -> BenchCase:
         return _uniform_layout(1000, _FIELD_1K, 1)
 
     def run(layout):
-        from repro.net.routing import build_routing
+        from repro.net.routing import RoutingTable
 
-        table = build_routing(layout, _RANGE_M, rng=random.Random(2))
+        table = RoutingTable.from_layout(
+            layout, _RANGE_M, rng=random.Random(2), threaded=True
+        )
         reached = _collection_workload(table, 1000)
         return {"nodes": 1000, "reached_senders": reached, "trees": 1000}
 
     return BenchCase(
         name="routing-build-eager-1k",
-        summary="eager all-pairs routing build, 1k-node uniform deployment",
+        summary="eager (threaded) all-trees routing build, 1k-node deployment",
         setup=setup,
         run=run,
         # Gate-bearing (25% regression threshold): a single sample lets
@@ -154,11 +156,9 @@ def _case_routing_lazy(
         return _uniform_layout(n, field_m, 1 if n == 1000 else 7)
 
     def run(layout):
-        from repro.net.routing import build_routing
+        from repro.net.routing import RoutingTable
 
-        table = build_routing(
-            layout, _RANGE_M, rng=random.Random(2), engine="lazy"
-        )
+        table = RoutingTable.from_layout(layout, _RANGE_M, rng=random.Random(2))
         reached = _collection_workload(table, n)
         return {
             "nodes": n,
@@ -631,7 +631,7 @@ def _case_churn_1k() -> BenchCase:
 
     def run(config):
         from repro.models import scenario
-        from repro.net.routing import LazyRoutingTable
+        from repro.net.routing import RoutingTable
         from repro.perf.phases import collect_phases
 
         # Keep the network the run builds: its index and routing tables
@@ -650,10 +650,10 @@ def _case_churn_1k() -> BenchCase:
         finally:
             scenario.build_network = build_network
         (built,) = captured
-        lazy = [
+        bfs = [
             table
             for table in built.route_tables.values()
-            if isinstance(table, LazyRoutingTable)
+            if isinstance(table, RoutingTable)
         ]
         ops: dict[str, float] = {
             "nodes": float(config.n_nodes),
@@ -669,9 +669,9 @@ def _case_churn_1k() -> BenchCase:
                 )
             ),
             "levels_expanded": float(
-                sum(table.levels_expanded for table in lazy)
+                sum(table.levels_expanded for table in bfs)
             ),
-            "trees_rewound": float(sum(table.trees_rewound for table in lazy)),
+            "trees_rewound": float(sum(table.trees_rewound for table in bfs)),
         }
         for name, seconds in timings.items():
             ops[f"phase.{name}_s"] = seconds
@@ -711,7 +711,7 @@ def _case_routing_policy_1k() -> BenchCase:
             RoutingPolicyContext,
             build_cost_model,
         )
-        from repro.net.routing import DijkstraRoutingTable, build_routing
+        from repro.net.routing import DijkstraRoutingTable, RoutingTable
 
         layout, graph = prepared
         # Synthetic depletion spread so the residual policy's factors are
@@ -725,8 +725,8 @@ def _case_routing_policy_1k() -> BenchCase:
         for policy in ROUTING_POLICIES.names():
             cost_model = build_cost_model(policy, context)
             if cost_model is None:
-                table = build_routing(
-                    layout, _RANGE_M, rng=random.Random(2), engine="lazy"
+                table = RoutingTable.from_layout(
+                    layout, _RANGE_M, rng=random.Random(2)
                 )
             else:
                 table = DijkstraRoutingTable(
@@ -756,9 +756,9 @@ def _case_routing_policy_1k() -> BenchCase:
 #: ``"dual"`` without importing the model layer at module import time.
 MODEL_DUAL_NAME = "dual"
 
-#: Machine-independent gates checked after every suite run: the lazy
-#: engine must beat the eager all-pairs baseline by at least this factor
-#: on the acceptance workload.
+#: Machine-independent gates checked after every suite run: a lazy
+#: (per-destination) table must beat the eager (threaded) all-trees
+#: build by at least this factor on the acceptance workload.
 RATIO_GATES = (
     RatioGate(
         name="routing-1k-speedup",

@@ -46,7 +46,7 @@ def describe_composition(config: "ScenarioConfig") -> list[str]:
         mix = ", ".join(f"node {node}={name}" for node, name in config.traffic_mix)
         traffic = f"{traffic} ({mix})"
     if config.routing_policy == "hops":
-        routing = f"hops ({config.routing_engine()} engine)"
+        routing = f"hops ({config.routing_engine()} tie-break)"
     else:
         routing = f"{config.routing_policy} (dijkstra engine)"
     return [

@@ -53,7 +53,11 @@ import typing
 #: heap agenda and the flat MAC were the defaults every golden digest
 #: was pinned on, so results are unchanged).  Keys that canonicalized
 #: the removed fields are retired wholesale.
-CACHE_SCHEMA_VERSION = 9
+#: v10: an eager (threaded) routing table keeps its routes across a fault
+#: epoch that only flips links; it used to rebuild them with fresh tie
+#: draws.  Cached eager cells with link events change, so every entry is
+#: retired (no paper scenario or pinned digest has link events).
+CACHE_SCHEMA_VERSION = 10
 
 
 def _canonicalize(value: typing.Any) -> typing.Any:

@@ -12,7 +12,7 @@ from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
 from repro.net.addressing import AddressMap
 from repro.net.packets import DataPacket
-from repro.net.routing import build_routing
+from repro.net.routing import RoutingTable
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
@@ -61,8 +61,8 @@ class DualNet:
         }
         low_macs = {i: SensorCsmaMac(self.sim, self.low_radios[i]) for i in range(n)}
         high_macs = {i: DcfMac(self.sim, self.high_radios[i]) for i in range(n)}
-        low_table = build_routing(self.layout, 40.0)
-        high_table = build_routing(self.layout, high_range)
+        low_table = RoutingTable.from_layout(self.layout, 40.0)
+        high_table = RoutingTable.from_layout(self.layout, high_range)
         addresses = AddressMap()
         for i in range(n):
             addresses.register_node(i)

@@ -21,7 +21,7 @@ from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
 from repro.net.packets import DataPacket
-from repro.net.routing import build_routing
+from repro.net.routing import RoutingTable
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
@@ -42,7 +42,7 @@ def build_pair(threshold_packets, capacity_packets, seed):
     }
     low_macs = {i: SensorCsmaMac(sim, low[i]) for i in (0, 1)}
     high_macs = {i: DcfMac(sim, high[i]) for i in (0, 1)}
-    table = build_routing(layout, 40.0)
+    table = RoutingTable.from_layout(layout, 40.0)
     config = BcpConfig.for_burst_packets(
         threshold_packets,
         buffer_capacity_bytes=float(capacity_packets * 32),

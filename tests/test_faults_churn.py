@@ -12,6 +12,7 @@ every model.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +31,16 @@ from repro.topology import line_layout
 from repro.topology.layout import Layout, Position
 from repro.topology.registry import TopologySpec
 
-#: sha256 of the lazy-routing churn cell below.  Pinned so the lazy
-#: engine's fault path (epoch invalidation with deaths *and* revivals
-#: against partially expanded trees) cannot drift silently; perfbench
-#: pins the same path only outside the tier-1 suite.
-GOLDEN_LAZY_CHURN_DIGEST = (
-    "10ba916d4e30a01fd3ffd4b026915faab56d3f1f7f7a47ad764a023e355bc71f"
-)
+#: sha256 of the churn cell below under each routing tie-break scheme.
+#: Pinned so both epoch paths — the lazy (per-destination) rewind of
+#: partially expanded trees and the eager (threaded) rebuild of every
+#: tree from the shared stream — cannot drift silently under deaths
+#: *and* revivals; perfbench pins the same paths only outside the
+#: tier-1 suite.
+GOLDEN_CHURN_DIGESTS = {
+    "lazy": "10ba916d4e30a01fd3ffd4b026915faab56d3f1f7f7a47ad764a023e355bc71f",
+    "eager": "6caf8edd5bffc8b91bdf99baeea00216f27a6b2bf2250b5e7af2c3aba7f1b6af",
+}
 
 
 def data_frame(src, dst, payload_bits=256, header_bits=64):
@@ -358,15 +362,15 @@ class TestScriptedScenarioChurn:
         assert set(results.values()) == {2.0}
 
 
-def lazy_churn_config():
-    """A 60-node lazy-routing cell under Poisson churn with revivals
-    (25 deaths, 24 recoveries at this seed)."""
+def churn_config(routing):
+    """A 60-node cell under Poisson churn with revivals (25 deaths, 24
+    recoveries at this seed) and no link events."""
     return ScenarioConfig(
         model="dual",
         topology=TopologySpec.of(
             "uniform-random", n=60, width_m=160.0, height_m=160.0
         ),
-        routing="lazy",
+        routing=routing,
         sink=0,
         n_senders=8,
         sim_time_s=60.0,
@@ -376,12 +380,13 @@ def lazy_churn_config():
     )
 
 
-class TestLazyChurnGolden:
-    def test_lazy_churn_matches_pinned_digest(self):
-        result = run_scenario(lazy_churn_config())
+class TestChurnGolden:
+    @pytest.mark.parametrize("routing", sorted(GOLDEN_CHURN_DIGESTS))
+    def test_churn_matches_pinned_digest(self, routing):
+        result = run_scenario(churn_config(routing))
         assert result.counters["faults.deaths"] == 25.0
         assert result.counters["faults.recoveries"] == 24.0
-        assert results_digest([result]) == GOLDEN_LAZY_CHURN_DIGEST
+        assert results_digest([result]) == GOLDEN_CHURN_DIGESTS[routing]
 
 
 class TestBatteryDepletion:

@@ -151,7 +151,7 @@ class TestScenarioFieldSensitivity:
         # Schema v9 retired the agenda and MAC-engine selectors along with
         # the alternate engines; neither may widen the key again.
         payload = json.loads(canonical_json(self.BASE))
-        assert payload["schema"] == CACHE_SCHEMA_VERSION == 9
+        assert payload["schema"] == CACHE_SCHEMA_VERSION == 10
         assert not {"scheduler", "mac_engine"} & set(payload["config"])
 
     def test_radio_spec_every_field_participates(self):

@@ -10,7 +10,7 @@ from repro.net.addressing import (
     format_short_address,
 )
 from repro.net.packets import DataPacket
-from repro.net.routing import RoutingError, build_routing, tree_depths
+from repro.net.routing import RoutingError, RoutingTable
 from repro.net.shortcut import ShortcutLearner
 from repro.topology import grid_layout, line_layout
 
@@ -77,28 +77,28 @@ class TestAddressing:
 
 class TestRouting:
     def test_line_next_hops(self):
-        table = build_routing(line_layout(4, 40.0), 40.0)
+        table = RoutingTable.from_layout(line_layout(4, 40.0), 40.0)
         assert table.next_hop(0, 3) == 1
         assert table.next_hop(1, 3) == 2
         assert table.next_hop(3, 0) == 2
 
     def test_hop_counts(self):
-        table = build_routing(line_layout(5, 40.0), 40.0)
+        table = RoutingTable.from_layout(line_layout(5, 40.0), 40.0)
         assert table.hops(0, 4) == 4
         assert table.hops(2, 2) == 0
 
     def test_path_reconstruction(self):
-        table = build_routing(line_layout(4, 40.0), 40.0)
+        table = RoutingTable.from_layout(line_layout(4, 40.0), 40.0)
         assert table.path(0, 3) == [0, 1, 2, 3]
         assert table.path(2, 2) == [2]
 
     def test_self_route_raises(self):
-        table = build_routing(line_layout(3, 40.0), 40.0)
+        table = RoutingTable.from_layout(line_layout(3, 40.0), 40.0)
         with pytest.raises(RoutingError):
             table.next_hop(1, 1)
 
     def test_disconnected_raises(self):
-        table = build_routing(line_layout(3, 100.0), 40.0)
+        table = RoutingTable.from_layout(line_layout(3, 100.0), 40.0)
         with pytest.raises(RoutingError):
             table.next_hop(0, 2)
         assert not table.has_route(0, 2)
@@ -107,7 +107,7 @@ class TestRouting:
         import networkx
 
         layout = grid_layout(6, 6, 40.0)
-        table = build_routing(layout, 40.0)
+        table = RoutingTable.from_layout(layout, 40.0)
         graph = layout.graph(40.0)
         for src in (35, 17, 5):
             assert table.hops(src, 0) == networkx.shortest_path_length(
@@ -115,8 +115,8 @@ class TestRouting:
             )
 
     def test_deterministic_tie_breaking(self):
-        table_a = build_routing(grid_layout(4, 4, 40.0), 40.0)
-        table_b = build_routing(grid_layout(4, 4, 40.0), 40.0)
+        table_a = RoutingTable.from_layout(grid_layout(4, 4, 40.0), 40.0)
+        table_b = RoutingTable.from_layout(grid_layout(4, 4, 40.0), 40.0)
         for src in range(16):
             for dst in range(16):
                 if src != dst:
@@ -126,16 +126,16 @@ class TestRouting:
 
     def test_long_range_single_hop(self):
         """MH case: a 290 m radio reaches the far corner directly."""
-        table = build_routing(grid_layout(6, 6, 40.0), 290.0)
+        table = RoutingTable.from_layout(grid_layout(6, 6, 40.0), 290.0)
         assert table.hops(35, 0) == 1
 
     def test_tree_depths(self):
-        depths = tree_depths(build_routing(grid_layout(3, 3, 40.0), 40.0), 0)
+        depths = RoutingTable.from_layout(grid_layout(3, 3, 40.0), 40.0).depths_to(0)
         assert depths[0] == 0
         assert depths[8] == 4  # manhattan distance in hops
 
     def test_routes_converge_to_destination(self):
-        table = build_routing(grid_layout(5, 5, 40.0), 40.0)
+        table = RoutingTable.from_layout(grid_layout(5, 5, 40.0), 40.0)
         for src in range(25):
             if src == 12:
                 continue
@@ -149,8 +149,8 @@ class TestRouting:
 class TestShortcutLearner:
     def make(self):
         layout = line_layout(4, 40.0)
-        low = build_routing(layout, 40.0)
-        high = build_routing(layout, 100.0)  # can reach 2 hops away
+        low = RoutingTable.from_layout(layout, 40.0)
+        high = RoutingTable.from_layout(layout, 100.0)  # can reach 2 hops away
         return ShortcutLearner(0, low, high), low, high
 
     def test_initial_next_hop_follows_low_route(self):

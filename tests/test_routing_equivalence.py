@@ -1,26 +1,24 @@
-"""Property tests: the lazy and eager routing engines are equivalent.
+"""Property tests: one BFS engine, two tie-break modes, Dijkstra on top.
 
-The contract (ISSUE 4): for grid, uniform-random and clustered
-deployments, in both tie-break modes, the two engines agree on next-hop
-and hop-count for every reachable pair — and the lazy engine's answers do
-not depend on the order destinations are first queried in.
+For grid, uniform-random and clustered deployments, a per-destination
+(lazy) table's answers must not depend on the order its trees are built
+in: forced whole in ascending destination order, it agrees on next-hop,
+hop count and reachability with a table queried in a shuffled pair order
+that expands trees partially, level by level.
 
-The seeded-rng comparison uses the shared *per-destination* tie-break
-scheme (``RoutingTable(..., tie_break="per-destination")``), the only
-seeded scheme that is computable lazily; the eager default ``threaded``
-scheme stays pinned separately by the golden digests
-(tests/test_determinism.py).  Against ``threaded`` we still assert
-hop-count equality: tie-breaking chooses *which* shortest path, never its
-length.
+The threaded (eager) mode draws every tie from one stream and is pinned
+separately by the golden digests (tests/test_determinism.py).  Against it
+we still assert hop-count equality, before and after node deaths:
+tie-breaking chooses *which* shortest path, never its length.
 
-PR 10 adds a third engine — :class:`DijkstraRoutingTable`, the cost
-engine behind the routing policies — whose contract is stronger than
-shortest-path agreement: under **unit edge costs** its trees must be
-*draw-for-draw identical* to the BFS engines' (FIFO heap order == BFS
-frontier order; one shuffle per settled node).  That exact equivalence is
-what lets the policy machinery ship without re-pinning a single
-``policy="hops"`` golden digest, so it gets its own property tests here,
-including through an ``invalidate_epoch`` after node deaths.
+The cost engine behind the routing policies,
+:class:`DijkstraRoutingTable`, has a stronger contract than shortest-path
+agreement: under **unit edge costs** its trees must be *draw-for-draw
+identical* to the BFS engine's per-destination trees (FIFO heap order ==
+BFS frontier order; one shuffle per settled node).  That exact
+equivalence is what lets the policy machinery ship without re-pinning a
+single ``policy="hops"`` golden digest, so it gets its own property tests
+here, including through an ``invalidate_epoch`` after node deaths.
 """
 
 import random
@@ -29,11 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.csr import CsrGraph
-from repro.net.routing import (
-    DijkstraRoutingTable,
-    LazyRoutingTable,
-    RoutingTable,
-)
+from repro.net.routing import DijkstraRoutingTable, RoutingTable
 from repro.topology.layout import clustered_layout, grid_layout, random_layout
 
 RANGE_M = 60.0
@@ -56,55 +50,66 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 modes = st.sampled_from(["sorted", "seeded"])
 
 
-def _engines(kind, size, seed, mode):
+def _per_destination(layout, seed=None):
+    """A per-destination table; ``seed=None`` breaks ties by lowest id."""
+    rng = None if seed is None else random.Random(seed)
+    return RoutingTable.from_layout(layout, RANGE_M, rng=rng)
+
+
+def _tables(kind, size, seed, mode):
+    """A per-destination table forced whole in ascending destination
+    order, and a fresh twin left for queries to expand."""
     layout = _make_layout(kind, size, seed)
-    graph = layout.graph(RANGE_M)
-    if mode == "sorted":
-        eager = RoutingTable(graph)
-        lazy = LazyRoutingTable(CsrGraph.from_layout(layout, RANGE_M))
-    else:
-        eager = RoutingTable(
-            graph, rng=random.Random(seed), tie_break="per-destination"
-        )
-        lazy = LazyRoutingTable(
-            CsrGraph.from_layout(layout, RANGE_M), rng=random.Random(seed)
-        )
-    return layout, eager, lazy
+    tie_seed = None if mode == "sorted" else seed
+    whole = _per_destination(layout, tie_seed)
+    for dst in layout.node_ids:
+        whole.depths_to(dst)
+    return layout, whole, _per_destination(layout, tie_seed)
 
 
 @given(kind=topology_kinds, size=sizes, seed=seeds, mode=modes)
 @settings(max_examples=40, deadline=None)
-def test_engines_agree_on_next_hop_and_hops(kind, size, seed, mode):
-    layout, eager, lazy = _engines(kind, size, seed, mode)
-    # Query the lazy engine in a shuffled pair order: agreement must hold
-    # regardless of which destination's tree materializes first.
+def test_per_destination_routes_ignore_build_order(kind, size, seed, mode):
+    layout, whole, queried = _tables(kind, size, seed, mode)
+    # Shuffled pairs: trees materialize in random order, and each only as
+    # far as the queried source needs.
     pairs = [
         (a, b) for a in layout.node_ids for b in layout.node_ids if a != b
     ]
     random.Random(seed ^ 0xA5A5).shuffle(pairs)
     for src, dst in pairs:
-        assert lazy.has_route(src, dst) == eager.has_route(src, dst)
-        if eager.has_route(src, dst):
-            assert lazy.hops(src, dst) == eager.hops(src, dst)
-            assert lazy.next_hop(src, dst) == eager.next_hop(src, dst)
+        assert queried.has_route(src, dst) == whole.has_route(src, dst)
+        if whole.has_route(src, dst):
+            assert queried.hops(src, dst) == whole.hops(src, dst)
+            assert queried.next_hop(src, dst) == whole.next_hop(src, dst)
+
+
+def _assert_same_hops(layout, a, b):
+    for src in layout.node_ids:
+        for dst in layout.node_ids:
+            if src == dst:
+                continue
+            assert a.has_route(src, dst) == b.has_route(src, dst)
+            if b.has_route(src, dst):
+                assert a.hops(src, dst) == b.hops(src, dst)
 
 
 @given(kind=topology_kinds, size=sizes, seed=seeds)
 @settings(max_examples=25, deadline=None)
 def test_lazy_hops_match_threaded_eager(kind, size, seed):
-    """Hop counts are tie-break-invariant: lazy(rng) == eager threaded."""
+    """Hop counts are tie-break-invariant: per-destination == threaded,
+    on the pristine graph and after an epoch of node deaths."""
     layout = _make_layout(kind, size, seed)
-    threaded = RoutingTable(layout.graph(RANGE_M), rng=random.Random(seed))
-    lazy = LazyRoutingTable(
-        CsrGraph.from_layout(layout, RANGE_M), rng=random.Random(seed + 1)
+    threaded = RoutingTable.from_layout(
+        layout, RANGE_M, rng=random.Random(seed), threaded=True
     )
-    for src in layout.node_ids:
-        for dst in layout.node_ids:
-            if src == dst:
-                continue
-            assert lazy.has_route(src, dst) == threaded.has_route(src, dst)
-            if threaded.has_route(src, dst):
-                assert lazy.hops(src, dst) == threaded.hops(src, dst)
+    lazy = _per_destination(layout, seed + 1)
+    _assert_same_hops(layout, lazy, threaded)
+    nodes = list(layout.node_ids)
+    dead = set(random.Random(seed ^ 0xD00D).sample(nodes, len(nodes) // 4))
+    threaded.invalidate_epoch(1, dead)
+    lazy.invalidate_epoch(1, dead)
+    _assert_same_hops(layout, lazy, threaded)
 
 
 class _UnitCost:
@@ -138,7 +143,7 @@ def _assert_same_routes(layout, reference, dijkstra, pair_seed=0):
     """Next-hop/hops/reachability identity over every (src, dst) pair.
 
     Pairs are queried in a shuffled order so tree materialization order
-    can't mask an order dependence in either lazy engine.
+    can't mask an order dependence in either engine.
     """
     pairs = [
         (a, b) for a in layout.node_ids for b in layout.node_ids if a != b
@@ -154,11 +159,11 @@ def _assert_same_routes(layout, reference, dijkstra, pair_seed=0):
 @given(kind=topology_kinds, size=sizes, seed=seeds, mode=modes)
 @settings(max_examples=40, deadline=None)
 def test_dijkstra_unit_costs_reproduce_bfs_trees(kind, size, seed, mode):
-    """Unit-cost Dijkstra == lazy BFS == per-destination eager, exactly."""
-    layout, eager, lazy = _engines(kind, size, seed, mode)
+    """Unit-cost Dijkstra == per-destination BFS (partial or whole)."""
+    layout, whole, queried = _tables(kind, size, seed, mode)
     dijkstra = _dijkstra(layout, seed=None if mode == "sorted" else seed)
-    _assert_same_routes(layout, lazy, dijkstra, pair_seed=seed)
-    _assert_same_routes(layout, eager, dijkstra, pair_seed=seed + 1)
+    _assert_same_routes(layout, queried, dijkstra, pair_seed=seed)
+    _assert_same_routes(layout, whole, dijkstra, pair_seed=seed + 1)
 
 
 @given(kind=topology_kinds, size=sizes, seed=seeds)
@@ -171,9 +176,7 @@ def test_dijkstra_equivalence_survives_epoch_invalidation(kind, size, seed):
     """
     layout = _make_layout(kind, size, seed)
     nodes = list(layout.node_ids)
-    lazy = LazyRoutingTable(
-        CsrGraph.from_layout(layout, RANGE_M), rng=random.Random(seed)
-    )
+    lazy = _per_destination(layout, seed)
     dijkstra = _dijkstra(layout, seed=seed)
     # Settle some pre-death trees so invalidation actually has state to
     # drop, then kill ~1/4 of the fleet (never all of it).
@@ -199,9 +202,7 @@ def test_dijkstra_equivalence_survives_epoch_invalidation(kind, size, seed):
 def test_next_hop_is_a_neighbor_one_step_closer(kind, size, seed):
     """Structural soundness of the lazy trees: each hop descends the tree."""
     layout = _make_layout(kind, size, seed)
-    lazy = LazyRoutingTable(
-        CsrGraph.from_layout(layout, RANGE_M), rng=random.Random(seed)
-    )
+    lazy = _per_destination(layout, seed)
     nodes = list(layout.node_ids)
     sink = nodes[0]
     for src in nodes[1:]:

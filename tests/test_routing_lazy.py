@@ -1,4 +1,5 @@
-"""Unit tests for the CSR adjacency and the lazy routing engine."""
+"""Unit tests for the CSR adjacency and the BFS routing engine's two
+tie-break modes: lazy (per-destination) and eager (threaded)."""
 
 import random
 
@@ -8,11 +9,8 @@ from repro.models.scenario import ScenarioConfig
 from repro.net.csr import CsrGraph
 from repro.net.routing import (
     DijkstraRoutingTable,
-    LazyRoutingTable,
     RoutingError,
     RoutingTable,
-    build_routing,
-    tree_depths,
 )
 from repro.topology.layout import (
     Layout,
@@ -121,7 +119,7 @@ def _islands_table(engine):
         return DijkstraRoutingTable(
             CsrGraph.from_layout(layout, 40.0), _UnitCost(), layout=layout
         )
-    return build_routing(layout, 40.0, engine=engine)
+    return RoutingTable.from_layout(layout, 40.0, threaded=engine == "eager")
 
 
 def _routing_error(query, *args):
@@ -211,8 +209,8 @@ class TestRoutingErrorPaths:
 class TestLazyRoutingTable:
     def test_sorted_mode_matches_eager_exactly(self):
         layout = grid_layout(5, 5, 40.0)
-        eager = RoutingTable(layout.graph(40.0))
-        lazy = build_routing(layout, 40.0, engine="lazy")
+        eager = RoutingTable.from_layout(layout, 40.0, threaded=True)
+        lazy = RoutingTable.from_layout(layout, 40.0)
         for src in layout.node_ids:
             for dst in layout.node_ids:
                 if src == dst:
@@ -222,7 +220,7 @@ class TestLazyRoutingTable:
 
     def test_trees_memoized(self):
         layout = grid_layout(4, 4, 40.0)
-        lazy = build_routing(layout, 40.0, engine="lazy")
+        lazy = RoutingTable.from_layout(layout, 40.0)
         assert lazy.trees_computed == 0
         lazy.next_hop(3, 0)
         assert lazy.trees_computed == 1
@@ -240,10 +238,10 @@ class TestLazyRoutingTable:
             for b in layout.node_ids
             if a != b
         ]
-        forward = LazyRoutingTable.from_layout(
+        forward = RoutingTable.from_layout(
             layout, 60.0, rng=random.Random(9)
         )
-        backward = LazyRoutingTable.from_layout(
+        backward = RoutingTable.from_layout(
             layout, 60.0, rng=random.Random(9)
         )
         answers_fwd = {}
@@ -259,10 +257,10 @@ class TestLazyRoutingTable:
         reproduce the exact tree (and rng draw sequence) of building it
         exhaustively in one go."""
         layout = random_layout(60, 200.0, 200.0, random.Random(5))
-        incremental = LazyRoutingTable.from_layout(
+        incremental = RoutingTable.from_layout(
             layout, 60.0, rng=random.Random(11)
         )
-        one_shot = LazyRoutingTable.from_layout(
+        one_shot = RoutingTable.from_layout(
             layout, 60.0, rng=random.Random(11)
         )
         dst = layout.node_ids[0]
@@ -282,30 +280,66 @@ class TestLazyRoutingTable:
 
     def test_path_walks_to_destination(self):
         layout = line_layout(6, 40.0)
-        lazy = build_routing(layout, 40.0, engine="lazy")
+        lazy = RoutingTable.from_layout(layout, 40.0)
         assert lazy.path(0, 5) == [0, 1, 2, 3, 4, 5]
         assert lazy.path(5, 0) == [5, 4, 3, 2, 1, 0]
 
     def test_tree_depths_matches_eager(self):
         layout = grid_layout(4, 5, 40.0)
-        eager = build_routing(layout, 40.0)
-        lazy = build_routing(layout, 40.0, engine="lazy")
-        assert tree_depths(lazy, 0) == tree_depths(eager, 0)
+        eager = RoutingTable.from_layout(layout, 40.0, threaded=True)
+        lazy = RoutingTable.from_layout(layout, 40.0)
+        assert lazy.depths_to(0) == eager.depths_to(0)
 
     def test_has_edge_and_len(self):
         layout = line_layout(4, 40.0)
-        lazy = build_routing(layout, 40.0, engine="lazy")
+        lazy = RoutingTable.from_layout(layout, 40.0)
         assert lazy.has_edge(1, 2) and not lazy.has_edge(0, 2)
         assert len(lazy) == 4
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown routing engine"):
-            build_routing(line_layout(3), 40.0, engine="speculative")
 
-    def test_unknown_tie_break_rejected(self):
-        graph = line_layout(3).graph(40.0)
-        with pytest.raises(ValueError, match="unknown tie_break"):
-            RoutingTable(graph, tie_break="coin-flip")
+class TestThreadedMode:
+    def test_builds_every_tree_up_front(self):
+        layout = grid_layout(4, 4, 40.0)
+        table = RoutingTable.from_layout(
+            layout, 40.0, rng=random.Random(1), threaded=True
+        )
+        assert table.trees_computed == len(layout.node_ids)
+        table.next_hop(3, 0)
+        table.depths_to(5)
+        assert table.trees_computed == len(layout.node_ids)
+
+    def test_death_epoch_rebuilds_every_tree(self):
+        layout = grid_layout(4, 4, 40.0)
+        table = RoutingTable.from_layout(
+            layout, 40.0, rng=random.Random(1), threaded=True
+        )
+        table.invalidate_epoch(1, {5})
+        assert table.trees_computed == 2 * len(layout.node_ids)
+        assert all(
+            table._trees[i].levels is None for i in range(len(layout.node_ids))
+        )
+        for src in layout.node_ids:
+            if src != 5 and src != 0:
+                assert 5 not in table.path(src, 0)
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["eager", "lazy"])
+def test_link_only_epoch_keeps_every_route(threaded):
+    # FaultPlan link flips bump the epoch with an unchanged dead set:
+    # routes are not rebuilt around a downed link, so not one next hop
+    # may change (a threaded rebuild would reshuffle ties with fresh
+    # draws from the shared stream).
+    layout = grid_layout(6, 6, 40.0)
+    table = RoutingTable.from_layout(
+        layout, 40.0, rng=random.Random(1), threaded=threaded
+    )
+    pairs = [
+        (a, b) for a in layout.node_ids for b in layout.node_ids if a != b
+    ]
+    before = [table.next_hop(a, b) for a, b in pairs]
+    table.invalidate_epoch(1, ())
+    assert table.epoch == 1
+    assert [table.next_hop(a, b) for a, b in pairs] == before
 
 
 class TestScenarioEngineSelection:

@@ -1,6 +1,6 @@
-"""Epoch repair of the lazy routing engine: rewound trees are exact.
+"""Epoch repair of per-destination (lazy) routing: rewound trees are exact.
 
-On a death or revival the lazy engine keeps, rewinds or drops each
+On a death or revival a per-destination table keeps, rewinds or drops each
 memoized tree instead of discarding them all (trees started before the
 first epoch record no rewind points and are dropped).  The claim is strict: after
 every ``invalidate_epoch`` each memoized tree — however far it had been
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.csr import CsrGraph
-from repro.net.routing import LazyRoutingTable
+from repro.net.routing import RoutingTable
 from repro.topology.layout import Layout, Position
 
 #: One step of a churn script: ("query", src, dst) expands dst's tree
@@ -55,7 +55,7 @@ def rewind_case(draw):
 
 def fresh_table(csr, seed, epoch, dead):
     rng = None if seed is None else random.Random(seed)
-    table = LazyRoutingTable(csr, rng=rng)
+    table = RoutingTable(csr, rng=rng)
     table.invalidate_epoch(epoch, dead)
     return table
 
@@ -81,7 +81,7 @@ def test_invalidated_trees_match_fresh_tables(case):
     positions, range_m, steps, seed = case
     layout = Layout({i: Position(x, y) for i, (x, y) in enumerate(positions)})
     csr = CsrGraph.from_layout(layout, range_m)
-    table = LazyRoutingTable(
+    table = RoutingTable(
         csr, rng=None if seed is None else random.Random(seed)
     )
     dead: set[int] = set()
@@ -101,7 +101,7 @@ def line_table(n, seed):
     """Lazy routing on an n-node line, past its first (empty) epoch:
     trees record rewind points from the first epoch on."""
     layout = Layout({i: Position(10.0 * i, 0.0) for i in range(n)})
-    table = LazyRoutingTable(
+    table = RoutingTable(
         CsrGraph.from_layout(layout, 10.0), rng=random.Random(seed)
     )
     table.invalidate_epoch(1, set())
@@ -110,7 +110,7 @@ def line_table(n, seed):
 
 def test_trees_started_before_any_epoch_are_dropped():
     layout = Layout({i: Position(10.0 * i, 0.0) for i in range(10)})
-    table = LazyRoutingTable(
+    table = RoutingTable(
         CsrGraph.from_layout(layout, 10.0), rng=random.Random(3)
     )
     assert table.hops(2, 0) == 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.models.scenario import ScenarioConfig, build_network, select_senders
-from repro.net.routing import LazyRoutingTable
+from repro.net.routing import RoutingTable
 from repro.sim.simulator import Simulator
 from repro.topology.registry import TopologySpec
 
@@ -49,8 +49,8 @@ class TestTenThousandNodeBuild:
         config, _sim, built = built_10k
         assert config.routing_engine() == "lazy"
         agent = built.agents[1]
-        assert isinstance(agent.low_routing, LazyRoutingTable)
-        assert isinstance(agent.high_routing, LazyRoutingTable)
+        for table in (agent.low_routing, agent.high_routing):
+            assert isinstance(table, RoutingTable) and not table.threaded
         # The collection workload (senders + sink) computes a handful of
         # trees, not 10k — the property that makes the scale affordable.
         assert agent.low_routing.trees_computed <= config.n_senders + 1

@@ -492,7 +492,7 @@ class TestRoutingFollowsAudibility:
         built = build_network(config, sim)
         medium = built.mediums[0]
         table = built.agents[0].routing
-        for a, b in table.graph.edges:
+        for a, b in table.adjacency.edges:
             assert medium.is_neighbor(a, b) and medium.is_neighbor(b, a)
 
     def test_unshadowed_routing_unchanged(self):
@@ -503,7 +503,7 @@ class TestRoutingFollowsAudibility:
         from repro.topology.layout import grid_layout
 
         expected = grid_layout(6, 6, 40.0).graph(40.0)
-        assert set(table.graph.edges) == set(expected.edges)
+        assert set(table.adjacency.edges) == set(expected.edges)
 
 
 class TestPartitionedDeployments:
