@@ -19,8 +19,9 @@ Receiver side
     receiver flow control; a full receiver stays silent).  It turns the
     radio back off once the advertised burst has arrived or after an idle
     timeout.  Reassembled packets that have reached their destination are
-    delivered up; in-transit packets are re-buffered toward their own next
-    hop, so multi-hop bulk forwarding emerges from the same per-hop logic.
+    delivered up, a fragment's worth in one call; in-transit packets are
+    re-buffered toward their own next hop, so multi-hop bulk forwarding
+    emerges from the same per-hop logic.
 
 Control messages always travel over the low-power radio; data always over
 the high-power radio ("data messages are always sent by the high-power
@@ -86,6 +87,9 @@ from repro.radio.radio import HighPowerRadio
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
+#: Delivery callback: takes a run of packets addressed to the node.
+DeliverFn = typing.Callable[[typing.Sequence[DataPacket]], None]
+
 
 @dataclasses.dataclass(slots=True)
 class _SenderSession:
@@ -133,7 +137,9 @@ class BcpNodeSpec:
         The two networks' routing tables (already shared historically —
         routing state is per-deployment, not per-node).
     deliver:
-        Sink-delivery callback for packets that reach their destination.
+        Sink-delivery callback for packets that reach their destination;
+        it takes a run of packets in arrival order (the packets of one
+        fragment addressed to the node, or one packet).
     address_map:
         Optional dual-radio address table (``None`` disables the lookup).
     """
@@ -142,7 +148,7 @@ class BcpNodeSpec:
     config: BcpConfig
     low_routing: RoutingLike
     high_routing: RoutingLike
-    deliver: typing.Callable[[DataPacket], None]
+    deliver: DeliverFn
     address_map: typing.Any = None
 
 
@@ -208,8 +214,8 @@ class BcpAgent:
         Routing tables of the two networks; control follows ``low_routing``,
         data follows ``high_routing`` (or a learned shortcut).
     deliver:
-        Callback invoked with each :class:`DataPacket` whose final
-        destination is this node.
+        Callback invoked with each run of :class:`DataPacket` objects
+        whose final destination is this node (see :class:`BcpNodeSpec`).
     address_map:
         Optional dual-radio address table; when provided, the agent
         resolves the peer's high-power address before each handshake,
@@ -232,7 +238,7 @@ class BcpAgent:
         high_radio: HighPowerRadio,
         low_routing: RoutingLike,
         high_routing: RoutingLike,
-        deliver: typing.Callable[[DataPacket], None],
+        deliver: DeliverFn,
         address_map: typing.Any = None,
         spec: BcpNodeSpec | None = None,
     ):
@@ -326,7 +332,7 @@ class BcpAgent:
         self.stats.packets_submitted += 1
         if packet.dst == self.node_id:
             self.stats.packets_delivered += 1
-            self.deliver(packet)
+            self.deliver((packet,))
             return
         try:
             next_hop = self._data_next_hop(packet.dst)
@@ -575,7 +581,7 @@ class BcpAgent:
             packet.hops += 1
             if packet.dst == self.node_id:
                 self.stats.packets_delivered += 1
-                self.deliver(packet)
+                self.deliver((packet,))
                 return
             try:
                 low_hop = self.low_routing.next_hop(self.node_id, packet.dst)
@@ -694,10 +700,24 @@ class BcpAgent:
             session.received_bytes += fragment.payload_bits / 8
             session.fragments_seen.add(fragment.index)
             session.fragments_total = fragment.total
+        # Packets addressed here reach the sink in one call, counted as
+        # if each had been submitted; the rest are submitted for relay.
+        # Relaying never delivers synchronously, so handing the local run
+        # over after the loop keeps the per-packet order and state.
+        stats = self.stats
+        node_id = self.node_id
+        local = []
         for packet in fragment.packets:
             packet.hops += 1
-            self.stats.packets_received += 1
-            self.submit(packet)
+            stats.packets_received += 1
+            if packet.dst == node_id:
+                local.append(packet)
+            else:
+                self.submit(packet)
+        if local:
+            stats.packets_submitted += len(local)
+            stats.packets_delivered += len(local)
+            self.deliver(local)
         # Turn off as soon as the advertised burst is complete ("the
         # receiver turns off its high-power radio when it receives the
         # total number of packets advertised").

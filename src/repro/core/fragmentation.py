@@ -17,6 +17,7 @@ prototype's Fig. 11 sawtooth.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.net.packets import DataPacket
@@ -46,9 +47,13 @@ class BurstFragment:
     total: int
     packets: list[DataPacket]
 
-    @property
+    @functools.cached_property
     def payload_bits(self) -> int:
-        """On-air payload size: the sum of the carried packets."""
+        """On-air payload size: the sum of the carried packets.
+
+        Computed once: the sender's frame and the receiver's session
+        bookkeeping both read it, and ``packets`` never changes.
+        """
         return sum(packet.payload_bits for packet in self.packets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

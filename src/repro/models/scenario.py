@@ -735,7 +735,7 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
             config=node_config,
             low_routing=low_table,
             high_routing=high_table,
-            deliver=built.collector.deliver,
+            deliver=built.collector.deliver_many,
             address_map=address_map,
         )
         sink_spec = dataclasses.replace(

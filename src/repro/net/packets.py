@@ -15,7 +15,17 @@ import itertools
 _packet_ids = itertools.count(1)
 
 
-@dataclasses.dataclass
+def next_packet_id() -> int:
+    """The id the next :class:`DataPacket` will get (nothing is consumed).
+
+    Ids are handed out in increasing order from one process-wide counter,
+    so every packet built after this call has an id at least this large.
+    """
+    # ``count`` has no peek; its repr is ``count(<next value>)``.
+    return int(repr(_packet_ids)[len("count(") : -1])
+
+
+@dataclasses.dataclass(slots=True)
 class DataPacket:
     """One application data packet.
 
@@ -37,7 +47,7 @@ class DataPacket:
     dst: int
     payload_bits: int
     created_s: float
-    packet_id: int = dataclasses.field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = dataclasses.field(default_factory=_packet_ids.__next__)
     hops: int = 0
 
     def __post_init__(self) -> None:

@@ -133,9 +133,14 @@ class _QueryMixin:
     component.  Everything else — ``has_route``, ``next_hop``, ``hops``,
     ``depths_to``, ``path`` and the :class:`RoutingError` text — lives
     here.
+
+    Every engine memoizes ``next_hop`` per ``(src, dst)`` pair in
+    ``_hop_memo``; routes change only through :meth:`_resolve_dead` (an
+    epoch) and a Dijkstra table's ``refresh_costs``, and both reset it.
     """
 
     adjacency: CsrGraph
+    _hop_memo: dict[tuple[int, int], int]
     #: Topology epoch the current trees were computed against (0 =
     #: pristine build; only :meth:`invalidate_epoch` moves it).
     epoch: int = 0
@@ -166,6 +171,7 @@ class _QueryMixin:
         self, epoch: int, dead: typing.Iterable[int]
     ) -> frozenset[int]:
         """Shared invalidation bookkeeping; returns the dead CSR indexes."""
+        self._hop_memo = {}
         self.epoch = epoch
         self._dead = frozenset(dead)
         csr = self.adjacency
@@ -232,6 +238,10 @@ class _QueryMixin:
             pairs are an *expected* outcome for composed deployments —
             callers that can degrade should probe :meth:`has_route` first.
         """
+        try:
+            return self._hop_memo[src, dst]
+        except KeyError:
+            pass
         if src == dst:
             raise RoutingError(f"node {src} routing to itself")
         indexes = self._pair_indexes(src, dst)
@@ -241,7 +251,8 @@ class _QueryMixin:
         hop = self._tree(dst_idx, src_idx)[0][src_idx]
         if hop < 0:
             raise self._no_route(src, dst)
-        return self.adjacency.ids[hop]
+        hop_id = self._hop_memo[src, dst] = self.adjacency.ids[hop]
+        return hop_id
 
     def hops(self, src: int, dst: int) -> int:
         """Path length in hops (0 for ``src == dst``).
@@ -406,6 +417,7 @@ class RoutingTable(_QueryMixin):
         threaded: bool = False,
     ):
         self.adjacency = adjacency
+        self._hop_memo = {}
         self.threaded = threaded
         self._rng = rng
         self._tie_seed: int | None = (
@@ -635,6 +647,7 @@ class DijkstraRoutingTable(_QueryMixin):
         rng: typing.Any = None,
     ):
         self.adjacency = adjacency
+        self._hop_memo = {}
         self.cost_model = cost_model
         self._tie_seed: int | None = (
             None if rng is None else rng.getrandbits(64)
@@ -674,6 +687,7 @@ class DijkstraRoutingTable(_QueryMixin):
             return
         self._factors = self.cost_model.node_factors(self.adjacency)
         self._trees.clear()
+        self._hop_memo = {}
 
     def _tree(
         self, dst_idx: int, src_idx: int | None = None

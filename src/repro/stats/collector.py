@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import typing
+from array import array
 
-from repro.net.packets import DataPacket
+from repro.net.packets import DataPacket, next_packet_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
+
+#: How far past the end of the dense id map an id may land and still grow
+#: the map (to at least twice its size) rather than go to the sparse set.
+_GROW_SLACK = 4096
 
 
 class SinkCollector:
     """Records every packet delivered at the sink.
 
-    The collector is the models' ``deliver`` callback.  It tracks the
-    goodput numerator (payload bits, duplicates excluded), per-packet
-    end-to-end delay (generation → sink, buffering included — the paper's
-    delay metric) and per-source tallies.
+    The collector is the models' delivery callback: :meth:`deliver` for
+    one packet, :meth:`deliver_many` for a run of them (a BCP fragment).
+    It tracks the goodput numerator (payload bits, duplicates excluded),
+    per-packet end-to-end delay (generation → sink, buffering included —
+    the paper's delay metric) and per-source tallies.
+
+    Accounting is compact: delays are an ``array('d')`` (exact doubles,
+    summed in delivery order), hops a running total, and duplicate
+    detection one byte per packet id from the id counter's value at
+    construction on — every packet generated after the collector is built
+    — with a set for any id outside that range.
     """
 
     def __init__(self, sim: "Simulator", sink_id: int):
@@ -25,26 +37,71 @@ class SinkCollector:
         self.packets_delivered = 0
         self.bits_delivered = 0
         self.duplicates = 0
-        self.delays_s: list[float] = []
-        self.hops: list[int] = []
+        self.delays_s = array("d")
+        self.hops_total = 0
         self.per_source: dict[int, int] = {}
-        self._seen_ids: set[int] = set()
+        self._id_base = next_packet_id()
+        #: ``_seen[id - _id_base]`` is 1 once that id has been delivered.
+        self._seen = bytearray()
+        self._seen_other: set[int] = set()
 
     def deliver(self, packet: DataPacket) -> None:
         """Accept ``packet`` at the sink."""
-        if packet.dst != self.sink_id:
-            raise ValueError(
-                f"sink {self.sink_id} received a packet addressed to {packet.dst}"
-            )
-        if packet.packet_id in self._seen_ids:
-            self.duplicates += 1
-            return
-        self._seen_ids.add(packet.packet_id)
-        self.packets_delivered += 1
-        self.bits_delivered += packet.payload_bits
-        self.delays_s.append(self.sim.now - packet.created_s)
-        self.hops.append(packet.hops)
-        self.per_source[packet.src] = self.per_source.get(packet.src, 0) + 1
+        self.deliver_many((packet,))
+
+    def deliver_many(self, packets: typing.Iterable[DataPacket]) -> None:
+        """Accept ``packets`` at the sink, in order.
+
+        Exactly equivalent to :meth:`deliver` per packet, including the
+        state left behind when a packet addressed elsewhere raises.
+        """
+        sink_id = self.sink_id
+        now = self.sim.now
+        seen = self._seen
+        base = self._id_base
+        append_delay = self.delays_s.append
+        per_source = self.per_source
+        for packet in packets:
+            if packet.dst != sink_id:
+                raise ValueError(
+                    f"sink {sink_id} received a packet addressed to {packet.dst}"
+                )
+            offset = packet.packet_id - base
+            if 0 <= offset < len(seen):
+                if seen[offset]:
+                    self.duplicates += 1
+                    continue
+                seen[offset] = 1
+            elif not self._first_sighting(packet.packet_id):
+                self.duplicates += 1
+                continue
+            self.packets_delivered += 1
+            self.bits_delivered += packet.payload_bits
+            append_delay(now - packet.created_s)
+            self.hops_total += packet.hops
+            src = packet.src
+            per_source[src] = per_source.get(src, 0) + 1
+
+    def _first_sighting(self, packet_id: int) -> bool:
+        """Mark an id outside the dense map as seen; False if it was."""
+        base, seen, others = self._id_base, self._seen, self._seen_other
+        offset = packet_id - base
+        mapped = len(seen)
+        if 0 <= offset < 2 * mapped + _GROW_SLACK:
+            # Just past the map: grow it, and move over any ids the set
+            # took before the map reached them.
+            seen.extend(bytes(max(offset + 1, 2 * mapped) - mapped))
+            end = base + len(seen)
+            for other in [i for i in others if base + mapped <= i < end]:
+                others.discard(other)
+                seen[other - base] = 1
+            first = not seen[offset]
+            seen[offset] = 1
+            return first
+        if packet_id in others:
+            return False
+        others.add(packet_id)
+        return True
 
     @property
     def mean_delay_s(self) -> float:
@@ -59,4 +116,6 @@ class SinkCollector:
     @property
     def mean_hops(self) -> float:
         """Average forwarding hops of delivered packets (0 if none)."""
-        return sum(self.hops) / len(self.hops) if self.hops else 0.0
+        if not self.packets_delivered:
+            return 0.0
+        return self.hops_total / self.packets_delivered

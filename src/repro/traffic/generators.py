@@ -6,9 +6,19 @@ Poisson source and an on/off burst source modelling EnviroMic-style audio
 capture [Luo et al., ICDCS'07] — the paper's motivating example of an
 application that fills BCP buffers quickly.
 
-Every source is a kernel process that calls ``submit(packet)`` — typically
-a routing agent's or BCP agent's ingestion method — and counts what it
-generated so goodput can be computed.
+Every source is a chain of kernel callbacks: each emission re-arms one
+pooled :class:`~repro.sim.events.Timeout` for the next, so a generated
+packet costs one event dispatch and one ``submit(packet)`` call —
+typically a routing agent's or BCP agent's ingestion method.  A source
+counts what it generated so goodput can be computed.
+
+Each chain enqueues exactly the agenda entries the pinned golden digests
+and perfbench event counts were recorded with, as the MAC's state machine
+does (:mod:`repro.mac.base`): one URGENT delay-0 start event at
+construction, then one timeout per wait with the rng draws in the same
+order, and a delay-0 :attr:`~_Source.finished` event once the source
+stops.  Setting ``stop_s`` mid-run (the fault injector's kill) takes
+effect at the next emission.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 import typing
 
 from repro.net.packets import DataPacket
+from repro.sim.events import URGENT, Event
 from repro.units import BITS_PER_BYTE
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,7 +43,50 @@ class SourceStats:
         self.bits_generated = 0
 
 
-class CbrSource:
+class _Source:
+    """State and the emit step shared by every source."""
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        node_id: int,
+        dst: int,
+        submit: SubmitFn,
+        payload_bytes: int,
+        stop_s: float | None,
+    ):
+        self.sim = sim
+        self.node_id = node_id
+        self.dst = dst
+        self.submit = submit
+        self.payload_bits = payload_bytes * BITS_PER_BYTE
+        self.stop_s = stop_s
+        self.stats = SourceStats()
+        #: Triggers (at delay 0) once the source has stopped generating.
+        self.finished = Event(sim)
+        # The subclass's first wait starts from an URGENT delay-0 event.
+        start = Event(sim)
+        start.callbacks.append(self._start)
+        start._ok = True
+        start._value = None
+        sim._enqueue(start, delay=0.0, priority=URGENT)
+
+    def _start(self, _event: Event) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _running(self) -> bool:
+        return self.stop_s is None or self.sim.now < self.stop_s
+
+    def _emit(self) -> None:
+        stats = self.stats
+        stats.packets_generated += 1
+        stats.bits_generated += self.payload_bits
+        self.submit(
+            DataPacket(self.node_id, self.dst, self.payload_bits, self.sim.now)
+        )
+
+
+class CbrSource(_Source):
     """Constant-bit-rate source: one packet every ``payload_bits / rate``.
 
     Parameters
@@ -70,37 +124,26 @@ class CbrSource:
             raise ValueError("rate must be positive")
         if payload_bytes <= 0:
             raise ValueError("payload must be positive")
-        self.sim = sim
-        self.node_id = node_id
-        self.dst = dst
-        self.submit = submit
-        self.payload_bits = payload_bytes * BITS_PER_BYTE
+        super().__init__(sim, node_id, dst, submit, payload_bytes, stop_s)
         self.interval_s = self.payload_bits / rate_bps
-        self.stop_s = stop_s
-        self.stats = SourceStats()
         self._rng = rng or sim.rng.stream(f"traffic.cbr.{node_id}")
         self._jitter = start_jitter_s
-        sim.process(self._run(), name=f"cbr.{node_id}")
+        self._tick_cb = self._tick
 
-    def _run(self) -> typing.Generator:
-        yield self.sim.timeout(self._rng.uniform(0.0, self.interval_s + self._jitter))
-        while self.stop_s is None or self.sim.now < self.stop_s:
+    def _start(self, _event: Event) -> None:
+        self.sim.timeout(
+            self._rng.uniform(0.0, self.interval_s + self._jitter)
+        ).callbacks.append(self._tick_cb)
+
+    def _tick(self, _event: Event) -> None:
+        if self._running():
             self._emit()
-            yield self.sim.timeout(self.interval_s)
-
-    def _emit(self) -> None:
-        packet = DataPacket(
-            src=self.node_id,
-            dst=self.dst,
-            payload_bits=self.payload_bits,
-            created_s=self.sim.now,
-        )
-        self.stats.packets_generated += 1
-        self.stats.bits_generated += self.payload_bits
-        self.submit(packet)
+            self.sim.timeout(self.interval_s).callbacks.append(self._tick_cb)
+        else:
+            self.finished.succeed()
 
 
-class PoissonSource:
+class PoissonSource(_Source):
     """Poisson arrivals with the given mean rate (memoryless sensing)."""
 
     def __init__(
@@ -116,34 +159,28 @@ class PoissonSource:
     ):
         if mean_rate_bps <= 0:
             raise ValueError("rate must be positive")
-        self.sim = sim
-        self.node_id = node_id
-        self.dst = dst
-        self.submit = submit
-        self.payload_bits = payload_bytes * BITS_PER_BYTE
+        super().__init__(sim, node_id, dst, submit, payload_bytes, stop_s)
         self.mean_interval_s = self.payload_bits / mean_rate_bps
-        self.stop_s = stop_s
-        self.stats = SourceStats()
         self._rng = rng or sim.rng.stream(f"traffic.poisson.{node_id}")
-        sim.process(self._run(), name=f"poisson.{node_id}")
+        self._arrival_cb = self._arrival
 
-    def _run(self) -> typing.Generator:
-        while self.stop_s is None or self.sim.now < self.stop_s:
-            yield self.sim.timeout(self._rng.expovariate(1.0 / self.mean_interval_s))
-            if self.stop_s is not None and self.sim.now >= self.stop_s:
-                return
-            packet = DataPacket(
-                src=self.node_id,
-                dst=self.dst,
-                payload_bits=self.payload_bits,
-                created_s=self.sim.now,
-            )
-            self.stats.packets_generated += 1
-            self.stats.bits_generated += self.payload_bits
-            self.submit(packet)
+    def _start(self, _event: Event | None = None) -> None:
+        if self._running():
+            self.sim.timeout(
+                self._rng.expovariate(1.0 / self.mean_interval_s)
+            ).callbacks.append(self._arrival_cb)
+        else:
+            self.finished.succeed()
+
+    def _arrival(self, _event: Event) -> None:
+        if self.stop_s is not None and self.sim.now >= self.stop_s:
+            self.finished.succeed()
+            return
+        self._emit()
+        self._start()
 
 
-class AudioBurstSource:
+class AudioBurstSource(_Source):
     """EnviroMic-style on/off source: silence, then a dense audio clip.
 
     During an "on" period (an acoustic event) the source emits packets
@@ -168,36 +205,34 @@ class AudioBurstSource:
     ):
         if burst_rate_bps <= 0 or burst_duration_s <= 0 or mean_silence_s <= 0:
             raise ValueError("burst parameters must be positive")
-        self.sim = sim
-        self.node_id = node_id
-        self.dst = dst
-        self.submit = submit
+        super().__init__(sim, node_id, dst, submit, payload_bytes, stop_s)
         self.burst_rate_bps = burst_rate_bps
         self.burst_duration_s = burst_duration_s
         self.mean_silence_s = mean_silence_s
-        self.payload_bits = payload_bytes * BITS_PER_BYTE
-        self.stop_s = stop_s
-        self.stats = SourceStats()
+        self._interval_s = self.payload_bits / burst_rate_bps
+        self._burst_end = 0.0
         self._rng = rng or sim.rng.stream(f"traffic.audio.{node_id}")
-        sim.process(self._run(), name=f"audio.{node_id}")
+        self._clip_cb = self._clip
+        self._sample_cb = self._sample
 
-    def _run(self) -> typing.Generator:
-        interval = self.payload_bits / self.burst_rate_bps
-        while self.stop_s is None or self.sim.now < self.stop_s:
-            yield self.sim.timeout(
+    def _start(self, _event: Event | None = None) -> None:
+        """Wait out one silence (or stop)."""
+        if self._running():
+            self.sim.timeout(
                 self._rng.expovariate(1.0 / self.mean_silence_s)
-            )
-            burst_end = self.sim.now + self.burst_duration_s
-            while self.sim.now < burst_end:
-                if self.stop_s is not None and self.sim.now >= self.stop_s:
-                    return
-                packet = DataPacket(
-                    src=self.node_id,
-                    dst=self.dst,
-                    payload_bits=self.payload_bits,
-                    created_s=self.sim.now,
-                )
-                self.stats.packets_generated += 1
-                self.stats.bits_generated += self.payload_bits
-                self.submit(packet)
-                yield self.sim.timeout(interval)
+            ).callbacks.append(self._clip_cb)
+        else:
+            self.finished.succeed()
+
+    def _clip(self, _event: Event) -> None:
+        self._burst_end = self.sim.now + self.burst_duration_s
+        self._sample(_event)
+
+    def _sample(self, _event: Event) -> None:
+        if self.sim.now >= self._burst_end:
+            self._start()
+        elif self.stop_s is not None and self.sim.now >= self.stop_s:
+            self.finished.succeed()
+        else:
+            self._emit()
+            self.sim.timeout(self._interval_s).callbacks.append(self._sample_cb)

@@ -78,7 +78,7 @@ class DualNet:
                 high_radio=self.high_radios[i],
                 low_routing=low_table,
                 high_routing=high_table,
-                deliver=self.delivered.append,
+                deliver=self.delivered.extend,
                 address_map=addresses,
             )
             for i in range(n)

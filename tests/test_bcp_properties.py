@@ -58,7 +58,7 @@ def build_pair(threshold_packets, capacity_packets, seed):
             high_radio=high[i],
             low_routing=table,
             high_routing=table,
-            deliver=delivered.append,
+            deliver=delivered.extend,
         )
         for i in (0, 1)
     }

@@ -7,6 +7,7 @@ import pytest
 
 from repro.models.scenario import ScenarioConfig
 from repro.net.csr import CsrGraph
+from repro.net.policy import ResidualEnergyCost
 from repro.net.routing import (
     DijkstraRoutingTable,
     RoutingError,
@@ -340,6 +341,92 @@ def test_link_only_epoch_keeps_every_route(threaded):
     table.invalidate_epoch(1, ())
     assert table.epoch == 1
     assert [table.next_hop(a, b) for a, b in pairs] == before
+
+
+def _route_or_error(table, src, dst):
+    try:
+        return table.next_hop(src, dst)
+    except RoutingError as exc:
+        return str(exc)
+
+
+def _all_routes(table, nodes):
+    return {
+        (a, b): _route_or_error(table, a, b)
+        for a in nodes
+        for b in nodes
+        if a != b
+    }
+
+
+class TestNextHopMemo:
+    """``next_hop`` memoizes per pair; after every epoch and every cost
+    refresh each answer equals a freshly built table's."""
+
+    layout = grid_layout(5, 5, 40.0)
+
+    def _check_epochs(self, table, fresh):
+        nodes = self.layout.node_ids
+        assert _all_routes(table, nodes) == _all_routes(fresh(0, ()), nodes)
+        # Death, a link-only epoch (same dead set), then the revival.
+        for epoch, dead in ((1, {12}), (2, {12}), (3, ())):
+            table.invalidate_epoch(epoch, dead)
+            expected = _all_routes(fresh(epoch, dead), nodes)
+            assert _all_routes(table, nodes) == expected
+
+    def test_per_destination_bfs(self):
+        csr = CsrGraph.from_layout(self.layout, 40.0)
+
+        def fresh(epoch, dead):
+            table = RoutingTable(csr, rng=random.Random(5))
+            table.invalidate_epoch(epoch, dead)
+            return table
+
+        self._check_epochs(RoutingTable(csr, rng=random.Random(5)), fresh)
+
+    def test_threaded_bfs_matches_its_own_trees(self):
+        # A threaded rebuild draws on from the shared stream, so no fresh
+        # table reproduces it; the memo must match the rebuilt trees.
+        csr = CsrGraph.from_layout(self.layout, 40.0)
+        table = RoutingTable(csr, rng=random.Random(5), threaded=True)
+        nodes = self.layout.node_ids
+        _all_routes(table, nodes)
+        table.invalidate_epoch(1, {12})
+        for (a, b), hop in _all_routes(table, nodes).items():
+            parent = table._tree(csr.index(b))[0][csr.index(a)]
+            if parent >= 0:
+                assert hop == csr.ids[parent]
+            else:
+                assert hop == str(table._no_route(a, b))
+
+    def test_residual_dijkstra_epochs_and_refresh(self):
+        csr = CsrGraph.from_layout(self.layout, 40.0)
+        fractions = dict.fromkeys(self.layout.node_ids, 1.0)
+
+        def build():
+            return DijkstraRoutingTable(
+                csr,
+                ResidualEnergyCost(lambda node: fractions[node]),
+                layout=self.layout,
+                rng=random.Random(5),
+            )
+
+        def fresh(epoch, dead):
+            table = build()
+            table.invalidate_epoch(epoch, dead)
+            return table
+
+        table = build()
+        self._check_epochs(table, fresh)
+        nodes = self.layout.node_ids
+        before = _all_routes(table, nodes)
+        # Deplete the middle column's relays: same epoch, new routes.
+        for node in (2, 7, 17, 22):
+            fractions[node] = 0.05
+        table.refresh_costs()
+        expected = _all_routes(fresh(table.epoch, ()), nodes)
+        assert expected != before
+        assert _all_routes(table, nodes) == expected
 
 
 class TestScenarioEngineSelection:

@@ -1,11 +1,15 @@
 """Statistics: confidence intervals, metrics, sink collection, summaries."""
 
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.stats.collector as collector_module
+from repro import multi_hop_config
+from repro.models.scenario import build_network
 from repro.net.packets import DataPacket
 from repro.sim import Simulator
 from repro.stats import (
@@ -124,7 +128,7 @@ class TestSinkCollector:
         sim.run()
         assert collector.packets_delivered == 1
         assert collector.bits_delivered == 256
-        assert collector.delays_s == [1.5]
+        assert list(collector.delays_s) == [1.5]
         assert collector.per_source == {5: 1}
 
     def test_duplicates_excluded(self):
@@ -148,6 +152,168 @@ class TestSinkCollector:
         collector = SinkCollector(sim, sink_id=0)
         assert collector.mean_delay_s == 0.0
         assert collector.max_delay_s == 0.0
+
+
+class _ReferenceSink:
+    """The collector's semantics written plainly: a set and two lists."""
+
+    def __init__(self, sink_id):
+        self.sink_id = sink_id
+        self.seen = set()
+        self.delays = []
+        self.hops = []
+        self.bits = 0
+        self.duplicates = 0
+        self.per_source = {}
+
+    def deliver(self, packet, now):
+        if packet.dst != self.sink_id:
+            raise ValueError(
+                f"sink {self.sink_id} received a packet addressed to {packet.dst}"
+            )
+        if packet.packet_id in self.seen:
+            self.duplicates += 1
+            return
+        self.seen.add(packet.packet_id)
+        self.bits += packet.payload_bits
+        self.delays.append(now - packet.created_s)
+        self.hops.append(packet.hops)
+        self.per_source[packet.src] = self.per_source.get(packet.src, 0) + 1
+
+
+def _state(collector):
+    return (
+        collector.packets_delivered,
+        collector.bits_delivered,
+        collector.duplicates,
+        list(collector.delays_s),
+        collector.hops_total,
+        collector.per_source,
+        collector.mean_delay_s,
+        collector.max_delay_s,
+        collector.mean_hops,
+    )
+
+
+def _reference_state(reference):
+    delays = reference.delays
+    return (
+        len(delays),
+        reference.bits,
+        reference.duplicates,
+        delays,
+        sum(reference.hops),
+        reference.per_source,
+        sum(delays) / len(delays) if delays else 0.0,
+        max(delays) if delays else 0.0,
+        sum(reference.hops) / len(reference.hops) if reference.hops else 0.0,
+    )
+
+
+#: A packet id relative to the collector's construction anchor: below it,
+#: in the dense range, just past a growth step, or far above it.
+_id_offsets = st.one_of(
+    st.integers(-40, -1),
+    st.integers(0, 300),
+    st.integers(4000, 9000),
+    st.integers(10**6, 10**6 + 40),
+)
+
+_packet_specs = st.tuples(
+    _id_offsets,
+    st.integers(1, 6),  # src
+    st.sampled_from([0, 0, 0, 0, 0, 0, 0, 7]),  # dst (sink 0)
+    st.floats(0.0, 50.0, allow_nan=False),  # created_s
+    st.integers(0, 5),  # hops
+)
+
+
+class TestDeliverMany:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.lists(_packet_specs, max_size=12).map(tuple), max_size=10
+        ),
+        repeat=st.booleans(),
+    )
+    def test_matches_per_packet_delivery(self, runs, repeat):
+        if repeat:  # deliver every run twice: all-duplicate runs
+            runs = [run for run in runs for _ in range(2)]
+        sim = Simulator(seed=1)
+        bulk = SinkCollector(sim, sink_id=0)
+        single = SinkCollector(sim, sink_id=0)
+        reference = _ReferenceSink(0)
+        base = bulk._id_base
+        for step, run in enumerate(runs):
+            sim.run(until=50.0 + step * 1.25)
+            packets = []
+            for offset, src, dst, created_s, hops in run:
+                packet = DataPacket(
+                    src=src,
+                    dst=dst,
+                    payload_bits=256,
+                    created_s=created_s,
+                    packet_id=base + offset,
+                )
+                packet.hops = hops
+                packets.append(packet)
+            errors = []
+            for sink, deliver in (
+                (bulk, lambda: bulk.deliver_many(packets)),
+                (single, lambda: [single.deliver(p) for p in packets]),
+                (
+                    reference,
+                    lambda: [reference.deliver(p, sim.now) for p in packets],
+                ),
+            ):
+                try:
+                    deliver()
+                except ValueError as exc:
+                    errors.append(str(exc))
+            assert len(errors) in (0, 3)
+            assert len(set(errors)) <= 1
+            expected = _reference_state(reference)
+            assert _state(bulk) == expected
+            assert _state(single) == expected
+
+    def test_mean_delay_is_the_plain_float_sum(self):
+        sim = Simulator(seed=1)
+        collector = SinkCollector(sim, sink_id=0)
+        delays = [0.1, 1e16, 0.3, -1e16 + 2.0, 0.7]
+        sim.run(until=1e16)
+        collector.deliver_many(
+            [
+                DataPacket(src=1, dst=0, payload_bits=8, created_s=1e16 - d)
+                for d in delays
+            ]
+        )
+        recorded = [1e16 - (1e16 - d) for d in delays]
+        assert list(collector.delays_s) == recorded
+        assert collector.mean_delay_s == sum(recorded) / len(recorded)
+        assert collector.max_delay_s == max(recorded)
+
+
+def test_sink_accounting_memory_is_bounded_per_delivery():
+    """A small paper-MH cell allocates at most 16 B per delivered packet
+    (plus 64 KiB) in the collector: no per-packet Python objects live."""
+    config = multi_hop_config(seed=1, sim_time_s=50.0, burst_packets=100)
+    sim = Simulator(seed=config.seed)
+    tracemalloc.start()
+    try:
+        built = build_network(config, sim)
+        sim.run(until=config.sim_time_s)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    collector = built.collector
+    assert collector.packets_delivered > 1000
+    allocated = sum(
+        stat.size
+        for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, collector_module.__file__)]
+        ).statistics("filename")
+    )
+    assert allocated <= 16 * collector.packets_delivered + 64 * 1024
 
 
 class TestSummarize:

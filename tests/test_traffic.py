@@ -1,5 +1,7 @@
 """Traffic generators: rates, jitter, stop times, accounting."""
 
+import hashlib
+
 import pytest
 
 from repro.sim import Simulator
@@ -123,3 +125,110 @@ class TestAudioBurst:
     def test_invalid_parameters(self, sim):
         with pytest.raises(ValueError):
             AudioBurstSource(sim, 1, 0, lambda p: None, burst_rate_bps=0.0)
+
+
+# -- schedule pins ------------------------------------------------------
+#
+# Each source's exact emission schedule: the first packets' ``created_s``
+# to the last ulp, the packet count at the horizon and the kernel event
+# count.  The pinned golden digests depend on every one of these
+# timestamps and on the order of the rng draws behind them.
+
+
+def _schedule_digest(packets, limit=200):
+    text = ",".join(
+        f"{packet.src}:{packet.created_s.hex()}" for packet in packets[:limit]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _build_source(kind, sim, node_id, submit, stop_s=None):
+    if kind == "cbr":
+        return CbrSource(
+            sim, node_id, 0, submit, rate_bps=2000.0, start_jitter_s=0.5,
+            stop_s=stop_s,
+        )
+    if kind == "poisson":
+        return PoissonSource(
+            sim, node_id, 0, submit, mean_rate_bps=2000.0, stop_s=stop_s
+        )
+    return AudioBurstSource(
+        sim, node_id, 0, submit, burst_rate_bps=64_000.0,
+        burst_duration_s=0.25, mean_silence_s=5.0, stop_s=stop_s,
+    )
+
+
+#: kind → (schedule digest, packets generated, kernel events) at t=60 s.
+SCHEDULE_PINS = {
+    "cbr": ("28f677f2e95d1140", 467, 468),
+    "poisson": ("af8481cc1ce0e335", 468, 469),
+    "audio": ("617b948ee4bb9ed4", 630, 641),
+}
+
+#: kind → the same three, with the source stopped at t=20 s the way the
+#: fault injector kills a sender (``stop_s = now``) and a stop time of
+#: 40 s configured up front.
+KILLED_PINS = {
+    "cbr": ("368621c8b2323c03", 154, 158),
+    "poisson": ("85ccdbdd12f9f3a8", 158, 162),
+    "audio": ("7f713382e7f2e42c", 189, 196),
+}
+
+
+#: (schedule digest of every packet, packets, kernel events) for the
+#: mixed five-source run below.
+INTERLEAVED_PIN = ("b9b3f5708bac9ffb", 1472, 1485)
+
+
+def _run_schedule(kind, kill_at=None):
+    sim = Simulator(seed=7)
+    packets = []
+    source = _build_source(
+        kind, sim, 1, packets.append, stop_s=None if kill_at is None else 40.0
+    )
+    if kill_at is not None:
+        def kill():
+            source.stop_s = sim.now
+
+        sim.call_at(kill_at, kill)
+    sim.run(until=60.0)
+    assert source.stats.packets_generated == len(packets)
+    return (
+        _schedule_digest(packets),
+        source.stats.packets_generated,
+        sim.events_processed,
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULE_PINS))
+def test_source_schedule_matches_pin(kind):
+    assert _run_schedule(kind) == SCHEDULE_PINS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(KILLED_PINS))
+def test_killed_source_schedule_matches_pin(kind):
+    assert _run_schedule(kind, kill_at=20.0) == KILLED_PINS[kind]
+
+
+def test_interleaved_sources_keep_their_order():
+    """Sources sharing a kernel interleave exactly as pinned.
+
+    Ties at equal timestamps resolve by agenda sequence, so this pins
+    the order in which sources schedule their timers, not only each
+    source's own times.
+    """
+    sim = Simulator(seed=3)
+    packets = []
+    sources = [
+        CbrSource(sim, node, 0, packets.append, rate_bps=2000.0)
+        for node in (1, 2, 3)
+    ]
+    sources.append(_build_source("poisson", sim, 4, packets.append))
+    sources.append(_build_source("audio", sim, 5, packets.append))
+    sim.run(until=30.0)
+    assert (
+        _schedule_digest(packets, limit=len(packets)),
+        len(packets),
+        sim.events_processed,
+    ) == INTERLEAVED_PIN
+
