@@ -14,7 +14,7 @@ overlapped frame and burns retransmissions.
 """
 
 from repro.channel.medium import Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.frames import Frame, FrameKind
@@ -36,7 +36,8 @@ LAYOUT = Layout(
 def run_parallel_flows(capture_ratio):
     sim = Simulator(seed=17)
     medium = Medium(sim, LAYOUT, "m", capture_ratio=capture_ratio)
-    meters = {n: EnergyMeter(str(n)) for n in LAYOUT.node_ids}
+    bank = MeterBank(len(LAYOUT))
+    meters = {n: bank.meter(n) for n in LAYOUT.node_ids}
     radios = {
         n: LowPowerRadio(sim, n, MICAZ, medium, meters[n])
         for n in LAYOUT.node_ids

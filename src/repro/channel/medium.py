@@ -56,16 +56,17 @@ registration-order rank arrays:
 * **Delivery is one batched pass.**  :meth:`_finish` walks the sender's
   cached neighbor-rank tuple with every lookup hoisted: listening states
   come from a flat per-rank array that radios keep current through
-  :meth:`note_state` at their (rare) state transitions, and receiver-side
-  energy for a homogeneous fleet metered by one
-  :class:`~repro.energy.meter.MeterBank` is charged through a single
-  column batch op
-  (:meth:`~repro.energy.meter.MeterBank.charge_reception_fanout`) whose
-  per-frame charge plan is computed once instead of re-derived per
-  receiver.  The batch op replays per-node charge order exactly, so
-  golden digests are unchanged; heterogeneous port stacks (mixed radio
-  classes, specs or meters) fall back to the historical per-port loop
-  with identical behaviour.
+  :meth:`note_state` at their (rare) state transitions.  Every port on a
+  medium meters into one :class:`~repro.energy.meter.MeterBank`, and
+  ports sharing ``(radio class, spec, component)`` form one *charge
+  class*.  Receiver-side energy is one
+  :meth:`~repro.energy.meter.MeterBank.apply_fanout` call per frame: each
+  listener's bank row paired with its class's column plan, which
+  :meth:`_reception_plans` resolves once per frame shape instead of per
+  receiver.  Homogeneous and mixed-spec fleets take the same loop; the
+  bank stamps each node's first charges in the order a per-receiver
+  ``charge`` loop would, so golden digests do not depend on the fleet's
+  make-up.
 
 Topology epochs
 ---------------
@@ -93,6 +94,7 @@ from repro.mac.frames import BROADCAST, Frame
 from repro.topology.layout import Layout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.energy.meter import MeterBank
     from repro.radio.radio import RadioPort
     from repro.sim.simulator import Simulator
 
@@ -274,26 +276,25 @@ class Medium:
         self._busy_group_of: list[int] | None = None
         #: Per-rank ``is_listening`` mirror, updated by :meth:`note_state`.
         self._listening: list[bool] | None = None
-        #: ``(bank, bank_row_by_rank)`` when the fleet is homogeneous
-        #: enough for batched energy fanout; None forces the generic loop.
-        self._fanout: tuple[typing.Any, list[int]] | None = None
+        #: Receiver-side accounting, index lifetime like ``_listening``:
+        #: the one bank every port meters into, each rank's bank row and
+        #: charge-class id, and one representative port per class.
+        self._bank: "MeterBank | None" = None
+        self._bank_rows: list[int] | None = None
+        self._charge_class: list[int] | None = None
+        self._class_ports: list["RadioPort"] = []
         #: Ranks of promiscuous ports (index lifetime, like ``_listening``);
-        #: an empty set lets delivery skip the overhear pass entirely, and
-        #: a small one touches only actual overhearers instead of scanning
-        #: every listener per frame.  ``_promiscuous_sorted`` caches the
-        #: ascending-rank iteration order the historical per-listener scan
-        #: used (rebuilt lazily after mutation).
+        #: an empty set lets delivery skip the overhear pass entirely.
         self._promiscuous: set[int] | None = None
-        self._promiscuous_sorted: tuple[int, ...] | None = None
         #: Recycled Transmission records (see ``Transmission.__call__``).
         self._record_pool: list[Transmission] = []
-        #: Memoized reception-charge column plans for the batched fanout
-        #: path, keyed by ``(header_bits, duration, addressed)``.  Valid
-        #: only while the fanout precondition holds (every port shares one
-        #: spec/class), which is exactly when the memo is consulted;
-        #: cleared on registration alongside the fanout itself.
+        #: Memoized reception plans keyed by frame shape ``(header_bits,
+        #: duration, addressed)``: one bank column plan per charge class,
+        #: indexed by class id.  The only plan cache — the bank keeps
+        #: none.  Cleared on registration, which renumbers the classes.
         self._charges_memo: dict[
-            tuple[int, float, bool], list[tuple[float, list[float], list[int]]]
+            tuple[int, float, bool],
+            list[list[tuple[float, list[float], list[int]]]],
         ] = {}
         #: Memoized interference verdicts keyed (interferer, sender, rx)
         #: node ids — run constants while the port set is stable; cleared
@@ -327,9 +328,7 @@ class Medium:
         self._busy = None
         self._busy_group_of = None
         self._listening = None
-        self._fanout = None
         self._promiscuous = None
-        self._promiscuous_sorted = None
         self._charges_memo.clear()
         self._interferes_memo.clear()
 
@@ -344,12 +343,15 @@ class Medium:
         return index
 
     def _build_index(self) -> NeighborIndex:
-        """Build the neighbor index and the per-rank arrays tied to it."""
-        # Runtime import: the radio module only needs the medium for type
-        # checking, so importing it here cannot cycle.
-        from repro.energy.meter import NodeMeter
-        from repro.radio.radio import HighPowerRadio, LowPowerRadio, RadioPort
+        """Build the neighbor index and the per-rank arrays tied to it.
 
+        Raises
+        ------
+        ValueError
+            If the ports meter into more than one
+            :class:`~repro.energy.meter.MeterBank` — a frame's receptions
+            are charged in one batch, so one medium needs one bank.
+        """
         index = NeighborIndex(self.layout, self._ports, self.propagation)
         # Reapply fault state to the fresh index: a register() after a
         # retire must not resurrect the retired node's audibility.
@@ -358,6 +360,30 @@ class Medium:
         for a, b in sorted(self._links_down):
             index.set_link(a, b, up=False)
         ports = index.ports_by_rank
+        # Receiver-side accounting: ports sharing (radio class, spec,
+        # component) share one charge class, and hence one reception plan
+        # per frame shape.  The class includes the concrete type because
+        # a subclass may override ``reception_charges``.
+        bank = ports[0].meter.bank if ports else None
+        class_of: dict[tuple[typing.Any, ...], int] = {}
+        class_ports: list["RadioPort"] = []
+        charge_class = []
+        for port in ports:
+            if port.meter.bank is not bank:
+                raise ValueError(
+                    f"node {port.node_id} meters into a different MeterBank "
+                    f"than node {ports[0].node_id} on medium {self.name!r}"
+                )
+            key = (type(port), port.spec, port.component)
+            cls = class_of.get(key)
+            if cls is None:
+                cls = class_of[key] = len(class_ports)
+                class_ports.append(port)
+            charge_class.append(cls)
+        self._bank = bank
+        self._bank_rows = [port.meter.index for port in ports]
+        self._charge_class = charge_class
+        self._class_ports = class_ports
         for rank, port in enumerate(ports):
             port._medium_rank = rank
         self._listening = [port.is_listening for port in ports]
@@ -380,31 +406,6 @@ class Medium:
         self._promiscuous = {
             rank for rank, port in enumerate(ports) if port.promiscuous
         }
-        self._promiscuous_sorted = None
-        # Batched energy fanout needs one charge plan to fit every
-        # receiver: identical concrete radio class (exact — subclasses may
-        # override accounting), shared spec and component, and all meters
-        # rows of one MeterBank.  The scenario builder's fleets qualify;
-        # anything else takes the per-port loop.
-        self._fanout = None
-        if ports:
-            first = ports[0]
-            cls = type(first)
-            if (
-                cls in (LowPowerRadio, HighPowerRadio)
-                and cls.charge_reception is RadioPort.charge_reception
-                and all(
-                    type(port) is cls
-                    and port.spec is first.spec
-                    and port.component == first.component
-                    and type(port.meter) is NodeMeter
-                    and port.meter.bank is first.meter.bank
-                    for port in ports
-                )
-            ):
-                rows = [port.meter.index for port in ports]
-                if len(set(rows)) == len(rows):
-                    self._fanout = (first.meter.bank, rows)
         self._index = index
         return index
 
@@ -440,7 +441,6 @@ class Medium:
         promiscuous = self._promiscuous
         if promiscuous is not None and port._medium_rank >= 0:
             promiscuous.add(port._medium_rank)
-            self._promiscuous_sorted = None
 
     # -- carrier sensing -----------------------------------------------------
 
@@ -487,10 +487,7 @@ class Medium:
         index.retire_node(node_id)
         rank = self._ports[node_id]._medium_rank
         self._listening[rank] = False
-        promiscuous = self._promiscuous
-        if promiscuous is not None and rank in promiscuous:
-            promiscuous.discard(rank)
-            self._promiscuous_sorted = None
+        self._promiscuous.discard(rank)
         self._repair_after_topology_change(index)
 
     def restore_node(self, node_id: int) -> None:
@@ -508,9 +505,8 @@ class Medium:
         port = self._ports[node_id]
         rank = port._medium_rank
         self._listening[rank] = port.is_listening
-        if port.promiscuous and self._promiscuous is not None:
+        if port.promiscuous:
             self._promiscuous.add(rank)
-            self._promiscuous_sorted = None
         self._repair_after_topology_change(index)
 
     def set_link(self, a: int, b: int, up: bool) -> None:
@@ -734,32 +730,30 @@ class Medium:
         ).distance_to(rx_pos)
         return interference_distance < self.capture_ratio * signal_distance
 
-    def _reception_plan(
-        self,
-        bank: typing.Any,
-        sender: "RadioPort",
-        frame: Frame,
-        duration: float,
-        addressed: bool,
-    ) -> list[tuple[float, list[float], list[int]]]:
-        """Memoized column plan for the batched fanout path.
+    def _reception_plans(
+        self, frame: Frame, duration: float, addressed: bool
+    ) -> list[list[tuple[float, list[float], list[int]]]]:
+        """Per-charge-class bank column plans for hearing ``frame``.
 
         :meth:`RadioPort.reception_charges` is a pure function of the
-        radio's spec and the frame's shape, and the fanout precondition
-        guarantees every port on this medium shares one spec — so frames
-        of one size (almost all of them: data frames and ACKs each come
-        in one shape per run) resolve straight to the bank's cached
-        column plan instead of recomputing the same float arithmetic and
-        column lookups hundreds of thousands of times.
+        radio's class, spec and the frame's shape, so each class's plan is
+        resolved once per shape and memoized — frames come in a handful
+        of shapes per run (data frames and ACKs each in one), which saves
+        recomputing the same float arithmetic and column lookups hundreds
+        of thousands of times.  Indexed by charge-class id.
         """
         key = (frame.header_bits, duration, addressed)
-        plan = self._charges_memo.get(key)
-        if plan is None:
-            plan = self._charges_memo[key] = bank.fanout_plan(
-                sender.component,
-                sender.reception_charges(frame, duration, addressed=addressed),
-            )
-        return plan
+        plans = self._charges_memo.get(key)
+        if plans is None:
+            bank = self._bank
+            plans = self._charges_memo[key] = [
+                bank.fanout_plan(
+                    port.component,
+                    port.reception_charges(frame, duration, addressed=addressed),
+                )
+                for port in self._class_ports
+            ]
+        return plans
 
     def _broadcast_corrupted(self, record: Transmission, rx_id: int) -> bool:
         """Whether any recorded interferer ruins ``record`` at ``rx_id``."""
@@ -801,77 +795,47 @@ class Medium:
 
         # Receiver-side energy for everyone who heard the frame.  Charged
         # whether or not the frame decodes: the radio listened regardless.
-        # Promiscuous listeners additionally get a copy of frames addressed
-        # elsewhere (approximation: decodability at third parties follows
-        # the addressed receiver's collision outcome).
-        fanout = self._fanout
-        if fanout is not None:
-            bank, rows = fanout
-            listening = self._listening
-            # One fused pass: filter listeners and map them to bank rows
-            # (the promiscuous walk below rebuilds the rank list only in
-            # the rare run that needs it).
-            listener_rows = [rows[rank] for rank in ranks if listening[rank]]
-            if listener_rows:
-                if is_broadcast:
-                    bank.apply_fanout(
-                        listener_rows,
-                        self._reception_plan(bank, sender, frame, duration, True),
-                    )
-                else:
-                    dst_port = self._ports.get(frame_dst)
-                    bank.apply_fanout(
-                        listener_rows,
-                        self._reception_plan(
-                            bank, sender, frame, duration, False
-                        ),
-                        special_row=(
-                            rows[dst_port._medium_rank]
-                            if dst_port is not None
-                            else -1
-                        ),
-                        special_plan=self._reception_plan(
-                            bank, sender, frame, duration, True
-                        ),
-                    )
-                    promiscuous = self._promiscuous
-                    if promiscuous and not record.corrupted:
-                        # Intersect the promiscuous rank set with the
-                        # sender's audible listeners, walking whichever
-                        # side is smaller; both walks visit overhearers
-                        # in the same ascending-rank order the historical
-                        # per-listener scan used.
-                        if len(promiscuous) <= len(listener_rows):
-                            overhearers = self._promiscuous_sorted
-                            if overhearers is None:
-                                overhearers = self._promiscuous_sorted = (
-                                    tuple(sorted(promiscuous))
-                                )
-                            for rank in overhearers:
-                                if not listening[rank]:
-                                    continue
-                                port = ports_by_rank[rank]
-                                node_id = port.node_id
-                                if node_id != frame_dst and index.is_neighbor(
-                                    sender_id, node_id
-                                ):
-                                    port.deliver_overheard(frame)
-                        else:
-                            for rank in ranks:
-                                if rank in promiscuous and listening[rank]:
-                                    port = ports_by_rank[rank]
-                                    if port.node_id != frame_dst:
-                                        port.deliver_overheard(frame)
+        # The addressed receiver (every listener, for a broadcast) pays its
+        # class's addressed plan, everyone else its overhear plan; the
+        # overhear plans resolve first, which fixes the order the bank
+        # creates its columns in.  Promiscuous listeners additionally
+        # get a copy of frames addressed elsewhere (approximation:
+        # decodability at third parties follows the addressed receiver's
+        # collision outcome).
+        listening = self._listening
+        if is_broadcast:
+            plans = addressed_plans = self._reception_plans(
+                frame, duration, True
+            )
+            dst_rank = -1
         else:
-            ports = self._ports
-            for neighbor_id in index.neighbors(sender_id):
-                port = ports[neighbor_id]
-                if not port.is_listening:
-                    continue
-                addressed = neighbor_id == frame_dst or is_broadcast
-                port.charge_reception(frame, duration, addressed=addressed)
-                if port.promiscuous and not addressed and not record.corrupted:
-                    port.deliver_overheard(frame)
+            plans = self._reception_plans(frame, duration, False)
+            addressed_plans = self._reception_plans(frame, duration, True)
+            dst_port = self._ports.get(frame_dst)
+            dst_rank = dst_port._medium_rank if dst_port is not None else -1
+        rows = self._bank_rows
+        charge_class = self._charge_class
+        pairs = [
+            (
+                rows[rank],
+                addressed_plans[charge_class[rank]]
+                if rank == dst_rank
+                else plans[charge_class[rank]],
+            )
+            for rank in ranks
+            if listening[rank]
+        ]
+        if pairs:
+            self._bank.apply_fanout(pairs)
+            promiscuous = self._promiscuous
+            if promiscuous and not is_broadcast and not record.corrupted:
+                for rank in ranks:
+                    if (
+                        rank in promiscuous
+                        and listening[rank]
+                        and rank != dst_rank
+                    ):
+                        ports_by_rank[rank].deliver_overheard(frame)
 
         # Loss and propagation rolls are hoisted behind cheap flag reads:
         # is_lost() without a configured probability and delivery_roll()
@@ -909,7 +873,7 @@ class Medium:
                 port.deliver(frame)
             return
 
-        port = self._ports.get(frame_dst)
+        port = dst_port
         if port is None:
             return
         in_reach = frame_dst in index._members[sender_id]

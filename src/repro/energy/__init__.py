@@ -26,7 +26,6 @@ from repro.energy.meter import (
     CATEGORY_SLEEP,
     CATEGORY_TX,
     CATEGORY_WAKEUP,
-    EnergyMeter,
     MeterBank,
     NodeMeter,
     PowerIntegrator,
@@ -63,7 +62,6 @@ __all__ = [
     "CATEGORY_WAKEUP",
     "DEFAULT_WAKEUP_MESSAGE_BYTES",
     "DualRadioLink",
-    "EnergyMeter",
     "FIRST_ORDER_RADIO_MODEL",
     "HIGH_POWER_RADIOS",
     "LOW_POWER_RADIOS",

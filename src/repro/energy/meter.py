@@ -1,24 +1,21 @@
 """Energy accounting: categorized meters and power-over-time integrators.
 
-Every node owns an :class:`EnergyMeter`; radios, MACs and BCP charge energy
+Every node owns a :class:`NodeMeter`; radios, MACs and BCP charge energy
 into named categories (``"tx"``, ``"rx"``, ``"idle"``, ``"wakeup"``,
 ``"overhear"``...).  The evaluation models differ *only* in which categories
 they charge — e.g. the paper's "Sensor-ideal" baseline ignores idle and
 overhearing — so keeping categories separate lets one simulation produce
 both ideal and full accountings.
 
-Two storage layouts implement the same charging interface:
-
-* :class:`EnergyMeter` — one standalone dict-backed meter.  Right for unit
-  tests and hand-built stacks of a few nodes.
-* :class:`MeterBank` — struct-of-arrays accounting for a whole fleet:
-  one ``(component, category) → per-node float column`` table instead of
-  n per-node dicts.  :meth:`MeterBank.meter` hands out
-  :class:`NodeMeter` views that radios charge exactly like an
-  :class:`EnergyMeter`, while fleet-wide reductions
-  (:meth:`MeterBank.fleet_total`) read whole columns without touching n
-  objects.  This is what lets a 10k-node scenario allocate two float
-  columns per charge category rather than ten thousand dictionaries.
+All charges land in one :class:`MeterBank`: struct-of-arrays accounting
+for a whole fleet, one ``(component, category) → per-node float column``
+table instead of n per-node dicts.  :meth:`MeterBank.meter` hands out the
+per-node :class:`NodeMeter` views radios charge and read, while
+fleet-wide reductions (:meth:`MeterBank.fleet_total`) read whole columns
+without touching n objects.  This is what lets a 10k-node scenario
+allocate two float columns per charge category rather than ten thousand
+dictionaries.  A hand-built stack of a few nodes (a unit test) uses the
+same bank: ``MeterBank(n).meter(i)``.
 """
 
 from __future__ import annotations
@@ -38,64 +35,6 @@ CATEGORY_WAKEUP = "wakeup"
 CATEGORY_OVERHEAR = "overhear"
 
 
-class EnergyMeter:
-    """Accumulates joules per (component, category).
-
-    Parameters
-    ----------
-    name:
-        Identifies the owner (typically the node id) in reports.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._energy: dict[tuple[str, str], float] = collections.defaultdict(float)
-
-    def charge(self, joules: float, component: str, category: str) -> None:
-        """Add ``joules`` under ``(component, category)``.
-
-        Raises
-        ------
-        ValueError
-            If ``joules`` is negative — energy only flows out of batteries.
-        """
-        if joules < 0:
-            raise ValueError(
-                f"negative energy charge {joules!r} for {component}/{category}"
-            )
-        self._energy[(component, category)] += joules
-
-    def total(
-        self,
-        component: str | None = None,
-        categories: typing.Collection[str] | None = None,
-    ) -> float:
-        """Total joules, optionally filtered by component and/or categories."""
-        total = 0.0
-        for (comp, cat), joules in self._energy.items():
-            if component is not None and comp != component:
-                continue
-            if categories is not None and cat not in categories:
-                continue
-            total += joules
-        return total
-
-    def breakdown(self) -> dict[tuple[str, str], float]:
-        """A copy of the raw (component, category) → joules mapping."""
-        return dict(self._energy)
-
-    def by_category(self, component: str | None = None) -> dict[str, float]:
-        """Joules per category (summed over components unless one is given)."""
-        out: dict[str, float] = collections.defaultdict(float)
-        for (comp, cat), joules in self._energy.items():
-            if component is None or comp == component:
-                out[cat] += joules
-        return dict(out)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<EnergyMeter {self.name!r} total={self.total():.6f} J>"
-
-
 class MeterBank:
     """Struct-of-arrays energy accounting for a fleet of ``n_nodes`` nodes.
 
@@ -106,9 +45,11 @@ class MeterBank:
     node.
 
     The first-charge sequence column exists for *bit-reproducibility*:
-    a per-node :class:`EnergyMeter` sums a node's categories in that
-    node's dict-insertion order, and float addition is not associative,
-    so reads through :class:`NodeMeter` replay exactly that order.  The
+    float addition is not associative, so a node's total must sum its
+    keys in one fixed order.  Reads through :class:`NodeMeter` sum them
+    in the order the node first charged each key — the iteration order
+    of a plain per-node dict fed the same charges — whichever path
+    (:meth:`charge` or :meth:`apply_fanout`) made each charge.  The
     pinned golden digests depend on it.
 
     Parameters
@@ -116,8 +57,8 @@ class MeterBank:
     n_nodes:
         Fleet size; nodes are indexed ``0..n_nodes - 1``.
     name_prefix:
-        Per-node view names are ``f"{name_prefix}{index}"`` (matching the
-        historical ``EnergyMeter(f"node{i}")`` naming in reports).
+        Per-node view names are ``f"{name_prefix}{index}"`` (``node14``
+        in reports).
     """
 
     def __init__(self, n_nodes: int, name_prefix: str = "node"):
@@ -128,15 +69,9 @@ class MeterBank:
         self._energy: dict[tuple[str, str], list[float]] = {}
         #: Per-key int column: global sequence number of the node's first
         #: charge of that key (-1 = never charged).  Sorting a node's
-        #: keys by it reproduces the node's dict-insertion order.
+        #: keys by it gives the order the node first charged them.
         self._first_seq: dict[tuple[str, str], list[int]] = {}
         self._next_seq = 0
-        #: Resolved fanout plans, keyed (component, charges tuple) — see
-        #: :meth:`charge_reception_fanout`.
-        self._fanout_plans: dict[
-            tuple[str, tuple[tuple[float, str], ...]],
-            list[tuple[float, list[float], list[int]]],
-        ] = {}
 
     def charge(
         self, index: int, joules: float, component: str, category: str
@@ -181,77 +116,13 @@ class MeterBank:
     def fanout_plan(
         self, component: str, charges: typing.Sequence[tuple[float, str]]
     ) -> list[tuple[float, list[float], list[int]]]:
-        """Resolve (and cache) the column plan for one charge tuple.
+        """Resolve one ``(joules, category)`` charge tuple to a column plan.
 
-        Charges are validated once, when the plan is first built; the
-        returned list aliases the bank's live columns and stays valid for
-        the bank's lifetime.  Pair with :meth:`apply_fanout` to skip the
-        per-call key build and validation of
-        :meth:`charge_reception_fanout` on paths that already memoize per
-        frame shape (the medium's delivery loop).
-        """
-        key = (component, tuple(charges))
-        plan = self._fanout_plans.get(key)
-        if plan is None:
-            for joules, category in charges:
-                if joules < 0:
-                    raise ValueError(
-                        f"negative energy charge {joules!r} for "
-                        f"{component}/{category}"
-                    )
-            plan = self._fanout_plans[key] = [
-                (joules, *self._column_pair(component, category))
-                for joules, category in charges
-            ]
-        return plan
-
-    def apply_fanout(
-        self,
-        rows: typing.Sequence[int],
-        plan: list[tuple[float, list[float], list[int]]],
-        special_row: int = -1,
-        special_plan: typing.Sequence[tuple[float, list[float], list[int]]] = (),
-    ) -> None:
-        """Charge pre-resolved :meth:`fanout_plan` plans to ``rows``.
-
-        Charge-for-charge identical to :meth:`charge_reception_fanout`
-        with the equivalent charge tuples — same per-node first-charge
-        sequence stamps, same accumulation order.
-        """
-        next_seq = self._next_seq
-        for row in rows:
-            for joules, column, seq in (
-                special_plan if row == special_row else plan
-            ):
-                if seq[row] < 0:
-                    seq[row] = next_seq
-                    next_seq += 1
-                column[row] += joules
-        self._next_seq = next_seq
-
-    def charge_reception_fanout(
-        self,
-        rows: typing.Sequence[int],
-        component: str,
-        charges: typing.Sequence[tuple[float, str]],
-        special_row: int = -1,
-        special_charges: typing.Sequence[tuple[float, str]] = (),
-    ) -> None:
-        """Charge many nodes for one frame in a single batched pass.
-
-        Every row in ``rows`` (in order — the medium passes receivers in
-        registration order) is charged the ``(joules, category)`` pairs of
-        ``charges``, except ``special_row`` which gets ``special_charges``
-        instead (the addressed receiver of a unicast frame, whose charge
-        categories differ from the overhearers').
-
-        Equivalent, charge for charge and in the same order, to calling
-        :meth:`charge` per node through a :class:`NodeMeter` — per-node
-        first-charge sequences and float accumulation order are identical,
-        so golden digests cannot move — but with the column lookups and
-        the global sequence counter hoisted out of the per-receiver loop.
-        This is the op that replaces 10k individual ``charge_reception``
-        calls per frame at scale.
+        Charges are validated here, once per plan; the returned
+        ``(joules, values column, first-charge-seq column)`` triples alias
+        the bank's live columns and stay valid for the bank's lifetime, so
+        a caller that memoizes plans per frame shape (the medium) resolves
+        each shape once and replays it through :meth:`apply_fanout`.
 
         Raises
         ------
@@ -264,43 +135,28 @@ class MeterBank:
                     f"negative energy charge {joules!r} for "
                     f"{component}/{category}"
                 )
-        for joules, category in special_charges:
-            if joules < 0:
-                raise ValueError(
-                    f"negative energy charge {joules!r} for "
-                    f"{component}/{category}"
-                )
-        # Column/seq arrays materialize lazily: only when some row actually
-        # takes the plan, matching the per-call behaviour of charge().
-        # Resolved plans are cached: the columns behind a (component,
-        # category) key never change identity once created, and charge
-        # tuples repeat (frames come in a handful of shapes per run), so
-        # the per-frame plan build collapses to one dict hit.
-        plans = self._fanout_plans
-        main: list[tuple[float, list[float], list[int]]] | None = None
-        special: list[tuple[float, list[float], list[int]]] | None = None
+        return [
+            (joules, *self._column_pair(component, category))
+            for joules, category in charges
+        ]
+
+    def apply_fanout(
+        self,
+        pairs: typing.Iterable[
+            tuple[int, typing.Sequence[tuple[float, list[float], list[int]]]]
+        ],
+    ) -> None:
+        """Charge many nodes for one frame in a single batched pass.
+
+        Each ``(row, plan)`` pair charges node ``row`` the
+        :meth:`fanout_plan` triples of ``plan``, in order.  Equivalent,
+        charge for charge, to calling :meth:`charge` per node and per
+        triple — the same first-charge sequence stamps, the same float
+        accumulation per cell — with the column lookups, validation and
+        the global sequence counter hoisted out of the per-receiver loop.
+        """
         next_seq = self._next_seq
-        for row in rows:
-            if row == special_row:
-                if special is None:
-                    key = (component, tuple(special_charges))
-                    special = plans.get(key)
-                    if special is None:
-                        special = plans[key] = [
-                            (joules, *self._column_pair(component, category))
-                            for joules, category in special_charges
-                        ]
-                plan = special
-            else:
-                if main is None:
-                    key = (component, tuple(charges))
-                    main = plans.get(key)
-                    if main is None:
-                        main = plans[key] = [
-                            (joules, *self._column_pair(component, category))
-                            for joules, category in charges
-                        ]
-                plan = main
+        for row, plan in pairs:
             for joules, column, seq in plan:
                 if seq[row] < 0:
                     seq[row] = next_seq
@@ -309,7 +165,7 @@ class MeterBank:
         self._next_seq = next_seq
 
     def meter(self, index: int) -> "NodeMeter":
-        """An :class:`EnergyMeter`-compatible view of node ``index``."""
+        """The :class:`NodeMeter` view of node ``index``."""
         if not 0 <= index < self.n_nodes:
             raise IndexError(
                 f"node index {index} outside fleet of {self.n_nodes}"
@@ -321,9 +177,9 @@ class MeterBank:
     ) -> list[tuple[tuple[str, str], float]]:
         """One node's ``((component, category), joules)`` pairs.
 
-        Ordered by the node's first-charge sequence — exactly the
-        iteration order of the equivalent per-node :class:`EnergyMeter`'s
-        dict, including keys whose accumulated charge is 0.0.
+        Ordered by the node's first-charge sequence — the iteration order
+        of a plain dict fed the node's charges in charge order — including
+        keys whose accumulated charge is 0.0.
         """
         items = [
             (seq[index], key)
@@ -339,10 +195,12 @@ class MeterBank:
         component: str | None = None,
         categories: typing.Collection[str] | None = None,
     ) -> float:
-        """One node's total joules, with :meth:`EnergyMeter.total` filters.
+        """One node's total joules, optionally filtered by component
+        and/or categories.
 
-        Terms accumulate in the node's first-charge order, so the float
-        result is bit-identical to the per-node meter it replaces.
+        Terms accumulate in the node's first-charge order (see
+        :meth:`node_items`), so the float result does not depend on which
+        charging path filled the columns.
         """
         total = 0.0
         for (comp, cat), joules in self.node_items(index):
@@ -385,11 +243,11 @@ class MeterBank:
 
 
 class NodeMeter:
-    """One node's view of a :class:`MeterBank` (EnergyMeter-compatible).
+    """One node's view of a :class:`MeterBank`.
 
-    Implements the charging/reading duck type radios and integrators use
-    (``charge``/``total``/``breakdown``/``by_category``/``name``) while
-    storing nothing per node beyond the bank reference and the index.
+    The charging/reading interface radios and integrators use
+    (``charge``/``total``/``breakdown``/``by_category``/``name``), storing
+    nothing per node beyond the bank reference and the index.
     """
 
     __slots__ = ("bank", "index")
@@ -418,8 +276,8 @@ class NodeMeter:
     def breakdown(self) -> dict[tuple[str, str], float]:
         """This node's raw (component, category) → joules mapping.
 
-        Key order matches the equivalent per-node meter's dict-insertion
-        order (see :meth:`MeterBank.node_items`).
+        Keys come in the order this node first charged them (see
+        :meth:`MeterBank.node_items`).
         """
         return dict(self.bank.node_items(self.index))
 
@@ -436,7 +294,7 @@ class NodeMeter:
 
 
 class PowerIntegrator:
-    """Integrates a piecewise-constant power draw into an :class:`EnergyMeter`.
+    """Integrates a piecewise-constant power draw into a :class:`NodeMeter`.
 
     A radio sets its draw with :meth:`set_power` at every state change; the
     integrator charges ``power × elapsed`` for the segment just ended.  Call
@@ -453,7 +311,7 @@ class PowerIntegrator:
         Component label for all charges from this integrator.
     """
 
-    def __init__(self, sim: "Simulator", meter: EnergyMeter, component: str):
+    def __init__(self, sim: "Simulator", meter: NodeMeter, component: str):
         self.sim = sim
         self.meter = meter
         self.component = component

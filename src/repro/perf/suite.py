@@ -273,7 +273,7 @@ def _case_medium_delivery() -> BenchCase:
 
     def run(layout):
         from repro.channel.medium import Medium
-        from repro.energy.meter import EnergyMeter
+        from repro.energy.meter import MeterBank
         from repro.energy.radio_specs import MICAZ
         from repro.mac.frames import Frame, FrameKind
         from repro.radio.radio import LowPowerRadio
@@ -281,10 +281,9 @@ def _case_medium_delivery() -> BenchCase:
 
         sim = Simulator(seed=1)
         medium = Medium(sim, layout, name="bench")
+        bank = MeterBank(len(layout))
         radios = {
-            node: LowPowerRadio(
-                sim, node, MICAZ, medium, EnergyMeter(f"n{node}")
-            )
+            node: LowPowerRadio(sim, node, MICAZ, medium, bank.meter(node))
             for node in layout.node_ids
         }
 

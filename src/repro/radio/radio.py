@@ -38,7 +38,6 @@ from repro.energy.meter import (
     CATEGORY_RX,
     CATEGORY_TX,
     CATEGORY_WAKEUP,
-    EnergyMeter,
     NodeMeter,
     PowerIntegrator,
 )
@@ -78,7 +77,7 @@ class RadioPort:
         node_id: int,
         spec: RadioSpec,
         medium: "Medium",
-        meter: EnergyMeter,
+        meter: NodeMeter,
         component: str | None = None,
     ):
         self.sim = sim
@@ -143,11 +142,12 @@ class RadioPort:
     ) -> None:
         """Install the promiscuous-mode callback and enable the mode.
 
-        Handlers must not charge energy or draw randomness: the medium's
-        batched delivery runs them after the frame's energy fanout, so a
-        side-effecting handler would reorder accounting relative to the
-        historical per-receiver loop.  (BCP's shortcut learning, the one
-        production handler, only mutates routing dictionaries.)
+        Handlers must not charge energy or draw randomness: the medium
+        runs them after the frame's batched reception charges, in
+        ascending rank order, so a side-effecting handler would see (and
+        leave) accounting out of per-receiver order.  (BCP's shortcut
+        learning, the one production handler, only mutates routing
+        dictionaries.)
         """
         self._overhear_handler = callback
         self.promiscuous = True
@@ -281,19 +281,15 @@ class RadioPort:
     ) -> tuple[tuple[float, str], ...]:
         """The ``(joules, category)`` charges for hearing ``frame``.
 
-        Must be a pure function of the radio's spec and the frame — every
-        port sharing a spec returns the same plan, which is what lets the
-        medium compute it once per frame and charge a whole fleet of
-        receivers through :meth:`MeterBank.charge_reception_fanout`.
+        The radio's only receive-side accounting hook: the medium charges
+        every listener through it, under the port's ``component``.  Must
+        be a pure function of the radio's class, spec and the frame's
+        shape (header bits and airtime) — the medium calls it once per
+        charge class (ports sharing ``(type, spec, component)``) and frame
+        shape, and replays the resulting plan for every such listener
+        through :meth:`MeterBank.apply_fanout`.
         """
         raise NotImplementedError
-
-    def charge_reception(
-        self, frame: Frame, duration: float, addressed: bool
-    ) -> None:
-        """Charge energy for hearing ``frame`` (called by the medium)."""
-        for joules, category in self.reception_charges(frame, duration, addressed):
-            self.meter.charge(joules, self.component, category)
 
 
 class LowPowerRadio(RadioPort):
@@ -309,30 +305,26 @@ class LowPowerRadio(RadioPort):
 
     def _begin_tx_accounting(self, duration: float) -> None:
         # Charged up front; the amount is fixed once the frame is committed.
-        if self._tx_levels is not None:
-            # Power varies per frame, so the cached-column fast path (which
-            # bakes in the nominal p_tx) does not apply.
-            self.meter.charge(
-                self._tx_power_w * duration, self.component, CATEGORY_TX
-            )
-            return
+        # A laddered port transmits at the power ``transmit`` just selected.
+        power = (
+            self.spec.p_tx_w if self._tx_levels is None else self._tx_power_w
+        )
         fast = self._tx_fast
         if fast is not None:
             # The first charge below stamped this node's first-seq for the
             # TX column and fixed the column's identity, so every later
-            # charge is a single in-place add.  The charge is p_tx * dt
-            # with both factors non-negative, so the bank's sign check is
-            # vacuous here.
+            # charge is a single in-place add.  The charge is power * dt
+            # with both factors non-negative (specs reject negative
+            # powers), so the bank's sign check is vacuous here.
             row, column = fast
-            column[row] += self.spec.p_tx_w * duration
+            column[row] += power * duration
             return
         meter = self.meter
-        meter.charge(self.spec.p_tx_w * duration, self.component, CATEGORY_TX)
-        if type(meter) is NodeMeter:
-            self._tx_fast = (
-                meter.index,
-                meter.bank._energy[(self.component, CATEGORY_TX)],
-            )
+        meter.charge(power * duration, self.component, CATEGORY_TX)
+        self._tx_fast = (
+            meter.index,
+            meter.bank._energy[(self.component, CATEGORY_TX)],
+        )
 
     def _end_tx_accounting(self, duration: float) -> None:
         return None
@@ -361,7 +353,7 @@ class HighPowerRadio(RadioPort):
         node_id: int,
         spec: RadioSpec,
         medium: "Medium",
-        meter: EnergyMeter,
+        meter: NodeMeter,
         component: str | None = None,
     ):
         super().__init__(sim, node_id, spec, medium, meter, component)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.channel.medium import Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
@@ -39,7 +39,8 @@ class LowStack:
         self.sim = sim
         self.layout = layout
         self.medium = Medium(sim, layout, name="low", loss=loss)
-        self.meters = {n: EnergyMeter(f"node{n}") for n in layout.node_ids}
+        bank = MeterBank(len(layout))
+        self.meters = {n: bank.meter(n) for n in layout.node_ids}
         self.radios = {
             n: LowPowerRadio(sim, n, spec, self.medium, self.meters[n])
             for n in layout.node_ids
@@ -54,7 +55,8 @@ class HighStack:
         self.sim = sim
         self.layout = layout
         self.medium = Medium(sim, layout, name="high", loss=loss)
-        self.meters = {n: EnergyMeter(f"node{n}") for n in layout.node_ids}
+        bank = MeterBank(len(layout))
+        self.meters = {n: bank.meter(n) for n in layout.node_ids}
         self.radios = {
             n: HighPowerRadio(sim, n, spec, self.medium, self.meters[n])
             for n in layout.node_ids

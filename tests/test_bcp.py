@@ -6,7 +6,7 @@ from repro.channel.medium import LossModel, Medium
 from repro.core.bcp import BcpAgent
 from repro.core.config import BcpConfig
 from repro.core.messages import Wakeup
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
@@ -48,7 +48,8 @@ class DualNet:
             self.sim, self.layout, "high", loss=high_loss_model
         )
         high_spec = LUCENT_11.replace(range_m=high_range)
-        self.meters = {i: EnergyMeter(str(i)) for i in range(n)}
+        bank = MeterBank(n)
+        self.meters = {i: bank.meter(i) for i in range(n)}
         self.low_radios = {
             i: LowPowerRadio(self.sim, i, MICAZ, self.low_medium, self.meters[i])
             for i in range(n)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.channel.medium import Medium
 from repro.core.bcp import BcpAgent
 from repro.core.config import BcpConfig
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
@@ -32,7 +32,8 @@ def build_pair(threshold_packets, capacity_packets, seed):
     layout = line_layout(2, 40.0)
     low_medium = Medium(sim, layout, "low")
     high_medium = Medium(sim, layout, "high")
-    meters = {i: EnergyMeter(str(i)) for i in (0, 1)}
+    bank = MeterBank(2)
+    meters = {i: bank.meter(i) for i in (0, 1)}
     low = {
         i: LowPowerRadio(sim, i, MICAZ, low_medium, meters[i]) for i in (0, 1)
     }

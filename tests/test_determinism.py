@@ -74,6 +74,18 @@ GOLDEN_RESIDUAL_DIGEST = (
     "8ced0ae0c76d02e00454fa67c630dc0a04d76e4a7fdf9f3860df710dd01c8352"
 )
 
+#: Two receiver/transmitter accounting paths no paper cell takes, each
+#: pinned on its own small cell: BCP shortcut learning (every high radio
+#: is promiscuous, so the medium's overhear delivery runs end to end) and
+#: a sensor radio with a discrete TX power ladder (per-frame power
+#: selection in the transmit-energy charge).
+GOLDEN_SHORTCUT_DIGEST = (
+    "75f69c4e66ff57ed502ee0c1ce09a8c33242035032fc6a3e0ab4f0028b8e278a"
+)
+GOLDEN_TX_LADDER_DIGEST = (
+    "80194e482d6b2f0121e20e19266d5b902d5d88841a8b9a5a533f7b7b5bd6b2e5"
+)
+
 
 def residual_faults():
     """The battery plan the residual-energy pin composes with.
@@ -107,6 +119,26 @@ def composed_config():
         sim_time_s=30.0,
         burst_packets=10,
         seed=7,
+    )
+
+
+def shortcut_config():
+    from repro.models.scenario import multi_hop_config
+
+    return multi_hop_config(
+        rows=4, cols=4, sink=0, n_senders=3, burst_packets=10,
+        sim_time_s=30.0, shortcut_learning=True, seed=3,
+    )
+
+
+def tx_ladder_config():
+    from repro.energy.radio_specs import MICAZ, TX_POWER_LEVELS
+    from repro.models.scenario import ScenarioConfig
+
+    return ScenarioConfig(
+        rows=3, cols=3, sink=4, n_senders=2, sim_time_s=30.0,
+        burst_packets=20, spacing_m=30.0,
+        low_spec=MICAZ.replace(tx_power_levels=TX_POWER_LEVELS),
     )
 
 
@@ -215,6 +247,20 @@ class TestGoldenDigest:
         assert digests_across_mac_engines(config) == {
             GOLDEN_TX_ENERGY_DIGEST
         }
+
+    def test_shortcut_learning_matches_pinned_digest(self):
+        # Promiscuous overhearing feeds BCP's shortcut learner.
+        assert (
+            results_digest([run_scenario(shortcut_config())])
+            == GOLDEN_SHORTCUT_DIGEST
+        )
+
+    def test_tx_power_ladder_matches_pinned_digest(self):
+        # Laddered sensor radios charge per-frame selected TX power.
+        assert (
+            results_digest([run_scenario(tx_ladder_config())])
+            == GOLDEN_TX_LADDER_DIGEST
+        )
 
     def test_digest_is_sensitive_to_results(self):
         sweep = golden_sweep(SweepRunner(backend=SerialBackend()))
@@ -377,4 +423,12 @@ if __name__ == "__main__":  # pragma: no cover - digest (re)pin helper
                 ]
             )
         ),
+    )
+    print(
+        "GOLDEN_SHORTCUT_DIGEST =",
+        repr(results_digest([run_scenario(shortcut_config())])),
+    )
+    print(
+        "GOLDEN_TX_LADDER_DIGEST =",
+        repr(results_digest([run_scenario(tx_ladder_config())])),
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.channel.medium import LossModel, Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
 from repro.mac.frames import BROADCAST, Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams, dcf_params, sensor_csma_params
@@ -30,7 +30,8 @@ class Net:
         self.layout = line_layout(n, 40.0)
         loss = LossModel(loss_p, self.sim.rng.stream("loss")) if loss_p else None
         self.medium = Medium(self.sim, self.layout, "m", loss=loss)
-        self.meters = {i: EnergyMeter(str(i)) for i in range(n)}
+        bank = MeterBank(n)
+        self.meters = {i: bank.meter(i) for i in range(n)}
         self.radios = {
             i: LowPowerRadio(self.sim, i, MICAZ, self.medium, self.meters[i])
             for i in range(n)

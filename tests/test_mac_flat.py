@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.medium import LossModel, Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from generator_mac import MAC_CLASSES, MAC_ENGINES
 from repro.mac.base import _DEDUP_WINDOW, ContentionMac
@@ -48,7 +48,8 @@ def run_plan(engine, *, n, loss_p, plan, seed, params=None):
     layout = line_layout(n, 40.0)
     loss = LossModel(loss_p, sim.rng.stream("loss")) if loss_p else None
     medium = Medium(sim, layout, "m", loss=loss)
-    meters = {i: EnergyMeter(str(i)) for i in range(n)}
+    bank = MeterBank(n)
+    meters = {i: bank.meter(i) for i in range(n)}
     radios = {
         i: LowPowerRadio(sim, i, MICAZ, medium, meters[i]) for i in range(n)
     }
@@ -172,7 +173,8 @@ class TestAcksDropped:
         sim = Simulator(seed=9)
         layout = line_layout(2, 40.0)
         medium = Medium(sim, layout, "m")
-        meters = {i: EnergyMeter(str(i)) for i in range(2)}
+        bank = MeterBank(2)
+        meters = {i: bank.meter(i) for i in range(2)}
         radios = {
             i: HighPowerRadio(sim, i, LUCENT_11, medium, meters[i])
             for i in range(2)

@@ -4,7 +4,7 @@ carrier sense and overhearing energy."""
 import pytest
 
 from repro.channel.medium import LossModel, Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
 from repro.mac.frames import BROADCAST, Frame, FrameKind
 from repro.radio.radio import LowPowerRadio
@@ -30,7 +30,8 @@ class Harness:
         self.sim = Simulator(seed=seed)
         self.layout = line_layout(n, spacing)
         self.medium = Medium(self.sim, self.layout, "test", loss=loss)
-        self.meters = {i: EnergyMeter(str(i)) for i in range(n)}
+        bank = MeterBank(n)
+        self.meters = {i: bank.meter(i) for i in range(n)}
         self.radios = {
             i: LowPowerRadio(self.sim, i, MICAZ, self.medium, self.meters[i])
             for i in range(n)

@@ -8,10 +8,10 @@ Covers the PR-7 medium rework:
   to bump once per frame even with zero listeners);
 * :class:`LossModel` validates at construction that a nonzero probability
   comes with an rng;
-* a hypothesis property pins the batched fast path (listening bitmap,
-  ``MeterBank`` energy fanout, O(1) busy refcounts) as decision- and
-  bit-identical to the historical per-receiver loop the generic path
-  preserves.
+* a hypothesis property pins the batched delivery path (listening
+  bitmap, per-charge-class ``MeterBank`` energy fanout, O(1) busy
+  refcounts) as decision- and bit-identical to a per-receiver charging
+  oracle, on homogeneous and mixed-spec fleets alike.
 """
 
 import pytest
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.channel.medium import LossModel, Medium
 from repro.channel.propagation import DistancePrr
-from repro.energy.meter import EnergyMeter, MeterBank
-from repro.energy.radio_specs import MICAZ
+from repro.energy.meter import MeterBank
+from repro.energy.radio_specs import MICA2, MICAZ
 from repro.mac.frames import BROADCAST, Frame, FrameKind
 from repro.radio.radio import LowPowerRadio
 from repro.sim import Simulator
@@ -167,21 +167,45 @@ class TestBroadcastCounters:
         assert h.medium.frames_delivered + h.medium.frames_lost == 2
 
 
-class TestFastPathEligibility:
-    def test_homogeneous_bank_fleet_uses_fanout(self):
-        h = BankHarness(line_layout(3, 40.0))
-        h.medium._neighbor_index()
-        assert h.medium._fanout is not None
-
-    def test_standalone_meters_fall_back_to_generic(self):
+class TestReceptionCharging:
+    def test_ports_metering_into_two_banks_are_rejected(self):
         sim = Simulator(seed=1)
         layout = line_layout(3, 40.0)
         medium = Medium(sim, layout, "m")
-        for i in range(3):
-            LowPowerRadio(sim, i, MICAZ, medium, EnergyMeter(str(i)))
-        medium._neighbor_index()
-        assert medium._fanout is None
+        bank, other = MeterBank(3), MeterBank(3)
+        LowPowerRadio(sim, 0, MICAZ, medium, bank.meter(0))
+        LowPowerRadio(sim, 1, MICAZ, medium, bank.meter(1))
+        LowPowerRadio(sim, 2, MICAZ, medium, other.meter(2))
+        with pytest.raises(ValueError, match="node 2 meters into a different"):
+            medium._neighbor_index()
 
+    def test_mixed_spec_medium_charges_each_node_its_own_plan(self):
+        # 1 -> 0 unicast: 0 (Mica2) is addressed, 2 (Micaz) overhears.
+        sim = Simulator(seed=1)
+        medium = Medium(sim, line_layout(3, 40.0), "m")
+        bank = MeterBank(3)
+        specs = (MICA2, MICA2, MICAZ)
+        radios = [
+            LowPowerRadio(sim, i, spec, medium, bank.meter(i))
+            for i, spec in enumerate(specs)
+        ]
+        frame = data_frame(1, 0)
+        radios[1].transmit(frame)
+        sim.run()
+        duration = radios[1].airtime(frame)
+        assert radios[0].meter.breakdown() == {
+            ("radio.Mica2", "rx"): MICA2.p_rx_w * duration
+        }
+        header_s = frame.header_bits / MICAZ.rate_bps
+        assert radios[2].meter.breakdown() == {
+            ("radio.Micaz", "overhear_header"): MICAZ.p_rx_w * header_s,
+            ("radio.Micaz", "overhear_body"): (
+                MICAZ.p_rx_w * (duration - header_s)
+            ),
+        }
+
+
+class TestFastPathEligibility:
     def test_busy_refcount_tracks_overlapping_frames(self):
         h = BankHarness(line_layout(3, 40.0))
         h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
@@ -239,7 +263,54 @@ class TestFastPathEligibility:
         assert 0 in medium.neighbors(1)
 
 
-# -- decision identity: batched fast path vs historical loop ---------------
+# -- decision identity: batched delivery vs a per-receiver oracle -----------
+
+
+class _ScaledRadio(LowPowerRadio):
+    """Overrides the charges but not the spec or component, so it must
+    get a charge class of its own."""
+
+    def reception_charges(self, frame, duration, addressed):
+        return tuple(
+            (3.0 * joules, category)
+            for joules, category in super().reception_charges(
+                frame, duration, addressed
+            )
+        )
+
+
+#: Port flavours a drawn fleet mixes: each is its own charge class.
+FLEET = (
+    (LowPowerRadio, MICAZ, None),
+    (LowPowerRadio, MICA2, None),
+    (LowPowerRadio, MICAZ, "radio.alt"),
+    (_ScaledRadio, MICAZ, None),
+)
+
+
+class OracleMedium(Medium):
+    """The per-receiver reference: each listening audible rank is charged
+    its own port's ``reception_charges`` through ``bank.charge``; the
+    batched plans are emptied, so only the oracle charges."""
+
+    def _reception_plans(self, frame, duration, addressed):
+        return [[]] * len(self._class_ports)
+
+    def _finish(self, record):
+        if not record.aborted:
+            frame = record.frame
+            duration = record.end_s - record.start_s
+            for rank in record.busy_ranks:
+                port = self._index.ports_by_rank[rank]
+                if port.is_listening:
+                    addressed = frame.dst in (BROADCAST, port.node_id)
+                    for joules, category in port.reception_charges(
+                        frame, duration, addressed
+                    ):
+                        port.meter.bank.charge(
+                            port.meter.index, joules, port.component, category
+                        )
+        super()._finish(record)
 
 
 @st.composite
@@ -255,6 +326,16 @@ def medium_scenario(draw):
             max_size=n,
         )
     )
+    if draw(st.booleans()):
+        flavours = [0] * n
+    else:
+        flavours = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(FLEET) - 1),
+                min_size=n,
+                max_size=n,
+            ).filter(lambda drawn: len(set(drawn)) >= 2)
+        )
     events = draw(
         st.lists(
             st.tuples(
@@ -270,11 +351,13 @@ def medium_scenario(draw):
     use_loss = draw(st.booleans())
     use_prr = draw(st.booleans())
     seed = draw(st.integers(min_value=1, max_value=10_000))
-    return n, positions, events, promiscuous, use_loss, use_prr, seed
+    return n, positions, flavours, events, promiscuous, use_loss, use_prr, seed
 
 
-def _run_schedule(scenario, force_generic):
-    n, positions, events, promiscuous, use_loss, use_prr, seed = scenario
+def _run_schedule(scenario, medium_class):
+    n, positions, flavours, events, promiscuous, use_loss, use_prr, seed = (
+        scenario
+    )
     sim = Simulator(seed=seed)
     layout = Layout(
         {i: Position(float(x), float(y)) for i, (x, y) in enumerate(positions)}
@@ -285,12 +368,14 @@ def _run_schedule(scenario, force_generic):
         if use_prr
         else None
     )
-    medium = Medium(sim, layout, "m", loss=loss, propagation=propagation)
+    medium = medium_class(sim, layout, "m", loss=loss, propagation=propagation)
     bank = MeterBank(n)
-    radios = {
-        i: LowPowerRadio(sim, i, MICAZ, medium, bank.meter(i))
-        for i in range(n)
-    }
+    radios = {}
+    for i in range(n):
+        radio_class, spec, component = FLEET[flavours[i]]
+        radios[i] = radio_class(
+            sim, i, spec, medium, bank.meter(i), component=component
+        )
     received = {i: [] for i in range(n)}
     overheard = {i: [] for i in range(n)}
     for i in range(n):
@@ -302,8 +387,7 @@ def _run_schedule(scenario, force_generic):
             lambda frame, i=i: overheard[i].append((frame.src, frame.seq))
         )
     medium._neighbor_index()
-    if force_generic:
-        medium._fanout = None
+    assert len(medium._class_ports) == len(set(flavours))
     busy_trace = []
 
     def driver():
@@ -349,9 +433,9 @@ class TestBatchedDecisionIdentity:
     @settings(max_examples=30, deadline=None)
     @given(scenario=medium_scenario())
     def test_fast_path_matches_historical_loop(self, scenario):
-        """Same topology, traffic, listening churn, loss and PRR draws:
-        the batched fanout path and the per-receiver loop must make
-        identical decisions and charge bit-identical energy."""
-        fast = _run_schedule(scenario, force_generic=False)
-        generic = _run_schedule(scenario, force_generic=True)
-        assert fast == generic
+        """Same fleet, topology, traffic, listening churn, loss and PRR
+        draws: the batched per-class fanout and the per-receiver oracle
+        must make identical decisions and charge bit-identical energy."""
+        batched = _run_schedule(scenario, Medium)
+        oracle = _run_schedule(scenario, OracleMedium)
+        assert batched == oracle

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.channel.medium import Medium
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.frames import Frame, FrameKind
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
@@ -34,14 +34,15 @@ class TestLowPowerRadio:
     def test_always_listening_when_idle(self, pair):
         sim, layout = pair
         medium = Medium(sim, layout, "m")
-        radio = LowPowerRadio(sim, 0, MICAZ, medium, EnergyMeter("0"))
+        radio = LowPowerRadio(sim, 0, MICAZ, medium, MeterBank(2).meter(0))
         assert radio.is_listening
 
     def test_not_listening_while_transmitting(self, pair):
         sim, layout = pair
         medium = Medium(sim, layout, "m")
-        radio = LowPowerRadio(sim, 0, MICAZ, medium, EnergyMeter("0"))
-        LowPowerRadio(sim, 1, MICAZ, medium, EnergyMeter("1"))
+        bank = MeterBank(2)
+        radio = LowPowerRadio(sim, 0, MICAZ, medium, bank.meter(0))
+        LowPowerRadio(sim, 1, MICAZ, medium, bank.meter(1))
         radio.transmit(frame(0, 1, payload_bits=8192))
         states = []
 
@@ -57,9 +58,10 @@ class TestLowPowerRadio:
     def test_tx_energy_charged(self, pair):
         sim, layout = pair
         medium = Medium(sim, layout, "m")
-        meter = EnergyMeter("0")
+        bank = MeterBank(2)
+        meter = bank.meter(0)
         radio = LowPowerRadio(sim, 0, MICAZ, medium, meter)
-        LowPowerRadio(sim, 1, MICAZ, medium, EnergyMeter("1"))
+        LowPowerRadio(sim, 1, MICAZ, medium, bank.meter(1))
         radio.transmit(frame(0, 1))
         sim.run()
         duration = 320 / MICAZ.rate_bps
@@ -71,7 +73,7 @@ class TestLowPowerRadio:
         """Low radio idling is a base cost, never charged (Section 2.1)."""
         sim, layout = pair
         medium = Medium(sim, layout, "m")
-        meter = EnergyMeter("0")
+        meter = MeterBank(2).meter(0)
         LowPowerRadio(sim, 0, MICAZ, medium, meter)
         sim.timeout(100.0)
         sim.run()
@@ -80,21 +82,25 @@ class TestLowPowerRadio:
     def test_transmit_while_busy_raises(self, pair):
         sim, layout = pair
         medium = Medium(sim, layout, "m")
-        radio = LowPowerRadio(sim, 0, MICAZ, medium, EnergyMeter("0"))
-        LowPowerRadio(sim, 1, MICAZ, medium, EnergyMeter("1"))
+        bank = MeterBank(2)
+        radio = LowPowerRadio(sim, 0, MICAZ, medium, bank.meter(0))
+        LowPowerRadio(sim, 1, MICAZ, medium, bank.meter(1))
         radio.transmit(frame(0, 1, payload_bits=8192))
         with pytest.raises(SimulationError, match="busy"):
             radio.transmit(frame(0, 1))
 
 
 class TestHighPowerRadio:
-    def make(self, sim, layout, node=0, meter=None):
+    def make(self, sim, layout, node=0):
+        """A radio on this sim's shared medium, metered into its bank
+        (read the charges through ``radio.meter``)."""
         medium = getattr(self, "_medium", None)
         if medium is None or medium.sim is not sim:
             medium = Medium(sim, layout, "m")
             self._medium = medium
+            self._bank = MeterBank(len(layout))
         return HighPowerRadio(
-            sim, node, LUCENT_11, medium, meter or EnergyMeter(str(node))
+            sim, node, LUCENT_11, medium, self._bank.meter(node)
         )
 
     def test_starts_off(self, pair):
@@ -105,8 +111,8 @@ class TestHighPowerRadio:
 
     def test_wake_charges_and_takes_latency(self, pair):
         sim, layout = pair
-        meter = EnergyMeter("0")
-        radio = self.make(sim, layout, meter=meter)
+        radio = self.make(sim, layout)
+        meter = radio.meter
         done = radio.wake()
         sim.run(until=done)
         assert sim.now == pytest.approx(LUCENT_11.t_wakeup_s)
@@ -117,8 +123,8 @@ class TestHighPowerRadio:
 
     def test_wake_when_on_is_free(self, pair):
         sim, layout = pair
-        meter = EnergyMeter("0")
-        radio = self.make(sim, layout, meter=meter)
+        radio = self.make(sim, layout)
+        meter = radio.meter
         sim.run(until=radio.wake())
         before = meter.by_category()["wakeup"]
         sim.run(until=radio.wake())
@@ -135,8 +141,8 @@ class TestHighPowerRadio:
 
     def test_idle_power_integrated(self, pair):
         sim, layout = pair
-        meter = EnergyMeter("0")
-        radio = self.make(sim, layout, meter=meter)
+        radio = self.make(sim, layout)
+        meter = radio.meter
         sim.run(until=radio.wake())
         sim.timeout(2.0)
         sim.run()
@@ -147,8 +153,8 @@ class TestHighPowerRadio:
 
     def test_off_costs_nothing(self, pair):
         sim, layout = pair
-        meter = EnergyMeter("0")
-        radio = self.make(sim, layout, meter=meter)
+        radio = self.make(sim, layout)
+        meter = radio.meter
         sim.timeout(100.0)
         sim.run()
         radio.flush_accounting()
@@ -163,8 +169,8 @@ class TestHighPowerRadio:
 
     def test_tx_power_during_transmission(self, pair):
         sim, layout = pair
-        meter = EnergyMeter("0")
-        radio = self.make(sim, layout, meter=meter)
+        radio = self.make(sim, layout)
+        meter = radio.meter
         self.make(sim, layout, node=1)
         sim.run(until=radio.wake())
         sent = frame(0, 1, payload_bits=8192, header_bits=272)
@@ -178,9 +184,9 @@ class TestHighPowerRadio:
 
     def test_rx_increment_above_idle(self, pair):
         sim, layout = pair
-        meter0, meter1 = EnergyMeter("0"), EnergyMeter("1")
-        radio0 = self.make(sim, layout, node=0, meter=meter0)
-        radio1 = self.make(sim, layout, node=1, meter=meter1)
+        radio0 = self.make(sim, layout, node=0)
+        radio1 = self.make(sim, layout, node=1)
+        meter1 = radio1.meter
         sim.run(until=radio0.wake())
         sim.run(until=radio1.wake())
         radio0.transmit(frame(0, 1))

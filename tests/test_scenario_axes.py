@@ -24,7 +24,7 @@ from repro.channel.propagation import (
     UnitDiscPropagation,
     build_propagation,
 )
-from repro.energy.meter import EnergyMeter
+from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import CABLETRON, LUCENT_11, MICAZ
 from repro.models.scenario import (
     RadioAssignment,
@@ -329,8 +329,9 @@ class TestNeighborIndex:
 
         layout = grid_layout(2, 2, 40.0)  # orthogonal pairs at exactly 40 m
         medium = Medium(sim, layout, "t")
+        bank = MeterBank(len(layout))
         for node in layout.node_ids:
-            LowPowerRadio(sim, node, MICAZ, medium, EnergyMeter(str(node)))
+            LowPowerRadio(sim, node, MICAZ, medium, bank.meter(node))
         assert set(medium.neighbors(0)) == {1, 2}
         assert medium.is_neighbor(0, 1) and not medium.is_neighbor(0, 3)
 
