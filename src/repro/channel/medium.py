@@ -16,11 +16,11 @@ Model
 * **Collisions** — receiver-centric: a reception fails if another
   transmission audible at the receiver overlaps it in time (including the
   receiver's own transmissions — radios are half-duplex).  This models the
-  hidden-terminal losses that carrier sensing cannot prevent.  Broadcast
-  frames are checked per receiver: each overlapping transmission is
-  recorded while the broadcast is on the air, and at end-of-frame every
-  audible listener independently applies the same overlap/capture test a
-  unicast receiver would.
+  hidden-terminal losses that carrier sensing cannot prevent.  Every frame
+  is unicast (BCP names a next hop for each one), so each frame has one
+  receiver and one verdict: both sides of every overlap are settled when
+  the later frame starts, and a receiver that was not listening at the
+  preamble misses the frame.
 * **Capture** — an overlapping transmission only corrupts the frame when
   the interferer is not markedly weaker than the wanted signal.  With
   distance-based power (path loss exponent ~3.5) an interferer at
@@ -90,7 +90,7 @@ import typing
 
 from repro.channel.index import NeighborIndex
 from repro.channel.propagation import PropagationModel, UnitDiscPropagation
-from repro.mac.frames import BROADCAST, Frame
+from repro.mac.frames import Frame
 from repro.topology.layout import Layout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -153,8 +153,6 @@ class Transmission:
         "receiver_listening",
         "busy_ranks",
         "busy_groups",
-        "interferers",
-        "deaf_ranks",
         "aborted",
     )
 
@@ -172,8 +170,7 @@ class Transmission:
         self.frame = frame
         self.start_s = start_s
         self.end_s = end_s
-        #: Set when another audible transmission overlapped at the receiver
-        #: (unicast frames only; broadcasts track interferers per receiver).
+        #: Set when another audible transmission overlapped at the receiver.
         self.corrupted = False
         #: Whether the addressed receiver could hear when the frame started.
         self.receiver_listening = receiver_listening
@@ -183,13 +180,6 @@ class Transmission:
         #: Audibility-group ids whose busy refcount this record
         #: incremented (also an index-owned shared tuple).
         self.busy_groups: tuple[int, ...] = ()
-        #: Broadcast only: sender ports of every transmission that
-        #: overlapped this one, checked per receiver at end-of-frame.
-        self.interferers: list["RadioPort"] | None = None
-        #: Broadcast only: audible ranks that were not listening at frame
-        #: start (they missed the preamble and cannot sync, mirroring the
-        #: unicast ``receiver_listening`` snapshot); None when all heard it.
-        self.deaf_ranks: frozenset[int] | None = None
         #: Set by :meth:`Medium.retire_node` when the sender dies
         #: mid-frame: the end event still pops, but ``_finish`` skips
         #: end-of-frame processing entirely (the busy-refcount replay
@@ -205,8 +195,6 @@ class Transmission:
         # already-dispatched callback slot — it is never called twice.
         self.sender = None
         self.frame = None
-        self.interferers = None
-        self.deaf_ranks = None
         pool = medium._record_pool
         if len(pool) < _RECORD_POOL_MAX:
             pool.append(self)
@@ -298,7 +286,7 @@ class Medium:
         ] = {}
         #: Memoized interference verdicts keyed (interferer, sender, rx)
         #: node ids — run constants while the port set is stable; cleared
-        #: on registration with the index (see :meth:`_interferes`).
+        #: on registration with the index (see :meth:`_corrupts`).
         self._interferes_memo: dict[tuple[int, int, int], bool] = {}
         #: Bumped by every retire/restore/set_link; routing tables compare
         #: against it to decide whether their memos are stale.  A no-fault
@@ -387,22 +375,7 @@ class Medium:
         for rank, port in enumerate(ports):
             port._medium_rank = rank
         self._listening = [port.is_listening for port in ports]
-        # Busy refcounts replay the increments of whatever is still on the
-        # air (registration mid-flight rebuilds audibility, so each active
-        # record's rank and group tuples are refreshed alongside).  Aborted
-        # records are dead weight awaiting their end event and hold no
-        # refcounts.
-        busy = [0] * index.n_groups
-        for record in self._active:
-            if record.aborted:
-                continue
-            sender_id = record.sender.node_id
-            record.busy_ranks = index.neighbor_ranks(sender_id)
-            record.busy_groups = groups = index.busy_groups(sender_id)
-            for group in groups:
-                busy[group] += 1
-        self._busy = busy
-        self._busy_group_of = index.group_of_rank
+        self._replay_busy(index)
         self._promiscuous = {
             rank for rank, port in enumerate(ports) if port.promiscuous
         }
@@ -533,15 +506,14 @@ class Medium:
         index.set_link(a, b, up=up)
         self._repair_after_topology_change(index)
 
-    def _repair_after_topology_change(self, index: NeighborIndex) -> None:
-        """Replay busy refcounts against the repaired audibility groups.
+    def _replay_busy(self, index: NeighborIndex) -> None:
+        """Rebuild the busy refcounts over ``index``'s audibility groups.
 
-        The same replay :meth:`_build_index` runs for a mid-flight
-        registration: surviving records refresh their rank/group tuples,
-        aborted ones hold nothing.  The interference memo is cleared
-        wholesale — verdicts between surviving nodes would stay valid,
-        but faults are rare enough that a cold memo beats proving which
-        triples survived.
+        Replays the increments of whatever is still on the air, refreshing
+        each active record's rank and group tuples against ``index`` (a
+        mid-flight registration or a topology repair changes audibility).
+        Aborted records are dead weight awaiting their end event and hold
+        no refcounts.
         """
         busy = [0] * index.n_groups
         for record in self._active:
@@ -554,36 +526,33 @@ class Medium:
                 busy[group] += 1
         self._busy = busy
         self._busy_group_of = index.group_of_rank
+
+    def _repair_after_topology_change(self, index: NeighborIndex) -> None:
+        """Replay busy refcounts against the repaired audibility groups.
+
+        The interference memo is cleared wholesale — verdicts between
+        surviving nodes would stay valid, but faults are rare enough that
+        a cold memo beats proving which triples survived.
+        """
+        self._replay_busy(index)
         self._interferes_memo.clear()
         self.topology_epoch += 1
 
     # -- transmission ------------------------------------------------------
 
     def transmit(
-        self,
-        sender: "RadioPort",
-        frame: Frame,
-        duration: float | None = None,
+        self, sender: "RadioPort", frame: Frame, duration: float
     ) -> "typing.Any":
-        """Put ``frame`` on the air from ``sender``; returns the end event.
+        """Put ``frame`` on the air from ``sender`` for ``duration``
+        seconds (its airtime); returns the end event.
 
         The caller (the radio) is responsible for putting itself into the
-        transmitting state for the returned duration; the medium handles
-        interference, delivery and receiver-side energy.  ``duration`` is
-        the frame's airtime when the caller already computed it (the radio
-        needs it for accounting); None recomputes it here.
+        transmitting state for that duration; the medium handles
+        interference, delivery and receiver-side energy.
         """
-        if duration is None:
-            duration = sender.airtime(frame)
         start = self.sim.now
         end = start + duration
-        # frame.dst == BROADCAST inlines the is_broadcast property — this
-        # method and _finish run once per frame and the descriptor call
-        # shows up at contention scale.
-        is_broadcast = frame.dst == BROADCAST
-        receiver_port = (
-            self._ports.get(frame.dst) if not is_broadcast else None
-        )
+        receiver_port = self._ports.get(frame.dst)
         receiver_listening = (
             receiver_port.is_listening if receiver_port is not None else False
         )
@@ -598,8 +567,6 @@ class Medium:
             record.receiver_listening = receiver_listening
             record.busy_ranks = ()
             record.busy_groups = ()
-            record.interferers = None
-            record.deaf_ranks = None
             record.aborted = False
         else:
             record = Transmission(
@@ -615,45 +582,28 @@ class Medium:
         if index is None:
             index = self._build_index()
 
-        # Interference bookkeeping against currently active transmissions.
-        # Unicast victims resolve immediately (their receiver is known);
-        # broadcast records instead accumulate the overlapping senders and
-        # resolve per receiver at end-of-frame.
-        if is_broadcast:
-            record.interferers = []
+        # Interference against currently active transmissions: every
+        # frame has one known receiver, so both verdicts settle here.
         corrupts = self._corrupts
         for other in self._active:
             # The new transmission corrupts ongoing receptions whose
             # receiver hears this sender too loudly to reject it.
-            if other.frame.dst == BROADCAST:
-                other.interferers.append(sender)
-            elif not other.corrupted and corrupts(
-                interferer=sender, victim=other
-            ):
+            if not other.corrupted and corrupts(interferer=sender, victim=other):
                 other.corrupted = True
             # Ongoing transmissions corrupt the new one if audible at its
             # receiver (this includes the receiver itself transmitting).
-            if is_broadcast:
-                record.interferers.append(other.sender)
-            elif receiver_port is not None and not record.corrupted:
+            if receiver_port is not None and not record.corrupted:
                 if corrupts(interferer=other.sender, victim=record):
                     record.corrupted = True
 
         # Direct dict reads over the index's per-node tuples: these two
         # lookups run once per frame on the hottest path in the codebase.
         sender_id = sender.node_id
-        record.busy_ranks = ranks = index._neighbor_ranks[sender_id]
+        record.busy_ranks = index._neighbor_ranks[sender_id]
         record.busy_groups = groups = index._busy_groups[sender_id]
         busy = self._busy
         for group in groups:
             busy[group] += 1
-        if is_broadcast:
-            ports_by_rank = index.ports_by_rank
-            deaf = [
-                rank for rank in ranks if not ports_by_rank[rank].is_listening
-            ]
-            if deaf:
-                record.deaf_ranks = frozenset(deaf)
 
         self._active.append(record)
         end_event = self._timeout(duration)
@@ -668,9 +618,12 @@ class Medium:
         it.  A receiver that is itself transmitting (distance 0) is always
         corrupted: radios are half-duplex.
 
-        The interference memo is consulted inline rather than through
-        :meth:`_interferes`: this runs per overlapping transmission pair
-        and the extra call frame is measurable under heavy contention.
+        Memoized per ``(interferer, sender, rx)`` node-id triple: the
+        layout is immutable and audibility only changes on registration or
+        a topology repair (both clear the memo), so each verdict is a run
+        constant.  On contention-heavy cells the same triples recur for
+        every frame overlap, making this one of the hottest calls in the
+        run; the memo is read inline to spare a call frame per pair.
         """
         victim_rx = victim.frame.dst
         interferer_id = interferer.node_id
@@ -691,32 +644,10 @@ class Medium:
         )
         return verdict
 
-    def _interferes(
-        self, interferer: "RadioPort", sender: "RadioPort", rx_id: int
-    ) -> bool:
-        """The receiver-centric overlap/capture test at node ``rx_id``.
-
-        Memoized: the layout is immutable and the audibility index only
-        changes on registration (which clears the memo), so the verdict
-        for a ``(interferer, sender, rx)`` triple is a run constant.  On
-        contention-heavy cells the same triples recur for every frame
-        overlap, making this one of the hottest calls in the run.
-        """
-        interferer_id = interferer.node_id
-        if rx_id == interferer_id:
-            return True
-        key = (interferer_id, sender.node_id, rx_id)
-        memo = self._interferes_memo
-        verdict = memo.get(key)
-        if verdict is not None:
-            return verdict
-        verdict = self._interferes_uncached(interferer_id, sender, rx_id)
-        memo[key] = verdict
-        return verdict
-
     def _interferes_uncached(
         self, interferer_id: int, sender: "RadioPort", rx_id: int
     ) -> bool:
+        """The receiver-centric overlap/capture test at node ``rx_id``."""
         if not self._neighbor_index().is_neighbor(interferer_id, rx_id):
             return False
         if self.capture_ratio is None:
@@ -755,14 +686,6 @@ class Medium:
             ]
         return plans
 
-    def _broadcast_corrupted(self, record: Transmission, rx_id: int) -> bool:
-        """Whether any recorded interferer ruins ``record`` at ``rx_id``."""
-        sender = record.sender
-        for interferer in record.interferers:
-            if self._interferes(interferer, sender, rx_id):
-                return True
-        return False
-
     def _finish(self, record: Transmission) -> None:
         """End-of-frame: deliver (or not) and charge receiver-side energy."""
         self._active.remove(record)
@@ -778,7 +701,6 @@ class Medium:
                 busy[group] -= 1
 
         frame = record.frame
-        sender_id = sender.node_id
         duration = record.end_s - record.start_s
         # transmit() built the index before this record existed; a rebuild
         # only happens if someone registered mid-flight.
@@ -786,33 +708,24 @@ class Medium:
         if index is None:
             index = self._build_index()
         frame_dst = frame.dst
-        is_broadcast = frame_dst == BROADCAST
+        dst_port = self._ports.get(frame_dst)
+        dst_rank = dst_port._medium_rank if dst_port is not None else -1
         # The ranks this record made busy are exactly the sender's audible
-        # ranks (refreshed by _build_index on a mid-flight rebuild) — no
+        # ranks (refreshed by _replay_busy on a mid-flight rebuild) — no
         # second index lookup needed.
         ranks = record.busy_ranks
-        ports_by_rank = index.ports_by_rank
 
         # Receiver-side energy for everyone who heard the frame.  Charged
         # whether or not the frame decodes: the radio listened regardless.
-        # The addressed receiver (every listener, for a broadcast) pays its
-        # class's addressed plan, everyone else its overhear plan; the
-        # overhear plans resolve first, which fixes the order the bank
-        # creates its columns in.  Promiscuous listeners additionally
-        # get a copy of frames addressed elsewhere (approximation:
-        # decodability at third parties follows the addressed receiver's
-        # collision outcome).
+        # The addressed receiver pays its class's addressed plan, everyone
+        # else its overhear plan; the overhear plans resolve first, which
+        # fixes the order the bank creates its columns in.  Promiscuous
+        # listeners additionally get a copy of frames addressed elsewhere
+        # (approximation: decodability at third parties follows the
+        # addressed receiver's collision outcome).
         listening = self._listening
-        if is_broadcast:
-            plans = addressed_plans = self._reception_plans(
-                frame, duration, True
-            )
-            dst_rank = -1
-        else:
-            plans = self._reception_plans(frame, duration, False)
-            addressed_plans = self._reception_plans(frame, duration, True)
-            dst_port = self._ports.get(frame_dst)
-            dst_rank = dst_port._medium_rank if dst_port is not None else -1
+        plans = self._reception_plans(frame, duration, False)
+        addressed_plans = self._reception_plans(frame, duration, True)
         rows = self._bank_rows
         charge_class = self._charge_class
         pairs = [
@@ -828,7 +741,8 @@ class Medium:
         if pairs:
             self._bank.apply_fanout(pairs)
             promiscuous = self._promiscuous
-            if promiscuous and not is_broadcast and not record.corrupted:
+            if promiscuous and not record.corrupted:
+                ports_by_rank = index.ports_by_rank
                 for rank in ranks:
                     if (
                         rank in promiscuous
@@ -837,56 +751,32 @@ class Medium:
                     ):
                         ports_by_rank[rank].deliver_overheard(frame)
 
+        if dst_port is None:
+            return
+        in_reach = frame_dst in index._members[sender.node_id]
+        if (
+            not in_reach
+            or not record.receiver_listening
+            or not dst_port.is_listening
+        ):
+            return
+        if record.corrupted:
+            self.frames_collided += 1
+            return
         # Loss and propagation rolls are hoisted behind cheap flag reads:
         # is_lost() without a configured probability and delivery_roll()
         # on a non-rolling model draw nothing and always pass, so skipping
         # the calls is behaviour-identical and saves two method calls per
         # delivered frame.
         loss = self.loss
-        lossy = loss.probability > 0.0
-        propagation = self.propagation
-        rolls = propagation.rolls_delivery
-
-        if is_broadcast:
-            deaf = record.deaf_ranks
-            interferers = record.interferers
-            for rank in ranks:
-                port = ports_by_rank[rank]
-                if not port.is_listening:
-                    continue
-                if deaf is not None and rank in deaf:
-                    continue
-                if interferers and self._broadcast_corrupted(
-                    record, port.node_id
-                ):
-                    self.frames_collided += 1
-                    continue
-                if lossy and loss.is_lost():
-                    self.frames_lost += 1
-                    continue
-                if rolls and not propagation.delivery_roll(
-                    sender, port.node_id
-                ):
-                    self.frames_lost += 1
-                    continue
-                self.frames_delivered += 1
-                port.deliver(frame)
-            return
-
-        port = dst_port
-        if port is None:
-            return
-        in_reach = frame_dst in index._members[sender_id]
-        if not in_reach or not record.receiver_listening or not port.is_listening:
-            return
-        if record.corrupted:
-            self.frames_collided += 1
-            return
-        if lossy and loss.is_lost():
+        if loss.probability > 0.0 and loss.is_lost():
             self.frames_lost += 1
             return
-        if rolls and not propagation.delivery_roll(sender, frame_dst):
+        propagation = self.propagation
+        if propagation.rolls_delivery and not propagation.delivery_roll(
+            sender, frame_dst
+        ):
             self.frames_lost += 1
             return
         self.frames_delivered += 1
-        port.deliver(frame)
+        dst_port.deliver(frame)

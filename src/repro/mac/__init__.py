@@ -3,11 +3,10 @@
 from repro.mac.base import ContentionMac
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
-from repro.mac.frames import BROADCAST, Frame, FrameKind, make_ack
+from repro.mac.frames import Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams, dcf_params, sensor_csma_params
 
 __all__ = [
-    "BROADCAST",
     "ContentionMac",
     "DcfMac",
     "Frame",

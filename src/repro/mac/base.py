@@ -35,7 +35,7 @@ from __future__ import annotations
 import collections
 import typing
 
-from repro.mac.frames import BROADCAST, Frame, FrameKind, make_ack
+from repro.mac.frames import Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams
 from repro.radio.radio import RadioPort
 from repro.sim.events import NORMAL, PENDING, URGENT, Event
@@ -64,8 +64,8 @@ class ContentionMac:
     -----
     Use :meth:`send` to enqueue a frame; the returned event's value is
     ``True`` on MAC-level success (ACK received, or frame sent for
-    broadcast / no-ACK frames) and ``False`` when the retry budget is
-    exhausted or the queue overflowed.
+    no-ACK frames) and ``False`` when the retry budget is exhausted or
+    the queue overflowed.
     """
 
     def __init__(
@@ -309,7 +309,7 @@ class ContentionMac:
                 frame, done = self._queue.popleft()
                 self._cur_frame = frame
                 self._cur_done = done
-                needs_ack = frame.require_ack and frame.dst != BROADCAST
+                needs_ack = frame.require_ack
                 self._cur_needs_ack = needs_ack
                 self._cur_attempt = 0
                 self._cur_attempts = self._acked_attempts if needs_ack else 1
@@ -584,15 +584,15 @@ class ContentionMac:
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(frame)
             return
-        addressed = frame.dst == self.radio.node_id
-        if addressed and frame.require_ack:
+        if frame.dst != self.radio.node_id:
+            return
+        if frame.require_ack:
             self._ack_queue.append(make_ack(frame, self.params.ack_bits))
             self._kick()
-        if addressed or frame.dst == BROADCAST:
-            if self._is_duplicate(frame):
-                return
-            if self._on_data is not None:
-                self._on_data(frame)
+        if self._is_duplicate(frame):
+            return
+        if self._on_data is not None:
+            self._on_data(frame)
 
     def _is_duplicate(self, frame: Frame) -> bool:
         entry = self._seen.get(frame.src)

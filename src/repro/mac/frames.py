@@ -13,9 +13,6 @@ import enum
 import itertools
 import typing
 
-#: Destination id meaning "all nodes in range".
-BROADCAST = -1
-
 _frame_ids = itertools.count(1)
 
 
@@ -36,7 +33,7 @@ class Frame:
     kind:
         MAC role of the frame.
     src / dst:
-        Node ids (``dst`` may be :data:`BROADCAST`).
+        Node ids: every frame is unicast to ``dst``.
     payload_bits / header_bits:
         Sizes determining airtime; ``total_bits`` is their sum.
     payload:
@@ -68,11 +65,6 @@ class Frame:
     def total_bits(self) -> int:
         """On-air size: payload plus MAC header."""
         return self.payload_bits + self.header_bits
-
-    @property
-    def is_broadcast(self) -> bool:
-        """Whether the frame is addressed to every listener."""
-        return self.dst == BROADCAST
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -215,16 +215,15 @@ class RadioPort:
     def _select_tx_power(self, frame: Frame) -> float:
         """Cheapest ladder level whose reach covers the next hop.
 
-        Broadcasts and unknown destinations transmit at full nominal
-        power (everything in nominal range must hear them).  Power
-        selection is an *accounting* refinement: the medium's neighbor
+        A destination outside the layout transmits at full nominal
+        power.  Power selection is an *accounting* refinement: the medium's neighbor
         index reads the nominal ``range_m``, so audibility — who hears,
         collides with, or overhears the frame — is unchanged; only the
         transmit-side energy bill shrinks for short hops.
         """
         dst = frame.dst
         layout = self.medium.layout
-        if dst < 0 or dst not in layout:
+        if dst not in layout:
             return self.spec.p_tx_w
         return self.spec.tx_power_for_range(
             layout.distance(self.node_id, dst)

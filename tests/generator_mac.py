@@ -76,7 +76,7 @@ class GeneratorEngine:
             self._ack_in_progress = False
 
     def _send_with_retries(self, frame) -> typing.Generator:
-        needs_ack = frame.require_ack and not frame.is_broadcast
+        needs_ack = frame.require_ack
         attempts = 1 + (self.params.max_retries if needs_ack else 0)
         ack_wait_s = self._ack_wait_s() if needs_ack else 0.0
         for attempt in range(attempts):

@@ -42,6 +42,15 @@ GOLDEN_CHURN_DIGESTS = {
     "eager": "6caf8edd5bffc8b91bdf99baeea00216f27a6b2bf2250b5e7af2c3aba7f1b6af",
 }
 
+#: sha256 of the 36-node dual cell with two crashes, a recovery and a
+#: 3–4 link flap (``test_churn_run_partitions_only_at_index_builds``).
+#: The flap lands before the first frame builds the index, so the build
+#: reapplies the link state and the recovery runs the live busy-refcount
+#: replay on both media.
+GOLDEN_LINK_EPOCH_DIGEST = (
+    "52cbf94504b0cb9afc8cfe3dc809780b8034582a6094a6f9cb6810fbe6cd3fcc"
+)
+
 
 def data_frame(src, dst, payload_bits=256, header_bits=64):
     return Frame(
@@ -260,6 +269,7 @@ class TestRetireRestoreRoundTrip:
         assert result.counters["faults.deaths"] == 2.0
         assert len(built) == 2  # one per medium
         assert sum(index.global_partitions for index in built) == len(built)
+        assert results_digest([result]) == GOLDEN_LINK_EPOCH_DIGEST
 
     def test_retired_node_excluded_from_neighbor_queries(self):
         layout = line_layout(4, 40.0)

@@ -5,7 +5,7 @@ import pytest
 from repro.channel.medium import LossModel, Medium
 from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
-from repro.mac.frames import BROADCAST, Frame, FrameKind, make_ack
+from repro.mac.frames import Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams, dcf_params, sensor_csma_params
 from repro.radio.radio import LowPowerRadio
 from repro.mac.csma import SensorCsmaMac
@@ -50,9 +50,6 @@ class Net:
 class TestFrames:
     def test_total_bits(self):
         assert data_frame(0, 1).total_bits == 320
-
-    def test_broadcast_flag(self):
-        assert data_frame(0, BROADCAST).is_broadcast
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -124,13 +121,6 @@ class TestUnicastAck:
         done = net.macs[0].send(data_frame(0, 2, require_ack=False))
         assert net.sim.run(until=done) is True  # fire-and-forget "succeeds"
         assert net.macs[0].retransmissions == 0
-
-    def test_broadcast_delivered_no_ack(self):
-        net = Net()
-        done = net.macs[1].send(data_frame(1, BROADCAST, require_ack=False))
-        net.sim.run(until=done)
-        assert len(net.delivered[0]) == 1
-        assert len(net.delivered[2]) == 1
 
     def test_loss_triggers_retransmission_then_success(self):
         """At 40% frame loss a try succeeds only if data AND ack survive

@@ -20,7 +20,7 @@ from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from generator_mac import MAC_CLASSES, MAC_ENGINES
 from repro.mac.base import _DEDUP_WINDOW, ContentionMac
-from repro.mac.frames import BROADCAST, Frame, FrameKind
+from repro.mac.frames import Frame, FrameKind
 from repro.mac.timing import sensor_csma_params
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim.simulator import Simulator
@@ -88,11 +88,11 @@ def run_plan(engine, *, n, loss_p, plan, seed, params=None):
     }
 
 
-# A traffic step: sender, destination offset (BROADCAST for -1), ack flag.
+# A traffic step: sender, destination, ack flag.
 plans = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=2),
-        st.sampled_from([0, 1, 2, BROADCAST]),
+        st.integers(min_value=0, max_value=2),
         st.booleans(),
     ),
     min_size=1,

@@ -6,7 +6,7 @@ import pytest
 from repro.channel.medium import LossModel, Medium
 from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICAZ
-from repro.mac.frames import BROADCAST, Frame, FrameKind
+from repro.mac.frames import Frame, FrameKind
 from repro.radio.radio import LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
@@ -61,13 +61,6 @@ class TestDelivery:
         h.radios[0].transmit(data_frame(0, 1))
         h.sim.run()
         assert h.received[0] == []
-
-    def test_broadcast_reaches_all_in_range(self):
-        h = Harness()
-        h.radios[1].transmit(data_frame(1, BROADCAST))
-        h.sim.run()
-        assert len(h.received[0]) == 1
-        assert len(h.received[2]) == 1
 
     def test_unknown_destination_ignored(self):
         h = Harness()

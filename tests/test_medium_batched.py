@@ -1,17 +1,20 @@
-"""Batched medium delivery: bugfix regressions and decision identity.
+"""Batched medium delivery: reception verdicts and decision identity.
 
-Covers the PR-7 medium rework:
+Covers:
 
-* broadcast receptions apply the same receiver-centric overlap/capture
-  test as unicast (they used to be immune to collisions);
-* broadcast counters record actual per-receiver outcomes (delivered used
-  to bump once per frame even with zero listeners);
+* the unicast reception verdicts: capture of a weak interferer, the
+  any-overlap-kills model without capture, a receiver deaf at the
+  preamble (missed, not collided), and loss rolls that reconcile with
+  frames sent;
 * :class:`LossModel` validates at construction that a nonzero probability
   comes with an rng;
 * a hypothesis property pins the batched delivery path (listening
   bitmap, per-charge-class ``MeterBank`` energy fanout, O(1) busy
   refcounts) as decision- and bit-identical to a per-receiver charging
-  oracle, on homogeneous and mixed-spec fleets alike.
+  oracle, on homogeneous and mixed-spec fleets alike, and checks that
+  frame outcomes are conserved: every frame has one receiver, so the
+  delivered, collided and lost counts never exceed the frames sent and
+  no frame is received twice.
 """
 
 import pytest
@@ -22,7 +25,7 @@ from repro.channel.medium import LossModel, Medium
 from repro.channel.propagation import DistancePrr
 from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import MICA2, MICAZ
-from repro.mac.frames import BROADCAST, Frame, FrameKind
+from repro.mac.frames import Frame, FrameKind
 from repro.radio.radio import LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
@@ -80,91 +83,72 @@ class TestLossModelValidation:
         assert model.is_lost() in (True, False)
 
 
-class TestBroadcastCollisions:
-    def test_overlapping_broadcasts_collide_at_common_receiver(self):
-        """Hidden-terminal broadcasts: 0 and 2 cannot hear each other but
-        both reach 1, so neither broadcast survives there."""
-        h = BankHarness(line_layout(3, 40.0))
-        h.radios[0].transmit(data_frame(0, BROADCAST))
-        h.radios[2].transmit(data_frame(2, BROADCAST))
-        h.sim.run()
-        assert h.received[1] == []
-        assert h.medium.frames_collided == 2
-        assert h.medium.frames_delivered == 0
+#: Sender 1 is 10 m from receiver 0; node 2 is 40 m from node 0.
+CAPTURE_LAYOUT = Layout(
+    {0: Position(0.0, 0.0), 1: Position(10.0, 0.0), 2: Position(40.0, 0.0)}
+)
 
-    def test_capture_saves_broadcast_from_weak_interferer(self):
-        """An interferer 4x farther than the sender is captured away."""
-        layout = Layout(
-            {0: Position(0.0, 0.0), 1: Position(10.0, 0.0), 2: Position(40.0, 0.0)}
-        )
-        h = BankHarness(layout)
-        h.radios[1].transmit(data_frame(1, BROADCAST, payload_bits=8192))
 
-        def interferer():
-            yield h.sim.timeout(0.001)  # mid-flight of the broadcast
-            h.radios[2].transmit(data_frame(2, 0, payload_bits=64))
+def _interfere_mid_frame(capture_ratio):
+    """Frame 1 -> 0, with 2 -> 1 starting 1 ms into it."""
+    h = BankHarness(CAPTURE_LAYOUT)
+    h.medium.capture_ratio = capture_ratio
+    h.radios[1].transmit(data_frame(1, 0, payload_bits=8192))
 
-        h.sim.process(interferer())
-        h.sim.run()
+    def interferer():
+        yield h.sim.timeout(0.001)  # mid-flight of the wanted frame
+        h.radios[2].transmit(data_frame(2, 1, payload_bits=64))
+
+    h.sim.process(interferer())
+    h.sim.run()
+    return h
+
+
+class TestUnicastCollisions:
+    def test_capture_saves_frame_from_weak_interferer(self):
         # At node 0 the wanted signal is 10 m away, the interferer 40 m:
-        # 40 >= 1.7 * 10, so node 0 captures the broadcast.
+        # 40 >= 1.7 * 10, so node 0 captures the frame.  The interferer's
+        # own frame finds node 1 transmitting: missed, not collided.
+        h = _interfere_mid_frame(Medium.DEFAULT_CAPTURE_RATIO)
         assert len(h.received[0]) == 1
+        assert h.medium.frames_collided == 0
 
     def test_any_overlap_kills_without_capture(self):
-        layout = Layout(
-            {0: Position(0.0, 0.0), 1: Position(10.0, 0.0), 2: Position(40.0, 0.0)}
-        )
-        h = BankHarness(layout)
-        h.medium.capture_ratio = None
-        h.radios[1].transmit(data_frame(1, BROADCAST, payload_bits=8192))
-
-        def interferer():
-            yield h.sim.timeout(0.001)
-            h.radios[2].transmit(data_frame(2, 0, payload_bits=64))
-
-        h.sim.process(interferer())
-        h.sim.run()
+        h = _interfere_mid_frame(None)
         assert h.received[0] == []
-        assert h.medium.frames_collided >= 1
+        assert h.medium.frames_collided == 1
 
-    def test_receiver_deaf_at_broadcast_start_misses_it(self):
-        """A node mid-transmission when a broadcast starts cannot sync to
-        its preamble, even if its own frame ends first (mirrors the
-        unicast ``receiver_listening`` snapshot)."""
+    def test_receiver_deaf_at_frame_start_misses_it(self):
+        """A receiver mid-transmission when a frame starts cannot sync to
+        its preamble, even if its own frame ends first: skipped, not
+        collided."""
         h = BankHarness(line_layout(3, 40.0))
-        h.radios[0].transmit(data_frame(0, 1, payload_bits=64))
-        h.radios[1].transmit(data_frame(1, BROADCAST, payload_bits=8192))
+        h.radios[1].transmit(data_frame(1, 2, payload_bits=64))
+        h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
         h.sim.run()
-        assert h.received[0] == []  # deaf at start: skipped, not collided
+        assert h.received[1] == []
         assert len(h.received[2]) == 1
         assert h.medium.frames_collided == 0
         assert h.medium.frames_delivered == 1
 
 
-class TestBroadcastCounters:
-    def test_no_listeners_means_no_delivery_count(self):
-        h = BankHarness(line_layout(2, 100.0))  # out of range
-        h.radios[0].transmit(data_frame(0, BROADCAST))
-        h.sim.run()
-        assert h.medium.frames_sent == 1
-        assert h.medium.frames_delivered == 0
-
-    def test_delivered_counts_each_receiver(self):
-        h = BankHarness(line_layout(3, 40.0))
-        h.radios[1].transmit(data_frame(1, BROADCAST))
-        h.sim.run()
-        assert h.medium.frames_delivered == 2
-
+class TestUnicastCounters:
     def test_failed_rolls_surface_as_lost(self):
-        sim_seed = 7
-        sim = Simulator(seed=sim_seed)
-        loss = LossModel(0.99, sim.rng.stream("loss"))
-        h = BankHarness(line_layout(3, 40.0), loss=loss, seed=sim_seed)
-        h.radios[1].transmit(data_frame(1, BROADCAST))
+        h = BankHarness(line_layout(2, 40.0), seed=7)
+        h.medium.loss = LossModel(0.5, h.sim.rng.stream("loss"))
+
+        def sender():
+            for seq in range(40):
+                yield h.radios[0].transmit(data_frame(0, 1, seq=seq))
+
+        h.sim.process(sender())
         h.sim.run()
-        # Two listening receivers: every roll is either a delivery or a
-        # counted loss — the counters reconcile.
-        assert h.medium.frames_delivered + h.medium.frames_lost == 2
+        # Every in-range frame is either delivered or a counted loss.
+        medium = h.medium
+        assert medium.frames_sent == 40
+        assert medium.frames_delivered + medium.frames_lost == 40
+        assert 0 < medium.frames_lost < 40
+        assert medium.frames_delivered == len(h.received[1])
 
 
 class TestReceptionCharging:
@@ -303,7 +287,7 @@ class OracleMedium(Medium):
             for rank in record.busy_ranks:
                 port = self._index.ports_by_rank[rank]
                 if port.is_listening:
-                    addressed = frame.dst in (BROADCAST, port.node_id)
+                    addressed = frame.dst == port.node_id
                     for joules, category in port.reception_charges(
                         frame, duration, addressed
                     ):
@@ -340,7 +324,7 @@ def medium_scenario(draw):
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=n - 1),  # sender
-                st.integers(min_value=-1, max_value=n - 1),  # dst (-1 = bcast)
+                st.integers(min_value=0, max_value=n - 1),  # dst
                 st.integers(min_value=0, max_value=3),  # delay ms
             ),
             min_size=1,
@@ -407,14 +391,17 @@ def _run_schedule(scenario, medium_class):
             radio = radios[sender]
             if radio.is_transmitting:
                 continue
-            radio.transmit(
-                data_frame(
-                    sender, BROADCAST if dst < 0 else dst, seq=seq
-                )
-            )
+            radio.transmit(data_frame(sender, dst, seq=seq))
 
     sim.process(driver())
     sim.run()
+    # Each frame ends in at most one outcome at its one receiver.
+    assert (
+        medium.frames_delivered + medium.frames_collided + medium.frames_lost
+        <= medium.frames_sent
+    )
+    keys = [key for frames in received.values() for key in frames]
+    assert len(keys) == len(set(keys)) == medium.frames_delivered
     return {
         "received": received,
         "overheard": overheard,
