@@ -4,8 +4,12 @@ Layouts are immutable and radios never move, so each port's audible set is
 fixed for the whole run.  The historical :meth:`Medium.neighbors` rebuilt
 that set with an O(n) scan per node (and answered "is dst in reach?" with
 an O(degree) list search per unicast frame).  :class:`NeighborIndex`
-computes every audible set in one pass over a spatial hash — O(n · k) for
-k candidates per cell neighborhood instead of O(n²) — and serves
+computes every audible set in one pass: the layout's one spatial hash
+(:meth:`~repro.topology.layout.Layout.pairs_within`, the same helper
+``CsrGraph.from_layout`` calls) yields the pairs within the widest audible
+reach — O(n · k) for k candidates per cell neighborhood instead of O(n²)
+— and the propagation model's ``link_audible`` decides each direction.
+The index serves
 
 * :meth:`neighbors` — the audible set as a cached tuple, ordered by port
   registration order (byte-compatible with the historical scan, which
@@ -27,10 +31,10 @@ k candidates per cell neighborhood instead of O(n²) — and serves
   scheme.  Asymmetric audibility (heterogeneous reaches) disables the
   merge entirely and keeps singleton groups.
 
-On the no-fault path the index never invalidates: it is built lazily
-after the last :meth:`Medium.register` call and the inputs (layout
-positions, port ranges, per-run propagation gains) never change
-afterwards.  Fault injection relaxes that with *incremental epoch
+The medium builds its index once, at first use (the first frame,
+neighbor query or fault op); registering a port after that raises, so the
+inputs (layout positions, port ranges, per-run propagation gains) never
+change afterwards.  Fault injection relaxes that with *incremental epoch
 repair*: :meth:`retire_node` / :meth:`restore_node` (node churn) and
 :meth:`set_link` (scripted link up/down) change only the closed audible
 sets of the touched nodes T (the node plus the pristine senders it
@@ -52,10 +56,7 @@ every neighbor structure exactly (pinned by a hypothesis property in
 
 from __future__ import annotations
 
-import math
 import typing
-
-from repro.topology.geometry import RANGE_EPSILON_M
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.channel.propagation import PropagationModel
@@ -90,49 +91,29 @@ class NeighborIndex:
             (propagation.max_audible_m(port) for port in ports.values()),
             default=0.0,
         )
-        # Cells are sized to the *inclusive* reach (max audible distance
-        # plus the boundary epsilon), mirroring CsrGraph.from_layout: a
-        # candidate the predicate can accept then never lies more than
-        # ``ceil(reach / cell) == 1`` cell away, so the uniform-range
-        # window below is 3x3.  Sizing cells to the bare nominal range
-        # used to make ``span = ceil((reach + ε) / reach) = 2`` — a 5x5
-        # window scanning ~2.8x the candidates for no extra hits — and
-        # degenerated to a near-unbounded span for reaches far below the
-        # epsilon (e.g. zero-range ports).
-        cell = max(max_reach + RANGE_EPSILON_M, 1e-9)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for node in ports:
-            pos = layout.position(node)
-            buckets.setdefault(
-                (math.floor(pos.x / cell), math.floor(pos.y / cell)), []
-            ).append(node)
-
         #: Rank (registration order) → port object, the medium's hot-path
         #: companion to the per-node rank tuples below.
         self.ports_by_rank: list["RadioPort"] = list(ports.values())
+        # Nothing beyond the widest reach is audible, so the layout's
+        # pairs within it are every candidate; the propagation model
+        # decides each direction on its own (reaches may differ).
+        link_audible = propagation.link_audible
+        found: dict[int, list[int]] = {node: [] for node in ports}
+        for a, b in layout.pairs_within(max_reach, ports):
+            if link_audible(ports[a], b):
+                found[a].append(b)
+            if link_audible(ports[b], a):
+                found[b].append(a)
         self._neighbors: dict[int, tuple[int, ...]] = {}
         self._neighbor_ranks: dict[int, tuple[int, ...]] = {}
         self._members: dict[int, frozenset[int]] = {}
-        for node, port in ports.items():
-            pos = layout.position(node)
-            # The epsilon keeps boundary placements (grid neighbors at
-            # exactly the nominal range) inside the scanned cell window,
-            # matching in_range()'s inclusive tolerance.
-            reach = propagation.max_audible_m(port) + RANGE_EPSILON_M
-            span = math.ceil(reach / cell) if reach > 0 else 0
-            cx, cy = math.floor(pos.x / cell), math.floor(pos.y / cell)
-            found: list[int] = []
-            for bx in range(cx - span, cx + span + 1):
-                for by in range(cy - span, cy + span + 1):
-                    for other in buckets.get((bx, by), ()):
-                        if other != node and propagation.link_audible(
-                            port, other
-                        ):
-                            found.append(other)
-            found.sort(key=order.__getitem__)
-            self._neighbors[node] = tuple(found)
-            self._neighbor_ranks[node] = tuple(order[i] for i in found)
-            self._members[node] = frozenset(found)
+        for node in ports:
+            # Popped so each list is freed as its tuples are built.
+            audible = found.pop(node)
+            audible.sort(key=order.__getitem__)
+            self._neighbors[node] = tuple(audible)
+            self._neighbor_ranks[node] = tuple(order[i] for i in audible)
+            self._members[node] = frozenset(audible)
 
         #: Node ids in registration (rank) order; epoch repair iterates
         #: this to reproduce the build's dict-insertion orders exactly.

@@ -40,10 +40,11 @@ Performance
 -----------
 The medium never schedules per-neighbour events: one start and one end
 event per transmission.  Audible sets come from a
-:class:`~repro.channel.index.NeighborIndex` built once after registration
-(layouts are immutable, so on the no-fault path the index never
-invalidates mid-run; fault injection instead *repairs* it in place — see
-"Topology epochs" below), and both hot paths are batched over its
+:class:`~repro.channel.index.NeighborIndex` built once, at the medium's
+first use — the first frame, neighbor query or fault op.  Registering a
+port after that raises :class:`ValueError`, so the index never
+invalidates: layouts are immutable, and fault injection *repairs* it in
+place (see "Topology epochs" below).  Both hot paths are batched over its
 registration-order rank arrays:
 
 * **Carrier sense is an O(1) read.**  ``transmit`` increments and
@@ -72,16 +73,17 @@ Topology epochs
 ---------------
 Fault injection makes the fleet mortal without touching the no-fault hot
 path.  :meth:`retire_node` / :meth:`restore_node` (node churn) and
-:meth:`set_link` (scripted link up/down) bump :attr:`topology_epoch` and
-repair state incrementally: the neighbor index refilters only the
-affected audible sets (:meth:`NeighborIndex.retire_node`), in-flight
+:meth:`set_link` (scripted link up/down) build the index if it does not
+exist yet, bump :attr:`topology_epoch` and repair state incrementally.
+The neighbor index is the only owner of fault state: it validates each
+op, records retired nodes and downed links, and refilters only the
+affected audible sets (:meth:`NeighborIndex.retire_node`).  In-flight
 frames from a dying sender are *aborted* (their end event still pops,
 but end-of-frame processing is skipped — no delivery, no charges), and
 the busy refcounts are replayed over the surviving active records
-against the repaired audibility groups — the same replay
-:meth:`_build_index` runs for a mid-flight registration.  Routing tables
-consume the epoch through their own ``invalidate_epoch`` API; a run that
-never injects a fault never executes any of this.
+against the repaired audibility groups.  Routing tables consume the
+epoch through their own ``invalidate_epoch`` API; a run that never
+injects a fault never executes any of this.
 """
 
 from __future__ import annotations
@@ -252,10 +254,9 @@ class Medium:
         self.capture_ratio = capture_ratio
         self._ports: dict[int, "RadioPort"] = {}
         self._active: list[Transmission] = []
-        #: Precomputed audible sets; built lazily after the last register.
-        #: The three per-rank arrays below share its lifetime: they are
-        #: rebuilt with it and invalidated with it, so ``_index is not
-        #: None`` implies all of them are populated.
+        #: Precomputed audible sets, built once at first use (after which
+        #: ``register`` raises).  The per-rank arrays below are populated
+        #: with it, so ``_index is not None`` implies all of them are.
         self._index: NeighborIndex | None = None
         #: Per-audibility-group count of active transmissions audible at
         #: the group's ports (their own included) — the O(1) carrier-sense
@@ -264,8 +265,9 @@ class Medium:
         self._busy_group_of: list[int] | None = None
         #: Per-rank ``is_listening`` mirror, updated by :meth:`note_state`.
         self._listening: list[bool] | None = None
-        #: Receiver-side accounting, index lifetime like ``_listening``:
-        #: the one bank every port meters into, each rank's bank row and
+        #: The one bank every port meters into (fixed by the first
+        #: registration), then receiver-side accounting with index
+        #: lifetime like ``_listening``: each rank's bank row and
         #: charge-class id, and one representative port per class.
         self._bank: "MeterBank | None" = None
         self._bank_rows: list[int] | None = None
@@ -279,23 +281,19 @@ class Medium:
         #: Memoized reception plans keyed by frame shape ``(header_bits,
         #: duration, addressed)``: one bank column plan per charge class,
         #: indexed by class id.  The only plan cache — the bank keeps
-        #: none.  Cleared on registration, which renumbers the classes.
+        #: none.
         self._charges_memo: dict[
             tuple[int, float, bool],
             list[list[tuple[float, list[float], list[int]]]],
         ] = {}
         #: Memoized interference verdicts keyed (interferer, sender, rx)
-        #: node ids — run constants while the port set is stable; cleared
-        #: on registration with the index (see :meth:`_corrupts`).
+        #: node ids — run constants between topology repairs, which clear
+        #: it (see :meth:`_corrupts`).
         self._interferes_memo: dict[tuple[int, int, int], bool] = {}
         #: Bumped by every retire/restore/set_link; routing tables compare
         #: against it to decide whether their memos are stale.  A no-fault
         #: run leaves it at 0 forever.
         self.topology_epoch = 0
-        #: Source of truth for fault state: a mid-run ``register`` nulls
-        #: the index, so the rebuild must reapply these to the fresh one.
-        self._retired: set[int] = set()
-        self._links_down: set[tuple[int, int]] = set()
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_collided = 0
@@ -304,21 +302,40 @@ class Medium:
     # -- registration ------------------------------------------------------
 
     def register(self, port: "RadioPort") -> None:
-        """Attach a radio port; one port per node per medium."""
-        if port.node_id in self._ports:
+        """Attach a radio port; one port per node per medium.
+
+        Raises
+        ------
+        ValueError
+            If the medium is already in use (its neighbor index exists),
+            the node already has a port here or is not in the layout, or
+            the port meters into a different
+            :class:`~repro.energy.meter.MeterBank` than the first port — a
+            frame's receptions are charged in one batch, so one medium
+            needs one bank.
+        """
+        if self._index is not None:
+            raise ValueError(
+                f"medium {self.name!r} is already in use: register every "
+                f"port before its first frame, neighbor query or fault"
+            )
+        ports = self._ports
+        if port.node_id in ports:
             raise ValueError(
                 f"node {port.node_id} already has a radio on medium {self.name!r}"
             )
         if port.node_id not in self.layout:
             raise ValueError(f"node {port.node_id} is not in the layout")
-        self._ports[port.node_id] = port
-        self._index = None
-        self._busy = None
-        self._busy_group_of = None
-        self._listening = None
-        self._promiscuous = None
-        self._charges_memo.clear()
-        self._interferes_memo.clear()
+        bank = port.meter.bank
+        if not ports:
+            self._bank = bank
+        elif bank is not self._bank:
+            raise ValueError(
+                f"node {port.node_id} meters into a different MeterBank "
+                f"than node {next(iter(ports))} on medium {self.name!r}"
+            )
+        port._medium_rank = len(ports)
+        ports[port.node_id] = port
 
     def port(self, node_id: int) -> "RadioPort":
         """The radio port registered for ``node_id``."""
@@ -331,49 +348,27 @@ class Medium:
         return index
 
     def _build_index(self) -> NeighborIndex:
-        """Build the neighbor index and the per-rank arrays tied to it.
-
-        Raises
-        ------
-        ValueError
-            If the ports meter into more than one
-            :class:`~repro.energy.meter.MeterBank` — a frame's receptions
-            are charged in one batch, so one medium needs one bank.
-        """
+        """Build the neighbor index and the per-rank arrays tied to it
+        (once: :meth:`register` refuses ports after this)."""
         index = NeighborIndex(self.layout, self._ports, self.propagation)
-        # Reapply fault state to the fresh index: a register() after a
-        # retire must not resurrect the retired node's audibility.
-        for node_id in sorted(self._retired):
-            index.retire_node(node_id)
-        for a, b in sorted(self._links_down):
-            index.set_link(a, b, up=False)
         ports = index.ports_by_rank
         # Receiver-side accounting: ports sharing (radio class, spec,
         # component) share one charge class, and hence one reception plan
         # per frame shape.  The class includes the concrete type because
         # a subclass may override ``reception_charges``.
-        bank = ports[0].meter.bank if ports else None
         class_of: dict[tuple[typing.Any, ...], int] = {}
         class_ports: list["RadioPort"] = []
         charge_class = []
         for port in ports:
-            if port.meter.bank is not bank:
-                raise ValueError(
-                    f"node {port.node_id} meters into a different MeterBank "
-                    f"than node {ports[0].node_id} on medium {self.name!r}"
-                )
             key = (type(port), port.spec, port.component)
             cls = class_of.get(key)
             if cls is None:
                 cls = class_of[key] = len(class_ports)
                 class_ports.append(port)
             charge_class.append(cls)
-        self._bank = bank
         self._bank_rows = [port.meter.index for port in ports]
         self._charge_class = charge_class
         self._class_ports = class_ports
-        for rank, port in enumerate(ports):
-            port._medium_rank = rank
         self._listening = [port.is_listening for port in ports]
         self._replay_busy(index)
         self._promiscuous = {
@@ -384,8 +379,6 @@ class Medium:
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         """Registered nodes audible from ``node_id`` (precomputed tuple)."""
-        if node_id not in self._ports:
-            raise KeyError(node_id)
         return self._neighbor_index().neighbors(node_id)
 
     def is_neighbor(self, sender_id: int, listener_id: int) -> bool:
@@ -412,7 +405,7 @@ class Medium:
         collects promiscuous flags from the ports directly.
         """
         promiscuous = self._promiscuous
-        if promiscuous is not None and port._medium_rank >= 0:
+        if promiscuous is not None:
             promiscuous.add(port._medium_rank)
 
     # -- carrier sensing -----------------------------------------------------
@@ -427,8 +420,6 @@ class Medium:
         """
         if not self._active:
             return False
-        if self._busy is None:
-            self._neighbor_index()
         port = self._ports.get(node_id)
         if port is None:
             return False
@@ -443,37 +434,23 @@ class Medium:
         The port stays registered — :meth:`restore_node` brings it back.
         Callers power down the node's radio/MAC first, so its
         ``is_listening`` already reads False by the time delivery looks.
+        The index validates the op (``KeyError`` for an unknown node,
+        ``ValueError`` for one already retired).
         """
-        if node_id not in self._ports:
-            raise KeyError(node_id)
-        if node_id in self._retired:
-            raise ValueError(f"node {node_id} is already retired")
-        self._retired.add(node_id)
+        index = self._neighbor_index()
+        index.retire_node(node_id)
         for record in self._active:
             if not record.aborted and record.sender.node_id == node_id:
                 record.aborted = True
-        index = self._index
-        if index is None:
-            # No index yet: the next build reapplies ``_retired`` wholesale.
-            self.topology_epoch += 1
-            return
-        index.retire_node(node_id)
         rank = self._ports[node_id]._medium_rank
         self._listening[rank] = False
         self._promiscuous.discard(rank)
         self._repair_after_topology_change(index)
 
     def restore_node(self, node_id: int) -> None:
-        """Bring a retired ``node_id`` back on the air."""
-        if node_id not in self._ports:
-            raise KeyError(node_id)
-        if node_id not in self._retired:
-            raise ValueError(f"node {node_id} is not retired")
-        self._retired.discard(node_id)
-        index = self._index
-        if index is None:
-            self.topology_epoch += 1
-            return
+        """Bring a retired ``node_id`` back on the air (``ValueError``
+        unless it is retired)."""
+        index = self._neighbor_index()
         index.restore_node(node_id)
         port = self._ports[node_id]
         rank = port._medium_rank
@@ -483,26 +460,9 @@ class Medium:
         self._repair_after_topology_change(index)
 
     def set_link(self, a: int, b: int, up: bool) -> None:
-        """Force the ``a``–``b`` link down (or back up) regardless of range."""
-        if a == b:
-            raise ValueError(f"link endpoints must differ, got {a} twice")
-        if a not in self._ports:
-            raise KeyError(a)
-        if b not in self._ports:
-            raise KeyError(b)
-        key = (a, b) if a < b else (b, a)
-        if up:
-            if key not in self._links_down:
-                raise ValueError(f"link {a}-{b} is not down")
-            self._links_down.discard(key)
-        else:
-            if key in self._links_down:
-                raise ValueError(f"link {a}-{b} is already down")
-            self._links_down.add(key)
-        index = self._index
-        if index is None:
-            self.topology_epoch += 1
-            return
+        """Force the ``a``–``b`` link down (or back up) regardless of
+        range; the index validates the endpoints and the link's state."""
+        index = self._neighbor_index()
         index.set_link(a, b, up=up)
         self._repair_after_topology_change(index)
 
@@ -511,9 +471,10 @@ class Medium:
 
         Replays the increments of whatever is still on the air, refreshing
         each active record's rank and group tuples against ``index`` (a
-        mid-flight registration or a topology repair changes audibility).
-        Aborted records are dead weight awaiting their end event and hold
-        no refcounts.
+        topology repair changes audibility).  At the build nothing is on
+        the air yet — the index exists before the first frame — so the
+        counts start at zero.  Aborted records are dead weight awaiting
+        their end event and hold no refcounts.
         """
         busy = [0] * index.n_groups
         for record in self._active:
@@ -619,8 +580,8 @@ class Medium:
         corrupted: radios are half-duplex.
 
         Memoized per ``(interferer, sender, rx)`` node-id triple: the
-        layout is immutable and audibility only changes on registration or
-        a topology repair (both clear the memo), so each verdict is a run
+        layout is immutable and audibility only changes on a topology
+        repair (which clears the memo), so each verdict is a run
         constant.  On contention-heavy cells the same triples recur for
         every frame overlap, making this one of the hottest calls in the
         run; the memo is read inline to spare a call frame per pair.
@@ -696,22 +657,18 @@ class Medium:
             return
         sender = record.sender
         busy = self._busy
-        if busy is not None:
-            for group in record.busy_groups:
-                busy[group] -= 1
+        for group in record.busy_groups:
+            busy[group] -= 1
 
         frame = record.frame
         duration = record.end_s - record.start_s
-        # transmit() built the index before this record existed; a rebuild
-        # only happens if someone registered mid-flight.
+        # transmit() built the index before this record existed.
         index = self._index
-        if index is None:
-            index = self._build_index()
         frame_dst = frame.dst
         dst_port = self._ports.get(frame_dst)
         dst_rank = dst_port._medium_rank if dst_port is not None else -1
         # The ranks this record made busy are exactly the sender's audible
-        # ranks (refreshed by _replay_busy on a mid-flight rebuild) — no
+        # ranks (refreshed by _replay_busy on a topology repair) — no
         # second index lookup needed.
         ranks = record.busy_ranks
 

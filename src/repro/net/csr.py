@@ -12,9 +12,10 @@ sorted ids.
 Builders cover the three places routing graphs come from:
 
 * :meth:`CsrGraph.from_layout` — a uniform radio range over a
-  :class:`~repro.topology.layout.Layout`, found with a spatial hash
-  (O(n·k) for k candidates per cell neighborhood) instead of the O(n²)
-  pairwise scan ``Layout.graph`` performs.  Edge-for-edge identical to
+  :class:`~repro.topology.layout.Layout`: the pairs
+  :meth:`~repro.topology.layout.Layout.pairs_within` finds with the code
+  base's one spatial hash (the medium's neighbor index takes its
+  candidates from the same helper).  Edge-for-edge identical to
   ``layout.graph(range_m)`` (same ``in_range`` tolerance).
 * :meth:`CsrGraph.from_links` — an explicit link list, e.g. the
   bidirectionally-audible links a :class:`~repro.channel.medium.Medium`'s
@@ -26,10 +27,7 @@ Builders cover the three places routing graphs come from:
 from __future__ import annotations
 
 import bisect
-import math
 import typing
-
-from repro.topology.geometry import RANGE_EPSILON_M
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
     import networkx
@@ -73,58 +71,10 @@ class CsrGraph:
 
     @classmethod
     def from_layout(cls, layout: "Layout", range_m: float) -> "CsrGraph":
-        """Connectivity at a uniform ``range_m``, via a spatial hash.
-
-        Produces exactly the edge set of ``layout.graph(range_m)`` without
-        the O(n²) pairwise distance scan.
-        """
-        # Cells are sized to in_range()'s *inclusive* reach (nominal range
-        # plus the boundary epsilon): a link the predicate accepts then
-        # never spans more than one cell per axis, so the one-cell window
-        # below cannot miss grid neighbors placed at exactly the range.
-        cell = max(range_m + RANGE_EPSILON_M, 1e-9)
-        limit = range_m + RANGE_EPSILON_M
-        node_ids = tuple(layout.node_ids)
-        position = layout.position
-        positions = {node: position(node) for node in node_ids}
-        floor, hypot = math.floor, math.hypot
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for node, pos in positions.items():
-            buckets.setdefault(
-                (floor(pos.x / cell), floor(pos.y / cell)), []
-            ).append(node)
-        adjacency: dict[int, list[int]] = {node: [] for node in node_ids}
-        # Each unordered pair is tested exactly once: within a bucket, and
-        # against the four "forward" neighbor buckets (the other four are
-        # covered when those buckets take their turn).  The distance test
-        # is ``hypot(dx, dy) <= limit`` — the same arithmetic as
-        # ``in_range`` — so the edge set stays bit-identical to the O(n²)
-        # ``layout.graph(range_m)`` scan.
-        forward = ((1, -1), (1, 0), (1, 1), (0, 1))
-        for (cx, cy), members in buckets.items():
-            for i, a in enumerate(members):
-                pa = positions[a]
-                ax, ay = pa.x, pa.y
-                row_a = adjacency[a]
-                for b in members[i + 1 :]:
-                    pb = positions[b]
-                    if hypot(ax - pb.x, ay - pb.y) <= limit:
-                        row_a.append(b)
-                        adjacency[b].append(a)
-            for dx, dy in forward:
-                others = buckets.get((cx + dx, cy + dy))
-                if not others:
-                    continue
-                for a in members:
-                    pa = positions[a]
-                    ax, ay = pa.x, pa.y
-                    row_a = adjacency[a]
-                    for b in others:
-                        pb = positions[b]
-                        if hypot(ax - pb.x, ay - pb.y) <= limit:
-                            row_a.append(b)
-                            adjacency[b].append(a)
-        return cls(node_ids, adjacency)
+        """Connectivity at a uniform ``range_m``: the pairs
+        :meth:`Layout.pairs_within` finds, so edge-for-edge identical to
+        ``layout.graph(range_m)`` without its O(n²) pairwise scan."""
+        return cls.from_links(layout.node_ids, layout.pairs_within(range_m))
 
     @classmethod
     def from_links(

@@ -22,11 +22,12 @@ model pays for the cost of the IEEE 802.11 radios fully."
 Ports on one medium need not share a :class:`~repro.energy.radio_specs.RadioSpec`:
 heterogeneous deployments (scenario ``high_radios`` assignments) register
 radios of different models — and therefore ranges and meter components —
-side by side.  The medium's neighbor index reads each port's ``range_m``
-once, after the last registration; port registration order also fixes the
-order of the medium's neighbor tuples, so construction loops should
-register nodes in a deterministic order (the scenario builder uses
-ascending node id).
+side by side.  The medium builds its neighbor index once, at its first
+use (first frame, neighbor query or fault op), reading each port's
+``range_m`` then; a port constructed on a medium already in use raises
+:class:`ValueError`.  Port registration order also fixes the order of the
+medium's neighbor tuples, so construction loops should register nodes in
+a deterministic order (the scenario builder uses ascending node id).
 """
 
 from __future__ import annotations

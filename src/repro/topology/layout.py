@@ -8,19 +8,23 @@ tables).
 
 Layouts are immutable once constructed, so derived data (:attr:`Layout.node_ids`,
 :meth:`Layout.neighbors_within`) is computed once and served as cached
-tuples.  Generator functions cover the paper's deployments (grid, line) and
-the scenario-composition axes beyond it (uniform random, clustered); the
-registry in :mod:`repro.topology.registry` makes them nameable from configs
-and the CLI.
+tuples.  :meth:`Layout.pairs_within` is the one spatial hash in the code
+base: the routing graphs (``CsrGraph.from_layout``) and the medium's
+neighbor index both take their candidate pairs from it.  Generator
+functions cover the paper's deployments (grid, line) and the
+scenario-composition axes beyond it (uniform random, clustered); the
+registry in :mod:`repro.topology.registry` makes them nameable from
+configs and the CLI.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 
 import networkx
 
-from repro.topology.geometry import Position, in_range
+from repro.topology.geometry import RANGE_EPSILON_M, Position, in_range
 
 
 class Layout:
@@ -77,6 +81,49 @@ class Layout:
             )
             self._neighbors_cache[key] = cached
         return cached
+
+    def pairs_within(
+        self, reach_m: float, node_ids: typing.Iterable[int] | None = None
+    ) -> typing.Iterator[tuple[int, int]]:
+        """Yield every unordered pair of ``node_ids`` (default: all nodes)
+        at most ``reach_m`` apart, each once, via a spatial hash.
+
+        The test is ``hypot(dx, dy) <= reach_m + RANGE_EPSILON_M`` — the
+        same arithmetic as :func:`in_range` — so the result is exactly the
+        pairs an O(n²) ``in_range`` scan accepts, in O(n·k) for k nodes per
+        cell neighborhood.
+        """
+        # Cells are sized to the *inclusive* reach: a pair the predicate
+        # accepts then never spans more than one cell per axis, so the
+        # one-cell window below cannot miss grid neighbors placed at
+        # exactly the range (and zero reaches keep a finite cell).
+        limit = reach_m + RANGE_EPSILON_M
+        cell = max(limit, 1e-9)
+        positions = self._positions
+        floor, hypot = math.floor, math.hypot
+        buckets: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+        for node in self._node_ids if node_ids is None else node_ids:
+            x, y = positions[node]
+            buckets.setdefault((floor(x / cell), floor(y / cell)), []).append(
+                (node, x, y)
+            )
+        # Each unordered pair is tested exactly once: within a bucket, and
+        # against the four "forward" neighbor buckets (the other four are
+        # covered when those buckets take their turn).
+        forward = ((1, -1), (1, 0), (1, 1), (0, 1))
+        for (cx, cy), members in buckets.items():
+            for i, (a, ax, ay) in enumerate(members):
+                for b, bx, by in members[i + 1 :]:
+                    if hypot(ax - bx, ay - by) <= limit:
+                        yield a, b
+            for dx, dy in forward:
+                others = buckets.get((cx + dx, cy + dy))
+                if not others:
+                    continue
+                for a, ax, ay in members:
+                    for b, bx, by in others:
+                        if hypot(ax - bx, ay - by) <= limit:
+                            yield a, b
 
     def graph(self, range_m: float) -> "networkx.Graph":
         """Connectivity graph for radios with transmission range ``range_m``.

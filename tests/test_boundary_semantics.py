@@ -7,22 +7,33 @@ arithmetic, would silently disconnect grid neighbours):
 
 * :meth:`Layout.neighbors_within` — the O(n) brute-force scan (ground
   truth, uses :func:`in_range`'s inclusive epsilon);
-* :class:`NeighborIndex` — the medium's precomputed spatial-hash sets;
+* :class:`NeighborIndex` — the medium's precomputed audible sets;
 * :meth:`CsrGraph.from_layout` — the routing engines' adjacency builder.
+
+The last two share one spatial hash, :meth:`Layout.pairs_within`.
 
 The hypothesis property below *constructs* exactly-at-range pairs: node
 coordinates are integers and the radio range is set to the exact distance
 of a randomly chosen pair, so every run exercises the boundary, not just
-the interior.
+the interior.  A second property covers the inputs that one never draws —
+mixed per-port reaches (asymmetric audibility), the log-normal and
+distance-PRR propagation models, and ports on only a subset of the
+layout's nodes — against an all-pairs ``link_audible`` scan.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.index import NeighborIndex
-from repro.channel.propagation import UnitDiscPropagation
+from repro.channel.propagation import (
+    DistancePrr,
+    LogNormalShadowing,
+    UnitDiscPropagation,
+)
 from repro.net.csr import CsrGraph
 from repro.topology.geometry import Position, in_range
 from repro.topology.layout import Layout, grid_layout
@@ -154,3 +165,61 @@ def test_zero_range_ports_terminate_and_hear_colocated_only():
     for node in layout.node_ids:
         assert index_sets[node] == _brute_force(layout, node, 0.0)
     assert in_range(Position(0.0, 0.0), Position(0.0, 0.0), 0.0)
+
+
+def _propagation(kind: str, layout: Layout, seed: int):
+    if kind == "log-normal":
+        return LogNormalShadowing(layout, random.Random(seed), sigma_db=6.0)
+    if kind == "distance-prr":
+        return DistancePrr(layout, random.Random(seed))
+    return UnitDiscPropagation(layout)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_index_matches_all_pairs_link_audible(data):
+    n = data.draw(st.integers(2, 14), label="n")
+    coords = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 100), st.integers(0, 100)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        ),
+        label="coords",
+    )
+    layout = Layout(
+        {i: Position(float(x), float(y)) for i, (x, y) in enumerate(coords)}
+    )
+    # A subset of the nodes, registered in drawn (not id) order.
+    registered = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+        label="registered",
+    )
+    # Per-port reaches mix round ranges with one exact pair distance, so
+    # audibility is asymmetric and some links sit on the boundary.
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.integers(0, n - 1).filter(lambda v: v != a), label="b")
+    reach_choices = (0.0, 20.0, 40.0, 65.5, layout.distance(a, b))
+    ports = {
+        node: _FakePort(
+            node, data.draw(st.sampled_from(reach_choices), label="reach")
+        )
+        for node in registered
+    }
+    kind = data.draw(
+        st.sampled_from(("unit-disc", "log-normal", "distance-prr")),
+        label="propagation",
+    )
+    propagation = _propagation(kind, layout, data.draw(st.integers(0, 99)))
+    index = NeighborIndex(layout, ports, propagation)
+    for node, port in ports.items():
+        # The all-pairs reference, in registration order.
+        expected = tuple(
+            other
+            for other in ports
+            if other != node and propagation.link_audible(port, other)
+        )
+        assert index.neighbors(node) == expected
+        for other in ports:
+            assert index.is_neighbor(node, other) == (other in expected)

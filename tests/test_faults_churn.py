@@ -44,9 +44,9 @@ GOLDEN_CHURN_DIGESTS = {
 
 #: sha256 of the 36-node dual cell with two crashes, a recovery and a
 #: 3–4 link flap (``test_churn_run_partitions_only_at_index_builds``).
-#: The flap lands before the first frame builds the index, so the build
-#: reapplies the link state and the recovery runs the live busy-refcount
-#: replay on both media.
+#: The first crash, at 5 s, lands before the first frame, so it is what
+#: builds each medium's index; the flap and the recovery then run the
+#: live busy-refcount replay on both media.
 GOLDEN_LINK_EPOCH_DIGEST = (
     "52cbf94504b0cb9afc8cfe3dc809780b8034582a6094a6f9cb6810fbe6cd3fcc"
 )
@@ -214,7 +214,7 @@ class TestRetireRestoreRoundTrip:
             {i: Position(x, y) for i, (x, y) in enumerate(positions)}
         )
         _sim, medium, _radios = build_fleet(layout, long_reach=long_reach)
-        live = medium._build_index()
+        live = medium._neighbor_index()
         symmetric = is_symmetric(live)
         assert live._symmetric == symmetric
         assert_groups_match_reference(live, symmetric)
@@ -238,7 +238,7 @@ class TestRetireRestoreRoundTrip:
         assert not any(medium._busy)
         assert medium.topology_epoch == 2 * (len(victims) + len(links))
         assert live.global_partitions == 1
-        rebuilt = medium._build_index()
+        rebuilt = NeighborIndex(layout, medium._ports, medium.propagation)
         assert neighbor_state(live) == neighbor_state(rebuilt)
         assert canonical_groups(
             live.group_of_rank, live._busy_groups

@@ -14,13 +14,18 @@ Covers:
   oracle, on homogeneous and mixed-spec fleets alike, and checks that
   frame outcomes are conserved: every frame has one receiver, so the
   delivered, collided and lost counts never exceed the frames sent and
-  no frame is received twice.
+  no frame is received twice;
+* the neighbor index is built once, at the medium's first use: a late
+  registration raises, a retire before any frame matches a fresh index
+  with that node retired, and a retire mid-flight replays the busy
+  refcounts over the surviving frames.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.channel.index import NeighborIndex
 from repro.channel.medium import LossModel, Medium
 from repro.channel.propagation import DistancePrr
 from repro.energy.meter import MeterBank
@@ -159,9 +164,10 @@ class TestReceptionCharging:
         bank, other = MeterBank(3), MeterBank(3)
         LowPowerRadio(sim, 0, MICAZ, medium, bank.meter(0))
         LowPowerRadio(sim, 1, MICAZ, medium, bank.meter(1))
-        LowPowerRadio(sim, 2, MICAZ, medium, other.meter(2))
+        # The offending registration itself fails, not the first use.
         with pytest.raises(ValueError, match="node 2 meters into a different"):
-            medium._neighbor_index()
+            LowPowerRadio(sim, 2, MICAZ, medium, other.meter(2))
+        assert list(medium._ports) == [0, 1]
 
     def test_mixed_spec_medium_charges_each_node_its_own_plan(self):
         # 1 -> 0 unicast: 0 (Mica2) is addressed, 2 (Micaz) overhears.
@@ -208,43 +214,79 @@ class TestFastPathEligibility:
         assert trace == [True, True, False]
         assert all(count == 0 for count in h.medium._busy)
 
-    def test_retire_then_mid_run_register_keeps_refcounts_consistent(self):
+    def test_retire_mid_flight_keeps_refcounts_consistent(self):
         # Fault-injection interaction: a node retires while frames are in
-        # flight, then a NEW port registers in the same topology epoch.
-        # Registration nulls the memoized index, so the rebuild must
-        # re-apply the retirement AND replay busy refcounts over the
-        # surviving (non-aborted) in-flight transmissions.
-        sim = Simulator(seed=1)
-        layout = line_layout(4, 40.0)
-        medium = Medium(sim, layout, "test")
-        bank = MeterBank(4)
-        radios = {
-            i: LowPowerRadio(sim, i, MICAZ, medium, bank.meter(i))
-            for i in range(3)
-        }
-        radios[0].transmit(data_frame(0, 1, payload_bits=8192))
+        # flight.  Its own frame is aborted, and the busy refcounts are
+        # replayed over the surviving in-flight transmission.
+        h = BankHarness(line_layout(3, 40.0))
+        medium = h.medium
+        h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
         trace = []
 
         def driver():
-            yield sim.timeout(0.001)
-            radios[2].transmit(data_frame(2, 1, payload_bits=8192))
-            yield sim.timeout(0.001)
-            radios[0].power_down()
+            yield h.sim.timeout(0.001)
+            h.radios[2].transmit(data_frame(2, 1, payload_bits=8192))
+            yield h.sim.timeout(0.001)
+            h.radios[0].power_down()
             medium.retire_node(0)  # aborts 0's frame; 2's survives
-            radios[3] = LowPowerRadio(
-                sim, 3, MICAZ, medium, bank.meter(3)
-            )
             trace.append(medium.is_busy_for(1))  # still hears node 2
-            trace.append(0 in medium.neighbors(1))  # retirement reapplied
-            trace.append(2 in medium.neighbors(3))  # newcomer wired in
+            trace.append(0 in medium.neighbors(1))  # retirement applied
+            trace.append(medium.is_busy_for(0))  # deaf and mute now
 
-        sim.process(driver())
-        sim.run()
-        assert trace == [True, False, True]
+        h.sim.process(driver())
+        h.sim.run()
+        assert trace == [True, False, False]
         assert all(count == 0 for count in medium._busy)
-        # ... and the epoch machinery still works on the rebuilt index.
+        # ... and the epoch machinery keeps working on the same index.
         medium.restore_node(0)
         assert 0 in medium.neighbors(1)
+
+
+def _transmit(medium, radios):
+    radios[0].transmit(data_frame(0, 1))
+
+
+def _query_neighbors(medium, radios):
+    medium.neighbors(0)
+
+
+def _retire(medium, radios):
+    medium.retire_node(1)
+
+
+class TestBuildOnce:
+    """The neighbor index is built once, at the medium's first use."""
+
+    @pytest.mark.parametrize(
+        "first_use", (_transmit, _query_neighbors, _retire)
+    )
+    def test_register_after_first_use_raises(self, first_use):
+        sim = Simulator(seed=1)
+        medium = Medium(sim, line_layout(4, 40.0), "test")
+        bank = MeterBank(4)
+        radios = [
+            LowPowerRadio(sim, i, MICAZ, medium, bank.meter(i))
+            for i in range(3)
+        ]
+        first_use(medium, radios)
+        index = medium._index
+        assert index is not None
+        with pytest.raises(ValueError, match="already in use"):
+            LowPowerRadio(sim, 3, MICAZ, medium, bank.meter(3))
+        assert 3 not in medium._ports
+        sim.run()
+        assert medium._index is index  # never rebuilt
+
+    def test_retire_before_any_frame_matches_fresh_index(self):
+        h = BankHarness(line_layout(5, 40.0))
+        medium = h.medium
+        medium.retire_node(2)  # the medium's first use builds the index
+        fresh = NeighborIndex(medium.layout, medium._ports, medium.propagation)
+        fresh.retire_node(2)
+        for node in range(5):
+            assert medium.neighbors(node) == fresh.neighbors(node)
+            assert medium._index.busy_groups(node) == fresh.busy_groups(node)
+        assert medium._index.group_of_rank == fresh.group_of_rank
 
 
 # -- decision identity: batched delivery vs a per-receiver oracle -----------
