@@ -477,11 +477,11 @@ def _bench_parser() -> argparse.ArgumentParser:
         prog="repro bench",
         description=(
             "Run the declared perf suite, write BENCH_<rev>.json, and "
-            "gate on regressions vs a baseline report plus the "
-            "machine-independent speedup ratios (lazy routing must stay "
-            ">=10x the eager baseline at 1k nodes) and absolute "
-            "acceptance budgets (a 10k-node composed scenario must "
-            "build in under 5 s; full suite)."
+            "gate on regressions vs a baseline report plus the ceilings: "
+            "each caps one case's wall time (a 10k-node composed scenario "
+            "must build in under 5 s; full suite) or a deterministic work "
+            "counter (a 1k-node collection round builds at most 33 "
+            "routing trees)."
         ),
     )
     parser.add_argument(
@@ -524,7 +524,8 @@ def _bench_parser() -> argparse.ArgumentParser:
         help=(
             "skip the wall-time comparison for cases whose baseline is "
             "shorter than this (sub-100 ms deltas are scheduler noise on "
-            "shared runners; ratio gates still cover them; default 0.1)"
+            "shared runners; such cases keep only their ceilings; "
+            "default 0.1)"
         ),
     )
     parser.add_argument(
@@ -538,8 +539,8 @@ def _bench_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "gate wall times even when the baseline was recorded on a "
-            "different host class (by default only the machine-independent "
-            "ratio gates apply across hosts)"
+            "different host class (by default only the ceilings apply "
+            "across hosts)"
         ),
     )
     parser.add_argument(
@@ -564,7 +565,7 @@ def _bench_parser() -> argparse.ArgumentParser:
 
 def _bench_main(argv: typing.Sequence[str]) -> int:
     from repro.perf import bench as perf_bench
-    from repro.perf.suite import bench_cases, throughput_gates, wall_budgets
+    from repro.perf.suite import bench_cases, ceilings
 
     args = _bench_parser().parse_args(list(argv))
     if args.list:
@@ -573,6 +574,10 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
         return 0
     if args.threshold < 0:
         raise SystemExit("repro: error: --threshold must be non-negative")
+    if args.min_wall < 0:
+        raise SystemExit("repro: error: --min-wall must be non-negative")
+    if args.repeats is not None and args.repeats < 1:
+        raise SystemExit("repro: error: --repeats must be at least 1")
 
     report = perf_bench.run_suite(
         args.suite,
@@ -587,20 +592,13 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
             f"{key}={value:g}" for key, value in sorted(result.ops.items())
         )
         print(f"{name:26s} {result.wall_s:9.4f}s  {ops}")
-    budget_names = {budget.name for budget in wall_budgets(report.results)}
-    rate_units = {
-        gate.name: f"{gate.ops_key}/s"
-        for gate in throughput_gates(report.results)
-    }
-    for name, value in report.checks.items():
-        # Ratio gates read as speedups ("43.1x"), wall budgets as the
-        # measured seconds, throughput floors as the achieved rate.
-        if name in budget_names:
-            print(f"{name:26s} {value:9.2f}s")
-        elif name in rate_units:
-            print(f"{name:26s} {value:9.0f} {rate_units[name]}")
-        else:
-            print(f"{name:26s} {value:9.1f}x")
+    for ceiling in ceilings(report.results):
+        value = report.checks.get(ceiling.name)
+        measured = "missing" if value is None else f"{value:.6g}"
+        print(
+            f"{ceiling.name:26s} {measured:>9s} <= {ceiling.limit:<9.6g} "
+            f"{ceiling.case} {ceiling.metric}"
+        )
 
     failures = perf_bench.failed_gates(report)
     if args.baseline != "none":
@@ -622,14 +620,14 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
             ):
                 # A laptop-recorded baseline must not wall-gate a CI
                 # runner (and vice versa): absolute times only compare
-                # within one host class.  The ratio gates still apply;
+                # within one host class.  The ceilings still apply;
                 # committing this run's BENCH json starts a trajectory
                 # this host can be gated against.
                 print(
                     f"baseline: {baseline_path} (rev {baseline.rev}) was "
                     f"recorded on {baseline.host or 'an untagged host'}; "
                     f"this run is {report.host}.  Wall-time comparison "
-                    "skipped (ratio gates still checked); pass "
+                    "skipped (ceilings still checked); pass "
                     "--compare-across-hosts to force it."
                 )
             else:

@@ -4,9 +4,10 @@
   scenario harness reports into (routing build vs sim loop), consumed by
   the fig benchmarks' JSON artifact and by ``repro bench``.
 * :mod:`repro.perf.suite` — the declared benchmark cases (``smoke`` ⊂
-  ``full``).
+  ``full``) and the ceilings that gate them.
 * :mod:`repro.perf.bench` — runs a suite, writes ``BENCH_<rev>.json``,
-  compares against a baseline and gates on a regression threshold.
+  compares against a baseline and gates on a regression threshold and
+  the ceilings.
 
 Only the phase accumulator is re-exported here: the scenario harness
 imports it, so this package ``__init__`` must stay free of imports that

@@ -6,13 +6,13 @@ one per recorded revision, each holding the suite's wall times (best of
 current revision's file, and compares against a baseline — by default the
 most recently modified ``BENCH_*.json`` of a *different* revision in the
 output directory — failing when any shared case slowed down by more than
-the threshold, or when a machine-independent ratio gate
-(:data:`repro.perf.suite.RATIO_GATES`) breaks.
+the threshold, or when a case's metric exceeds one of its ceilings
+(:data:`repro.perf.suite.CEILINGS`).
 
 Wall times only compare meaningfully on similar hardware; the committed
 baseline is regenerated whenever the trajectory moves (commit the new
-``BENCH_<rev>.json`` alongside the change that earned it).  The ratio
-gates carry the acceptance criteria across machines.
+``BENCH_<rev>.json`` alongside the change that earned it).  The ceilings
+carry the acceptance criteria across machines.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ import sys
 import time
 import typing
 
-from repro.perf.suite import (
-    BenchCase,
-    bench_cases,
-    ratio_gates,
-    throughput_gates,
-    wall_budgets,
-)
+from repro.perf.suite import BenchCase, bench_cases, ceilings
 
 #: Format version of the BENCH json files.
 BENCH_SCHEMA = 1
@@ -146,8 +140,10 @@ def run_case(
     The profiled round is never timed: profiling overhead would poison the
     recorded walls, so the artifact rides along without touching them.
     """
+    rounds = repeats if repeats is not None else case.repeats
+    if rounds < 1:
+        raise ValueError(f"repeats must be at least 1, got {rounds}")
     state = case.setup()
-    rounds = max(1, repeats if repeats is not None else case.repeats)
     best = float("inf")
     ops: dict[str, float] = {}
     for _ in range(rounds):
@@ -181,7 +177,7 @@ def run_suite(
     log: typing.Callable[[str], None] | None = None,
     profile_dir: str | pathlib.Path | None = None,
 ) -> BenchReport:
-    """Run every case of ``suite`` and evaluate the ratio gates.
+    """Run every case of ``suite`` and measure the ceilings of those cases.
 
     ``profile_dir`` (optional) additionally captures one cProfile round
     per case as ``<profile_dir>/<case>.pstats`` — see :func:`run_case`.
@@ -198,33 +194,13 @@ def run_suite(
                 f"[bench] {case.name}: {result.wall_s:.4f}s "
                 f"(best of {result.repeats})"
             )
+    # Each ceiling's measured value, so the persisted report shows the
+    # headroom it had; a missing metric is left out and fails the gate.
     checks = {
-        gate.name: results[gate.slow_case].wall_s / results[gate.fast_case].wall_s
-        for gate in ratio_gates(results)
+        ceiling.name: value
+        for ceiling in ceilings(results)
+        if (value := ceiling.measure(results[ceiling.case])) is not None
     }
-    # Budget checks record the measured wall under the budget's name so
-    # the persisted report shows how much headroom each acceptance
-    # criterion had.
-    checks.update(
-        {
-            budget.name: results[budget.case].wall_s
-            for budget in wall_budgets(results)
-        }
-    )
-    # Throughput checks record the achieved rate (ops/s) for the same
-    # reason; a case missing its ops key records 0.0 — failing loudly at
-    # the gate rather than silently dropping the check.
-    checks.update(
-        {
-            gate.name: (
-                results[gate.case].ops.get(gate.ops_key, 0.0)
-                / results[gate.case].wall_s
-                if results[gate.case].wall_s > 0
-                else 0.0
-            )
-            for gate in throughput_gates(results)
-        }
-    )
     return BenchReport(
         rev=rev or git_rev(),
         suite=suite,
@@ -239,34 +215,18 @@ def run_suite(
 
 
 def failed_gates(report: BenchReport) -> list[str]:
-    """Failures of the machine-independent ratio gates and wall budgets."""
+    """Ceilings of the cases that ran whose metric is over its limit or missing."""
     failures = []
-    for gate in ratio_gates(report.results):
-        ratio = report.checks.get(gate.name)
-        if ratio is not None and ratio < gate.min_ratio:
+    for ceiling in ceilings(report.results):
+        value = ceiling.measure(report.results[ceiling.case])
+        if value is None:
             failures.append(
-                f"{gate.name}: {gate.slow_case} / {gate.fast_case} = "
-                f"{ratio:.1f}x, below the required {gate.min_ratio:g}x"
+                f"{ceiling.name}: {ceiling.case} reports no {ceiling.metric}"
             )
-    for budget in wall_budgets(report.results):
-        wall = report.results[budget.case].wall_s
-        if wall > budget.max_wall_s:
+        elif value > ceiling.limit:
             failures.append(
-                f"{budget.name}: {budget.case} took {wall:.2f}s, over the "
-                f"{budget.max_wall_s:g}s acceptance budget"
-            )
-    for gate in throughput_gates(report.results):
-        result = report.results[gate.case]
-        rate = (
-            result.ops.get(gate.ops_key, 0.0) / result.wall_s
-            if result.wall_s > 0
-            else 0.0
-        )
-        if rate < gate.min_per_s:
-            failures.append(
-                f"{gate.name}: {gate.case} sustained "
-                f"{rate:,.0f} {gate.ops_key}/s, below the required "
-                f"{gate.min_per_s:,.0f}/s floor"
+                f"{ceiling.name}: {ceiling.case} {ceiling.metric} = "
+                f"{value:g}, over the {ceiling.limit:g} ceiling"
             )
     return failures
 
@@ -307,7 +267,7 @@ def load_report(path: str | pathlib.Path) -> BenchReport:
             # A hand-edited or older-generation entry missing its wall
             # time (or carrying a non-numeric one) drops out of the
             # comparison instead of aborting it: the remaining cases and
-            # the ratio gates still gate the run.
+            # the ceilings still gate the run.
             continue
     return BenchReport(
         rev=str(payload.get("rev", "unknown")),
@@ -317,6 +277,8 @@ def load_report(path: str | pathlib.Path) -> BenchReport:
         platform=str(payload.get("platform", "")),
         host=str(payload.get("host", "")),
         results=results,
+        # Plain name -> number pairs: no gate reads a baseline's checks, so
+        # older reports' ratios and rates load like any other value.
         checks={k: float(v) for k, v in payload.get("checks", {}).items()},
     )
 
@@ -434,8 +396,7 @@ def compare_reports(
     present on only one side are ignored (the suite grows over time), and
     so are cases whose baseline wall time is below ``min_wall_s``: on a
     shared CI runner the absolute delta of a sub-100 ms case is scheduler
-    noise, not signal — those cases are guarded by the machine-independent
-    ratio gates and their ops counters instead.
+    noise, not signal — such cases are gated only by their ceilings, if any.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")

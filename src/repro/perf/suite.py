@@ -2,23 +2,19 @@
 
 Each :class:`BenchCase` is a named, deterministic workload with an untimed
 ``setup`` and a timed ``run`` returning ops counters.  Cases are tagged
-into suites: ``smoke`` is the CI gate (everything the acceptance criteria
-pin — routing build at 1k/5k nodes, the sim kernel, medium delivery, one
-end-to-end fig-scale cell, a 1k-node composed scenario build); ``full``
-is a superset adding the heavy contention cell and the 10k-node scale
-cases (lazy routing, batched medium delivery and the full
-composed-scenario build at 10k nodes — nightly/full material, too slow
-for every-PR smoke).
+into suites: ``smoke`` is the CI gate (routing build at 1k/5k nodes, the
+routing policies at 1k, medium delivery, MAC contention, one end-to-end
+fig-scale cell, a 1k-node composed scenario build and the 1k-node churn
+round); ``full`` is a superset adding the heavy contention cell and the
+10k-node scale cases (lazy routing, batched medium delivery, the
+composed-scenario build and a full collection round at 10k nodes —
+nightly/full material, too slow for every-PR smoke).
 
 Wall times are machine-dependent, so the committed ``BENCH_*.json``
-baselines gate *relative* regressions (see :mod:`repro.perf.bench`);
-:data:`RATIO_GATES` additionally pins machine-independent speedup ratios
-(lazy vs eager routing must stay ≥ 10× at 1k nodes),
-:data:`THROUGHPUT_GATES` pins wall-normalized event-rate floors (the
-end-to-end fig-cell keeps its kernel event rate), and
-:data:`WALL_BUDGETS` pins the absolute acceptance budgets that must hold
-on any CI-class host (a 10k-node composed scenario builds in < 5 s; a
-full 10k-node collection round finishes in < 20 s).
+baselines gate *relative* regressions (see :mod:`repro.perf.bench`).
+:data:`CEILINGS` are the absolute gates: each caps one case's metric,
+either its wall (acceptance budgets generous enough for a loaded CI
+runner) or an ops counter (deterministic work, which cannot flake).
 """
 
 from __future__ import annotations
@@ -57,46 +53,23 @@ class BenchCase:
 
 
 @dataclasses.dataclass(frozen=True)
-class RatioGate:
-    """A machine-independent check: ``slow_case / fast_case >= min_ratio``."""
+class Ceiling:
+    """A gate: ``case``'s ``metric`` must not exceed ``limit``.
 
-    name: str
-    slow_case: str
-    fast_case: str
-    min_ratio: float
-
-
-@dataclasses.dataclass(frozen=True)
-class ThroughputGate:
-    """A machine-independent-ish floor: ``ops[ops_key] / wall_s >= min_per_s``.
-
-    Wall-normalized rather than wall-absolute, so it survives suite
-    growth (adding cases doesn't shift it), but still host-dependent —
-    floors are set well below healthy-machine rates (~0.6x of a
-    single-core dev box's best-of) so they catch gross regressions (an
-    accidentally quadratic agenda, a dropped fast path) without flaking
-    on a loaded runner.
+    ``metric`` is ``"wall_s"`` (the case's best-of wall) or a key of the
+    ops dict its run returns.
     """
 
     name: str
     case: str
-    ops_key: str
-    min_per_s: float
+    metric: str
+    limit: float
 
-
-@dataclasses.dataclass(frozen=True)
-class WallBudget:
-    """An absolute acceptance budget: ``case`` must finish in ``max_wall_s``.
-
-    Unlike the baseline comparison (relative, same-host-class only),
-    budgets encode acceptance criteria that must hold anywhere the suite
-    runs — so they are generous enough for a loaded CI runner while
-    still catching order-of-magnitude construction regressions.
-    """
-
-    name: str
-    case: str
-    max_wall_s: float
+    def measure(self, result) -> float | None:
+        """``result``'s value of the metric, or None if it reports none."""
+        if self.metric == "wall_s":
+            return result.wall_s
+        return result.ops.get(self.metric)
 
 
 def _uniform_layout(n: int, field_m: float, seed: int):
@@ -123,30 +96,6 @@ def _collection_workload(table, n_nodes: int) -> int:
         table.next_hop(sink, sender)
         reached += 1
     return reached
-
-
-def _case_routing_eager_1k() -> BenchCase:
-    def setup():
-        return _uniform_layout(1000, _FIELD_1K, 1)
-
-    def run(layout):
-        from repro.net.routing import RoutingTable
-
-        table = RoutingTable.from_layout(
-            layout, _RANGE_M, rng=random.Random(2), threaded=True
-        )
-        reached = _collection_workload(table, 1000)
-        return {"nodes": 1000, "reached_senders": reached, "trees": 1000}
-
-    return BenchCase(
-        name="routing-build-eager-1k",
-        summary="eager (threaded) all-trees routing build, 1k-node deployment",
-        setup=setup,
-        run=run,
-        # Gate-bearing (25% regression threshold): a single sample lets
-        # one host load spike read as a code regression.
-        repeats=3,
-    )
 
 
 def _case_routing_lazy(
@@ -177,35 +126,6 @@ def _case_routing_lazy(
         run=run,
         suites=suites,
         repeats=5 if n <= 5000 else 3,
-    )
-
-
-def _case_sim_event_loop() -> BenchCase:
-    def setup():
-        return None
-
-    def run(_state):
-        from repro.sim.simulator import Simulator
-
-        sim = Simulator(seed=1)
-
-        def ticker(count):
-            for _ in range(count):
-                yield sim.timeout(1.0)
-
-        for _ in range(10):
-            sim.process(ticker(30_000))
-        sim.run()
-        return {"events": float(sim.events_processed)}
-
-    return BenchCase(
-        name="sim-event-loop",
-        summary="pure kernel throughput: 300k chained timeouts",
-        setup=setup,
-        run=run,
-        # Sub-second case: extra repeats so the recorded best-of
-        # reflects the host, not one noisy slice.
-        repeats=7,
     )
 
 
@@ -755,80 +675,45 @@ def _case_routing_policy_1k() -> BenchCase:
 #: ``"dual"`` without importing the model layer at module import time.
 MODEL_DUAL_NAME = "dual"
 
-#: Machine-independent gates checked after every suite run: a lazy
-#: (per-destination) table must beat the eager (threaded) all-trees
-#: build by at least this factor on the acceptance workload.
-RATIO_GATES = (
-    RatioGate(
-        name="routing-1k-speedup",
-        slow_case="routing-build-eager-1k",
-        fast_case="routing-build-lazy-1k",
-        min_ratio=10.0,
-    ),
-)
+#: Kernel events of one ``fig-cell`` run (deterministic).
+FIG_CELL_EVENTS = 30_225
 
-#: Wall-normalized throughput floors: the end-to-end fig-cell must
-#: sustain at least 75k kernel events/s over its whole run_scenario wall
-#: (measured 118k-134k best-of on a single-core dev box; the floor sits
-#: at ~0.6x, the headroom the retired 1M floor on the kernel microbench
-#: had, and catches a lost fast path anywhere in the stack).
-THROUGHPUT_GATES = (
-    ThroughputGate(
-        name="sim-events-per-sec",
-        case="fig-cell",
-        ops_key="events",
-        min_per_s=75_000.0,
-    ),
-)
-
-#: Absolute acceptance budgets (checked whenever their case ran): the
-#: 10k-node composed scenario must stay a seconds-scale build on any
-#: CI-class host, per the PR-5 acceptance criteria, and the full 10k-node
-#: collection round must finish inside 20 s (measured ~3 s after the
-#: PR-7 batched-medium + incremental-BFS work; the generous budget
-#: absorbs loaded CI runners while catching a lost fast path).
-WALL_BUDGETS = (
-    WallBudget(
-        name="scenario-10k-build-budget",
-        case="scenario-compose-10k",
-        max_wall_s=5.0,
-    ),
-    WallBudget(
-        name="sim-loop-10k-budget",
-        case="sim-loop-10k",
-        max_wall_s=20.0,
-    ),
-    # The mortal 1k-node round: 100 deaths' worth of epoch repair and
-    # routing invalidation must stay cheap relative to the traffic it
-    # disrupts (measured ~2 s on a dev box; the budget absorbs loaded CI
-    # runners while catching an accidentally quadratic repair path).
-    WallBudget(
-        name="churn-1k-budget",
-        case="churn-1k",
-        max_wall_s=10.0,
-    ),
-    # Three policies' worth of 1k-node collection routing (33 trees
-    # each): the Dijkstra cost engine must stay in the lazy BFS engine's
-    # latency class (measured well under 1 s on a dev box; the budget
-    # absorbs loaded CI runners while catching an accidentally quadratic
-    # relaxation loop).
-    WallBudget(
-        name="routing-policy-1k-budget",
-        case="routing-policy-1k",
-        max_wall_s=10.0,
-    ),
+#: Every gate, checked whenever its case ran.  Wall ceilings are
+#: acceptance budgets that must hold on any CI-class host, so they sit
+#: well above healthy walls and catch order-of-magnitude regressions (a
+#: lost fast path, an accidentally quadratic loop).  Ops ceilings are the
+#: exact work counts of the current code: any growth in work fails.
+CEILINGS = (
+    # A collection round builds one tree per distinct destination: each
+    # sender's reverse tree plus the sink's.
+    Ceiling("routing-1k-trees", "routing-build-lazy-1k", "trees", _N_SENDERS + 1),
+    # Three policies' worth of 1k-node collection routing: the Dijkstra
+    # cost engine must stay in the lazy BFS engine's latency class.
+    Ceiling("routing-policy-1k-budget", "routing-policy-1k", "wall_s", 10.0),
+    # The 10k-node composed scenario stays a seconds-scale build.
+    Ceiling("scenario-10k-build-budget", "scenario-compose-10k", "wall_s", 5.0),
+    Ceiling("sim-loop-10k-budget", "sim-loop-10k", "wall_s", 20.0),
+    Ceiling("sim-loop-10k-events", "sim-loop-10k", "events", 113_328),
+    # fig-cell must sustain 75k kernel events/s of run_scenario wall; the
+    # wall ceiling moves with the events ceiling.
+    Ceiling("fig-cell-wall", "fig-cell", "wall_s", FIG_CELL_EVENTS / 75_000),
+    Ceiling("fig-cell-events", "fig-cell", "events", FIG_CELL_EVENTS),
+    Ceiling("fig-cell-heavy-events", "fig-cell-heavy", "events", 711_727),
+    # 100 deaths' worth of epoch repair: one neighbor-index partition per
+    # medium (repairs never re-partition) and bounded tree re-expansion.
+    Ceiling("churn-1k-budget", "churn-1k", "wall_s", 10.0),
+    Ceiling("churn-1k-partitions", "churn-1k", "global_partitions", 2),
+    Ceiling("churn-1k-levels", "churn-1k", "levels_expanded", 988),
 )
 
 
 def all_cases() -> tuple[BenchCase, ...]:
     """Every declared case, in run order."""
     return (
-        _case_routing_eager_1k(),
         _case_routing_lazy(1000, _FIELD_1K),
         _case_routing_policy_1k(),
         _case_routing_lazy(5000, _FIELD_5K),
         _case_routing_lazy(10000, _FIELD_10K, suites=("full",)),
-        _case_sim_event_loop(),
         _case_sim_loop_10k(),
         _case_medium_delivery(),
         _case_medium_delivery_10k(),
@@ -848,22 +733,6 @@ def bench_cases(suite: str = "smoke") -> list[BenchCase]:
     return [case for case in all_cases() if suite in case.suites]
 
 
-def ratio_gates(case_names: typing.Collection[str]) -> list[RatioGate]:
-    """The gates whose two cases are both present in ``case_names``."""
-    return [
-        gate
-        for gate in RATIO_GATES
-        if gate.slow_case in case_names and gate.fast_case in case_names
-    ]
-
-
-def wall_budgets(case_names: typing.Collection[str]) -> list[WallBudget]:
-    """The budgets whose case is present in ``case_names``."""
-    return [budget for budget in WALL_BUDGETS if budget.case in case_names]
-
-
-def throughput_gates(
-    case_names: typing.Collection[str],
-) -> list[ThroughputGate]:
-    """The throughput floors whose case is present in ``case_names``."""
-    return [gate for gate in THROUGHPUT_GATES if gate.case in case_names]
+def ceilings(case_names: typing.Collection[str]) -> list[Ceiling]:
+    """The ceilings whose case is present in ``case_names``."""
+    return [ceiling for ceiling in CEILINGS if ceiling.case in case_names]

@@ -18,7 +18,15 @@ from repro.perf.bench import (
     write_report,
 )
 from repro.perf.bench import host_key, walls_comparable
-from repro.perf.suite import SUITES, BenchCase, bench_cases, ratio_gates
+from repro.perf.suite import (
+    CEILINGS,
+    FIG_CELL_EVENTS,
+    SUITES,
+    BenchCase,
+    all_cases,
+    bench_cases,
+    ceilings,
+)
 
 
 class TestPhases:
@@ -57,6 +65,16 @@ def _tiny_case(name="tiny", suites=SUITES, repeats=2):
     )
 
 
+def _fake_case(name, ops):
+    return BenchCase(
+        name=name,
+        summary="fake",
+        setup=lambda: None,
+        run=lambda _state: dict(ops),
+        repeats=1,
+    )
+
+
 class TestHarness:
     def test_run_case_best_of_repeats(self):
         result = run_case(_tiny_case())
@@ -66,6 +84,8 @@ class TestHarness:
 
     def test_repeats_override(self):
         assert run_case(_tiny_case(), repeats=5).repeats == 5
+        with pytest.raises(ValueError, match="at least 1"):
+            run_case(_tiny_case(), repeats=0)
 
     def test_profile_dir_writes_pstats(self, tmp_path):
         import pstats
@@ -82,7 +102,6 @@ class TestHarness:
         smoke = {case.name for case in bench_cases("smoke")}
         full = {case.name for case in bench_cases("full")}
         assert smoke < full  # smoke is a strict subset
-        assert "routing-build-eager-1k" in smoke
         assert "routing-build-lazy-1k" in smoke
         assert "routing-build-lazy-5k" in smoke
         assert "fig-cell-heavy" in full - smoke
@@ -91,16 +110,15 @@ class TestHarness:
         with pytest.raises(ValueError, match="unknown suite"):
             bench_cases("nightly")
 
-    def test_ratio_gates_need_both_cases(self):
-        assert ratio_gates({"routing-build-eager-1k"}) == []
-        gates = ratio_gates(
-            {"routing-build-eager-1k", "routing-build-lazy-1k"}
-        )
-        assert [gate.name for gate in gates] == ["routing-1k-speedup"]
+    def test_ceilings_need_their_case(self):
+        assert ceilings({"case-a"}) == []
+        gates = ceilings({"case-a", "routing-build-lazy-1k"})
+        assert [gate.name for gate in gates] == ["routing-1k-trees"]
 
 
-def _report(rev="abc123", walls=None, checks=None, host="test-host"):
+def _report(rev="abc123", walls=None, checks=None, host="test-host", ops=None):
     walls = walls or {"case-a": 1.0, "case-b": 2.0}
+    ops = {"x": 1.0} if ops is None else ops
     return BenchReport(
         rev=rev,
         suite="smoke",
@@ -109,7 +127,7 @@ def _report(rev="abc123", walls=None, checks=None, host="test-host"):
         platform="test",
         host=host,
         results={
-            name: CaseResult(wall_s=wall, repeats=1, ops={"x": 1.0})
+            name: CaseResult(wall_s=wall, repeats=1, ops=dict(ops))
             for name, wall in walls.items()
         },
         checks=dict(checks or {}),
@@ -219,22 +237,15 @@ class TestReportsAndGate:
         assert find_baseline(tmp_path, exclude_rev="bbb").name == "BENCH_aaa.json"
 
     def test_failed_gates(self):
-        passing = _report(
-            walls={
-                "routing-build-eager-1k": 10.0,
-                "routing-build-lazy-1k": 0.5,
-            },
-            checks={"routing-1k-speedup": 20.0},
-        )
-        assert failed_gates(passing) == []
-        failing = _report(
-            walls={
-                "routing-build-eager-1k": 10.0,
-                "routing-build-lazy-1k": 5.0,
-            },
-            checks={"routing-1k-speedup": 2.0},
-        )
-        assert any("routing-1k-speedup" in f for f in failed_gates(failing))
+        # An ops ceiling holds at its limit and fails one above it.
+        def fig_cell(events):
+            return _report(walls={"fig-cell": 0.1}, ops={"events": events})
+
+        assert FIG_CELL_EVENTS == 30_225
+        assert failed_gates(fig_cell(30_225)) == []
+        assert failed_gates(fig_cell(30_226)) == [
+            "fig-cell-events: fig-cell events = 30226, over the 30225 ceiling"
+        ]
 
 
 class TestBenchCli:
@@ -293,27 +304,30 @@ class TestBenchCli:
         # the report is still written for inspection
         assert (tmp_path / "BENCH_rev-two.json").exists()
 
-    def test_throughput_check_prints_a_rate(self, monkeypatch, capsys):
+    def test_ceiling_check_prints_value_and_limit(self, monkeypatch, capsys):
         import repro.perf.suite as suite_module
 
-        gate = suite_module.THROUGHPUT_GATES[0]
-        case = BenchCase(
-            name=gate.case,
-            summary="stand-in for the gated case",
-            setup=lambda: None,
-            run=lambda _state: {gate.ops_key: 1.0e9},
-            repeats=1,
-        )
+        case = _fake_case("fig-cell", {"events": 1000.0})
         monkeypatch.setattr(suite_module, "all_cases", lambda: (case,))
         assert main(["bench", "--baseline", "none", "--no-write"]) == 0
-        line = next(
-            line
+        lines = {
+            line.split()[0]: line.split()[1:]
             for line in capsys.readouterr().out.splitlines()
-            if line.startswith(gate.name)
-        )
-        # An events/s figure, not a speedup ratio.
-        assert line.endswith(f" {gate.ops_key}/s")
-        assert not line.rstrip().endswith("x")
+        }
+        assert lines["fig-cell-events"] == [
+            "1000", "<=", "30225", "fig-cell", "events"
+        ]
+        assert lines["fig-cell-wall"][1:] == [
+            "<=", "0.403", "fig-cell", "wall_s"
+        ]
+
+    def test_repeats_below_one_rejected(self):
+        with pytest.raises(SystemExit, match="--repeats must be at least 1"):
+            main(["bench", "--repeats", "0", "--no-write"])
+
+    def test_negative_min_wall_rejected(self):
+        with pytest.raises(SystemExit, match="--min-wall must be non-negative"):
+            main(["bench", "--min-wall", "-1", "--no-write"])
 
     def test_profile_flag_dumps_pstats(self, tmp_path, monkeypatch, capsys):
         import repro.perf.suite as suite_module
@@ -451,11 +465,11 @@ class TestBaselineHygiene:
         newest = write_report(_report(rev="anyone"), tmp_path)
         assert find_baseline(tmp_path) == newest
 
-    def test_baseline_missing_host_skips_walls_keeps_ratio_gates(
+    def test_baseline_missing_host_skips_walls_keeps_ceilings(
         self, tmp_path
     ):
         # An early-generation baseline without host tagging must load,
-        # refuse wall comparison, and leave ratio gating untouched.
+        # refuse wall comparison, and leave the ceilings to gate.
         path = write_report(_report(rev="old", host="x"), tmp_path)
         payload = json.loads(path.read_text())
         del payload["host"]
@@ -490,36 +504,69 @@ class TestBaselineHygiene:
         assert [r.case for r in regressions] == ["good"]
 
 
-class TestWallBudgets:
-    def test_over_budget_case_fails_the_gate(self):
-        report = _report(walls={"scenario-compose-10k": 9.0})
-        failures = failed_gates(report)
-        assert any("acceptance budget" in f for f in failures)
+#: Smoke cases carrying a deterministic work ceiling.
+_SMOKE_OPS_CASES = [
+    case
+    for case in bench_cases("smoke")
+    if any(ceiling.metric != "wall_s" for ceiling in ceilings({case.name}))
+]
 
-    def test_within_budget_passes(self):
+
+class TestCeilings:
+    def test_wall_ceiling_over_limit_fails(self):
+        report = _report(walls={"scenario-compose-10k": 9.0})
+        assert failed_gates(report) == [
+            "scenario-10k-build-budget: scenario-compose-10k wall_s = 9, "
+            "over the 5 ceiling"
+        ]
+
+    def test_wall_ceiling_under_limit_passes(self):
         report = _report(walls={"scenario-compose-10k": 1.2})
         assert failed_gates(report) == []
 
-    def test_budget_ignored_when_case_absent(self):
+    def test_ceiling_skipped_when_case_absent(self):
         assert failed_gates(_report(walls={"case-a": 100.0})) == []
 
-    def test_run_suite_records_budget_headroom_in_checks(self, monkeypatch):
-        from repro.perf import suite as perf_suite
+    def test_missing_metric_fails(self):
+        # A case that ran without reporting its metric must not pass as 0.
+        report = _report(walls={"fig-cell": 0.1}, ops={})
+        assert failed_gates(report) == [
+            "fig-cell-events: fig-cell reports no events"
+        ]
 
-        def fake_cases(_suite):
-            return [
-                BenchCase(
-                    name="scenario-compose-10k",
-                    summary="fake",
-                    setup=lambda: None,
-                    run=lambda _s: {"nodes": 1.0},
-                    repeats=1,
-                )
-            ]
-
-        monkeypatch.setattr(perf_bench, "bench_cases", fake_cases)
+    def test_run_suite_records_measured_values_in_checks(self, monkeypatch):
+        cases = [
+            _fake_case("scenario-compose-10k", {"nodes": 1.0}),
+            _fake_case("fig-cell", {"nodes": 1.0}),
+            _fake_case("sim-loop-10k", {"events": 5.0}),
+        ]
+        monkeypatch.setattr(perf_bench, "bench_cases", lambda _suite: cases)
         report = perf_bench.run_suite("full")
-        assert "scenario-10k-build-budget" in report.checks
         assert report.checks["scenario-10k-build-budget"] == pytest.approx(
             report.results["scenario-compose-10k"].wall_s
         )
+        assert report.checks["sim-loop-10k-events"] == 5.0
+        # A missing metric records nothing: the gate reports it instead.
+        assert "fig-cell-events" not in report.checks
+        assert failed_gates(report) == [
+            "fig-cell-events: fig-cell reports no events"
+        ]
+
+    def test_every_ceiling_names_a_suite_case(self):
+        # A typo in a case name would silently disable its gate.
+        suite_cases = {case.name for case in bench_cases("full")}
+        names = [ceiling.name for ceiling in CEILINGS]
+        assert len(names) == len(set(names))
+        for ceiling in CEILINGS:
+            assert ceiling.case in suite_cases, ceiling
+        assert suite_cases == {case.name for case in all_cases()}
+
+    @pytest.mark.parametrize(
+        "case", _SMOKE_OPS_CASES, ids=[case.name for case in _SMOKE_OPS_CASES]
+    )
+    def test_smoke_ops_ceilings_hold(self, case):
+        # Wall ceilings gate in the perf-smoke job only, so a loaded host
+        # cannot flake this test: zero the wall, keep the work counters.
+        measured = run_case(case, repeats=1)
+        report = _report(walls={case.name: 0.0}, ops=measured.ops)
+        assert failed_gates(report) == []
