@@ -12,6 +12,8 @@ Sender side
     on timeout.  Only on receiving the ACK does it wake its own high-power
     radio, assemble the allowed amount of data into high-power frames
     (:mod:`~repro.core.fragmentation`) and hand them to the 802.11 MAC.
+    A sender's own CBR packets are not submitted one by one: the agent
+    pulls them from the source in batches (:meth:`BcpAgent.adopt`).
 
 Receiver side
     On a WAKEUP, the agent wakes its high-power radio and answers with a
@@ -65,6 +67,7 @@ spec.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.buffer import BulkBuffer
@@ -85,7 +88,9 @@ from repro.net.shortcut import ShortcutLearner
 from repro.radio.radio import HighPowerRadio
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.events import Event
     from repro.sim.simulator import Simulator
+    from repro.traffic.generators import CbrSource
 
 #: Delivery callback: takes a run of packets addressed to the node.
 DeliverFn = typing.Callable[[typing.Sequence[DataPacket]], None]
@@ -277,6 +282,14 @@ class BcpAgent:
         #: backoff (prevents wake-up retry storms from amplifying
         #: congestion on the low-power control network).
         self._handshake_failures: dict[int, int] = {}
+        #: The CBR source this agent pulls packets from (see :meth:`adopt`).
+        self.feed: CbrSource | None = None
+        #: The feed's data next hop while routes stand (None: unroutable).
+        self._feed_hop: int | None = None
+        self._feed_hop_known = False
+        #: The one pending event that pulls the session-starting packet.
+        self._feed_event: Event | None = None
+        self._feed_event_s = 0.0
         self.shortcuts: ShortcutLearner | None = None
         if config.shortcut_learning:
             self.shortcuts = ShortcutLearner(node_id, low_routing, high_routing)
@@ -329,6 +342,8 @@ class BcpAgent:
         timer guards every buffered packet (the paper's delay-constrained
         future work).
         """
+        if self.feed is not None:
+            self.catch_up()
         self.stats.packets_submitted += 1
         if packet.dst == self.node_id:
             self.stats.packets_delivered += 1
@@ -357,17 +372,163 @@ class BcpAgent:
         return self.high_routing.next_hop(self.node_id, dst)
 
     def _check_threshold(self, next_hop: int) -> None:
-        if next_hop in self._sender_sessions:
+        if self.feed is not None:
+            self.catch_up()
+        if (
+            next_hop not in self._sender_sessions
+            and self.buffer.bytes_for(next_hop) >= self.config.threshold_bytes
+        ):
+            session = _SenderSession(
+                next_hop=next_hop, session_id=new_session_id()
+            )
+            self._sender_sessions[next_hop] = session
+            self.stats.handshakes_started += 1
+            self.sim.process(
+                self._run_sender_session(session),
+                name=f"bcp.{self.node_id}.tx.{next_hop}",
+            )
+        if self.feed is not None:
+            self._arm_feed()
+
+    # ------------------------------------------------------------------
+    # Sender side: CBR packets pulled on demand.
+    # ------------------------------------------------------------------
+
+    def adopt(self, source: "CbrSource") -> bool:
+        """Pull ``source``'s packets instead of taking one submit each.
+
+        Only a packet that starts a session matters the moment it is
+        created, and a CBR source's due times are known in advance.  So
+        the agent cancels the source's timer and keeps one pending event
+        at the due time of the first packet whose push would start a
+        session; every other packet is generated in a batch, in its
+        order, just before anything reads or changes the buffer or the
+        data next hop.  A packet due at exactly the current instant is
+        left for later (its event, or the next read after it).  The
+        batch leaves the state and counters per-packet :meth:`submit`
+        calls would.
+
+        Declines (False) when packets are used on arrival: with a
+        ``max_delay_s`` budget each packet arms its own deadline, and
+        packets addressed to this node are delivered at once.  Call
+        before the run starts.  Whoever drives the run calls
+        :meth:`catch_up` at its horizon, and :meth:`catch_up` /
+        :meth:`rearm` around any change of routes or of the source's
+        ``stop_s``.
+        """
+        if self.config.max_delay_s is not None or source.dst == self.node_id:
+            return False
+        source.detach()
+        self.feed = source
+        # Aimed at the first packet rather than the crossing: an early
+        # event is harmless, and routes and due times are then first
+        # read inside the run, not while the network is built.
+        self._feed_event_s = source.due_s()
+        self._feed_event = self.sim.call_at(self._feed_event_s, self._feed_due)
+        return True
+
+    def catch_up(self, inclusive: bool = False) -> None:
+        """Buffer every fed packet due before now (or at now, with
+        ``inclusive``) as if each had been submitted when due."""
+        feed = self.feed
+        if feed is None:
             return
-        if self.buffer.bytes_for(next_hop) < self.config.threshold_bytes:
-            return
-        session = _SenderSession(next_hop=next_hop, session_id=new_session_id())
-        self._sender_sessions[next_hop] = session
-        self.stats.handshakes_started += 1
-        self.sim.process(
-            self._run_sender_session(session),
-            name=f"bcp.{self.node_id}.tx.{next_hop}",
-        )
+        now = self.sim.now
+        due = feed.due_s()
+        if due < now or inclusive and due == now:
+            self._push_fed(feed.take(now, inclusive))
+
+    def rearm(self) -> None:
+        """Re-aim the pending event after routes (or the feed's
+        ``stop_s``) changed; :meth:`catch_up` must run before the change."""
+        if self.feed is not None:
+            self._feed_hop_known = False
+            self._arm_feed()
+
+    def _fed_next_hop(self) -> int | None:
+        if not self._feed_hop_known:
+            try:
+                self._feed_hop = self._data_next_hop(self.feed.dst)
+            except RoutingError:
+                self._feed_hop = None
+            self._feed_hop_known = True
+        return self._feed_hop
+
+    def _push_fed(self, packets: list[DataPacket]) -> bool:
+        """Buffer a batch of fed packets; whether the last one was kept."""
+        count = len(packets)
+        stats = self.stats
+        stats.packets_submitted += count
+        next_hop = self._fed_next_hop()
+        if next_hop is None:
+            stats.packets_unroutable += count
+            return False
+        buffered = self.buffer.push_many(next_hop, packets)
+        stats.packets_buffered += buffered
+        stats.packets_dropped_buffer += count - buffered
+        # One source's packets are all one size, so drops are a suffix.
+        return buffered == count
+
+    def _feed_crossing_s(self) -> float | None:
+        """Due time of the first fed packet whose push starts a session.
+
+        None while no such packet can come without some other change: a
+        session already runs toward the next hop, there is no route, the
+        buffer fills first, or the source stops first.
+        """
+        feed = self.feed
+        next_hop = self._fed_next_hop()
+        if next_hop is None or next_hop in self._sender_sessions:
+            return None
+        buffer = self.buffer
+        size = feed.payload_bits / 8
+        queued = buffer.bytes_for(next_hop)
+        threshold = self.config.threshold_bytes
+        # Buffer byte counts are sums of packet sizes (multiples of 1/8),
+        # so these products equal the repeated additions exactly.
+        needed = max(1, math.ceil((threshold - queued) / size))
+        while needed > 1 and queued + (needed - 1) * size >= threshold:
+            needed -= 1
+        while queued + needed * size < threshold:
+            needed += 1
+        if buffer.total_bytes + needed * size > buffer.capacity_bytes:
+            return None
+        when = feed.due_s(needed - 1)
+        if feed.stop_s is not None and not when < feed.stop_s:
+            return None
+        return when
+
+    def _arm_feed(self) -> None:
+        """Keep the pending event at or before the crossing.
+
+        An early event is harmless (it pulls, finds no crossing and
+        re-arms), so only a crossing that moved earlier, or vanished,
+        replaces it.
+        """
+        when = self._feed_crossing_s()
+        event = self._feed_event
+        if event is not None:
+            if when is not None and self._feed_event_s <= when:
+                return
+            event.cancel()
+            self._feed_event = None
+        if when is not None:
+            self._feed_event = self.sim.call_at(when, self._feed_due)
+            self._feed_event_s = when
+
+    def _feed_due(self) -> None:
+        """The pending event: pull through now, then do what the submit
+        of the packet due now would have done."""
+        self._feed_event = None
+        feed = typing.cast("CbrSource", self.feed)
+        now = self.sim.now
+        packets = feed.take(now, inclusive=True)
+        if packets and self._push_fed(packets) and packets[-1].created_s == now:
+            # The packet due now was buffered: run the check its submit
+            # would have (which re-arms).
+            self._check_threshold(typing.cast(int, self._feed_hop))
+        else:
+            self._arm_feed()
 
     # ------------------------------------------------------------------
     # Sender side: handshake and bulk transfer.
@@ -384,17 +545,24 @@ class BcpAgent:
                 self._handshake_failures[next_hop] = failures
                 backoff = config.handshake_backoff_s * (2 ** (failures - 1))
                 self._schedule_retry(next_hop, backoff)
-                return
-            self._handshake_failures.pop(next_hop, None)
-            # Section 3: the sender turns its radio on only upon the ACK.
-            yield self.high_radio.wake()
-            self._radio_holds += 1
-            try:
-                yield from self._transfer(session, allowed)
-            finally:
-                self._release_radio_hold()
+            else:
+                self._handshake_failures.pop(next_hop, None)
+                # Section 3: the sender turns its radio on only upon the ACK.
+                yield self.high_radio.wake()
+                self._radio_holds += 1
+                try:
+                    yield from self._transfer(session, allowed)
+                finally:
+                    self._release_radio_hold()
         finally:
+            # Packets due while the session ran were pushed without a
+            # threshold check.
+            self.catch_up()
             self._sender_sessions.pop(next_hop, None)
+        if allowed is None:
+            if self.feed is not None:
+                self._arm_feed()
+            return
         # More data may have accumulated meanwhile (or flow control may
         # have clamped the burst) — re-arm immediately.
         self._check_threshold(next_hop)
@@ -415,6 +583,7 @@ class BcpAgent:
         for attempt in range(1 + config.wakeup_retries):
             if attempt > 0:
                 self.stats.wakeup_retries += 1
+            self.catch_up()
             burst = self.buffer.bytes_for(session.next_hop)
             if burst <= 0:
                 return None
@@ -438,10 +607,14 @@ class BcpAgent:
     ) -> typing.Generator:
         """Send the allowed burst as high-power frames, stop-and-wait."""
         next_hop = session.next_hop
+        self.catch_up()
         budget = min(allowed_bytes, self.buffer.bytes_for(next_hop))
         packets = self.buffer.pop_up_to(next_hop, budget)
         if not packets:
             return
+        if self.feed is not None:
+            # The freed room may let a fed packet in sooner.
+            self._arm_feed()
         fragments = assemble_burst(
             packets,
             session.session_id,
@@ -641,6 +814,7 @@ class BcpAgent:
 
     def _acceptable_bytes(self) -> float:
         """How much bulk data this node can take (receiver flow control)."""
+        self.catch_up()
         pending = sum(
             session.expected_bytes - session.received_bytes
             for session in self._receiver_sessions.values()
@@ -772,4 +946,6 @@ class BcpAgent:
         ]
         if not ours:
             return
-        self.shortcuts.observe_forwarding(ours[0].dst, frame.src)
+        self.catch_up()
+        if self.shortcuts.observe_forwarding(ours[0].dst, frame.src):
+            self.rearm()

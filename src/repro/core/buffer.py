@@ -86,6 +86,39 @@ class BulkBuffer:
         self.peak_bytes = max(self.peak_bytes, self._total_bytes)
         return True
 
+    def push_many(self, next_hop: int, packets: list[DataPacket]) -> int:
+        """:meth:`push` each of ``packets`` in order; returns how many
+        were buffered.
+
+        Leaves exactly the state the per-packet calls would: the same
+        float additions in the same order, and a drop for every packet
+        that does not fit when its turn comes.
+        """
+        capacity = self.capacity_bytes
+        total = self._total_bytes
+        hop_bytes = self._bytes.get(next_hop, 0.0)
+        peak = self.peak_bytes
+        accepted = []
+        for packet in packets:
+            size = packet.payload_bits / 8
+            if total + size > capacity:
+                continue
+            accepted.append(packet)
+            hop_bytes += size
+            total += size
+            if total > peak:
+                peak = total
+        self.drops += len(packets) - len(accepted)
+        if accepted:
+            queue = self._queues.get(next_hop)
+            if queue is None:
+                queue = self._queues[next_hop] = collections.deque()
+            queue.extend(accepted)
+            self._bytes[next_hop] = hop_bytes
+            self._total_bytes = total
+            self.peak_bytes = peak
+        return len(accepted)
+
     def pop_up_to(self, next_hop: int, budget_bytes: float) -> list[DataPacket]:
         """Dequeue whole packets toward ``next_hop`` totalling ≤ ``budget_bytes``.
 
@@ -99,15 +132,18 @@ class BulkBuffer:
         if not queue:
             return popped
         remaining = budget_bytes
+        hop_bytes = self._bytes[next_hop]
+        total = self._total_bytes
         while queue:
             size = queue[0].payload_bits / 8
             if size > remaining:
                 break
-            packet = queue.popleft()
-            popped.append(packet)
+            popped.append(queue.popleft())
             remaining -= size
-            self._bytes[next_hop] -= size
-            self._total_bytes -= size
+            hop_bytes -= size
+            total -= size
+        self._bytes[next_hop] = hop_bytes
+        self._total_bytes = total
         return popped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

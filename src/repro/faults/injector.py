@@ -22,7 +22,10 @@ The ordering inside a kill matters: MACs are stopped while their radios
 are still up (so timer teardown never observes a half-dead radio), radios
 before the medium retire (so the port stops listening before the index
 repair reads listening state), and routing last (so partition checks see
-the post-repair topology).
+the post-repair topology).  Around all of it — and around every revive,
+link change and cost refresh — BCP agents that pull their CBR packets on
+demand first buffer every packet due so far on the old routes, and
+re-aim their pending event afterwards.
 
 Everything here is fault-path-only.  The zero plan never constructs an
 injector, so no-fault runs execute none of this code and the pinned
@@ -31,6 +34,7 @@ golden digests cannot move.
 
 from __future__ import annotations
 
+import contextlib
 import typing
 
 from repro.energy.battery import Battery
@@ -185,10 +189,23 @@ class FaultInjector:
             self.sim.call_later(self.plan.battery_poll_s, self._poll_batteries)
 
     def _refresh_dynamic_costs(self) -> None:
-        for table in self.built.route_tables.values():
-            refresh = getattr(table, "refresh_costs", None)
-            if refresh is not None:
-                refresh()
+        with self._rerouting():
+            for table in self.built.route_tables.values():
+                refresh = getattr(table, "refresh_costs", None)
+                if refresh is not None:
+                    refresh()
+
+    @contextlib.contextmanager
+    def _rerouting(self) -> typing.Iterator[None]:
+        """Around a change of routes or of a source's ``stop_s``: BCP
+        agents that pull their packets on demand first buffer every packet
+        due before now on the old routes, then re-aim their pending event."""
+        fed_agents = self.built.fed_agents
+        for agent in fed_agents:
+            agent.catch_up()
+        yield
+        for agent in fed_agents:
+            agent.rearm()
 
     # -- kill / revive ---------------------------------------------------
 
@@ -209,53 +226,61 @@ class FaultInjector:
         self._revive(node)
 
     def _kill(self, node: int, cause: str) -> None:
-        built = self.built
-        collector = built.collector
-        delivered = float(collector.bits_delivered) if collector else 0.0
-        self.monitor.note_death(self.sim.now, node, cause, delivered)
-        self.dead.add(node)
-        source = self._source_by_node.get(node)
-        if source is not None:
-            source.stop_s = self.sim.now
-        if built.low_macs:
-            built.low_macs[node].power_down()
-        if built.high_macs:
-            built.high_macs[node].power_down()
-        if built.low_radios:
-            built.low_radios[node].power_down()
-        if built.high_radios:
-            built.high_radios[node].power_down()
-        for medium in built.mediums:
-            medium.retire_node(node)
-        self._invalidate_routing()
+        with self._rerouting():
+            built = self.built
+            collector = built.collector
+            delivered = float(collector.bits_delivered) if collector else 0.0
+            self.monitor.note_death(self.sim.now, node, cause, delivered)
+            self.dead.add(node)
+            source = self._source_by_node.get(node)
+            # A source stops for good at its first death: a revived node
+            # never originates again, so a second kill keeps the first
+            # stop time (which a pulling agent reads back).
+            if source is not None and (
+                source.stop_s is None or self.sim.now < source.stop_s
+            ):
+                source.stop_s = self.sim.now
+            if built.low_macs:
+                built.low_macs[node].power_down()
+            if built.high_macs:
+                built.high_macs[node].power_down()
+            if built.low_radios:
+                built.low_radios[node].power_down()
+            if built.high_radios:
+                built.high_radios[node].power_down()
+            for medium in built.mediums:
+                medium.retire_node(node)
+            self._invalidate_routing()
 
     def _revive(self, node: int) -> None:
         if node not in self.dead:
             raise ValueError(f"cannot revive node {node}: it is not dead")
-        self.dead.discard(node)
-        built = self.built
-        for medium in built.mediums:
-            medium.restore_node(node)
-        if built.low_radios:
-            built.low_radios[node].power_up()
-        if built.high_radios:
-            built.high_radios[node].power_up()
-            if self.config.model == "wifi":
-                # The wifi model's radios are woken once at build and
-                # never managed again; a revived node must rejoin them.
-                built.high_radios[node].wake()
-        if built.low_macs:
-            built.low_macs[node].power_up()
-        if built.high_macs:
-            built.high_macs[node].power_up()
-        self.monitor.note_recovery()
-        self._invalidate_routing()
+        with self._rerouting():
+            self.dead.discard(node)
+            built = self.built
+            for medium in built.mediums:
+                medium.restore_node(node)
+            if built.low_radios:
+                built.low_radios[node].power_up()
+            if built.high_radios:
+                built.high_radios[node].power_up()
+                if self.config.model == "wifi":
+                    # The wifi model's radios are woken once at build and
+                    # never managed again; a revived node must rejoin them.
+                    built.high_radios[node].wake()
+            if built.low_macs:
+                built.low_macs[node].power_up()
+            if built.high_macs:
+                built.high_macs[node].power_up()
+            self.monitor.note_recovery()
+            self._invalidate_routing()
 
     def _set_link(self, a: int, b: int, up: bool) -> None:
-        for medium in self.built.mediums:
-            medium.set_link(a, b, up=up)
-        self.monitor.note_link_change()
-        self._invalidate_routing()
+        with self._rerouting():
+            for medium in self.built.mediums:
+                medium.set_link(a, b, up=up)
+            self.monitor.note_link_change()
+            self._invalidate_routing()
 
     def _invalidate_routing(self) -> None:
         self.epoch += 1

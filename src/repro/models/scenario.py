@@ -113,6 +113,7 @@ from repro.topology.registry import (
     build_layout,
     topology_node_count,
 )
+from repro.traffic.generators import CbrSource
 from repro.traffic.registry import TRAFFIC, build_source
 from repro.units import BITS_PER_BYTE
 
@@ -427,6 +428,9 @@ class _BuiltNetwork:
         #: invalidation and partition checks.
         self.route_tables: dict[str, RoutingLike] = {}
         self.senders: list[int] = []
+        #: BCP agents that pull their CBR source's packets on demand
+        #: (:meth:`~repro.core.bcp.BcpAgent.adopt`).
+        self.fed_agents: list[BcpAgent] = []
 
 
 def select_senders(config: ScenarioConfig, sim: Simulator) -> list[int]:
@@ -763,14 +767,17 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
     built.senders = senders
     _check_sender_routes(config, senders, route_tables)
     for sender in senders:
+        agent = built.agents[sender]
         source = build_source(
-            config.traffic_for(sender),
-            sim,
-            sender,
-            built.agents[sender].submit,
-            config,
+            config.traffic_for(sender), sim, sender, agent.submit, config
         )
         built.sources.append(source)
+        if (
+            isinstance(agent, BcpAgent)
+            and isinstance(source, CbrSource)
+            and agent.adopt(source)
+        ):
+            built.fed_agents.append(agent)
     return built
 
 
@@ -882,6 +889,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         injector = FaultInjector(sim, config, built, config.faults)
     with phase("sim_loop"):
         sim.run(until=config.sim_time_s)
+        # The run processed every event at the horizon itself, so packets
+        # due exactly then count as generated too.
+        for agent in built.fed_agents:
+            agent.catch_up(inclusive=True)
     generated = float(
         sum(source.stats.bits_generated for source in built.sources)
     )

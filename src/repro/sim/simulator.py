@@ -170,12 +170,22 @@ class Simulator:
     def call_at(
         self, when: float, fn: typing.Callable[..., None], *args: object
     ) -> Event:
-        """Schedule plain callable ``fn(*args)`` at absolute time ``when``."""
+        """Schedule plain callable ``fn(*args)`` at absolute time ``when``.
+
+        The agenda entry carries ``when`` itself, not ``now + (when -
+        now)``, which can round to a neighbouring float.
+        """
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} (now is {self._now}); time is monotonic"
             )
-        return self.call_later(when - self._now, fn, *args)
+        event = Event(self)
+        event._value = None
+        event.callbacks.append(lambda _event: fn(*args))
+        seq = self._sequence
+        self._sequence = seq + 1
+        heapq.heappush(self._queue, (when, NORMAL, seq, event))
+        return event
 
     def call_later(
         self, delay: float, fn: typing.Callable[..., None], *args: object

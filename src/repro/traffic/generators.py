@@ -4,29 +4,34 @@ The evaluation drives each sender with constant-bit-rate traffic (0.2 or
 2 kb/s of 32 B packets, Section 4.1).  Beyond CBR, the module provides a
 Poisson source and an on/off burst source modelling EnviroMic-style audio
 capture [Luo et al., ICDCS'07] — the paper's motivating example of an
-application that fills BCP buffers quickly.
+application that fills BCP buffers quickly.  A source counts what it
+generated so goodput can be computed.
 
-Every source is a chain of kernel callbacks: each emission re-arms one
-pooled :class:`~repro.sim.events.Timeout` for the next, so a generated
-packet costs one event dispatch and one ``submit(packet)`` call —
-typically a routing agent's or BCP agent's ingestion method.  A source
-counts what it generated so goodput can be computed.
+A source pushes each packet into its ``submit`` callback — a routing
+agent's or BCP agent's ingestion method — from a chain of kernel
+callbacks: every emission re-arms one pooled
+:class:`~repro.sim.events.Timeout` for the next, so a pushed packet costs
+one event dispatch.  The first wait is armed at construction, with its
+rng draw; setting ``stop_s`` mid-run (the fault injector's kill) takes
+effect at the next emission, which ends the chain.
 
-Each chain enqueues exactly the agenda entries the pinned golden digests
-and perfbench event counts were recorded with, as the MAC's state machine
-does (:mod:`repro.mac.base`): one URGENT delay-0 start event at
-construction, then one timeout per wait with the rng draws in the same
-order, and a delay-0 :attr:`~_Source.finished` event once the source
-stops.  Setting ``stop_s`` mid-run (the fault injector's kill) takes
-effect at the next emission.
+A CBR source's packets are due at times known in advance, so a consumer
+that only needs them in bulk can pull them instead: after
+:meth:`CbrSource.detach` no timer runs, and :meth:`CbrSource.take`
+materializes every packet due before a given time.  The due times come
+from the same first draw and the same repeated ``+= interval_s`` float
+additions the chain's clock performs, so a pulled packet carries the
+``created_s`` the pushed one would have.  BCP agents pull
+(:meth:`repro.core.bcp.BcpAgent.adopt`).
 """
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 from repro.net.packets import DataPacket
-from repro.sim.events import URGENT, Event
+from repro.sim.events import Event
 from repro.units import BITS_PER_BYTE
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,17 +67,6 @@ class _Source:
         self.payload_bits = payload_bytes * BITS_PER_BYTE
         self.stop_s = stop_s
         self.stats = SourceStats()
-        #: Triggers (at delay 0) once the source has stopped generating.
-        self.finished = Event(sim)
-        # The subclass's first wait starts from an URGENT delay-0 event.
-        start = Event(sim)
-        start.callbacks.append(self._start)
-        start._ok = True
-        start._value = None
-        sim._enqueue(start, delay=0.0, priority=URGENT)
-
-    def _start(self, _event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _running(self) -> bool:
         return self.stop_s is None or self.sim.now < self.stop_s
@@ -94,7 +88,7 @@ class CbrSource(_Source):
     sim / node_id / dst:
         Kernel, the generating node, the destination (the sink).
     submit:
-        Ingestion callback for generated packets.
+        Ingestion callback for generated packets (until :meth:`detach`).
     rate_bps:
         Application data rate (payload bits per second).
     payload_bytes:
@@ -127,20 +121,66 @@ class CbrSource(_Source):
         super().__init__(sim, node_id, dst, submit, payload_bytes, stop_s)
         self.interval_s = self.payload_bits / rate_bps
         self._rng = rng or sim.rng.stream(f"traffic.cbr.{node_id}")
-        self._jitter = start_jitter_s
+        gap = self._rng.uniform(0.0, self.interval_s + start_jitter_s)
+        #: Due times of the packets not yet taken, earliest first (pull
+        #: mode); extended one ``+ interval_s`` at a time on demand.
+        self._due = [sim.now + gap]
+        #: The chain's first timeout (what :meth:`detach` cancels).
+        self._first = sim.timeout(gap)
         self._tick_cb = self._tick
-
-    def _start(self, _event: Event) -> None:
-        self.sim.timeout(
-            self._rng.uniform(0.0, self.interval_s + self._jitter)
-        ).callbacks.append(self._tick_cb)
+        self._first.callbacks.append(self._tick_cb)
 
     def _tick(self, _event: Event) -> None:
         if self._running():
             self._emit()
             self.sim.timeout(self.interval_s).callbacks.append(self._tick_cb)
-        else:
-            self.finished.succeed()
+
+    # -- pull mode -----------------------------------------------------------
+
+    def detach(self) -> None:
+        """Cancel the timer chain before it starts; the caller pulls
+        packets with :meth:`take` from now on."""
+        if not self._first.cancel():
+            raise RuntimeError("detach() after the first packet was pushed")
+
+    def due_s(self, k: int = 0) -> float:
+        """Due time of the ``k``-th packet not yet taken (0 = the next).
+
+        A due time at or past ``stop_s`` is never generated.
+        """
+        due = self._due
+        if len(due) <= k:
+            t = due[-1]
+            interval = self.interval_s
+            for _ in range(k + 1 - len(due)):
+                t += interval
+                due.append(t)
+        return due[k]
+
+    def take(self, until: float, inclusive: bool = False) -> list[DataPacket]:
+        """Generate every packet due before ``until`` (or at it, with
+        ``inclusive``) and before ``stop_s``, in order, and return them."""
+        stop = self.stop_s
+        if stop is not None and stop <= until:
+            until, inclusive = stop, False
+        due = self._due
+        t = due[-1]
+        while t < until or inclusive and t == until:
+            t += self.interval_s
+            due.append(t)
+        # ``due`` ascends and now ends past ``until``.
+        count = (bisect.bisect_right if inclusive else bisect.bisect_left)(
+            due, until
+        )
+        if not count:
+            return []
+        node_id, dst, bits = self.node_id, self.dst, self.payload_bits
+        packets = [DataPacket(node_id, dst, bits, t) for t in due[:count]]
+        del due[:count]
+        stats = self.stats
+        stats.packets_generated += count
+        stats.bits_generated += count * bits
+        return packets
 
 
 class PoissonSource(_Source):
@@ -163,21 +203,19 @@ class PoissonSource(_Source):
         self.mean_interval_s = self.payload_bits / mean_rate_bps
         self._rng = rng or sim.rng.stream(f"traffic.poisson.{node_id}")
         self._arrival_cb = self._arrival
+        self._wait()
 
-    def _start(self, _event: Event | None = None) -> None:
+    def _wait(self) -> None:
         if self._running():
             self.sim.timeout(
                 self._rng.expovariate(1.0 / self.mean_interval_s)
             ).callbacks.append(self._arrival_cb)
-        else:
-            self.finished.succeed()
 
     def _arrival(self, _event: Event) -> None:
         if self.stop_s is not None and self.sim.now >= self.stop_s:
-            self.finished.succeed()
             return
         self._emit()
-        self._start()
+        self._wait()
 
 
 class AudioBurstSource(_Source):
@@ -214,15 +252,14 @@ class AudioBurstSource(_Source):
         self._rng = rng or sim.rng.stream(f"traffic.audio.{node_id}")
         self._clip_cb = self._clip
         self._sample_cb = self._sample
+        self._silence()
 
-    def _start(self, _event: Event | None = None) -> None:
+    def _silence(self) -> None:
         """Wait out one silence (or stop)."""
         if self._running():
             self.sim.timeout(
                 self._rng.expovariate(1.0 / self.mean_silence_s)
             ).callbacks.append(self._clip_cb)
-        else:
-            self.finished.succeed()
 
     def _clip(self, _event: Event) -> None:
         self._burst_end = self.sim.now + self.burst_duration_s
@@ -230,9 +267,7 @@ class AudioBurstSource(_Source):
 
     def _sample(self, _event: Event) -> None:
         if self.sim.now >= self._burst_end:
-            self._start()
-        elif self.stop_s is not None and self.sim.now >= self.stop_s:
-            self.finished.succeed()
-        else:
+            self._silence()
+        elif self.stop_s is None or self.sim.now < self.stop_s:
             self._emit()
             self.sim.timeout(self._interval_s).callbacks.append(self._sample_cb)

@@ -241,10 +241,10 @@ class TestReportsAndGate:
         def fig_cell(events):
             return _report(walls={"fig-cell": 0.1}, ops={"events": events})
 
-        assert FIG_CELL_EVENTS == 30_225
-        assert failed_gates(fig_cell(30_225)) == []
-        assert failed_gates(fig_cell(30_226)) == [
-            "fig-cell-events: fig-cell events = 30226, over the 30225 ceiling"
+        assert FIG_CELL_EVENTS == 20_943
+        assert failed_gates(fig_cell(20_943)) == []
+        assert failed_gates(fig_cell(20_944)) == [
+            "fig-cell-events: fig-cell events = 20944, over the 20943 ceiling"
         ]
 
 
@@ -315,7 +315,7 @@ class TestBenchCli:
             for line in capsys.readouterr().out.splitlines()
         }
         assert lines["fig-cell-events"] == [
-            "1000", "<=", "30225", "fig-cell", "events"
+            "1000", "<=", "20943", "fig-cell", "events"
         ]
         assert lines["fig-cell-wall"][1:] == [
             "<=", "0.403", "fig-cell", "wall_s"

@@ -144,6 +144,15 @@ class TestSchedulingHelpers:
         sim.run()
         assert seen == [5.0]
 
+    def test_call_at_fires_at_exactly_the_given_time(self, sim):
+        # now + (when - now) rounds to 107.63223621730194 here.
+        now, when = 0.25235810227983535, 107.63223621730195
+        sim.run(until=now)
+        seen = []
+        sim.call_at(when, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [when]
+
     def test_call_at_past_raises(self, sim):
         sim.timeout(2.0)
         sim.run()

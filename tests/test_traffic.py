@@ -132,7 +132,9 @@ class TestAudioBurst:
 # Each source's exact emission schedule: the first packets' ``created_s``
 # to the last ulp, the packet count at the horizon and the kernel event
 # count.  The pinned golden digests depend on every one of these
-# timestamps and on the order of the rng draws behind them.
+# timestamps and on the order of the rng draws behind them.  The event
+# counts are one per emission, plus the stopped chain's last timeout and
+# the kill event in the killed runs.
 
 
 def _schedule_digest(packets, limit=200):
@@ -160,24 +162,24 @@ def _build_source(kind, sim, node_id, submit, stop_s=None):
 
 #: kind → (schedule digest, packets generated, kernel events) at t=60 s.
 SCHEDULE_PINS = {
-    "cbr": ("28f677f2e95d1140", 467, 468),
-    "poisson": ("af8481cc1ce0e335", 468, 469),
-    "audio": ("617b948ee4bb9ed4", 630, 641),
+    "cbr": ("28f677f2e95d1140", 467, 467),
+    "poisson": ("af8481cc1ce0e335", 468, 468),
+    "audio": ("617b948ee4bb9ed4", 630, 640),
 }
 
 #: kind → the same three, with the source stopped at t=20 s the way the
 #: fault injector kills a sender (``stop_s = now``) and a stop time of
 #: 40 s configured up front.
 KILLED_PINS = {
-    "cbr": ("368621c8b2323c03", 154, 158),
-    "poisson": ("85ccdbdd12f9f3a8", 158, 162),
-    "audio": ("7f713382e7f2e42c", 189, 196),
+    "cbr": ("368621c8b2323c03", 154, 156),
+    "poisson": ("85ccdbdd12f9f3a8", 158, 160),
+    "audio": ("7f713382e7f2e42c", 189, 194),
 }
 
 
 #: (schedule digest of every packet, packets, kernel events) for the
 #: mixed five-source run below.
-INTERLEAVED_PIN = ("b9b3f5708bac9ffb", 1472, 1485)
+INTERLEAVED_PIN = ("b9b3f5708bac9ffb", 1472, 1480)
 
 
 def _run_schedule(kind, kill_at=None):
