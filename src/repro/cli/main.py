@@ -27,8 +27,8 @@ Examples
 
     repro scenarios list                   # registered composition axes
 
-    repro bench                            # smoke perf suite + regression gate
-    repro bench --suite full --threshold 0.1
+    repro bench                            # smoke perf suite + its ceilings
+    repro bench --suite full --no-write    # every ceiling, no BENCH json
     repro bench --list                     # what each suite measures
 
     # scenarios beyond the paper's grid: compose topology x propagation x
@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 
@@ -132,9 +133,14 @@ def parse_duration(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"bad duration {text!r}; expected e.g. 3600, 90s, 30m, 12h, 7d"
         ) from None
-    if value < 0:
+    seconds = value * factor
+    # float() accepts "nan", "inf" and overflowing literals; a NaN age
+    # would compare False against every entry and silently match none.
+    if not math.isfinite(seconds):
+        raise argparse.ArgumentTypeError(f"duration {text!r} is not finite")
+    if seconds < 0:
         raise argparse.ArgumentTypeError("duration must be non-negative")
-    return value * factor
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +474,7 @@ def _cache_main(argv: typing.Sequence[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench subcommand (the perf-regression gate).
+# bench subcommand (the perf ceilings).
 # ---------------------------------------------------------------------------
 
 
@@ -476,12 +482,12 @@ def _bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the declared perf suite, write BENCH_<rev>.json, and "
-            "gate on regressions vs a baseline report plus the ceilings: "
-            "each caps one case's wall time (a 10k-node composed scenario "
-            "must build in under 5 s; full suite) or a deterministic work "
-            "counter (a 1k-node collection round builds at most 33 "
-            "routing trees)."
+            "Run the declared perf suite, check its ceilings and record "
+            "the run in BENCH_<rev>.json.  Each ceiling caps one case's "
+            "wall time (a 10k-node composed scenario must build in under "
+            "5 s; full suite) or a deterministic work counter (a 1k-node "
+            "collection round builds at most 33 routing trees).  The exit "
+            "status is 1 when any ceiling is over its limit or missing."
         ),
     )
     parser.add_argument(
@@ -497,36 +503,7 @@ def _bench_parser() -> argparse.ArgumentParser:
         "--output-dir",
         type=str,
         default=".",
-        help="where BENCH_<rev>.json is written and baselines are found",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=str,
-        default="auto",
-        metavar="PATH|auto|none",
-        help=(
-            "report to compare against: a path, 'auto' (newest "
-            "BENCH_*.json of another rev in --output-dir; default), or "
-            "'none' to skip the comparison"
-        ),
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="tolerated fractional slowdown per case (default 0.25 = 25%%)",
-    )
-    parser.add_argument(
-        "--min-wall",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help=(
-            "skip the wall-time comparison for cases whose baseline is "
-            "shorter than this (sub-100 ms deltas are scheduler noise on "
-            "shared runners; such cases keep only their ceilings; "
-            "default 0.1)"
-        ),
+        help="where BENCH_<rev>.json is written (default: .)",
     )
     parser.add_argument(
         "--repeats",
@@ -535,18 +512,9 @@ def _bench_parser() -> argparse.ArgumentParser:
         help="override every case's repeat count",
     )
     parser.add_argument(
-        "--compare-across-hosts",
-        action="store_true",
-        help=(
-            "gate wall times even when the baseline was recorded on a "
-            "different host class (by default only the ceilings apply "
-            "across hosts)"
-        ),
-    )
-    parser.add_argument(
         "--no-write",
         action="store_true",
-        help="measure and compare without writing BENCH_<rev>.json",
+        help="measure and check the ceilings without writing BENCH_<rev>.json",
     )
     parser.add_argument(
         "--profile",
@@ -572,10 +540,6 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
         for case in bench_cases(args.suite):
             print(f"{case.name:26s} {case.summary} (x{case.repeats})")
         return 0
-    if args.threshold < 0:
-        raise SystemExit("repro: error: --threshold must be non-negative")
-    if args.min_wall < 0:
-        raise SystemExit("repro: error: --min-wall must be non-negative")
     if args.repeats is not None and args.repeats < 1:
         raise SystemExit("repro: error: --repeats must be at least 1")
 
@@ -600,55 +564,10 @@ def _bench_main(argv: typing.Sequence[str]) -> int:
             f"{ceiling.case} {ceiling.metric}"
         )
 
-    failures = perf_bench.failed_gates(report)
-    if args.baseline != "none":
-        if args.baseline == "auto":
-            baseline_path = perf_bench.find_baseline(
-                args.output_dir, exclude_rev=report.rev
-            )
-        else:
-            baseline_path = args.baseline
-        if baseline_path is None:
-            print("no baseline BENCH_*.json found; comparison skipped")
-        else:
-            try:
-                baseline = perf_bench.load_report(baseline_path)
-            except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
-                raise SystemExit(f"repro: bench: bad baseline: {error}")
-            if not args.compare_across_hosts and not perf_bench.walls_comparable(
-                report, baseline
-            ):
-                # A laptop-recorded baseline must not wall-gate a CI
-                # runner (and vice versa): absolute times only compare
-                # within one host class.  The ceilings still apply;
-                # committing this run's BENCH json starts a trajectory
-                # this host can be gated against.
-                print(
-                    f"baseline: {baseline_path} (rev {baseline.rev}) was "
-                    f"recorded on {baseline.host or 'an untagged host'}; "
-                    f"this run is {report.host}.  Wall-time comparison "
-                    "skipped (ceilings still checked); pass "
-                    "--compare-across-hosts to force it."
-                )
-            else:
-                regressions = perf_bench.compare_reports(
-                    report,
-                    baseline,
-                    threshold=args.threshold,
-                    min_wall_s=args.min_wall,
-                )
-                print(
-                    f"baseline: {baseline_path} (rev {baseline.rev}, "
-                    f"{len(regressions)} regression(s) at "
-                    f">{args.threshold * 100:.0f}% slowdown)"
-                )
-                failures.extend(
-                    f"regression {reg.describe()}" for reg in regressions
-                )
-
     if not args.no_write:
         path = perf_bench.write_report(report, args.output_dir)
         print(f"wrote {path}")
+    failures = perf_bench.failed_gates(report)
     if failures:
         for failure in failures:
             print(f"repro: bench: FAIL {failure}", file=sys.stderr)

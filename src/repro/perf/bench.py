@@ -1,30 +1,23 @@
-"""Run the bench suite, persist ``BENCH_<rev>.json``, gate regressions.
+"""Run the bench suite, check its ceilings, persist ``BENCH_<rev>.json``.
 
-The perf trajectory lives in the repository as ``BENCH_<rev>.json`` files:
-one per recorded revision, each holding the suite's wall times (best of
-``repeats``) and ops counters.  ``repro bench`` runs a suite, writes the
-current revision's file, and compares against a baseline — by default the
-most recently modified ``BENCH_*.json`` of a *different* revision in the
-output directory — failing when any shared case slowed down by more than
-the threshold, or when a case's metric exceeds one of its ceilings
-(:data:`repro.perf.suite.CEILINGS`).
-
-Wall times only compare meaningfully on similar hardware; the committed
-baseline is regenerated whenever the trajectory moves (commit the new
-``BENCH_<rev>.json`` alongside the change that earned it).  The ceilings
-carry the acceptance criteria across machines.
+``repro bench`` runs a suite's cases (best-of-``repeats`` wall time plus
+ops counters per case), checks every ceiling of the cases that ran
+(:data:`repro.perf.suite.CEILINGS`) and writes the run to
+``BENCH_<rev>.json`` as a record.  The ceilings are the only gate: they
+hold on any CI-class host, whereas a best-of-N wall measured here says
+little about one measured on another machine or under another load.
+Wall-time changes are judged by parent/change runs of the end-to-end
+benchmark alternated on one host instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import gc
 import json
 import pathlib
 import platform
 import subprocess
-import sys
 import time
 import typing
 
@@ -32,9 +25,6 @@ from repro.perf.suite import BenchCase, bench_cases, ceilings
 
 #: Format version of the BENCH json files.
 BENCH_SCHEMA = 1
-
-#: File-name pattern of persisted reports.
-BENCH_GLOB = "BENCH_*.json"
 
 
 @dataclasses.dataclass
@@ -44,21 +34,6 @@ class CaseResult:
     wall_s: float
     repeats: int
     ops: dict[str, float]
-
-
-def host_key() -> str:
-    """A coarse hardware/interpreter identity for wall-time comparability.
-
-    Wall times only gate against a baseline recorded on the same kind of
-    host; this key is deliberately coarse (OS, architecture, Python
-    major.minor) so routine kernel/image bumps on CI runners don't break
-    the chain, while a laptop-recorded baseline never wall-gates a CI
-    runner.
-    """
-    return (
-        f"{platform.system()}-{platform.machine()}"
-        f"-py{sys.version_info.major}.{sys.version_info.minor}"
-    )
 
 
 @dataclasses.dataclass
@@ -72,7 +47,6 @@ class BenchReport:
     platform: str
     results: dict[str, CaseResult]
     checks: dict[str, float] = dataclasses.field(default_factory=dict)
-    host: str = ""
 
     def to_json(self) -> str:
         payload = {
@@ -82,7 +56,6 @@ class BenchReport:
             "created": self.created,
             "python": self.python,
             "platform": self.platform,
-            "host": self.host,
             "results": {
                 name: dataclasses.asdict(result)
                 for name, result in self.results.items()
@@ -90,25 +63,6 @@ class BenchReport:
             "checks": self.checks,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-@dataclasses.dataclass
-class Regression:
-    """A case that slowed past the threshold vs the baseline."""
-
-    case: str
-    current_s: float
-    baseline_s: float
-
-    @property
-    def ratio(self) -> float:
-        return self.current_s / self.baseline_s if self.baseline_s else float("inf")
-
-    def describe(self) -> str:
-        return (
-            f"{self.case}: {self.current_s:.4f}s vs baseline "
-            f"{self.baseline_s:.4f}s ({(self.ratio - 1.0) * 100.0:+.1f}%)"
-        )
 
 
 def git_rev(directory: str | pathlib.Path = ".") -> str:
@@ -208,7 +162,6 @@ def run_suite(
         created=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         python=platform.python_version(),
         platform=platform.platform(),
-        host=host_key(),
         results=results,
         checks=checks,
     )
@@ -240,177 +193,3 @@ def write_report(
     path = target / f"BENCH_{report.rev}.json"
     path.write_text(report.to_json() + "\n")
     return path
-
-
-def load_report(path: str | pathlib.Path) -> BenchReport:
-    """Read a persisted report (ValueError on schema or shape mismatch)."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: BENCH report is not a JSON object")
-    schema = payload.get("schema")
-    if schema != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: BENCH schema {schema!r} (this build reads {BENCH_SCHEMA})"
-        )
-    raw_results = payload.get("results", {})
-    if not isinstance(raw_results, dict):
-        raise ValueError(f"{path}: BENCH results is not a JSON object")
-    results = {}
-    for name, entry in raw_results.items():
-        try:
-            results[name] = CaseResult(
-                wall_s=float(entry["wall_s"]),
-                repeats=int(entry.get("repeats", 1)),
-                ops={k: float(v) for k, v in entry.get("ops", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError):
-            # A hand-edited or older-generation entry missing its wall
-            # time (or carrying a non-numeric one) drops out of the
-            # comparison instead of aborting it: the remaining cases and
-            # the ceilings still gate the run.
-            continue
-    return BenchReport(
-        rev=str(payload.get("rev", "unknown")),
-        suite=str(payload.get("suite", "unknown")),
-        created=str(payload.get("created", "")),
-        python=str(payload.get("python", "")),
-        platform=str(payload.get("platform", "")),
-        host=str(payload.get("host", "")),
-        results=results,
-        # Plain name -> number pairs: no gate reads a baseline's checks, so
-        # older reports' ratios and rates load like any other value.
-        checks={k: float(v) for k, v in payload.get("checks", {}).items()},
-    )
-
-
-def _created_stamp(path: pathlib.Path) -> float:
-    """The report's creation time as a POSIX timestamp (-1 if unreadable).
-
-    Parsed as a datetime rather than compared as text: older reports may
-    carry local-zone offsets, and lexicographic order of offset-bearing
-    stamps is not chronological.
-    """
-    try:
-        payload = json.loads(path.read_text())
-        raw = str(payload.get("created", ""))
-        stamp = datetime.datetime.fromisoformat(raw)
-    except (OSError, ValueError, AttributeError, TypeError):
-        # Unreadable, non-object, or unparsable-stamp files sort last
-        # instead of crashing baseline discovery.
-        return -1.0
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=datetime.timezone.utc)
-    return stamp.timestamp()
-
-
-def _dirty_bench_names(directory: str | pathlib.Path) -> set[str] | None:
-    """Basenames of BENCH files git considers dirty in ``directory``.
-
-    Dirty means untracked or modified relative to HEAD — a bench run
-    someone forgot to commit (or a hand-edited baseline) that must not
-    silently become the regression baseline.  Returns ``None`` when the
-    directory is not inside a git work tree (or git is unavailable), in
-    which case every candidate is eligible — a plain output directory
-    has no notion of committed.
-    """
-    try:
-        status = subprocess.run(
-            [
-                "git",
-                "status",
-                "--porcelain",
-                "--untracked-files=all",
-                "--",
-                BENCH_GLOB,
-            ],
-            cwd=str(directory),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if status.returncode != 0:
-        return None
-    dirty: set[str] = set()
-    for line in status.stdout.splitlines():
-        # Porcelain v1: "XY path" (paths relative to the repo root, so
-        # compare basenames — BENCH names are revision-unique).  Renames
-        # read "XY old -> new".
-        path = line[3:].split(" -> ")[-1].strip().strip('"')
-        if path:
-            dirty.add(pathlib.PurePosixPath(path).name)
-    return dirty
-
-
-def find_baseline(
-    directory: str | pathlib.Path, exclude_rev: str | None = None
-) -> pathlib.Path | None:
-    """The newest ``BENCH_*.json`` in ``directory`` not from ``exclude_rev``.
-
-    Ordered by each report's recorded ``created`` stamp (parsed,
-    zone-aware), with file mtime as the tie-break: in a fresh git
-    checkout every committed baseline shares one checkout-time mtime,
-    which says nothing about recording order.
-
-    Inside a git work tree, uncommitted or locally modified BENCH files
-    are not baseline material (a leftover local run would otherwise mask
-    real regressions — or invent them); only committed, unmodified
-    reports are considered.  Outside git every report is eligible.
-    """
-    candidates = [
-        path
-        for path in pathlib.Path(directory).glob(BENCH_GLOB)
-        if exclude_rev is None or path.name != f"BENCH_{exclude_rev}.json"
-    ]
-    dirty = _dirty_bench_names(directory)
-    if dirty is not None:
-        candidates = [path for path in candidates if path.name not in dirty]
-    if not candidates:
-        return None
-    return max(
-        candidates,
-        key=lambda path: (_created_stamp(path), path.stat().st_mtime),
-    )
-
-
-def walls_comparable(current: BenchReport, baseline: BenchReport) -> bool:
-    """Whether the two reports' wall times can be meaningfully compared.
-
-    True when both carry the same :func:`host_key` (or the baseline
-    predates host tagging, in which case callers should decide — see
-    ``repro bench --compare-across-hosts``).
-    """
-    return bool(current.host and baseline.host and current.host == baseline.host)
-
-
-def compare_reports(
-    current: BenchReport,
-    baseline: BenchReport,
-    threshold: float = 0.25,
-    min_wall_s: float = 0.1,
-) -> list[Regression]:
-    """Cases shared with ``baseline`` that slowed by more than ``threshold``.
-
-    ``threshold`` is fractional: 0.25 tolerates a 25% slowdown.  Cases
-    present on only one side are ignored (the suite grows over time), and
-    so are cases whose baseline wall time is below ``min_wall_s``: on a
-    shared CI runner the absolute delta of a sub-100 ms case is scheduler
-    noise, not signal — such cases are gated only by their ceilings, if any.
-    """
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    regressions = []
-    for name, result in current.results.items():
-        base = baseline.results.get(name)
-        if base is None or base.wall_s < min_wall_s or base.wall_s <= 0:
-            continue
-        if result.wall_s > base.wall_s * (1.0 + threshold):
-            regressions.append(
-                Regression(
-                    case=name,
-                    current_s=result.wall_s,
-                    baseline_s=base.wall_s,
-                )
-            )
-    return regressions

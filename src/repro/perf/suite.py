@@ -2,19 +2,16 @@
 
 Each :class:`BenchCase` is a named, deterministic workload with an untimed
 ``setup`` and a timed ``run`` returning ops counters.  Cases are tagged
-into suites: ``smoke`` is the CI gate (routing build at 1k/5k nodes, the
-routing policies at 1k, medium delivery, MAC contention, one end-to-end
-fig-scale cell, a 1k-node composed scenario build and the 1k-node churn
-round); ``full`` is a superset adding the heavy contention cell and the
-10k-node scale cases (lazy routing, batched medium delivery, the
-composed-scenario build and a full collection round at 10k nodes —
-nightly/full material, too slow for every-PR smoke).
+into suites: ``smoke`` runs on every change (routing build at 1k/5k
+nodes, the routing policies at 1k, one end-to-end fig-scale cell, a
+1k-node composed scenario build and the 1k-node churn round); ``full`` is
+a superset adding the 35-sender contention cell and the 10k-node scale
+cases (lazy routing, the composed-scenario build and a full collection
+round at 10k nodes — nightly material, too slow for every change).
 
-Wall times are machine-dependent, so the committed ``BENCH_*.json``
-baselines gate *relative* regressions (see :mod:`repro.perf.bench`).
-:data:`CEILINGS` are the absolute gates: each caps one case's metric,
-either its wall (acceptance budgets generous enough for a loaded CI
-runner) or an ops counter (deterministic work, which cannot flake).
+:data:`CEILINGS` are the gates: each caps one case's metric, either its
+wall (acceptance budgets generous enough for a loaded CI runner) or an
+ops counter (deterministic work, which cannot flake).
 """
 
 from __future__ import annotations
@@ -188,128 +185,6 @@ def _case_sim_loop_10k() -> BenchCase:
     )
 
 
-def _case_medium_delivery() -> BenchCase:
-    def setup():
-        return _uniform_layout(100, 250.0, 3)
-
-    def run(layout):
-        from repro.channel.medium import Medium
-        from repro.energy.meter import MeterBank
-        from repro.energy.radio_specs import MICAZ
-        from repro.mac.frames import Frame, FrameKind
-        from repro.radio.radio import LowPowerRadio
-        from repro.sim.simulator import Simulator
-
-        sim = Simulator(seed=1)
-        medium = Medium(sim, layout, name="bench")
-        bank = MeterBank(len(layout))
-        radios = {
-            node: LowPowerRadio(sim, node, MICAZ, medium, bank.meter(node))
-            for node in layout.node_ids
-        }
-
-        def sender(node):
-            neighbors = medium.neighbors(node)
-            if not neighbors:
-                return
-            dst = neighbors[0]
-            for seq in range(150):
-                frame = Frame(
-                    kind=FrameKind.DATA,
-                    src=node,
-                    dst=dst,
-                    payload_bits=256,
-                    header_bits=88,
-                    seq=seq,
-                    require_ack=False,
-                )
-                yield radios[node].transmit(frame)
-
-        for node in list(layout.node_ids)[:25]:
-            sim.process(sender(node))
-        sim.run()
-        return {
-            "frames_sent": float(medium.frames_sent),
-            "frames_delivered": float(medium.frames_delivered),
-            "events": float(sim.events_processed),
-        }
-
-    return BenchCase(
-        name="medium-delivery",
-        summary="per-frame medium work: 25 senders x 150 unicast frames",
-        setup=setup,
-        run=run,
-        repeats=5,
-    )
-
-
-def _case_medium_delivery_10k() -> BenchCase:
-    def setup():
-        # Fleet construction and the neighbor-index build are untimed:
-        # the case isolates the per-frame delivery path (batched energy
-        # fanout, listening bitmap, incremental busy refcounts) at the
-        # 10k-node composed-scenario density.
-        from repro.channel.medium import Medium
-        from repro.energy.meter import MeterBank
-        from repro.energy.radio_specs import MICAZ
-        from repro.radio.radio import LowPowerRadio
-        from repro.sim.simulator import Simulator
-
-        layout = _uniform_layout(10000, _COMPOSE_FIELD_10K, 3)
-        sim = Simulator(seed=1)
-        medium = Medium(sim, layout, name="bench")
-        bank = MeterBank(len(layout.node_ids))
-        radios = {
-            node: LowPowerRadio(sim, node, MICAZ, medium, bank.meter(node))
-            for node in layout.node_ids
-        }
-        medium._neighbor_index()
-        return sim, medium, radios
-
-    def run(state):
-        from repro.mac.frames import Frame, FrameKind
-
-        sim, medium, radios = state
-
-        def sender(node):
-            neighbors = medium.neighbors(node)
-            if not neighbors:
-                return
-            dst = neighbors[0]
-            for seq in range(100):
-                frame = Frame(
-                    kind=FrameKind.DATA,
-                    src=node,
-                    dst=dst,
-                    payload_bits=256,
-                    header_bits=88,
-                    seq=seq,
-                    require_ack=False,
-                )
-                yield radios[node].transmit(frame)
-
-        for node in list(radios)[:100]:
-            sim.process(sender(node))
-        sim.run()
-        return {
-            "frames_sent": float(medium.frames_sent),
-            "frames_delivered": float(medium.frames_delivered),
-            "events": float(sim.events_processed),
-        }
-
-    return BenchCase(
-        name="medium-delivery-10k",
-        summary=(
-            "batched medium hot path at scale: 100 senders x 100 unicast "
-            "frames across a 10k-node fleet"
-        ),
-        setup=setup,
-        run=run,
-        suites=("full",),
-        repeats=1,
-    )
-
-
 def _fig_cell_config(**overrides):
     from repro.models.scenario import single_hop_config
 
@@ -390,75 +265,6 @@ def _case_fig_cell_heavy() -> BenchCase:
         # Best-of-3: at ~4 s a round the wall is noise-sensitive enough
         # that a single round can swing ±15% on a busy host.
         repeats=3,
-    )
-
-
-def _case_mac_contention() -> BenchCase:
-    """A dense retry-heavy MAC cell: a 25-node line at exactly radio
-    range, every node bursting acked frames at its successor.
-
-    Each interior node is a hidden terminal to its neighbor's neighbor,
-    so the cell lives in backoff-double/retry/ack-timeout churn and ~1k
-    data frames plus their retries flow per round.
-    """
-
-    def setup():
-        return None
-
-    def run(_state) -> dict[str, float]:
-        from repro.channel.medium import Medium
-        from repro.energy.meter import MeterBank
-        from repro.energy.radio_specs import MICAZ
-        from repro.mac.csma import SensorCsmaMac
-        from repro.mac.frames import Frame, FrameKind
-        from repro.radio.radio import LowPowerRadio
-        from repro.sim.simulator import Simulator
-        from repro.topology import line_layout
-
-        n = 25
-        per_sender = 40
-        sim = Simulator(seed=5)
-        layout = line_layout(n, 40.0)
-        medium = Medium(sim, layout, "mac-bench")
-        bank = MeterBank(n)
-        radios = [
-            LowPowerRadio(sim, i, MICAZ, medium, bank.meter(i))
-            for i in range(n)
-        ]
-        macs = [SensorCsmaMac(sim, radios[i]) for i in range(n)]
-
-        def source(i: int):
-            for _ in range(per_sender):
-                yield sim.timeout(0.02)
-                yield macs[i].send(
-                    Frame(
-                        kind=FrameKind.DATA,
-                        src=i,
-                        dst=i + 1,
-                        payload_bits=512,
-                        header_bits=64,
-                        require_ack=True,
-                    )
-                )
-
-        for i in range(n - 1):
-            sim.process(source(i))
-        sim.run()
-        frames_sent = float(sum(m.sent_ok + m.sent_failed for m in macs))
-        return {
-            "frames_sent": frames_sent,
-            "mac.retransmissions": float(
-                sum(m.retransmissions for m in macs)
-            ),
-            "events": float(sim.events_processed),
-        }
-
-    return BenchCase(
-        name="mac-contention-1k",
-        summary="retry-heavy 25-node hidden-terminal line, ~1k acked frames",
-        setup=setup,
-        run=run,
-        repeats=2,
     )
 
 
@@ -716,9 +522,6 @@ def all_cases() -> tuple[BenchCase, ...]:
         _case_routing_lazy(5000, _FIELD_5K),
         _case_routing_lazy(10000, _FIELD_10K, suites=("full",)),
         _case_sim_loop_10k(),
-        _case_medium_delivery(),
-        _case_medium_delivery_10k(),
-        _case_mac_contention(),
         _case_fig_cell(),
         _case_fig_cell_heavy(),
         _case_scenario_compose(1000, _COMPOSE_FIELD_1K),

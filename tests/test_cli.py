@@ -143,6 +143,27 @@ class TestUnitParsers:
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_duration(bad)
 
+    def test_parse_duration_rejects_non_finite(self):
+        import argparse
+
+        from repro.cli.main import parse_duration
+
+        # float() takes all of these; an overflowing unit product too.
+        for bad in ("nan", "-nan", "inf", "-inf", "1e400", "1e308d"):
+            with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+                parse_duration(bad)
+
+    def test_cache_gc_rejects_nan_max_age(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # A NaN age compares False against every entry, so gc would run
+        # and silently evict nothing by age: refuse it at parse time.
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", "--cache-dir", str(tmp_path),
+                  "--max-age", "nan"])
+        assert exc.value.code == 2
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestShardCli:
     TINY = ("--runs", "1", "--sim-time", "30", "--senders", "3",

@@ -8,16 +8,13 @@ from repro.cli.main import main
 from repro.perf import bench as perf_bench
 from repro.perf import collect_phases, phase, phase_snapshot, record
 from repro.perf.bench import (
+    BENCH_SCHEMA,
     BenchReport,
     CaseResult,
-    compare_reports,
     failed_gates,
-    find_baseline,
-    load_report,
     run_case,
     write_report,
 )
-from repro.perf.bench import host_key, walls_comparable
 from repro.perf.suite import (
     CEILINGS,
     FIG_CELL_EVENTS,
@@ -102,9 +99,20 @@ class TestHarness:
         smoke = {case.name for case in bench_cases("smoke")}
         full = {case.name for case in bench_cases("full")}
         assert smoke < full  # smoke is a strict subset
-        assert "routing-build-lazy-1k" in smoke
-        assert "routing-build-lazy-5k" in smoke
-        assert "fig-cell-heavy" in full - smoke
+        assert smoke == {
+            "routing-build-lazy-1k",
+            "routing-policy-1k",
+            "routing-build-lazy-5k",
+            "fig-cell",
+            "scenario-compose-1k",
+            "churn-1k",
+        }
+        assert full - smoke == {
+            "routing-build-lazy-10k",
+            "sim-loop-10k",
+            "fig-cell-heavy",
+            "scenario-compose-10k",
+        }
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -116,7 +124,7 @@ class TestHarness:
         assert [gate.name for gate in gates] == ["routing-1k-trees"]
 
 
-def _report(rev="abc123", walls=None, checks=None, host="test-host", ops=None):
+def _report(rev="abc123", walls=None, checks=None, ops=None):
     walls = walls or {"case-a": 1.0, "case-b": 2.0}
     ops = {"x": 1.0} if ops is None else ops
     return BenchReport(
@@ -125,7 +133,6 @@ def _report(rev="abc123", walls=None, checks=None, host="test-host", ops=None):
         created="2026-07-29T00:00:00",
         python="3.11",
         platform="test",
-        host=host,
         results={
             name: CaseResult(wall_s=wall, repeats=1, ops=dict(ops))
             for name, wall in walls.items()
@@ -136,105 +143,23 @@ def _report(rev="abc123", walls=None, checks=None, host="test-host", ops=None):
 
 class TestReportsAndGate:
     def test_write_load_round_trip(self, tmp_path):
-        report = _report()
+        report = _report(checks={"fig-cell-events": 20_943.0})
         path = write_report(report, tmp_path)
         assert path.name == "BENCH_abc123.json"
-        loaded = load_report(path)
-        assert loaded.rev == report.rev
-        assert loaded.results["case-a"].wall_s == 1.0
-        assert loaded.results["case-b"].ops == {"x": 1.0}
-
-    def test_schema_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "BENCH_old.json"
-        bad.write_text(json.dumps({"schema": 999, "results": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            load_report(bad)
-
-    def test_non_object_report_rejected(self, tmp_path):
-        bad = tmp_path / "BENCH_mangled.json"
-        bad.write_text(json.dumps(["not", "a", "report"]))
-        with pytest.raises(ValueError, match="not a JSON object"):
-            load_report(bad)
-
-    def test_find_baseline_survives_mangled_candidates(self, tmp_path):
-        (tmp_path / "BENCH_junk.json").write_text("[1, 2, 3]")
-        (tmp_path / "BENCH_trunc.json").write_text('{"created": "20')
-        good = write_report(_report(rev="good"), tmp_path)
-        assert find_baseline(tmp_path) == good
-
-    def test_find_baseline_excludes_current_rev(self, tmp_path):
-        import os
-
-        old = write_report(_report(rev="aaa"), tmp_path)
-        newest = write_report(_report(rev="bbb"), tmp_path)
-        os.utime(old, (1_000_000, 1_000_000))
-        os.utime(newest, (2_000_000, 2_000_000))
-        assert find_baseline(tmp_path, exclude_rev="bbb").name == "BENCH_aaa.json"
-        assert find_baseline(tmp_path) == newest
-
-    def test_find_baseline_empty(self, tmp_path):
-        assert find_baseline(tmp_path) is None
-
-    def test_compare_flags_only_past_threshold(self):
-        baseline = _report(walls={"case-a": 1.0, "case-b": 1.0})
-        current = _report(walls={"case-a": 1.2, "case-b": 1.3, "new": 9.0})
-        regressions = compare_reports(current, baseline, threshold=0.25)
-        assert [reg.case for reg in regressions] == ["case-b"]
-        assert regressions[0].ratio == pytest.approx(1.3)
-        assert "case-b" in regressions[0].describe()
-
-    def test_compare_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            compare_reports(_report(), _report(), threshold=-0.1)
-
-    def test_compare_skips_sub_min_wall_cases(self):
-        baseline = _report(walls={"short": 0.02, "long": 1.0})
-        current = _report(walls={"short": 0.08, "long": 1.0})  # 4x slower
-        assert compare_reports(current, baseline, threshold=0.25) == []
-        flagged = compare_reports(
-            current, baseline, threshold=0.25, min_wall_s=0.0
-        )
-        assert [reg.case for reg in flagged] == ["short"]
-
-    def test_walls_comparable_requires_same_host(self):
-        assert walls_comparable(_report(), _report())
-        assert not walls_comparable(_report(), _report(host="other"))
-        # Untagged legacy baselines are never silently wall-compared.
-        assert not walls_comparable(_report(), _report(host=""))
-        assert host_key()  # current host always tags new reports
-
-    def test_host_round_trips_through_json(self, tmp_path):
-        path = write_report(_report(host="ci-linux"), tmp_path)
-        assert load_report(path).host == "ci-linux"
-
-    def test_created_ordering_is_zone_aware(self, tmp_path):
-        import os
-
-        # 10:00+02:00 is 08:00 UTC — *older* than 09:00 UTC despite
-        # lexicographically outranking it.
-        early = _report(rev="early")
-        early.created = "2026-07-29T10:00:00+02:00"
-        late = _report(rev="late")
-        late.created = "2026-07-29T09:00:00+00:00"
-        for report in (early, late):
-            path = write_report(report, tmp_path)
-            os.utime(path, (1_000_000, 1_000_000))
-        assert find_baseline(tmp_path).name == "BENCH_late.json"
-
-    def test_find_baseline_orders_by_created_stamp(self, tmp_path):
-        # Fresh-checkout scenario: identical mtimes, only the recorded
-        # 'created' stamps distinguish recording order.
-        import os
-
-        older = _report(rev="aaa")
-        older.created = "2026-01-01T00:00:00"
-        newer = _report(rev="bbb")
-        newer.created = "2026-06-01T00:00:00"
-        for report in (older, newer):
-            path = write_report(report, tmp_path)
-            os.utime(path, (1_000_000, 1_000_000))
-        assert find_baseline(tmp_path).name == "BENCH_bbb.json"
-        assert find_baseline(tmp_path, exclude_rev="bbb").name == "BENCH_aaa.json"
+        payload = json.loads(path.read_text())
+        assert set(payload) == {
+            "schema", "rev", "suite", "created", "python", "platform",
+            "results", "checks",
+        }
+        assert payload["schema"] == BENCH_SCHEMA == 1
+        assert payload["rev"] == "abc123"
+        assert payload["python"] == "3.11"
+        assert payload["platform"] == "test"
+        assert payload["results"]["case-a"] == {
+            "wall_s": 1.0, "repeats": 1, "ops": {"x": 1.0}
+        }
+        assert payload["results"]["case-b"]["ops"] == {"x": 1.0}
+        assert payload["checks"] == {"fig-cell-events": 20_943.0}
 
     def test_failed_gates(self):
         # An ops ceiling holds at its limit and fails one above it.
@@ -254,62 +179,65 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "routing-build-lazy-1k" in out
 
-    def test_run_write_and_regression_gate(self, tmp_path, monkeypatch, capsys):
-        # A controllable one-case suite: 'slow' toggles a sleep so the
-        # second run regresses past any threshold.
-        state = {"slow": False}
+    def test_committed_bench_files_do_not_gate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A committed-style report recorded on this kind of host sits in
+        # the output directory with walls 10x below this run's.  Only the
+        # ceilings gate, so the run passes and leaves that file alone.
+        import platform
+        import sys
+        import time
+
+        import repro.perf.suite as suite_module
 
         def run(_state):
-            if state["slow"]:
-                import time
-
-                time.sleep(0.05)
-            return {"ok": 1.0}
+            time.sleep(1.0)
+            return {"events": 1000.0}
 
         case = BenchCase(
-            name="toy",
-            summary="toy case",
+            name="fig-cell-heavy",
+            summary="toy contention cell",
             setup=lambda: None,
             run=run,
             repeats=1,
         )
-        import repro.perf.suite as suite_module
-
         monkeypatch.setattr(suite_module, "all_cases", lambda: (case,))
-        monkeypatch.setattr(
-            perf_bench, "git_rev", lambda directory=".": "rev-one"
+        monkeypatch.setattr(perf_bench, "git_rev", lambda directory=".": "here")
+        committed = write_report(
+            _report(
+                rev="committed",
+                walls={"fig-cell-heavy": 0.1},
+                ops={"events": 1000.0},
+            ),
+            tmp_path,
         )
+        payload = json.loads(committed.read_text())
+        payload["host"] = (
+            f"{platform.system()}-{platform.machine()}"
+            f"-py{sys.version_info.major}.{sys.version_info.minor}"
+        )
+        committed.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        before = committed.read_text()
         assert main(["bench", "--output-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "BENCH_rev-one.json").exists()
-        capsys.readouterr()
+        assert committed.read_text() == before
+        written = json.loads((tmp_path / "BENCH_here.json").read_text())
+        assert written["results"]["fig-cell-heavy"]["wall_s"] >= 1.0
+        assert written["checks"]["fig-cell-heavy-events"] == 1000.0
+        assert "FAIL" not in capsys.readouterr().err
 
-        state["slow"] = True
-        monkeypatch.setattr(
-            perf_bench, "git_rev", lambda directory=".": "rev-two"
-        )
-        code = main(
-            [
-                "bench",
-                "--output-dir",
-                str(tmp_path),
-                "--threshold",
-                "0.25",
-                "--min-wall",
-                "0",
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "regression" in err
-        # the report is still written for inspection
-        assert (tmp_path / "BENCH_rev-two.json").exists()
+        # A ceiling breach still fails a run.
+        over = _fake_case("fig-cell", {"events": FIG_CELL_EVENTS + 1.0})
+        monkeypatch.setattr(suite_module, "all_cases", lambda: (over,))
+        assert main(["bench", "--output-dir", str(tmp_path), "--no-write"]) == 1
+        assert "FAIL fig-cell-events" in capsys.readouterr().err
 
     def test_ceiling_check_prints_value_and_limit(self, monkeypatch, capsys):
         import repro.perf.suite as suite_module
 
         case = _fake_case("fig-cell", {"events": 1000.0})
         monkeypatch.setattr(suite_module, "all_cases", lambda: (case,))
-        assert main(["bench", "--baseline", "none", "--no-write"]) == 0
+        assert main(["bench", "--no-write"]) == 0
         lines = {
             line.split()[0]: line.split()[1:]
             for line in capsys.readouterr().out.splitlines()
@@ -325,10 +253,6 @@ class TestBenchCli:
         with pytest.raises(SystemExit, match="--repeats must be at least 1"):
             main(["bench", "--repeats", "0", "--no-write"])
 
-    def test_negative_min_wall_rejected(self):
-        with pytest.raises(SystemExit, match="--min-wall must be non-negative"):
-            main(["bench", "--min-wall", "-1", "--no-write"])
-
     def test_profile_flag_dumps_pstats(self, tmp_path, monkeypatch, capsys):
         import repro.perf.suite as suite_module
 
@@ -340,8 +264,6 @@ class TestBenchCli:
                 "--output-dir",
                 str(tmp_path),
                 "--no-write",
-                "--baseline",
-                "none",
                 "--profile",
                 str(profile_dir),
             ]
@@ -349,160 +271,6 @@ class TestBenchCli:
         assert code == 0
         assert (profile_dir / "tiny.pstats").exists()
         assert "profiles:" in capsys.readouterr().out
-
-    def test_foreign_host_baseline_skips_wall_gate(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # A baseline recorded elsewhere must not wall-gate this host even
-        # when every case regressed vs its numbers.
-        foreign = _report(rev="elsewhere", walls={"tiny": 1e-9}, host="alien")
-        write_report(foreign, tmp_path)
-        import repro.perf.suite as suite_module
-
-        monkeypatch.setattr(
-            suite_module, "all_cases", lambda: (_tiny_case(),)
-        )
-        monkeypatch.setattr(
-            perf_bench, "git_rev", lambda directory=".": "here"
-        )
-        assert main(["bench", "--output-dir", str(tmp_path), "--no-write"]) == 0
-        out = capsys.readouterr().out
-        assert "Wall-time comparison skipped" in out
-
-    def test_no_baseline_skips_comparison(self, tmp_path, monkeypatch, capsys):
-        import repro.perf.suite as suite_module
-
-        monkeypatch.setattr(
-            suite_module, "all_cases", lambda: (_tiny_case(),)
-        )
-        monkeypatch.setattr(
-            perf_bench, "git_rev", lambda directory=".": "solo"
-        )
-        assert main(["bench", "--output-dir", str(tmp_path), "--no-write"]) == 0
-        assert "comparison skipped" in capsys.readouterr().out
-
-    def test_bad_baseline_path_errors(self, tmp_path, monkeypatch):
-        import repro.perf.suite as suite_module
-
-        monkeypatch.setattr(
-            suite_module, "all_cases", lambda: (_tiny_case(),)
-        )
-        with pytest.raises(SystemExit, match="bad baseline"):
-            main(
-                [
-                    "bench",
-                    "--output-dir",
-                    str(tmp_path),
-                    "--no-write",
-                    "--baseline",
-                    str(tmp_path / "missing.json"),
-                ]
-            )
-
-
-class TestBaselineHygiene:
-    """PR-5 regressions: dirty BENCH files and degraded baselines."""
-
-    @staticmethod
-    def _git(repo, *args):
-        import subprocess
-
-        return subprocess.run(
-            ["git", *args],
-            cwd=repo,
-            capture_output=True,
-            text=True,
-            check=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-                "HOME": str(repo),
-                "PATH": __import__("os").environ.get("PATH", ""),
-            },
-        )
-
-    def _git_repo(self, tmp_path):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-        self._git(repo, "init", "-q")
-        return repo
-
-    def test_untracked_bench_file_is_not_a_baseline(self, tmp_path):
-        repo = self._git_repo(tmp_path)
-        committed = write_report(_report(rev="committed"), repo)
-        self._git(repo, "add", committed.name)
-        self._git(repo, "commit", "-q", "-m", "baseline")
-        # A leftover local run: newer stamp, never committed.
-        dirty = write_report(
-            _report(rev="dirtylocal"), repo
-        )
-        payload = json.loads(dirty.read_text())
-        payload["created"] = "2099-01-01T00:00:00+00:00"
-        dirty.write_text(json.dumps(payload))
-        assert find_baseline(repo) == committed
-
-    def test_modified_committed_bench_file_is_not_a_baseline(self, tmp_path):
-        repo = self._git_repo(tmp_path)
-        first = write_report(_report(rev="first"), repo)
-        second = write_report(_report(rev="second"), repo)
-        self._git(repo, "add", first.name, second.name)
-        self._git(repo, "commit", "-q", "-m", "baselines")
-        # Hand-edit one: it drops out; the clean one wins even if older.
-        payload = json.loads(second.read_text())
-        payload["created"] = "2099-01-01T00:00:00+00:00"
-        second.write_text(json.dumps(payload))
-        assert find_baseline(repo) == first
-
-    def test_all_dirty_means_no_baseline(self, tmp_path):
-        repo = self._git_repo(tmp_path)
-        write_report(_report(rev="only"), repo)
-        assert find_baseline(repo) is None
-
-    def test_outside_git_every_report_is_eligible(self, tmp_path):
-        # tmp_path is no work tree: the historical behaviour stands.
-        newest = write_report(_report(rev="anyone"), tmp_path)
-        assert find_baseline(tmp_path) == newest
-
-    def test_baseline_missing_host_skips_walls_keeps_ceilings(
-        self, tmp_path
-    ):
-        # An early-generation baseline without host tagging must load,
-        # refuse wall comparison, and leave the ceilings to gate.
-        path = write_report(_report(rev="old", host="x"), tmp_path)
-        payload = json.loads(path.read_text())
-        del payload["host"]
-        path.write_text(json.dumps(payload))
-        baseline = load_report(path)
-        assert baseline.host == ""
-        current = _report(rev="new")
-        assert not walls_comparable(current, baseline)
-        assert compare_reports(current, baseline) == []
-
-    def test_baseline_missing_results_loads_and_compares_empty(
-        self, tmp_path
-    ):
-        path = tmp_path / "BENCH_bare.json"
-        path.write_text(json.dumps({"schema": 1, "rev": "bare"}))
-        baseline = load_report(path)
-        assert baseline.results == {}
-        assert compare_reports(_report(), baseline) == []
-
-    def test_result_entry_missing_wall_is_dropped_not_fatal(self, tmp_path):
-        path = write_report(
-            _report(rev="mixed", walls={"good": 1.0, "bad": 2.0}), tmp_path
-        )
-        payload = json.loads(path.read_text())
-        del payload["results"]["bad"]["wall_s"]
-        path.write_text(json.dumps(payload))
-        baseline = load_report(path)
-        assert set(baseline.results) == {"good"}
-        regressions = compare_reports(
-            _report(walls={"good": 10.0, "bad": 10.0}), baseline
-        )
-        assert [r.case for r in regressions] == ["good"]
-
 
 #: Smoke cases carrying a deterministic work ceiling.
 _SMOKE_OPS_CASES = [
