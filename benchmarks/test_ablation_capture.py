@@ -19,7 +19,7 @@ from repro.energy.radio_specs import MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.frames import Frame, FrameKind
 from repro.radio.radio import LowPowerRadio
-from repro.sim import Simulator
+from repro.sim import URGENT, Simulator
 from repro.topology import Layout, Position
 
 #: Node ids: 0 = S (sender), 1 = R (receiver), 2 = I (interferer), 3 = J.
@@ -48,13 +48,16 @@ def run_parallel_flows(capture_ratio):
     macs[3].set_data_handler(lambda f: delivered.__setitem__(3, delivered[3] + 1))
 
     def pump(src, dst, count):
-        for _ in range(count):
-            frame = Frame(FrameKind.DATA, src, dst, payload_bits=256,
-                          header_bits=64)
-            yield macs[src].send(frame)
+        """Offer ``count`` frames, each once the MAC is done with the last."""
+        frame = Frame(FrameKind.DATA, src, dst, payload_bits=256,
+                      header_bits=64)
+        done = macs[src].send(frame)
+        if count > 1:
+            done.callbacks.append(lambda _event: pump(src, dst, count - 1))
 
-    sim.process(pump(0, 1, 200))
-    sim.process(pump(2, 3, 200))
+    # Both flows start at t=0, after the MACs' own start events.
+    sim.call_at(0.0, pump, 0, 1, 200, priority=URGENT)
+    sim.call_at(0.0, pump, 2, 3, 200, priority=URGENT)
     sim.run(until=60.0)
     retx = macs[0].retransmissions + macs[2].retransmissions
     return delivered[1] + delivered[3], retx

@@ -86,6 +86,7 @@ from repro.net.packets import DataPacket
 from repro.net.routing import RoutingError, RoutingLike
 from repro.net.shortcut import ShortcutLearner
 from repro.radio.radio import HighPowerRadio
+from repro.sim.events import URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.events import Event
@@ -102,9 +103,16 @@ class _SenderSession:
 
     next_hop: int
     session_id: int
+    #: WAKEUP attempts made before the current one.
+    attempt: int = 0
+    #: The current attempt's WAKEUP-ACK event (its value: allowed bytes).
     ack_event: typing.Any = None
-    allowed_bytes: float | None = None
-    active: bool = True
+    #: How the current wait ended: None (still waiting), True (the ACK
+    #: came first) or False (the timeout did).
+    acked: bool | None = None
+    #: The burst's fragments and how many of them the MAC has finished.
+    fragments: list = dataclasses.field(default_factory=list)
+    sent: int = 0
 
 
 @dataclasses.dataclass(slots=True)
@@ -383,9 +391,8 @@ class BcpAgent:
             )
             self._sender_sessions[next_hop] = session
             self.stats.handshakes_started += 1
-            self.sim.process(
-                self._run_sender_session(session),
-                name=f"bcp.{self.node_id}.tx.{next_hop}",
+            self.sim.call_at(
+                self.sim.now, self._start_session, session, priority=URGENT
             )
         if self.feed is not None:
             self._arm_feed()
@@ -534,42 +541,14 @@ class BcpAgent:
     # Sender side: handshake and bulk transfer.
     # ------------------------------------------------------------------
 
-    def _run_sender_session(self, session: _SenderSession) -> typing.Generator:
-        next_hop = session.next_hop
-        config = self.config
-        try:
-            allowed = yield from self._handshake(session)
-            if allowed is None:
-                self.stats.handshakes_failed += 1
-                failures = min(self._handshake_failures.get(next_hop, 0) + 1, 6)
-                self._handshake_failures[next_hop] = failures
-                backoff = config.handshake_backoff_s * (2 ** (failures - 1))
-                self._schedule_retry(next_hop, backoff)
-            else:
-                self._handshake_failures.pop(next_hop, None)
-                # Section 3: the sender turns its radio on only upon the ACK.
-                yield self.high_radio.wake()
-                self._radio_holds += 1
-                try:
-                    yield from self._transfer(session, allowed)
-                finally:
-                    self._release_radio_hold()
-        finally:
-            # Packets due while the session ran were pushed without a
-            # threshold check.
-            self.catch_up()
-            self._sender_sessions.pop(next_hop, None)
-        if allowed is None:
-            if self.feed is not None:
-                self._arm_feed()
-            return
-        # More data may have accumulated meanwhile (or flow control may
-        # have clamped the burst) — re-arm immediately.
-        self._check_threshold(next_hop)
+    # The session is a chain of callbacks.  Each one hangs where the
+    # agenda order needs it: the session starts from an urgent delay-0
+    # event, and the wait for the WAKEUP-ACK ends one delay-0 event after
+    # the first of the ACK and the timeout fires (the other fires later,
+    # as a no-op), so same-time events keep the order every pinned digest
+    # was recorded with.
 
-    def _handshake(self, session: _SenderSession) -> typing.Generator:
-        """WAKEUP / WAKEUP-ACK exchange; returns allowed bytes or None."""
-        config = self.config
+    def _start_session(self, session: _SenderSession) -> None:
         if self.address_map is not None:
             # Resolve the peer's high-power address (the mapping the paper
             # requires BCP to maintain); failure means the peer has no
@@ -579,81 +558,142 @@ class BcpAgent:
             if not self.address_map.has_interface(
                 session.next_hop, HIGH_INTERFACE
             ):
-                return None
-        for attempt in range(1 + config.wakeup_retries):
-            if attempt > 0:
-                self.stats.wakeup_retries += 1
-            self.catch_up()
-            burst = self.buffer.bytes_for(session.next_hop)
-            if burst <= 0:
-                return None
-            wakeup = Wakeup(
-                origin=self.node_id,
-                target=session.next_hop,
-                session_id=session.session_id,
-                burst_bytes=int(burst),
-            )
-            session.ack_event = self.sim.event()
-            self.stats.wakeups_sent += 1
-            self._send_control(wakeup, session.next_hop)
-            timeout = self.sim.timeout(config.wakeup_timeout_s)
-            outcome = yield session.ack_event | timeout
-            if session.ack_event in outcome:
-                return typing.cast(float, session.ack_event.value)
-        return None
+                self._handshake_failed(session)
+                return
+        self._send_wakeup(session)
 
-    def _transfer(
-        self, session: _SenderSession, allowed_bytes: float
-    ) -> typing.Generator:
-        """Send the allowed burst as high-power frames, stop-and-wait."""
+    def _send_wakeup(self, session: _SenderSession) -> None:
+        """One WAKEUP attempt: send it, then wait for the ACK or timeout."""
+        if session.attempt > 0:
+            self.stats.wakeup_retries += 1
+        self.catch_up()
+        burst = self.buffer.bytes_for(session.next_hop)
+        if burst <= 0:
+            self._handshake_failed(session)
+            return
+        wakeup = Wakeup(
+            origin=self.node_id,
+            target=session.next_hop,
+            session_id=session.session_id,
+            burst_bytes=int(burst),
+        )
+        sim = self.sim
+        ack = session.ack_event = sim.event()
+        session.acked = None
+        self.stats.wakeups_sent += 1
+        self._send_control(wakeup, session.next_hop)
+        timeout = sim.timeout(self.config.wakeup_timeout_s)
+
+        def first(event: "Event") -> None:
+            if session.ack_event is ack and session.acked is None:
+                session.acked = event is ack
+                sim.call_at(sim.now, self._after_wakeup_wait, session)
+
+        ack.callbacks.append(first)
+        timeout.callbacks.append(first)
+
+    def _after_wakeup_wait(self, session: _SenderSession) -> None:
+        if session.acked:
+            self._handshake_failures.pop(session.next_hop, None)
+            allowed = typing.cast(float, session.ack_event.value)
+            # Section 3: the sender turns its radio on only upon the ACK.
+            self.high_radio.wake().callbacks.append(
+                lambda _event: self._transfer(session, allowed)
+            )
+            return
+        session.attempt += 1
+        if session.attempt <= self.config.wakeup_retries:
+            self._send_wakeup(session)
+        else:
+            self._handshake_failed(session)
+
+    def _handshake_failed(self, session: _SenderSession) -> None:
+        next_hop = session.next_hop
+        self.stats.handshakes_failed += 1
+        failures = min(self._handshake_failures.get(next_hop, 0) + 1, 6)
+        self._handshake_failures[next_hop] = failures
+        backoff = self.config.handshake_backoff_s * (2 ** (failures - 1))
+        self._schedule_retry(next_hop, backoff)
+        self._close_sender_session(session)
+        if self.feed is not None:
+            self._arm_feed()
+
+    def _close_sender_session(self, session: _SenderSession) -> None:
+        # Packets due while the session ran were pushed without a
+        # threshold check.
+        self.catch_up()
+        self._sender_sessions.pop(session.next_hop, None)
+
+    def _transfer(self, session: _SenderSession, allowed_bytes: float) -> None:
+        """Send the allowed burst as high-power frames, stop-and-wait,
+        holding the radio on until :meth:`_end_transfer`."""
+        self._radio_holds += 1
         next_hop = session.next_hop
         self.catch_up()
         budget = min(allowed_bytes, self.buffer.bytes_for(next_hop))
         packets = self.buffer.pop_up_to(next_hop, budget)
         if not packets:
+            self._end_transfer(session)
             return
         if self.feed is not None:
             # The freed room may let a fed packet in sooner.
             self._arm_feed()
-        fragments = assemble_burst(
+        session.fragments = assemble_burst(
             packets,
             session.session_id,
             self.node_id,
             self.config.frame_payload_bytes,
         )
-        high_header_bits = self.high_radio.spec.header_bits
-        for fragment in fragments:
-            frame = Frame(
-                kind=FrameKind.DATA,
-                src=self.node_id,
-                dst=next_hop,
-                payload_bits=fragment.payload_bits,
-                header_bits=high_header_bits,
-                payload=fragment,
-                require_ack=True,
-            )
-            ok = yield self.high_mac.send(frame)
-            if ok:
-                self.stats.packets_sent += len(fragment.packets)
-            else:
-                self.stats.packets_lost_mac += len(fragment.packets)
+        session.sent = 0
+        self._send_fragment(session)
+
+    def _send_fragment(self, session: _SenderSession) -> None:
+        fragment = session.fragments[session.sent]
+        frame = Frame(
+            kind=FrameKind.DATA,
+            src=self.node_id,
+            dst=session.next_hop,
+            payload_bits=fragment.payload_bits,
+            header_bits=self.high_radio.spec.header_bits,
+            payload=fragment,
+            require_ack=True,
+        )
+        self.high_mac.send(frame).callbacks.append(
+            lambda event: self._on_fragment_done(session, event)
+        )
+
+    def _on_fragment_done(self, session: _SenderSession, event: "Event") -> None:
+        fragments = session.fragments
+        fragment = fragments[session.sent]
+        if event.value:
+            self.stats.packets_sent += len(fragment.packets)
+        else:
+            self.stats.packets_lost_mac += len(fragment.packets)
+        session.sent += 1
+        if session.sent < len(fragments):
+            self._send_fragment(session)
+            return
         self.stats.bursts_completed += 1
-        if (
-            self.shortcuts is not None
-            and self.config.shortcut_observation
-            and packets
-        ):
+        if self.shortcuts is not None and self.config.shortcut_observation:
             # Learning phase: stay awake to overhear our packets being
             # forwarded — but only until a shortcut for this destination
             # is known, so the listening cost is paid per route, not per
             # burst.
-            destination = packets[0].dst
+            destination = fragments[0].packets[0].dst
             if not self.shortcuts.has_shortcut(destination):
                 self._radio_holds += 1
                 self.sim.call_later(
                     self.config.receiver_idle_timeout_s,
                     self._release_radio_hold,
                 )
+        self._end_transfer(session)
+
+    def _end_transfer(self, session: _SenderSession) -> None:
+        self._release_radio_hold()
+        self._close_sender_session(session)
+        # More data may have accumulated meanwhile (or flow control may
+        # have clamped the burst) — re-arm immediately.
+        self._check_threshold(session.next_hop)
 
     def _schedule_retry(self, next_hop: int, delay_s: float) -> None:
         if next_hop in self._retry_scheduled:
@@ -807,9 +847,8 @@ class BcpAgent:
         self.high_radio.wake()
         self._radio_holds += 1
         self._send_ack(session)
-        self.sim.process(
-            self._receiver_watchdog(session),
-            name=f"bcp.{self.node_id}.rx.{wakeup.origin}",
+        self.sim.call_at(
+            self.sim.now, self._watch_receiver, session, priority=URGENT
         )
 
     def _acceptable_bytes(self) -> float:
@@ -837,23 +876,31 @@ class BcpAgent:
         if session is None or session.session_id != ack.session_id:
             return
         if session.ack_event is not None and not session.ack_event.triggered:
-            session.allowed_bytes = float(ack.allowed_bytes)
             session.ack_event.succeed(float(ack.allowed_bytes))
 
-    def _receiver_watchdog(self, session: _ReceiverSession) -> typing.Generator:
+    def _watch_receiver(self, session: _ReceiverSession) -> None:
+        """Check the session every idle timeout while it is active."""
+        if session.active:
+            self.sim.call_later(
+                self.config.receiver_idle_timeout_s,
+                self._check_receiver,
+                session,
+            )
+
+    def _check_receiver(self, session: _ReceiverSession) -> None:
         """Close the session when complete or idle too long (Section 3)."""
-        idle = self.config.receiver_idle_timeout_s
-        while session.active:
-            yield self.sim.timeout(idle)
-            if not session.active:
-                return
-            if session.received_bytes >= session.expected_bytes:
-                self._close_receiver_session(session)
-                return
-            if self.sim.now - session.last_activity_s >= idle:
-                self.stats.receiver_timeouts += 1
-                self._close_receiver_session(session)
-                return
+        if not session.active:
+            return
+        if session.received_bytes >= session.expected_bytes:
+            self._close_receiver_session(session)
+        elif (
+            self.sim.now - session.last_activity_s
+            >= self.config.receiver_idle_timeout_s
+        ):
+            self.stats.receiver_timeouts += 1
+            self._close_receiver_session(session)
+        else:
+            self._watch_receiver(session)
 
     def _close_receiver_session(self, session: _ReceiverSession) -> None:
         if not session.active:

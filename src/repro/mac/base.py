@@ -13,21 +13,19 @@ a pluggable callback.
 The send path is a flat callback state machine: every continuation is a
 plain bound-method callback on the event that resumes it, backoff/ack
 timers come from the kernel's :class:`Timeout` free-list, and
-ack-completion events are pooled per MAC.  No generator resume, no
-``Event | Timeout`` condition allocation per ack wait.
+ack-completion events are pooled per MAC.
 
-It was written to replay the historical one-worker-process-per-MAC
-generator engine entry for entry: same timeout values, same priorities,
+It replays, entry for entry, the agenda of the one-worker-per-MAC
+generator engine it replaced: same timeout values, same priorities,
 same rng draw order from the same ``{name}.backoff`` stream.  That
-includes the delay-0 "hop" event each ack wait enqueues where the
-generator's ``AnyOf`` condition used to fire.  The hop events carry no
+includes the delay-0 "hop" event each ack wait enqueues where the old
+engine's first-of-two wait used to fire.  The hop events carry no
 behaviour of their own, but they take agenda sequence numbers, so they
 decide the ``(time, priority, sequence)`` order of everything queued at
 the same instant.  Every pinned golden digest and benchmark pin was
-recorded with them in place, which is why they remain; dropping them is
-a deliberate re-pin.  The test suite keeps the generator engine as a
-test-only reference subclass and checks that both produce identical
-traces.
+recorded with them in place, so they stay until a deliberate re-pin
+drops them.  The test suite pins the engine's traces on a fixed set of
+traffic plans.
 """
 
 from __future__ import annotations
@@ -122,11 +120,6 @@ class ContentionMac:
         return self._seq
 
     @property
-    def queue_length(self) -> int:
-        """Number of frames waiting for transmission."""
-        return len(self._queue)
-
-    @property
     def has_pending_ack(self) -> bool:
         """Whether a MAC-level ACK is queued or on the air.
 
@@ -184,7 +177,7 @@ class ContentionMac:
     # The correspondence, per continuation:
     #
     # * worker start        → one URGENT delay-0 event at construction
-    #                         (mirrors ``Process.__init__``);
+    #                         (where the worker's start event was);
     # * ``yield wakeup``    → ``_on_wakeup`` attached to the same pending
     #                         ``self._wakeup`` event ``_kick`` triggers; a
     #                         kick that lands while the machine is busy
@@ -197,8 +190,8 @@ class ContentionMac:
     #                         the medium's end event;
     # * ``yield ack|timer`` → whichever child fires first enqueues one
     #                         pooled delay-0 NORMAL "hop" event — exactly
-    #                         where ``AnyOf.succeed`` enqueued the
-    #                         condition — and the continuation runs from
+    #                         where the first-of-two condition was
+    #                         enqueued — and the continuation runs from
     #                         the hop's dispatch.  The loser's agenda entry
     #                         (late ack / cancelled timer) is left to pop
     #                         exactly as the generator leaves it.
@@ -211,7 +204,7 @@ class ContentionMac:
         # of which never transmit, so the callback/constant wiring below
         # (`_wire_flat`) is deferred until the machine first has work.
         # Only the start event touches the agenda, and it is enqueued here
-        # exactly where ``Process.__init__`` enqueued the generator's — the
+        # exactly where the generator engine enqueued its own — the
         # machine enters its dispatch loop at the current time, ahead of
         # same-time NORMALs, so the trace is unchanged.
         self._flat_wired = False
@@ -429,7 +422,7 @@ class ContentionMac:
         if event is not self._ack_event or self._resolved is not None:
             # A late ack: the wait already resolved (the timer fired first
             # at the same timestamp) and the machine may have moved on.
-            # The generator's AnyOf dispatches this child as a no-op;
+            # The generator engine dispatched this child as a no-op;
             # nothing references the event anymore, so recycle it.
             if len(self._ack_pool) < _ACK_POOL_MAX:
                 self._ack_pool.append(event)
@@ -446,8 +439,9 @@ class ContentionMac:
             self._enqueue_hop()
 
     def _enqueue_hop(self) -> None:
-        """Mirror ``AnyOf.succeed``: one pooled delay-0 NORMAL event whose
-        dispatch runs the ack-wait continuation."""
+        """One pooled delay-0 NORMAL event (where the generator engine's
+        first-of-two condition fired) whose dispatch runs the ack-wait
+        continuation."""
         hop = self._hop_event
         if hop is None:
             hop = Event(self.sim)

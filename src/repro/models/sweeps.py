@@ -261,7 +261,6 @@ def run_sweep(
     rate_bps: float | None = None,
     include_wifi: bool = True,
     include_sensor: bool = True,
-    progress: typing.Callable[[str], None] | None = None,
     runner: SweepRunner | None = None,
     overrides: typing.Mapping[str, typing.Any] | None = None,
 ) -> SweepData:
@@ -281,14 +280,11 @@ def run_sweep(
     overrides:
         Extra :class:`ScenarioConfig` field overrides applied to the base
         config (scenario-composition axes, field sizes, ...).
-    progress:
-        Optional callback invoked with a human-readable line per cell
-        (the legacy interface; the runner's own progress events carry
-        completion counts, cache hits and ETA).
     runner:
         Execution engine.  Defaults to a fresh serial, cache-less
         :class:`~repro.runner.SweepRunner`, which reproduces the historic
-        behavior exactly.
+        behavior exactly.  Its ``progress`` sink receives one
+        :class:`~repro.runner.ProgressEvent` per finished cell.
     """
     scale = scale or SweepScale()
     plan = sweep_plan(
@@ -300,25 +296,11 @@ def run_sweep(
         overrides=overrides,
     )
     base = _base_config(case, rate_bps, overrides)
-    legacy_progress = None
-    if progress is not None:
-        # One line per cell, emitted as each cell first produces a result,
-        # so the callback keeps tracking live execution.
-        announced: set[tuple[str, int]] = set()
-
-        def legacy_progress(event: typing.Any) -> None:
-            planned = plan[event.index]
-            cell = (planned.label, planned.n_senders)
-            if cell not in announced:
-                announced.add(cell)
-                progress(f"{case}: {planned.label} senders={planned.n_senders}")
-
     runner = runner or SweepRunner()
     results = runner.map(
         run_scenario,
         [planned.config for planned in plan],
         describe=lambda index, _config: plan[index].describe(case),
-        progress=legacy_progress,
     )
     cells: dict[str, dict[int, SweepCell]] = {}
     for planned, result in zip(plan, results):

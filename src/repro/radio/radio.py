@@ -382,8 +382,9 @@ class HighPowerRadio(RadioPort):
         done = Event(self.sim)
         if self._powered_down:
             # A dead radio never reaches IDLE: the event stays pending
-            # forever, parking whatever process awaits it — harmless in
-            # an event-driven kernel (``sim.run(until)`` still returns).
+            # forever, and whatever continuation hangs on it never runs —
+            # harmless in an event-driven kernel (``sim.run(until)`` still
+            # returns).
             return done
         if self.is_on:
             done.succeed()
@@ -429,13 +430,13 @@ class HighPowerRadio(RadioPort):
             waiter.fail(SimulationError("radio was turned off while waking"))
 
     def power_down(self) -> None:
-        """Fault-injection death: OFF, zero draw, wake waiters parked.
+        """Fault-injection death: OFF, zero draw, wake waiters dropped.
 
         Waiters are *dropped*, not failed: they belong to the dying
-        node's own processes (BCP yields on its local radio's wake), and
-        failing them would throw into generators that are being killed —
-        an unhandled crash instead of a graceful death.  The parked
-        generators never resume, which is exactly what "dead" means.
+        node's own BCP (its session continuation hangs on its local
+        radio's wake), and failing them would raise an unhandled failure
+        out of the run instead of a graceful death.  The dropped
+        continuations never run, which is exactly what "dead" means.
         """
         if self._powered_down:
             return

@@ -106,7 +106,6 @@ class SweepRunner:
         fn: typing.Callable[[ConfigT], ResultT],
         configs: typing.Sequence[ConfigT],
         describe: typing.Callable[[int, ConfigT], str] | None = None,
-        progress: typing.Callable[[ProgressEvent], None] | None = None,
     ) -> list[ResultT]:
         """Run ``fn`` over ``configs``, returning results in input order.
 
@@ -115,18 +114,10 @@ class SweepRunner:
         index-for-index with ``configs``.  Under a sharding backend the
         slots of out-of-shard, uncached cells are ``None`` — the product
         of such a run is its cache entries, not the returned list.
-        ``progress`` receives this batch's events in addition to the
-        runner's own sink.
         """
         if describe is None:
             describe = lambda index, _config: f"cell {index}"  # noqa: E731
-        sinks = [s for s in (self.progress, progress) if s is not None]
-
-        def fan_out(event: ProgressEvent) -> None:
-            for sink in sinks:
-                sink(event)
-
-        tracker = ProgressTracker(len(configs), sink=fan_out if sinks else None)
+        tracker = ProgressTracker(len(configs), sink=self.progress)
         results: list[ResultT | None] = [None] * len(configs)
         pending: list[int] = []
         for index, config in enumerate(configs):

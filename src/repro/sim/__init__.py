@@ -4,37 +4,30 @@ This package is the substrate on which the whole reproduction runs.  The
 paper evaluated BCP in an (unnamed) network simulator; since no off-line DES
 library is available here, the kernel is implemented from scratch:
 
-* :class:`Simulator` — clock, heap agenda, one run loop.
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — the
-  waitable primitives.
-* :class:`Process` — generator-based active entities.
+* :class:`Simulator` — clock, heap agenda, one run loop, and the
+  ``call_at`` / ``call_later`` timer helpers.
+* :class:`Event`, :class:`Timeout` — one-shot occurrences that run their
+  callbacks when the loop dispatches them.
 * :class:`RngRegistry` — named deterministic random streams.
 
-The semantics deliberately mirror SimPy's (events trigger → agenda →
-callbacks; processes yield events) so the model code reads like standard
-simulation Python.
+Every model (radio, MAC, BCP, traffic, faults) is a set of callbacks: a
+continuation hangs on the event it waits for, the way SimPy's events run
+callbacks, without SimPy's generator processes.
 """
 
 from repro.sim.errors import (
     EventAlreadyTriggered,
-    Interrupt,
     SimulationError,
     StopSimulation,
 )
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Condition, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import NORMAL, URGENT, Event, Timeout
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.simulator import Simulator
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
     "NORMAL",
-    "Process",
     "RngRegistry",
     "SimulationError",
     "Simulator",

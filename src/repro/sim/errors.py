@@ -17,21 +17,3 @@ class StopSimulation(Exception):
     User code may raise it from a callback to stop the run loop; the
     simulator catches it and returns normally.
     """
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`repro.sim.Process.interrupt`.
-
-    Attributes
-    ----------
-    cause:
-        The object passed to ``interrupt``; identifies why the process was
-        interrupted (for example a higher-priority request arriving).
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt(cause={self.cause!r})"

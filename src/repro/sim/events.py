@@ -4,10 +4,8 @@ The design follows the classic "event with callbacks" model (the same one
 SimPy uses): an :class:`Event` starts *pending*; calling :meth:`Event.succeed`
 or :meth:`Event.fail` *triggers* it, which schedules it on the simulator's
 agenda; when the simulator pops it, the event becomes *processed* and its
-callbacks run, resuming any process that was waiting on it.
-
-Composite conditions (:class:`AnyOf`, :class:`AllOf`) let a process wait for
-the first of, or all of, several events.
+callbacks run.  Model code chains its continuations as callbacks on the
+events it waits for.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 PENDING = object()
 
 #: Scheduling priority for events that must run before ordinary ones at the
-#: same timestamp (used by the kernel when resuming interrupted processes).
+#: same timestamp (the MAC's and BCP's start events).
 URGENT = 0
 
 #: Default scheduling priority.
@@ -102,12 +100,11 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed; waiting processes see ``exception``.
+        """Trigger the event as failed with ``exception`` as its value.
 
-        The exception is re-raised inside every process waiting on this
-        event.  If nothing waits on a failed event by the time it is
-        processed, the simulator raises it to the caller of ``run`` (errors
-        must never pass silently); call :meth:`defuse` to opt out.
+        Its callbacks see ``ok`` False.  Unless one of them calls
+        :meth:`defuse`, the simulator raises the exception to the caller
+        of ``run`` once they have run (errors must never pass silently).
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -147,14 +144,6 @@ class Event:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` marked this event dead before dispatch."""
         return self._cancelled
-
-    # -- composition -----------------------------------------------------
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
@@ -199,71 +188,3 @@ class Timeout(Event):
 
     def fail(self, exception: BaseException) -> "Event":
         raise EventAlreadyTriggered("Timeout events trigger themselves")
-
-
-class Condition(Event):
-    """Base class for composite events over a list of child events.
-
-    The condition's value is an ordered ``dict`` mapping each *processed*
-    child event to its value, so ``AnyOf`` results expose which child fired.
-    A failing child fails the whole condition immediately.
-    """
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: "Simulator", events: typing.Sequence[Event]):
-        super().__init__(sim)
-        self.events = list(events)
-        self._count = 0
-        if not self.events:
-            # An empty condition is trivially satisfied.
-            self.succeed(dict())
-            return
-        # Validate every child BEFORE wiring any: a cross-simulator error
-        # must leave zero side effects (no callbacks installed, nothing
-        # triggered) or the failed constructor leaks a ghost condition
-        # onto the agenda when an already-wired child later fires.
-        for event in self.events:
-            if event.sim is not sim:
-                raise SimulationError("cannot mix events from different simulators")
-        child_done = self._child_done
-        for event in self.events:
-            if event._processed:
-                child_done(event)
-            else:
-                event.callbacks.append(child_done)
-
-    def _evaluate(self, processed_count: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _child_done(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(typing.cast(BaseException, event.value))
-            return
-        self._count += 1
-        if self._evaluate(self._count, len(self.events)):
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        return {event: event.value for event in self.events if event.processed}
-
-
-class AnyOf(Condition):
-    """Triggers as soon as *any* child event has been processed."""
-
-    __slots__ = ()
-
-    def _evaluate(self, processed_count: int, total: int) -> bool:
-        return processed_count >= 1
-
-
-class AllOf(Condition):
-    """Triggers once *all* child events have been processed."""
-
-    __slots__ = ()
-
-    def _evaluate(self, processed_count: int, total: int) -> bool:
-        return processed_count == total

@@ -4,7 +4,7 @@
 ``(time, priority, sequence)``; the sequence number makes the ordering
 total and deterministic (ties at the same time and priority process in
 insertion order).  All model code — radios, MACs, BCP — runs inside event
-callbacks or generator processes driven by this loop.
+callbacks driven by this loop.
 
 The agenda is one binary heap of ``(time, priority, sequence, event)``
 tuples owned by the simulator, and :meth:`Simulator.run` is one inlined
@@ -34,16 +34,14 @@ from __future__ import annotations
 
 import heapq
 import sys
-import types
 import typing
 
 from repro.sim.errors import SimulationError, StopSimulation
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import NORMAL, Event, Timeout
 from repro.sim.rng import RngRegistry
 
 #: Upper bound on the Timeout free-list.  Steady-state workloads cycle a
-#: handful of timeouts per process; the cap only matters when a burst
+#: handful of timeouts per MAC; the cap only matters when a burst
 #: drains at once, and keeping it small bounds worst-case retained memory.
 _POOL_MAX = 1024
 
@@ -63,13 +61,11 @@ class Simulator:
     Examples
     --------
     >>> sim = Simulator(seed=1)
-    >>> def hello():
-    ...     yield sim.timeout(2.5)
-    ...     return "done at %.1f" % sim.now
-    >>> proc = sim.process(hello())
+    >>> seen = []
+    >>> _ = sim.call_later(2.5, lambda: seen.append(sim.now))
     >>> sim.run()
-    >>> proc.value
-    'done at 2.5'
+    >>> seen
+    [2.5]
     """
 
     # Slots, not a dict: the run loop stores _now and the counters once
@@ -79,7 +75,6 @@ class Simulator:
         "_now",
         "_queue",
         "_sequence",
-        "_active_process",
         "events_processed",
         "events_cancelled",
         "rng",
@@ -92,7 +87,6 @@ class Simulator:
         #: The per-push sequence number makes the ordering total.
         self._queue: list[tuple[float, int, int, Event]] = []
         self._sequence = 0
-        self._active_process: Process | None = None
         #: Events processed so far — an ops counter ``repro bench`` and the
         #: fig benchmarks record alongside wall times.
         self.events_processed = 0
@@ -110,11 +104,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any (for re-entrancy checks)."""
-        return self._active_process
 
     # -- event construction ----------------------------------------------
 
@@ -153,27 +142,19 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, event))
         return event
 
-    def process(
-        self, generator: types.GeneratorType, name: str | None = None
-    ) -> Process:
-        """Start a new :class:`Process` driving ``generator``."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        """Condition event triggering when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        """Condition event triggering when all of ``events`` have fired."""
-        return AllOf(self, events)
-
     def call_at(
-        self, when: float, fn: typing.Callable[..., None], *args: object
+        self,
+        when: float,
+        fn: typing.Callable[..., None],
+        *args: object,
+        priority: int = NORMAL,
     ) -> Event:
         """Schedule plain callable ``fn(*args)`` at absolute time ``when``.
 
         The agenda entry carries ``when`` itself, not ``now + (when -
-        now)``, which can round to a neighbouring float.
+        now)``, which can round to a neighbouring float.  An ``URGENT``
+        ``priority`` runs it ahead of the ``NORMAL`` events due at the
+        same time.
         """
         if when < self._now:
             raise SimulationError(
@@ -184,7 +165,7 @@ class Simulator:
         event.callbacks.append(lambda _event: fn(*args))
         seq = self._sequence
         self._sequence = seq + 1
-        heapq.heappush(self._queue, (when, NORMAL, seq, event))
+        heapq.heappush(self._queue, (when, priority, seq, event))
         return event
 
     def call_later(
@@ -292,8 +273,8 @@ class Simulator:
                     # as below).  Their callbacks never ran, so the list
                     # is non-empty and must be cleared; _cancelled is the
                     # one extra flag to reset.  A timer something else
-                    # still references (a condition event, a model
-                    # handle) has a higher refcount and falls through.
+                    # still references (a model handle) has a higher
+                    # refcount and falls through.
                     if type(event) is timeout_type and getrefcount(event) == 2:
                         event.callbacks.clear()
                         event._cancelled = False
@@ -303,8 +284,8 @@ class Simulator:
                 self.events_processed += 1
                 callbacks, event.callbacks = event.callbacks, None
                 event._processed = True
-                # One callback (a waiting process) is the common case;
-                # skip the iterator for it.
+                # One callback (a waiting continuation) is the common
+                # case; skip the iterator for it.
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
@@ -313,8 +294,8 @@ class Simulator:
                 if not event._ok and not event._defused:
                     raise typing.cast(BaseException, event._value)
                 # Free-list: refcount 2 == the loop local + getrefcount's
-                # argument — nothing else (no process, no condition, no
-                # model code) still holds the timeout, so it is safe to
+                # argument — nothing else (no model code) still holds
+                # the timeout, so it is safe to
                 # reset and reuse.  Reattach the emptied callbacks list
                 # rather than allocating a fresh one.  Only _processed
                 # needs resetting here: timeout() overwrites _value and

@@ -23,9 +23,6 @@ from repro.energy.radio_specs import MICAZ, RadioSpec
 from repro.testbed import eventlog
 from repro.testbed.eventlog import EventLog
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.simulator import Simulator
-
 #: The Tmote Sky's CC2420 shares the Micaz radio's Table 1 characteristics.
 TMOTE_CC2420: RadioSpec = MICAZ.replace(name="CC2420 (Tmote Sky)")
 
@@ -37,64 +34,63 @@ WIFI_INTER_FRAME_S = 3e-4
 class SensorLink:
     """Point-to-point CC2420 link between the two motes."""
 
-    def __init__(self, sim: "Simulator", log: EventLog, spec: RadioSpec = TMOTE_CC2420):
-        self.sim = sim
+    def __init__(self, log: EventLog, spec: RadioSpec = TMOTE_CC2420):
         self.log = log
         self.spec = spec
 
     def transfer(
-        self, src: str, dst: str, payload_bytes: int, detail: typing.Any = None
-    ):
-        """Send one sensor frame; returns the completion event.
+        self,
+        now: float,
+        src: str,
+        dst: str,
+        payload_bytes: int,
+        detail: typing.Any = None,
+    ) -> float:
+        """Send one sensor frame at ``now``; returns its airtime.
 
         Logs a tx at ``src`` and an rx at ``dst``, both spanning the
         frame's airtime (payload + CC2420 header).
         """
         bits = payload_bytes * 8 + self.spec.header_bits
         duration = bits / self.spec.rate_bps
-        now = self.sim.now
         self.log.log(now, src, eventlog.SENSOR_TX, duration, detail)
         self.log.log(now, dst, eventlog.SENSOR_RX, duration, detail)
-        return self.sim.timeout(duration)
+        return duration
 
 
 class EmulatedWifiMac:
     """Wrapper MAC presenting an 802.11-like interface on one mote.
 
+    Every operation takes the current time and returns how long it
+    takes; the caller keeps the clock.
+
     Parameters
     ----------
-    sim / log / mote:
-        Kernel, the shared experiment log, owning mote name.
+    log / mote:
+        The shared experiment log, owning mote name.
     spec:
         The emulated high-power radio (its Table 1 characteristics drive
         the post-hoc energy accounting).
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        log: EventLog,
-        mote: str,
-        spec: RadioSpec,
-    ):
-        self.sim = sim
+    def __init__(self, log: EventLog, mote: str, spec: RadioSpec):
         self.log = log
         self.mote = mote
         self.spec = spec
         self.is_on = False
 
-    def wake(self):
-        """Emulate switching the 802.11 radio on; returns completion event.
+    def wake(self, now: float) -> float:
+        """Emulate switching the 802.11 radio on; returns the wake-up time.
 
         Logged as a wake-up event; the accountant charges ``e_wakeup_j``.
         """
-        self.log.log(self.sim.now, self.mote, eventlog.WIFI_WAKEUP)
+        self.log.log(now, self.mote, eventlog.WIFI_WAKEUP)
         self.is_on = True
-        return self.sim.timeout(self.spec.t_wakeup_s)
+        return self.spec.t_wakeup_s
 
-    def sleep(self) -> None:
+    def sleep(self, now: float) -> None:
         """Emulate switching the radio off (instantaneous, negligible cost)."""
-        self.log.log(self.sim.now, self.mote, eventlog.WIFI_SLEEP)
+        self.log.log(now, self.mote, eventlog.WIFI_SLEEP)
         self.is_on = False
 
     def frame_airtime_s(self, payload_bytes: int) -> float:
@@ -104,18 +100,18 @@ class EmulatedWifiMac:
 
     def transfer_frame(
         self,
+        now: float,
         peer: "EmulatedWifiMac",
         payload_bytes: int,
         detail: typing.Any = None,
-    ):
-        """Send one emulated frame to ``peer``; returns the completion event.
+    ) -> float:
+        """Send one emulated frame to ``peer`` at ``now``; returns its airtime.
 
         Both ends must be awake; tx is logged here and rx at the peer.
         """
         if not self.is_on or not peer.is_on:
             raise RuntimeError("both emulated radios must be awake to transfer")
         duration = self.frame_airtime_s(payload_bytes)
-        now = self.sim.now
         self.log.log(now, self.mote, eventlog.WIFI_TX, duration, detail)
         self.log.log(now, peer.mote, eventlog.WIFI_RX, duration, detail)
-        return self.sim.timeout(duration)
+        return duration

@@ -28,7 +28,6 @@ import typing
 
 from repro.energy.radio_specs import LUCENT_11, RadioSpec
 from repro.runner.cache import register_result_type
-from repro.sim.simulator import Simulator
 from repro.testbed import eventlog
 from repro.testbed.accounting import EnergyBreakdown, account_experiment
 from repro.testbed.emulation import (
@@ -134,27 +133,31 @@ register_result_type(
 
 
 def _dual_run(config: PrototypeConfig) -> tuple[EventLog, list[float], int, float]:
-    """Simulate one BCP run; returns (log, delays, delivered, duration)."""
-    sim = Simulator(seed=0)
+    """Simulate one BCP run; returns (log, delays, delivered, duration).
+
+    One sender does one thing at a time, so the run needs no event
+    queue: a plain clock ``t`` advances by each step's duration in turn.
+    """
     log = EventLog()
-    sensor_link = SensorLink(sim, log, config.sensor_spec)
-    wifi_tx = EmulatedWifiMac(sim, log, SENDER, config.wifi_spec)
-    wifi_rx = EmulatedWifiMac(sim, log, RECEIVER, config.wifi_spec)
+    sensor_link = SensorLink(log, config.sensor_spec)
+    wifi_tx = EmulatedWifiMac(log, SENDER, config.wifi_spec)
+    wifi_rx = EmulatedWifiMac(log, RECEIVER, config.wifi_spec)
     delays: list[float] = []
     delivered = 0
+    t = 0.0
 
     buffered: list[float] = []  # generation timestamps of buffered messages
 
-    def flush_burst() -> typing.Generator:
+    def flush_burst() -> None:
         """One BCP session: handshake, burst, sleep."""
-        nonlocal delivered
+        nonlocal delivered, t
         # WAKEUP over the CC2420; the receiver wakes its emulated radio and
         # answers with the WAKEUP-ACK while the radio warms up.
-        yield sensor_link.transfer(SENDER, RECEIVER, config.control_bytes, "wakeup")
-        wake_rx = wifi_rx.wake()
-        yield sensor_link.transfer(RECEIVER, SENDER, config.control_bytes, "ack")
-        yield wifi_tx.wake()
-        yield wake_rx
+        t += sensor_link.transfer(t, SENDER, RECEIVER, config.control_bytes, "wakeup")
+        rx_ready = t + wifi_rx.wake(t)
+        t += sensor_link.transfer(t, RECEIVER, SENDER, config.control_bytes, "ack")
+        t += wifi_tx.wake(t)
+        t = max(t, rx_ready)
         burst_bytes = len(buffered) * config.message_bytes
         n_frames = math.ceil(burst_bytes / config.frame_payload_bytes)
         per_frame = math.ceil(len(buffered) / n_frames)
@@ -162,31 +165,27 @@ def _dual_run(config: PrototypeConfig) -> tuple[EventLog, list[float], int, floa
         for _frame in range(n_frames):
             count = min(per_frame, len(buffered) - index)
             payload = count * config.message_bytes
-            yield wifi_tx.transfer_frame(wifi_rx, payload, f"burst[{count}]")
+            t += wifi_tx.transfer_frame(t, wifi_rx, payload, f"burst[{count}]")
             for offset in range(count):
-                delays.append(sim.now - buffered[index + offset])
-                log.log(sim.now, RECEIVER, eventlog.MSG_DELIVERED)
+                delays.append(t - buffered[index + offset])
+                log.log(t, RECEIVER, eventlog.MSG_DELIVERED)
             index += count
             delivered += count
             if _frame != n_frames - 1:
-                yield sim.timeout(WIFI_INTER_FRAME_S)
+                t += WIFI_INTER_FRAME_S
         buffered.clear()
-        wifi_tx.sleep()
-        wifi_rx.sleep()
+        wifi_tx.sleep(t)
+        wifi_rx.sleep(t)
 
-    def sender_process() -> typing.Generator:
-        for _message in range(config.n_messages):
-            log.log(sim.now, SENDER, eventlog.MSG_GENERATED)
-            buffered.append(sim.now)
-            if len(buffered) * config.message_bytes >= config.threshold_bytes:
-                yield from flush_burst()
-            yield sim.timeout(config.message_interval_s)
-        if buffered and config.flush_at_end:
-            yield from flush_burst()
-
-    process = sim.process(sender_process(), name="prototype.sender")
-    sim.run(until=process)
-    return log, delays, delivered, sim.now
+    for _message in range(config.n_messages):
+        log.log(t, SENDER, eventlog.MSG_GENERATED)
+        buffered.append(t)
+        if len(buffered) * config.message_bytes >= config.threshold_bytes:
+            flush_burst()
+        t += config.message_interval_s
+    if buffered and config.flush_at_end:
+        flush_burst()
+    return log, delays, delivered, t
 
 
 def _sensor_baseline_energy_per_packet_j(config: PrototypeConfig) -> float:

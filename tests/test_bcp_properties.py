@@ -79,16 +79,17 @@ def test_conservation_and_order(batches, threshold, seed):
     sender = agents[0]
     submitted = []
 
-    def feed():
-        for batch in batches:
-            for _ in range(batch):
-                packet = DataPacket(src=0, dst=1, payload_bits=256,
-                                    created_s=sim.now)
-                submitted.append(packet)
-                sender.submit(packet)
-            yield sim.timeout(0.5)
+    def feed(index):
+        """Submit one batch; the next follows 0.5 s later."""
+        for _ in range(batches[index]):
+            packet = DataPacket(src=0, dst=1, payload_bits=256,
+                                created_s=sim.now)
+            submitted.append(packet)
+            sender.submit(packet)
+        if index + 1 < len(batches):
+            sim.call_later(0.5, feed, index + 1)
 
-    sim.process(feed())
+    sim.call_later(0.0, feed, 0)
     sim.run(until=120.0)
 
     stats = sender.stats

@@ -10,7 +10,8 @@ either the simulator's semantics changed (bump
 commit that explains why) or a nondeterminism bug crept in (fix it).
 """
 
-from generator_mac import MAC_ENGINES, scenario_macs
+import pytest
+
 from repro.cli.main import build_parser, render_artifact
 from repro.models.scenario import run_scenario
 from repro.models.sweeps import SweepScale, run_sweep, sweep_digest, sweep_plan
@@ -42,9 +43,7 @@ GOLDEN_RATE = 2000.0
 #: ``mac.acks_dropped`` counter (the previously silent half-duplex ACK
 #: drop), which is part of the digested counters dict.  Every delivery,
 #: energy figure and pre-existing counter is byte-identical to the v5
-#: goldens; only the new key changed the serialization.  The flat MAC
-#: and the test-only generator reference both reproduce these digests
-#: (asserted below).
+#: goldens; only the new key changed the serialization.
 GOLDEN_DIGEST = "f6a136749dadd377938a50c314f7c2b945021fafceaa10e5f51211735d3f0d6e"
 
 #: Same contract for the prototype testbed path.  Unchanged by the v6
@@ -85,6 +84,79 @@ GOLDEN_SHORTCUT_DIGEST = (
 GOLDEN_TX_LADDER_DIGEST = (
     "80194e482d6b2f0121e20e19266d5b902d5d88841a8b9a5a533f7b7b5bd6b2e5"
 )
+
+#: One SH paper cell (3 senders, burst 10, 2 kb/s, 10 s), recorded while
+#: the flat MAC and its generator-engine reference agreed on it.
+GOLDEN_PAPER_CELL_DIGEST = (
+    "23c792708bf9fa2ac6466734dbb56ec57dba6ccad04539108e95d3a7911921e8"
+)
+
+#: BCP's wake-up handshake off the happy path, which no cell above
+#: reaches (none has loss or a short wake-up timeout).  Each cell pins
+#: one path:
+#:
+#: * ``lossy`` — 85% frame loss: WAKEUP retries, failed handshakes and
+#:   their exponential backoff, receiver idle timeouts;
+#: * ``ack-timeout-race`` — an 11 ms wake-up timeout, close to the
+#:   WAKEUP/ACK round trip, so the ACK wins some waits and the timeout
+#:   others;
+#: * ``timeout-storm`` — 11.5 ms: most handshakes fail, late ACKs land
+#:   on later attempts, and the backoff saturates;
+#: * ``full-receiver`` — 12-packet buffers under 10-packet bursts: relays
+#:   with no room stay silent and the sender retries;
+#: * ``crash-mid-burst`` — two senders die mid-burst (one revives), so
+#:   the MAC drops the rest of the burst and the receiver times out.
+GOLDEN_HANDSHAKE_DIGESTS = {
+    "lossy": "0883b971e5d1b48c826f11ba661135d1040247cfe2da6237f29f98ff173b5f74",
+    "ack-timeout-race": (
+        "0437f3e0ce8c6427c10158e6834d3355f940adff7efc09736c242cb53ea08b10"
+    ),
+    "timeout-storm": (
+        "59c6d190c2b26adb39226aeb075d223a0d26a8b429c75f76a72b1e0eab769f3a"
+    ),
+    "full-receiver": (
+        "be046cf40b02351162c9c2d309b040262896f4194eb3fce99d5d082f16a938a2"
+    ),
+    "crash-mid-burst": (
+        "2cec3185a4d02bcc302ccf06b9077e5ffd7c37da20abe0d485fab9724ad8d655"
+    ),
+}
+
+
+def handshake_config(name):
+    """The cell behind ``GOLDEN_HANDSHAKE_DIGESTS[name]``."""
+    from repro.faults import FaultPlan
+    from repro.models.scenario import multi_hop_config, single_hop_config
+
+    grid = dict(rows=3, cols=3, sink=4, sim_time_s=30.0, burst_packets=10)
+    if name == "lossy":
+        return single_hop_config(
+            **grid, n_senders=3, rate_bps=2000.0, loss_probability=0.85,
+            seed=3,
+        )
+    if name == "ack-timeout-race":
+        return multi_hop_config(
+            **grid, n_senders=4, wakeup_timeout_s=0.011, seed=5
+        )
+    if name == "timeout-storm":
+        return multi_hop_config(
+            **grid, n_senders=4, wakeup_timeout_s=0.0115, seed=5
+        )
+    if name == "full-receiver":
+        return single_hop_config(
+            rows=4, cols=4, sink=0, sim_time_s=30.0, burst_packets=10,
+            n_senders=6, buffer_packets=12, rate_bps=2000.0, seed=6,
+        )
+    assert name == "crash-mid-burst"
+    # Nodes 0 and 3 are mid-burst at these instants (80-packet bursts
+    # take three high-power frames).
+    faults = FaultPlan(
+        crashes=((10.158, 0), (10.167, 3)), recoveries=((15.0, 0),)
+    )
+    return single_hop_config(
+        **dict(grid, burst_packets=80), n_senders=3, rate_bps=2000.0,
+        seed=7, faults=faults,
+    )
 
 
 def residual_faults():
@@ -142,16 +214,6 @@ def tx_ladder_config():
     )
 
 
-def digests_across_mac_engines(config):
-    """``{digest}`` of ``config`` run on the flat MAC and on the
-    generator reference: one element when the engines agree."""
-    digests = set()
-    for engine in MAC_ENGINES:
-        with scenario_macs(engine):
-            digests.add(results_digest([run_scenario(config)]))
-    return digests
-
-
 def golden_sweep(runner=None):
     return run_sweep(
         GOLDEN_CASE, GOLDEN_SCALE, rate_bps=GOLDEN_RATE, runner=runner
@@ -179,26 +241,20 @@ class TestGoldenDigest:
             == GOLDEN_COMPOSED_DIGEST
         )
 
-    def test_composed_scenario_generator_mac_matches_pinned_digest(self):
-        # The flat MAC replays the historical generator engine: the
-        # test-only reference must reproduce the SAME pinned bytes.
-        with scenario_macs("generator"):
-            result = run_scenario(composed_config())
-        assert results_digest([result]) == GOLDEN_COMPOSED_DIGEST
-
-    def test_mac_engines_byte_identical_on_paper_grid_cell(self):
-        # On a paper cell both MAC engines collapse to one digest.
+    def test_paper_grid_cell_matches_pinned_digest(self):
         from repro.models.scenario import single_hop_config
 
         config = single_hop_config(
             n_senders=3, burst_packets=10, rate_bps=2000.0, sim_time_s=10.0
         )
-        assert len(digests_across_mac_engines(config)) == 1
+        assert (
+            results_digest([run_scenario(config)]) == GOLDEN_PAPER_CELL_DIGEST
+        )
 
-    def test_zero_fault_plan_byte_identical_across_engine_grid(self):
+    def test_zero_fault_plan_is_inert(self):
         # A configured-but-empty FaultPlan must be inert: no injector, no
         # extra counters, no perturbed rng draws — the pinned composed
-        # digest reproduces on both MAC engines.
+        # digest reproduces.
         import dataclasses
 
         from repro.faults import FaultPlan
@@ -206,9 +262,14 @@ class TestGoldenDigest:
         plan = FaultPlan()
         assert plan.is_zero
         config = dataclasses.replace(composed_config(), faults=plan)
-        assert digests_across_mac_engines(config) == {
-            GOLDEN_COMPOSED_DIGEST
-        }
+        assert (
+            results_digest([run_scenario(config)]) == GOLDEN_COMPOSED_DIGEST
+        )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_HANDSHAKE_DIGESTS))
+    def test_handshake_paths_match_pinned_digest(self, name):
+        result = run_scenario(handshake_config(name))
+        assert results_digest([result]) == GOLDEN_HANDSHAKE_DIGESTS[name]
 
     def test_tx_energy_policy_matches_pinned_digest(self):
         # The energy policy diverges from the hops goldens on purpose;
@@ -235,18 +296,6 @@ class TestGoldenDigest:
         assert (
             results_digest([run_scenario(config)]) == GOLDEN_RESIDUAL_DIGEST
         )
-
-    def test_policy_digests_reproduce_across_engine_grid(self):
-        # The MAC engine stays behaviour-neutral under the energy
-        # policies too: both engines land on the same pin.
-        import dataclasses
-
-        config = dataclasses.replace(
-            composed_config(), routing_policy="tx-energy"
-        )
-        assert digests_across_mac_engines(config) == {
-            GOLDEN_TX_ENERGY_DIGEST
-        }
 
     def test_shortcut_learning_matches_pinned_digest(self):
         # Promiscuous overhearing feeds BCP's shortcut learner.
@@ -432,3 +481,8 @@ if __name__ == "__main__":  # pragma: no cover - digest (re)pin helper
         "GOLDEN_TX_LADDER_DIGEST =",
         repr(results_digest([run_scenario(tx_ladder_config())])),
     )
+    for name in sorted(GOLDEN_HANDSHAKE_DIGESTS):
+        print(
+            f"GOLDEN_HANDSHAKE_DIGESTS[{name!r}] =",
+            repr(results_digest([run_scenario(handshake_config(name))])),
+        )

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generator_mac import MAC_ENGINES, scenario_macs
 from repro.channel.index import NeighborIndex
 from repro.channel.medium import Medium
 from repro.energy.meter import MeterBank
@@ -49,6 +48,18 @@ GOLDEN_CHURN_DIGESTS = {
 #: live busy-refcount replay on both media.
 GOLDEN_LINK_EPOCH_DIGEST = (
     "52cbf94504b0cb9afc8cfe3dc809780b8034582a6094a6f9cb6810fbe6cd3fcc"
+)
+
+#: sha256 of the two scripted-fault cells of
+#: ``test_churn_with_recovery_matches_pinned_digest`` and
+#: ``test_power_down_drops_counted_not_crashed``, recorded while the flat
+#: MAC and its generator-engine reference still ran side by side and
+#: agreed on both.
+GOLDEN_RECOVERY_DIGEST = (
+    "b9b8983a912cb99c0d69801403fea6368b5376dda4be17ab291b14fb78e52b44"
+)
+GOLDEN_POWER_DOWN_DIGEST = (
+    "0f7baa0edd52f55bfd072b6884d5e4b7eea0a0e56c268e309adb75cbeccd8767"
 )
 
 
@@ -301,11 +312,10 @@ class TestRetireRestoreRoundTrip:
         radios[0].transmit(data_frame(0, 1, payload_bits=8192))
 
         def killer():
-            yield sim.timeout(0.001)  # mid-frame
             radios[0].power_down()
             medium.retire_node(0)
 
-        sim.process(killer())
+        sim.call_later(0.001, killer)  # mid-frame
         sim.run()
         assert received == []  # the aborted frame never lands
         assert all(count == 0 for count in medium._busy)
@@ -356,20 +366,17 @@ class TestScriptedScenarioChurn:
         assert first.counters == second.counters
         assert first.counters["faults.deaths"] > 0
 
-    def test_churn_across_mac_engines(self):
-        # Fault machinery rides on the kernel's cancel/timer paths, which
-        # the flat MAC and the generator reference use differently — a
-        # faulted run must complete (and agree with itself) on both.
+    def test_churn_with_recovery_matches_pinned_digest(self):
+        # Fault machinery rides on the kernel's cancel/timer paths: a
+        # crash, a revival and a second crash must complete and keep
+        # their pinned bytes.
         plan = FaultPlan(crashes=((5.0, 2), (9.0, 8)), recoveries=((15.0, 2),))
         config = ScenarioConfig(
             model="dual", sim_time_s=25.0, burst_packets=10, faults=plan
         )
-        results = {}
-        for engine in MAC_ENGINES:
-            with scenario_macs(engine):
-                result = run_scenario(config)
-            results[engine] = result.counters["faults.deaths"]
-        assert set(results.values()) == {2.0}
+        result = run_scenario(config)
+        assert result.counters["faults.deaths"] == 2.0
+        assert results_digest([result]) == GOLDEN_RECOVERY_DIGEST
 
 
 def churn_config(routing):
@@ -428,14 +435,13 @@ class TestBatteryDepletion:
 
 class TestPowerDownAccounting:
     def test_power_down_drops_counted_not_crashed(self):
-        # Kill a busy relay mid-run on every engine: queued frames must
-        # resolve as counted drops, and the run must complete.
+        # Kill busy relays mid-run: queued frames must resolve as counted
+        # drops, and the run must complete with its pinned bytes.
         plan = FaultPlan(crashes=((6.0, 2), (6.0, 8), (7.0, 13)))
         config = ScenarioConfig(
             model="dual", sim_time_s=20.0, burst_packets=10, faults=plan
         )
-        for engine in MAC_ENGINES:
-            with scenario_macs(engine):
-                result = run_scenario(config)
-            assert result.counters["faults.deaths"] == 3.0
-            assert result.counters["faults.power_down_drops"] >= 0.0
+        result = run_scenario(config)
+        assert result.counters["faults.deaths"] == 3.0
+        assert result.counters["faults.power_down_drops"] >= 0.0
+        assert results_digest([result]) == GOLDEN_POWER_DOWN_DIGEST

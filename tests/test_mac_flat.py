@@ -1,30 +1,47 @@
-"""Flat MAC engine: trace identity vs the generator reference.
+"""Flat MAC engine: pinned traces, contention counters, edge cases.
 
-The flat callback state machine in :mod:`repro.mac.base` claims
-*byte-identical* behaviour to the historical generator engine (kept as a
-test-only reference in ``generator_mac.py``): same agenda entries, same
-rng draw order, same counters, same energy.  These tests pin that claim
-— a hypothesis property over random traffic plans plus deterministic
-contention/edge-case scenarios run on both engines.
+The flat callback state machine in :mod:`repro.mac.base` replays the
+historical generator engine's agenda entry for entry: same agenda
+entries, same rng draw order, same counters, same energy.  The traces
+of a fixed, seeded list of traffic plans were recorded while both
+engines still ran side by side and agreed; pinning their digests keeps
+the claim checked without the old engine.
 """
 
 import collections
+import hashlib
+import json
+import random
 import types
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.medium import LossModel, Medium
 from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
-from generator_mac import MAC_CLASSES, MAC_ENGINES
 from repro.mac.base import _DEDUP_WINDOW, ContentionMac
+from repro.mac.csma import SensorCsmaMac
+from repro.mac.dcf import DcfMac
 from repro.mac.frames import Frame, FrameKind
 from repro.mac.timing import sensor_csma_params
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim.simulator import Simulator
 from repro.topology import line_layout
+
+#: Digest prefixes of :func:`run_plan`'s trace for each plan of
+#: :func:`fixed_plans`, in order.
+PINNED_TRACES = (
+    "c71ae98cdf6d320c", "fd280d7f1f1a5bae", "ca90e1a79d6ee128",
+    "54199834df2f4c1c", "10064ee8556769e1", "efd138cb08d70f78",
+    "f4a105b033721ef8", "7471d201b3152066", "2e1afd0fe5a3f028",
+    "d1c1f059314a59c0", "e37508a47f296045", "1a80a3f7e49693c3",
+    "a80998259ad8599e", "c5d0f98a6fda7415", "fadd22b373a5b636",
+    "ad785b38ecea5c54",
+)
+
+#: The same for the hidden-terminal cell of :class:`TestContentionStats`.
+PINNED_HIDDEN_TERMINAL_TRACE = "c87a184f1bbcb7db"
 
 def data_frame(src, dst, payload_bits=256, require_ack=True):
     return Frame(
@@ -37,10 +54,10 @@ def data_frame(src, dst, payload_bits=256, require_ack=True):
     )
 
 
-def run_plan(engine, *, n, loss_p, plan, seed, params=None):
+def run_plan(*, n, loss_p, plan, seed, params=None):
     """Run a traffic plan; return the full observable trace.
 
-    The trace captures everything the engines could plausibly diverge on:
+    The trace captures everything an engine change could plausibly move:
     final clock, kernel event counts, timestamped deliveries, every MAC
     counter, and exact per-node energy floats.
     """
@@ -53,8 +70,7 @@ def run_plan(engine, *, n, loss_p, plan, seed, params=None):
     radios = {
         i: LowPowerRadio(sim, i, MICAZ, medium, meters[i]) for i in range(n)
     }
-    csma_mac = MAC_CLASSES[engine][0]
-    macs = {i: csma_mac(sim, radios[i], params=params) for i in range(n)}
+    macs = {i: SensorCsmaMac(sim, radios[i], params=params) for i in range(n)}
     deliveries = []
     for i in range(n):
         macs[i].set_data_handler(
@@ -88,69 +104,54 @@ def run_plan(engine, *, n, loss_p, plan, seed, params=None):
     }
 
 
-# A traffic step: sender, destination, ack flag.
-plans = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2),
-        st.integers(min_value=0, max_value=2),
-        st.booleans(),
-    ),
-    min_size=1,
-    max_size=10,
-).map(
-    lambda steps: [
-        (src, dst, require_ack)
-        for src, dst, require_ack in steps
-        if dst != src
-    ]
-)
+def trace_digest(trace):
+    """A short, stable digest of a :func:`run_plan` trace."""
+    text = json.dumps(trace, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def fixed_plans(count=16, seed=2024):
+    """Seeded ``(plan, loss_p, seed)`` triples: 1–10 frames over 3 nodes."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        plan = []
+        for _step in range(rng.randint(1, 10)):
+            src = rng.randrange(3)
+            plan.append((src, (src + rng.randint(1, 2)) % 3, rng.random() < 0.5))
+        cases.append((plan, rng.choice([0.0, 0.3, 0.6]), rng.randrange(2**31)))
+    return cases
 
 
 class TestTraceIdentity:
-    @given(
-        plan=plans,
-        loss_p=st.sampled_from([0.0, 0.3, 0.6]),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_flat_matches_generator(self, plan, loss_p, seed):
-        """Random plans, lossy or clean: the traces must be identical —
-        including exact float equality on timestamps and joules."""
-        traces = [
-            run_plan(engine, n=3, loss_p=loss_p, plan=plan, seed=seed)
-            for engine in MAC_ENGINES
-        ]
-        assert traces[0] == traces[1]
+    def test_flat_matches_pinned_traces(self):
+        """Lossy and clean plans: each trace, down to exact float
+        timestamps and joules, matches its pinned digest."""
+        digests = tuple(
+            trace_digest(run_plan(n=3, loss_p=loss_p, plan=plan, seed=seed))
+            for plan, loss_p, seed in fixed_plans()
+        )
+        assert digests == PINNED_TRACES
 
 
 class TestContentionStats:
-    """Deterministic hidden-terminal cell: stats must be engine-invariant
-    and actually exercise the retry/drop/fail machinery."""
+    """Deterministic hidden-terminal cell: the trace is pinned, and the
+    stats actually exercise the retry/drop/fail machinery."""
 
     # The out-of-range 0->2 frame leads the plan so it reaches the air
     # before node 0's queue fills up.
     PLAN = [(0, 2, True)] + [(0, 1, True), (2, 1, True)] * 8
 
-    @pytest.mark.parametrize("engine", MAC_ENGINES)
-    def test_hidden_terminal_counters(self, engine):
+    def test_hidden_terminal_counters(self):
         params = sensor_csma_params(queue_capacity=4)
         trace = run_plan(
-            engine,
             n=3,
             loss_p=0.0,
             plan=self.PLAN,
             seed=3,
             params=params,
         )
-        reference = run_plan(
-            "flat",
-            n=3,
-            loss_p=0.0,
-            plan=self.PLAN,
-            seed=3,
-            params=params,
-        )
-        assert trace == reference
+        assert trace_digest(trace) == PINNED_HIDDEN_TERMINAL_TRACE
         sent_ok, sent_failed, queue_drops, retransmissions, acks_dropped = (
             trace["counters"][0]
         )
@@ -165,8 +166,7 @@ class TestContentionStats:
 
 
 class TestAcksDropped:
-    @pytest.mark.parametrize("engine", MAC_ENGINES)
-    def test_receiver_sleeping_during_sifs_drops_ack(self, engine):
+    def test_receiver_sleeping_during_sifs_drops_ack(self):
         """The half-duplex race on _transmit_ack: the receiving DCF radio
         goes to sleep between queueing the ACK and the SIFS expiry, so the
         ACK is dropped (and counted) rather than sent from a dead radio."""
@@ -179,8 +179,7 @@ class TestAcksDropped:
             i: HighPowerRadio(sim, i, LUCENT_11, medium, meters[i])
             for i in range(2)
         }
-        dcf_mac = MAC_CLASSES[engine][1]
-        macs = {i: dcf_mac(sim, radios[i]) for i in range(2)}
+        macs = {i: DcfMac(sim, radios[i]) for i in range(2)}
         sim.run(until=radios[0].wake())
         sim.run(until=radios[1].wake())
         # The delivery callback runs after the ACK is queued but before

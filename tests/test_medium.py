@@ -94,11 +94,9 @@ class TestCollisions:
         h = Harness()
         h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
 
-        def late_interferer():
-            yield h.sim.timeout(0.001)  # mid-flight of the first frame
-            h.radios[2].transmit(data_frame(2, 1, payload_bits=64))
-
-        h.sim.process(late_interferer())
+        h.sim.call_later(  # mid-flight of the first frame
+            0.001, h.radios[2].transmit, data_frame(2, 1, payload_bits=64)
+        )
         h.sim.run()
         assert h.received[1] == []
 
@@ -126,11 +124,10 @@ class TestCollisions:
         """Sequential (non-overlapping) frames both deliver."""
         h = Harness()
 
-        def sender():
-            yield h.radios[0].transmit(data_frame(0, 1))
-            yield h.radios[0].transmit(data_frame(0, 1))
-
-        h.sim.process(sender())
+        first = h.radios[0].transmit(data_frame(0, 1))
+        first.callbacks.append(
+            lambda _event: h.radios[0].transmit(data_frame(0, 1))
+        )
         h.sim.run()
         assert len(h.received[1]) == 2
 
@@ -146,11 +143,10 @@ class TestCarrierSense:
         busy_state = []
 
         def probe():
-            yield h.sim.timeout(0.001)
             busy_state.append(h.medium.is_busy_for(1))
             busy_state.append(h.medium.is_busy_for(2))  # out of 0's range
 
-        h.sim.process(probe())
+        h.sim.call_later(0.001, probe)
         h.sim.run()
         assert busy_state == [True, False]
 
@@ -159,11 +155,7 @@ class TestCarrierSense:
         h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
         state = []
 
-        def probe():
-            yield h.sim.timeout(0.001)
-            state.append(h.medium.is_busy_for(0))
-
-        h.sim.process(probe())
+        h.sim.call_later(0.001, lambda: state.append(h.medium.is_busy_for(0)))
         h.sim.run()
         assert state == [True]
 

@@ -100,11 +100,9 @@ def _interfere_mid_frame(capture_ratio):
     h.medium.capture_ratio = capture_ratio
     h.radios[1].transmit(data_frame(1, 0, payload_bits=8192))
 
-    def interferer():
-        yield h.sim.timeout(0.001)  # mid-flight of the wanted frame
-        h.radios[2].transmit(data_frame(2, 1, payload_bits=64))
-
-    h.sim.process(interferer())
+    h.sim.call_later(  # mid-flight of the wanted frame
+        0.001, h.radios[2].transmit, data_frame(2, 1, payload_bits=64)
+    )
     h.sim.run()
     return h
 
@@ -142,11 +140,13 @@ class TestUnicastCounters:
         h = BankHarness(line_layout(2, 40.0), seed=7)
         h.medium.loss = LossModel(0.5, h.sim.rng.stream("loss"))
 
-        def sender():
-            for seq in range(40):
-                yield h.radios[0].transmit(data_frame(0, 1, seq=seq))
+        def send(seq):
+            # Back to back: each frame goes out when the last one ends.
+            end = h.radios[0].transmit(data_frame(0, 1, seq=seq))
+            if seq + 1 < 40:
+                end.callbacks.append(lambda _event: send(seq + 1))
 
-        h.sim.process(sender())
+        send(0)
         h.sim.run()
         # Every in-range frame is either delivered or a counted loss.
         medium = h.medium
@@ -202,13 +202,14 @@ class TestFastPathEligibility:
         trace = []
 
         def probe():
-            yield h.sim.timeout(0.001)
-            h.radios[2].transmit(data_frame(2, 1, payload_bits=8192))
-            yield h.sim.timeout(0.001)
             trace.append(h.medium.is_busy_for(1))  # hears both
             trace.append(h.medium.is_busy_for(0))  # own + nothing else
 
-        h.sim.process(probe())
+        def second_sender():
+            h.radios[2].transmit(data_frame(2, 1, payload_bits=8192))
+            h.sim.call_later(0.001, probe)
+
+        h.sim.call_later(0.001, second_sender)
         h.sim.run()
         trace.append(h.medium.is_busy_for(1))  # all over
         assert trace == [True, True, False]
@@ -223,17 +224,18 @@ class TestFastPathEligibility:
         h.radios[0].transmit(data_frame(0, 1, payload_bits=8192))
         trace = []
 
-        def driver():
-            yield h.sim.timeout(0.001)
-            h.radios[2].transmit(data_frame(2, 1, payload_bits=8192))
-            yield h.sim.timeout(0.001)
+        def retire():
             h.radios[0].power_down()
             medium.retire_node(0)  # aborts 0's frame; 2's survives
             trace.append(medium.is_busy_for(1))  # still hears node 2
             trace.append(0 in medium.neighbors(1))  # retirement applied
             trace.append(medium.is_busy_for(0))  # deaf and mute now
 
-        h.sim.process(driver())
+        def second_sender():
+            h.radios[2].transmit(data_frame(2, 1, payload_bits=8192))
+            h.sim.call_later(0.001, retire)
+
+        h.sim.call_later(0.001, second_sender)
         h.sim.run()
         assert trace == [True, False, False]
         assert all(count == 0 for count in medium._busy)
@@ -416,26 +418,28 @@ def _run_schedule(scenario, medium_class):
     assert len(medium._class_ports) == len(set(flavours))
     busy_trace = []
 
-    def driver():
-        for seq, (sender, dst, delay_ms) in enumerate(events):
-            yield sim.timeout(delay_ms / 1000.0)
-            sensed = [medium.is_busy_for(i) for i in range(n)]
-            # The O(1) refcount must agree with the historical scan over
-            # active transmissions at every sample point.
-            for i in range(n):
-                reference = any(
-                    tx.sender.node_id == i
-                    or medium.is_neighbor(tx.sender.node_id, i)
-                    for tx in medium._active
-                )
-                assert sensed[i] == reference
-            busy_trace.append(sensed)
-            radio = radios[sender]
-            if radio.is_transmitting:
-                continue
+    def step(seq):
+        """Sample carrier sense, send, then wait for the next step."""
+        sender, dst, _delay_ms = events[seq]
+        sensed = [medium.is_busy_for(i) for i in range(n)]
+        # The O(1) refcount must agree with the historical scan over
+        # active transmissions at every sample point.
+        for i in range(n):
+            reference = any(
+                tx.sender.node_id == i
+                or medium.is_neighbor(tx.sender.node_id, i)
+                for tx in medium._active
+            )
+            assert sensed[i] == reference
+        busy_trace.append(sensed)
+        radio = radios[sender]
+        if not radio.is_transmitting:
             radio.transmit(data_frame(sender, dst, seq=seq))
+        if seq + 1 < len(events):
+            sim.call_later(events[seq + 1][2] / 1000.0, step, seq + 1)
 
-    sim.process(driver())
+    if events:
+        sim.call_later(events[0][2] / 1000.0, step, 0)
     sim.run()
     # Each frame ends in at most one outcome at its one receiver.
     assert (

@@ -143,7 +143,7 @@ def _report(rev="abc123", walls=None, checks=None, ops=None):
 
 class TestReportsAndGate:
     def test_write_load_round_trip(self, tmp_path):
-        report = _report(checks={"fig-cell-events": 20_943.0})
+        report = _report(checks={"fig-cell-events": 20_457.0})
         path = write_report(report, tmp_path)
         assert path.name == "BENCH_abc123.json"
         payload = json.loads(path.read_text())
@@ -159,17 +159,17 @@ class TestReportsAndGate:
             "wall_s": 1.0, "repeats": 1, "ops": {"x": 1.0}
         }
         assert payload["results"]["case-b"]["ops"] == {"x": 1.0}
-        assert payload["checks"] == {"fig-cell-events": 20_943.0}
+        assert payload["checks"] == {"fig-cell-events": 20_457.0}
 
     def test_failed_gates(self):
         # An ops ceiling holds at its limit and fails one above it.
         def fig_cell(events):
             return _report(walls={"fig-cell": 0.1}, ops={"events": events})
 
-        assert FIG_CELL_EVENTS == 20_943
-        assert failed_gates(fig_cell(20_943)) == []
-        assert failed_gates(fig_cell(20_944)) == [
-            "fig-cell-events: fig-cell events = 20944, over the 20943 ceiling"
+        assert FIG_CELL_EVENTS == 20_457
+        assert failed_gates(fig_cell(20_457)) == []
+        assert failed_gates(fig_cell(20_458)) == [
+            "fig-cell-events: fig-cell events = 20458, over the 20457 ceiling"
         ]
 
 
@@ -243,7 +243,7 @@ class TestBenchCli:
             for line in capsys.readouterr().out.splitlines()
         }
         assert lines["fig-cell-events"] == [
-            "1000", "<=", "20943", "fig-cell", "events"
+            "1000", "<=", "20457", "fig-cell", "events"
         ]
         assert lines["fig-cell-wall"][1:] == [
             "<=", "0.403", "fig-cell", "wall_s"

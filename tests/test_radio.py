@@ -46,11 +46,7 @@ class TestLowPowerRadio:
         radio.transmit(frame(0, 1, payload_bits=8192))
         states = []
 
-        def probe():
-            yield sim.timeout(1e-4)
-            states.append(radio.is_listening)
-
-        sim.process(probe())
+        sim.call_later(1e-4, lambda: states.append(radio.is_listening))
         sim.run()
         assert states == [False]
         assert radio.is_listening  # back after tx
@@ -205,13 +201,12 @@ class TestHighPowerRadio:
         errors = []
 
         def try_sleep():
-            yield sim.timeout(1e-4)
             try:
                 radio.sleep()
             except SimulationError as exc:
                 errors.append(str(exc))
 
-        sim.process(try_sleep())
+        sim.call_later(1e-4, try_sleep)
         sim.run()
         assert errors and "transmitting" in errors[0]
 

@@ -1,10 +1,8 @@
-"""Event primitives: triggering, values, failure, composition."""
+"""Event primitives: triggering, values, failure, timeouts."""
 
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     EventAlreadyTriggered,
     SimulationError,
     Simulator,
@@ -105,59 +103,3 @@ class TestTimeout:
             timeout.succeed()
         with pytest.raises(EventAlreadyTriggered):
             timeout.fail(RuntimeError())
-
-
-class TestConditions:
-    def test_anyof_fires_on_first(self, sim):
-        t1, t2 = sim.timeout(1, "a"), sim.timeout(2, "b")
-        any_of = AnyOf(sim, [t1, t2])
-        sim.run(until=any_of)
-        assert sim.now == 1.0
-        assert list(any_of.value.values()) == ["a"]
-
-    def test_allof_waits_for_all(self, sim):
-        t1, t2 = sim.timeout(1, "a"), sim.timeout(2, "b")
-        all_of = AllOf(sim, [t1, t2])
-        sim.run(until=all_of)
-        assert sim.now == 2.0
-        assert list(all_of.value.values()) == ["a", "b"]
-
-    def test_or_operator(self, sim):
-        combined = sim.timeout(1) | sim.timeout(5)
-        sim.run(until=combined)
-        assert sim.now == 1.0
-
-    def test_and_operator(self, sim):
-        combined = sim.timeout(1) & sim.timeout(5)
-        sim.run(until=combined)
-        assert sim.now == 5.0
-
-    def test_empty_condition_trivially_true(self, sim):
-        all_of = AllOf(sim, [])
-        assert all_of.triggered
-
-    def test_condition_over_processed_events(self, sim):
-        t1 = sim.timeout(1)
-        sim.run()
-        all_of = AllOf(sim, [t1])
-        sim.run()
-        assert all_of.processed
-
-    def test_failing_child_fails_condition(self, sim):
-        event = sim.event()
-        t2 = sim.timeout(10)
-        all_of = AllOf(sim, [event, t2])
-        event.fail(RuntimeError("child failed"))
-        with pytest.raises(RuntimeError, match="child failed"):
-            sim.run(until=all_of)
-
-    def test_cross_simulator_condition_rejected(self, sim):
-        other = Simulator(seed=2)
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [sim.timeout(1), other.timeout(1)])
-
-    def test_anyof_value_records_only_processed(self, sim):
-        t1, t2 = sim.timeout(1, "fast"), sim.timeout(1000, "slow")
-        any_of = t1 | t2
-        sim.run(until=any_of)
-        assert t2 not in any_of.value

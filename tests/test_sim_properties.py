@@ -68,17 +68,24 @@ def test_derive_seed_is_pure(master, name):
     st.integers(min_value=0, max_value=1000),
 )
 def test_process_timeout_accumulation(steps, seed):
-    """A process sleeping a series of timeouts wakes at their prefix sums."""
+    """A chain of timers, each set when the last fires, wakes at the
+    prefix sums of their delays."""
     sim = Simulator(seed=seed)
     wake_times = []
+    # One entry per timer: its delay, and whether it ends a step.
+    chain = [
+        (delay, turn == repeat - 1)
+        for delay, repeat in steps
+        for turn in range(repeat)
+    ]
 
-    def sleeper():
-        for delay, repeat in steps:
-            for _ in range(repeat):
-                yield sim.timeout(delay)
+    def wake(index):
+        if chain[index][1]:
             wake_times.append(sim.now)
+        if index + 1 < len(chain):
+            sim.call_later(chain[index + 1][0], wake, index + 1)
 
-    sim.process(sleeper())
+    sim.call_later(chain[0][0], wake, 0)
     sim.run()
     expected = []
     acc = 0.0

@@ -157,11 +157,11 @@ class TestTimeoutFreeList:
         assert second is not first
 
     def test_unreferenced_timers_are_reused(self, sim):
-        def proc():
-            for _ in range(3):
-                yield sim.timeout(1.0)
+        def tick(left):
+            if left:
+                sim.call_later(1.0, tick, left - 1)
 
-        sim.process(proc())
+        tick(3)
         sim.run()
         before = sim.events_processed
         # The free-list is warm; a fresh timeout comes from the pool with
@@ -177,10 +177,8 @@ class TestTimeoutFreeList:
     def test_run_until_event_recycles_timeouts(self, sim):
         # The until-event form runs the same loop as the other two, so a
         # timeout it dispatches feeds the free-list too.
-        def proc():
-            yield sim.timeout(1.0)
-
-        done = sim.process(proc())
+        done = sim.event()
+        sim.timeout(1.0).callbacks.append(lambda _event: done.succeed())
         sim.run(until=done)
         assert len(sim._pool) == 1
         recycled = sim._pool[-1]
@@ -191,13 +189,14 @@ class TestTimeoutFreeList:
         assert sim.run(until=fresh) == "fresh"
 
     def test_recycled_timer_value_not_leaked(self, sim):
-        def proc(values):
-            value = yield sim.timeout(1.0, value="secret")
-            values.append(value)
-            value = yield sim.timeout(1.0)
-            values.append(value)
-
         values = []
-        sim.process(proc(values))
+
+        def first_fired(event):
+            values.append(event.value)
+            sim.timeout(1.0).callbacks.append(
+                lambda later: values.append(later.value)
+            )
+
+        sim.timeout(1.0, value="secret").callbacks.append(first_fired)
         sim.run()
         assert values == ["secret", None]

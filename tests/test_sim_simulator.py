@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, StopSimulation
+from repro.sim import URGENT, SimulationError, Simulator, StopSimulation
 
 
 # The simulator's agenda is a binary heap; the id names it in each
@@ -153,6 +153,13 @@ class TestSchedulingHelpers:
         sim.run()
         assert seen == [when]
 
+    def test_call_at_urgent_runs_before_normal(self, sim):
+        seen = []
+        sim.call_at(1.0, seen.append, "normal")
+        sim.call_at(1.0, seen.append, "urgent", priority=URGENT)
+        sim.run()
+        assert seen == ["urgent", "normal"]
+
     def test_call_at_past_raises(self, sim):
         sim.timeout(2.0)
         sim.run()
@@ -172,12 +179,15 @@ class TestDeterminism:
             events = []
 
             def worker(name):
-                while sim.now < 50:
-                    yield sim.timeout(rng.uniform(0.1, 2.0))
+                def wake():
                     events.append((round(sim.now, 9), name))
+                    if sim.now < 50:
+                        sim.call_later(rng.uniform(0.1, 2.0), wake)
 
-            sim.process(worker("a"))
-            sim.process(worker("b"))
+                sim.call_later(rng.uniform(0.1, 2.0), wake)
+
+            worker("a")
+            worker("b")
             sim.run(until=50)
             return events
 

@@ -119,12 +119,11 @@ class TestSinkCollector:
         sim = Simulator(seed=1)
         collector = SinkCollector(sim, sink_id=0)
 
-        def deliver_later():
-            yield sim.timeout(2.0)
-            collector.deliver(DataPacket(src=5, dst=0, payload_bits=256,
-                                         created_s=0.5))
-
-        sim.process(deliver_later())
+        sim.call_later(
+            2.0,
+            collector.deliver,
+            DataPacket(src=5, dst=0, payload_bits=256, created_s=0.5),
+        )
         sim.run()
         assert collector.packets_delivered == 1
         assert collector.bits_delivered == 256

@@ -12,6 +12,7 @@ from repro.models.sweeps import (
     goodput_rows,
     run_sweep,
 )
+from repro.runner import SweepRunner
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +42,18 @@ class TestSweepStructure:
             run_sweep("XX")
 
     def test_progress_callback(self):
-        lines = []
+        # Progress comes from the runner: one event per cell, labelled
+        # with the cell's case, label and sender count.
+        events = []
         run_sweep(
             "SH",
             SweepScale(senders=(2,), bursts=(10,), n_runs=1, sim_time_s=5.0),
             include_wifi=False,
             include_sensor=False,
-            progress=lines.append,
+            runner=SweepRunner(progress=events.append),
         )
-        assert lines == ["SH: DualRadio-10 senders=2"]
+        assert [(e.completed, e.total) for e in events] == [(1, 1)]
+        assert events[0].description.startswith("SH: DualRadio-10 senders=2 ")
 
 
 class TestFigureViews:

@@ -4,7 +4,6 @@
 import pytest
 
 from repro.energy.radio_specs import LUCENT_11
-from repro.sim import Simulator
 from repro.testbed import (
     TMOTE_CC2420,
     EmulatedWifiMac,
@@ -33,35 +32,33 @@ class TestEventLog:
 
 class TestEmulation:
     def test_sensor_link_logs_both_ends(self):
-        sim = Simulator(seed=1)
         log = EventLog()
-        link = SensorLink(sim, log)
-        done = link.transfer("sender", "receiver", 16)
-        sim.run(until=done)
+        link = SensorLink(log)
+        duration = link.transfer(2.0, "sender", "receiver", 16)
         expected = (16 * 8 + TMOTE_CC2420.header_bits) / TMOTE_CC2420.rate_bps
-        assert sim.now == pytest.approx(expected)
-        assert log.of_type(eventlog.SENSOR_TX, "sender")
-        assert log.of_type(eventlog.SENSOR_RX, "receiver")
+        assert duration == pytest.approx(expected)
+        (tx,) = log.of_type(eventlog.SENSOR_TX, "sender")
+        (rx,) = log.of_type(eventlog.SENSOR_RX, "receiver")
+        assert tx.time_s == rx.time_s == 2.0
+        assert tx.duration_s == rx.duration_s == duration
 
     def test_wifi_transfer_requires_awake(self):
-        sim = Simulator(seed=1)
         log = EventLog()
-        a = EmulatedWifiMac(sim, log, "sender", LUCENT_11)
-        b = EmulatedWifiMac(sim, log, "receiver", LUCENT_11)
+        a = EmulatedWifiMac(log, "sender", LUCENT_11)
+        b = EmulatedWifiMac(log, "receiver", LUCENT_11)
         with pytest.raises(RuntimeError):
-            a.transfer_frame(b, 1024)
-        sim.run(until=a.wake())
-        sim.run(until=b.wake())
-        done = a.transfer_frame(b, 1024)
-        sim.run(until=done)
+            a.transfer_frame(0.0, b, 1024)
+        assert a.wake(0.0) == LUCENT_11.t_wakeup_s
+        b.wake(0.0)
+        duration = a.transfer_frame(1.0, b, 1024)
+        assert duration == a.frame_airtime_s(1024)
         assert log.of_type(eventlog.WIFI_TX, "sender")
         assert log.of_type(eventlog.WIFI_RX, "receiver")
 
     def test_wake_logs_event(self):
-        sim = Simulator(seed=1)
         log = EventLog()
-        mac = EmulatedWifiMac(sim, log, "sender", LUCENT_11)
-        mac.wake()
+        mac = EmulatedWifiMac(log, "sender", LUCENT_11)
+        mac.wake(0.0)
         assert len(log.of_type(eventlog.WIFI_WAKEUP)) == 1
 
 

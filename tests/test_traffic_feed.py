@@ -415,7 +415,7 @@ def test_room_freed_on_another_hop_brings_the_crossing_back():
     assert agent._feed_event is None
     session = _SenderSession(next_hop=stale, session_id=0)
     agent._sender_sessions[stale] = session
-    next(agent._transfer(session, 19 * 32.0))
+    agent._transfer(session, 19 * 32.0)
     assert agent.buffer.bytes_for(stale) == 0.0
     assert agent._feed_event is not None
     assert agent._feed_event_s == source.due_s(18)
