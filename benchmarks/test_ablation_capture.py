@@ -51,9 +51,10 @@ def run_parallel_flows(capture_ratio):
         """Offer ``count`` frames, each once the MAC is done with the last."""
         frame = Frame(FrameKind.DATA, src, dst, payload_bits=256,
                       header_bits=64)
-        done = macs[src].send(frame)
-        if count > 1:
-            done.callbacks.append(lambda _event: pump(src, dst, count - 1))
+        macs[src].send(
+            frame,
+            (lambda _success: pump(src, dst, count - 1)) if count > 1 else None,
+        )
 
     # Both flows start at t=0, after the MACs' own start events.
     sim.call_at(0.0, pump, 0, 1, 200, priority=URGENT)

@@ -110,6 +110,8 @@ class _SenderSession:
     #: How the current wait ended: None (still waiting), True (the ACK
     #: came first) or False (the timeout did).
     acked: bool | None = None
+    #: Whether the session waits for its own high-power radio to wake.
+    waking: bool = False
     #: The burst's fragments and how many of them the MAC has finished.
     fragments: list = dataclasses.field(default_factory=list)
     sent: int = 0
@@ -597,9 +599,8 @@ class BcpAgent:
             self._handshake_failures.pop(session.next_hop, None)
             allowed = typing.cast(float, session.ack_event.value)
             # Section 3: the sender turns its radio on only upon the ACK.
-            self.high_radio.wake().callbacks.append(
-                lambda _event: self._transfer(session, allowed)
-            )
+            session.waking = True
+            self.high_radio.wake(lambda: self._transfer(session, allowed))
             return
         session.attempt += 1
         if session.attempt <= self.config.wakeup_retries:
@@ -627,6 +628,7 @@ class BcpAgent:
     def _transfer(self, session: _SenderSession, allowed_bytes: float) -> None:
         """Send the allowed burst as high-power frames, stop-and-wait,
         holding the radio on until :meth:`_end_transfer`."""
+        session.waking = False
         self._radio_holds += 1
         next_hop = session.next_hop
         self.catch_up()
@@ -658,14 +660,14 @@ class BcpAgent:
             payload=fragment,
             require_ack=True,
         )
-        self.high_mac.send(frame).callbacks.append(
-            lambda event: self._on_fragment_done(session, event)
+        self.high_mac.send(
+            frame, lambda success: self._on_fragment_done(session, success)
         )
 
-    def _on_fragment_done(self, session: _SenderSession, event: "Event") -> None:
+    def _on_fragment_done(self, session: _SenderSession, success: bool) -> None:
         fragments = session.fragments
         fragment = fragments[session.sent]
-        if event.value:
+        if success:
             self.stats.packets_sent += len(fragment.packets)
         else:
             self.stats.packets_lost_mac += len(fragment.packets)
@@ -694,6 +696,21 @@ class BcpAgent:
         # More data may have accumulated meanwhile (or flow control may
         # have clamped the burst) — re-arm immediately.
         self._check_threshold(session.next_hop)
+
+    def revive(self) -> None:
+        """Restart the sessions a crash stranded; call once the node's
+        radios and MACs are powered up again.
+
+        A crash while the high-power radio was waking dropped the wake's
+        waiter with the radio, so a session past its WAKEUP-ACK still
+        waits for a wake that never comes, and it blocks every later
+        session toward its next hop.  Each such session is dropped and
+        the threshold check toward its next hop runs again.
+        """
+        stranded = [s for s in self._sender_sessions.values() if s.waking]
+        for session in stranded:
+            self._close_sender_session(session)
+            self._check_threshold(session.next_hop)
 
     def _schedule_retry(self, next_hop: int, delay_s: float) -> None:
         if next_hop in self._retry_scheduled:

@@ -274,6 +274,10 @@ class FaultInjector:
                 built.high_macs[node].power_up()
             self.monitor.note_recovery()
             self._invalidate_routing()
+            if self.config.model == "dual":
+                # On the revived routes: a session the crash stranded
+                # mid-wake restarts.
+                built.agents[node].revive()
 
     def _set_link(self, a: int, b: int, up: bool) -> None:
         with self._rerouting():

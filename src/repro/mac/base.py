@@ -15,17 +15,19 @@ plain bound-method callback on the event that resumes it, backoff/ack
 timers come from the kernel's :class:`Timeout` free-list, and
 ack-completion events are pooled per MAC.
 
-It replays, entry for entry, the agenda of the one-worker-per-MAC
-generator engine it replaced: same timeout values, same priorities,
-same rng draw order from the same ``{name}.backoff`` stream.  That
-includes the delay-0 "hop" event each ack wait enqueues where the old
-engine's first-of-two wait used to fire.  The hop events carry no
-behaviour of their own, but they take agenda sequence numbers, so they
-decide the ``(time, priority, sequence)`` order of everything queued at
-the same instant.  Every pinned golden digest and benchmark pin was
-recorded with them in place, so they stay until a deliberate re-pin
-drops them.  The test suite pins the engine's traces on a fixed set of
-traffic plans.
+It replays the agenda of the one-worker-per-MAC generator engine it
+replaced: same timeout values, same priorities, same rng draw order
+from the same ``{name}.backoff`` stream.  Three kinds of entry are
+replayed with no behaviour of their own: the URGENT start event at
+construction, the wakeup a kick triggers while the machine is busy, and
+the delay-0 "hop" event each ack wait enqueues where the old engine's
+first-of-two wait fired.  They take agenda sequence numbers, so they
+decide the order of everything queued at the same instant; every pinned
+digest was recorded with them, so they stay until a deliberate re-pin.
+A send's completion is scheduled (``call_at``, where the old engine
+triggered its per-frame future) only when the caller passed
+``on_done``; dropping the others reorders nothing.  The test suite pins
+the engine's traces on a fixed set of traffic plans.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ _DEDUP_WINDOW = 64
 #: Upper bound on pooled ack-completion events retained per MAC.
 _ACK_POOL_MAX = 4
 
+#: A send's completion callback: takes whether the MAC delivered the frame.
+OnDone = typing.Callable[[bool], None]
+
 
 class ContentionMac:
     """Carrier-sense MAC with stop-and-wait ACKs.
@@ -60,10 +65,10 @@ class ContentionMac:
 
     Notes
     -----
-    Use :meth:`send` to enqueue a frame; the returned event's value is
-    ``True`` on MAC-level success (ACK received, or frame sent for
-    no-ACK frames) and ``False`` when the retry budget is exhausted or
-    the queue overflowed.
+    Use :meth:`send` to enqueue a frame; its optional ``on_done``
+    callback gets ``True`` on MAC-level success (ACK received, or frame
+    sent for no-ACK frames) and ``False`` when the retry budget is
+    exhausted, the queue overflowed or the node died.
     """
 
     def __init__(
@@ -84,7 +89,7 @@ class ContentionMac:
         self._rng: typing.Any = None
         radio.set_receiver(self._on_frame)
         radio.preamble_s = params.preamble_s
-        self._queue: collections.deque[tuple[Frame, Event]] = collections.deque()
+        self._queue: collections.deque[tuple[Frame, OnDone | None]] = collections.deque()
         self._ack_queue: collections.deque[Frame] = collections.deque()
         self._pending_ack: dict[tuple[int, int], Event] = {}
         # Dedup windows: per-peer (deque, set) pairs — the deque keeps
@@ -130,35 +135,32 @@ class ContentionMac:
 
     # -- send path ------------------------------------------------------------
 
-    def send(self, frame: Frame) -> Event:
-        """Enqueue ``frame``; the event resolves True/False on completion."""
-        done = self.sim.event()
+    def send(self, frame: Frame, on_done: OnDone | None = None) -> None:
+        """Enqueue ``frame``; ``on_done(success)`` runs on completion.
+
+        The callback runs from its own agenda entry at the instant the
+        frame completes (or at once, for a frame refused on entry).
+        """
         if self._powered_down:
             self.power_down_drops += 1
-            done.succeed(False)
-            return done
+            self._report(on_done, False)
+            return
         if len(self._queue) >= self.params.queue_capacity:
             self.queue_drops += 1
-            done.succeed(False)
-            return done
+            self._report(on_done, False)
+            return
         if frame.seq == 0:
             frame.seq = self.next_seq()
-        self._queue.append((frame, done))
+        self._queue.append((frame, on_done))
         self._kick()
-        return done
+
+    def _report(self, on_done: OnDone | None, success: bool) -> None:
+        if on_done is not None:
+            self.sim.call_at(self.sim.now, on_done, success)
 
     def _kick(self) -> None:
         if not self._wakeup.triggered:
             self._wakeup.succeed()
-
-    def medium_busy(self) -> bool:
-        """Carrier-sense result at this node.
-
-        O(1): the medium keeps a per-node busy refcount incrementally, so
-        backoff loops can sense as often as they like without scanning the
-        active-transmission list.
-        """
-        return self.radio.medium.is_busy_for(self.radio.node_id)
 
     def _ack_wait_s(self) -> float:
         ack_airtime = (
@@ -211,7 +213,6 @@ class ContentionMac:
         sim = self.sim
         start = Event(sim)
         start.callbacks.append(self._on_start)
-        start._ok = True
         start._value = None
         sim._enqueue(start, delay=0.0, priority=URGENT)
 
@@ -250,7 +251,7 @@ class ContentionMac:
         self._randrange: typing.Any = None
         # In-flight item state (one item at a time: the machine is serial).
         self._cur_frame: Frame | None = None
-        self._cur_done: Event | None = None
+        self._cur_done: OnDone | None = None
         self._cur_ack: Frame | None = None
         self._cur_needs_ack = False
         self._cur_attempt = 0
@@ -299,9 +300,9 @@ class ContentionMac:
                 self._flat_timer = timer
                 return
             if self._queue:
-                frame, done = self._queue.popleft()
+                frame, on_done = self._queue.popleft()
                 self._cur_frame = frame
-                self._cur_done = done
+                self._cur_done = on_done
                 needs_ack = frame.require_ack
                 self._cur_needs_ack = needs_ack
                 self._cur_attempt = 0
@@ -485,11 +486,10 @@ class ContentionMac:
             self.sent_ok += 1
         else:
             self.sent_failed += 1
-        done = self._cur_done
+        on_done = self._cur_done
         self._cur_frame = None
         self._cur_done = None
-        if not done.triggered:
-            done.succeed(success)
+        self._report(on_done, success)
         self._resume_loop()
 
     # -- fault injection -------------------------------------------------------
@@ -501,9 +501,9 @@ class ContentionMac:
     def power_down(self) -> None:
         """Kill the MAC (fault injection): halt the engine and drop frames.
 
-        Queued and in-flight frames resolve their completion events False
-        (counted in ``power_down_drops``) so upper layers see drops
-        instead of waiting forever.  The machine halts immediately: its
+        Queued and in-flight frames report False to their ``on_done``
+        callbacks and count in ``power_down_drops``, so upper layers see
+        drops instead of waiting forever.  The machine halts immediately: its
         pending SIFS/backoff timer and ack plumbing are cancelled via
         ``Event.cancel`` and its continuation is detached from any
         in-flight radio end event.  Idempotent.
@@ -538,22 +538,22 @@ class ContentionMac:
                 # No-op unless an ack-wait continuation is mid-hop
                 # (_enqueue_hop resets the mark on reuse).
                 hop.cancel()
-            done = self._cur_done
-            if done is not None:
+            if self._cur_frame is not None:
+                # A frame is in flight whether or not its sender asked to
+                # hear how it ends.
+                on_done = self._cur_done
                 self._cur_frame = None
                 self._cur_done = None
                 drops += 1
-                if not done.triggered:
-                    done.succeed(False)
+                self._report(on_done, False)
             self._cur_ack = None
             self._cur_key = None
             self._ack_event = None
             self._resolved = None
             self._ack_in_progress = False
-        for _frame, done in self._queue:
+        for _frame, on_done in self._queue:
             drops += 1
-            if not done.triggered:
-                done.succeed(False)
+            self._report(on_done, False)
         self._queue.clear()
         self._ack_queue.clear()
         self._pending_ack.clear()

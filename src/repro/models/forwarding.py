@@ -45,10 +45,16 @@ class ForwardingAgent:
         self.mac = mac
         self.routing = routing
         self.deliver = deliver
-        self.packets_forwarded = 0
-        self.packets_dropped = 0
         self.packets_unroutable = 0
         mac.set_data_handler(self._on_frame)
+
+    @property
+    def packets_dropped(self) -> int:
+        """Packets the MAC gave up on: retries exhausted, queue full, or
+        the node died.  The agent's MAC carries nothing else that can
+        drop, so its counters are the tally."""
+        mac = self.mac
+        return mac.sent_failed + mac.queue_drops + mac.power_down_drops
 
     def submit(self, packet: DataPacket) -> None:
         """Accept a packet (locally generated or received) for handling."""
@@ -69,14 +75,7 @@ class ForwardingAgent:
             payload=packet,
             require_ack=True,
         )
-        done = self.mac.send(frame)
-        done.callbacks.append(self._sent)
-
-    def _sent(self, event: typing.Any) -> None:
-        if event.value:
-            self.packets_forwarded += 1
-        else:
-            self.packets_dropped += 1
+        self.mac.send(frame)
 
     def _on_frame(self, frame: Frame) -> None:
         packet = frame.payload

@@ -18,7 +18,7 @@ paper's static trees learning converges after the first burst along a path.
 from __future__ import annotations
 
 
-from repro.net.routing import RoutingLike
+from repro.net.routing import RoutingError, RoutingLike
 
 
 class ShortcutLearner:
@@ -68,7 +68,12 @@ class ShortcutLearner:
             return False
         if not self.high_table.has_edge(self.node_id, forwarder):
             return False
-        current = self.next_hop(dst)
+        try:
+            current = self.next_hop(dst)
+        except RoutingError:
+            # ``dst`` is unreachable this epoch (it died after the frame
+            # left): there is no route to shorten.
+            return False
         if forwarder == current:
             return False
         current_remaining = self._remaining(current, dst)

@@ -359,7 +359,7 @@ class HighPowerRadio(RadioPort):
         super().__init__(sim, node_id, spec, medium, meter, component)
         self.state = RadioState.OFF
         self._integrator = PowerIntegrator(sim, meter, self.component)
-        self._wake_waiters: list[Event] = []
+        self._wake_waiters: list[typing.Callable[[], None]] = []
         self.wakeup_count = 0
 
     # -- state -------------------------------------------------------------
@@ -373,43 +373,46 @@ class HighPowerRadio(RadioPort):
     def is_listening(self) -> bool:
         return self.state == RadioState.IDLE
 
-    def wake(self) -> Event:
-        """Turn the radio on; the event fires when it reaches IDLE.
+    def wake(self, on_ready: typing.Callable[[], None] | None = None) -> None:
+        """Turn the radio on; ``on_ready()`` runs once it reaches IDLE.
 
         Waking costs ``e_wakeup_j`` and takes ``t_wakeup_s`` (Table 1 /
-        derived).  Concurrent wake requests share one transition.
+        derived).  Concurrent wake requests share one transition.  The
+        callback runs from its own agenda entry, at once if the radio is
+        already on; a dead radio never reaches IDLE, so it never runs.
         """
-        done = Event(self.sim)
         if self._powered_down:
-            # A dead radio never reaches IDLE: the event stays pending
-            # forever, and whatever continuation hangs on it never runs —
-            # harmless in an event-driven kernel (``sim.run(until)`` still
-            # returns).
-            return done
+            return
+        sim = self.sim
         if self.is_on:
-            done.succeed()
-            return done
-        self._wake_waiters.append(done)
+            if on_ready is not None:
+                sim.call_at(sim.now, on_ready)
+            return
+        if on_ready is not None:
+            self._wake_waiters.append(on_ready)
         if self.state == RadioState.WAKING:
-            return done
+            return
         self.state = RadioState.WAKING
         self.wakeup_count += 1
         self.meter.charge(self.spec.e_wakeup_j, self.component, CATEGORY_WAKEUP)
-        self.sim.call_later(self.spec.t_wakeup_s, self._finish_wake)
-        return done
+        sim.call_later(self.spec.t_wakeup_s, self._finish_wake)
 
     def _finish_wake(self) -> None:
         if self.state != RadioState.WAKING:
-            return  # sleep() raced the wake; waiters were already failed
+            return  # sleep() raced the wake; waiters were already dropped
         self.state = RadioState.IDLE
         self._integrator.set_power(self.spec.p_idle_w, CATEGORY_IDLE)
         self.medium.note_state(self)
         waiters, self._wake_waiters = self._wake_waiters, []
+        sim = self.sim
         for waiter in waiters:
-            waiter.succeed()
+            sim.call_at(sim.now, waiter)
 
     def sleep(self) -> None:
         """Turn the radio off immediately (switch-off cost is negligible).
+
+        A sleep mid-wake drops the wake's waiters, as :meth:`power_down`
+        does: their callbacks never run.  BCP never sleeps a waking radio.
 
         Raises
         ------
@@ -422,21 +425,19 @@ class HighPowerRadio(RadioPort):
             )
         if self.state == RadioState.OFF:
             return
-        waiters, self._wake_waiters = self._wake_waiters, []
+        self._wake_waiters = []
         self.state = RadioState.OFF
         self._integrator.set_power(0.0, CATEGORY_IDLE)
         self.medium.note_state(self)
-        for waiter in waiters:
-            waiter.fail(SimulationError("radio was turned off while waking"))
 
     def power_down(self) -> None:
         """Fault-injection death: OFF, zero draw, wake waiters dropped.
 
-        Waiters are *dropped*, not failed: they belong to the dying
-        node's own BCP (its session continuation hangs on its local
-        radio's wake), and failing them would raise an unhandled failure
-        out of the run instead of a graceful death.  The dropped
-        continuations never run, which is exactly what "dead" means.
+        The dropped waiters belong to the dying node's own BCP (its
+        session continuation hangs on its local radio's wake).  They
+        never run, which is exactly what "dead" means; the agent drops
+        the stranded session when the node revives
+        (:meth:`repro.core.bcp.BcpAgent.revive`).
         """
         if self._powered_down:
             return

@@ -8,12 +8,4 @@ class SimulationError(Exception):
 
 
 class EventAlreadyTriggered(SimulationError):
-    """Raised when ``succeed``/``fail`` is called on an already-triggered event."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`repro.sim.Simulator.run` early.
-
-    User code may raise it from a callback to stop the run loop; the
-    simulator catches it and returns normally.
-    """
+    """Raised when ``succeed`` is called on an already-triggered event."""

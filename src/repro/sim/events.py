@@ -2,10 +2,12 @@
 
 The design follows the classic "event with callbacks" model (the same one
 SimPy uses): an :class:`Event` starts *pending*; calling :meth:`Event.succeed`
-or :meth:`Event.fail` *triggers* it, which schedules it on the simulator's
-agenda; when the simulator pops it, the event becomes *processed* and its
-callbacks run.  Model code chains its continuations as callbacks on the
-events it waits for.
+*triggers* it, which schedules it on the simulator's agenda; when the
+simulator pops it, the event becomes *processed* and its callbacks run.
+Model code chains its continuations as callbacks on the events it waits
+for.  Events only succeed: a model reports a bad outcome as a value
+(a MAC send reports ``on_done(False)``), never as a failure the kernel
+must propagate.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ class Event:
         "sim",
         "callbacks",
         "_value",
-        "_ok",
         "_processed",
-        "_defused",
         "_cancelled",
     )
 
@@ -59,9 +59,7 @@ class Event:
         #: Callables ``fn(event)`` invoked when the event is processed.
         self.callbacks: list[typing.Callable[["Event"], None]] | None = []
         self._value: object = PENDING
-        self._ok: bool = True
         self._processed = False
-        self._defused = False
         self._cancelled = False
 
     # -- state inspection ------------------------------------------------
@@ -77,11 +75,6 @@ class Event:
         return self._processed
 
     @property
-    def ok(self) -> bool:
-        """Whether the event succeeded (meaningless until triggered)."""
-        return self._ok
-
-    @property
     def value(self) -> object:
         """The event's value; raises if the event is still pending."""
         if self._value is PENDING:
@@ -94,30 +87,9 @@ class Event:
         """Trigger the event successfully with ``value`` and schedule it."""
         if self._value is not PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
-        self._ok = True
         self._value = value
         self.sim._enqueue(self, delay=0.0, priority=NORMAL)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed with ``exception`` as its value.
-
-        Its callbacks see ``ok`` False.  Unless one of them calls
-        :meth:`defuse`, the simulator raises the exception to the caller
-        of ``run`` once they have run (errors must never pass silently).
-        """
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self._value is not PENDING:
-            raise EventAlreadyTriggered(f"{self!r} already triggered")
-        self._ok = False
-        self._value = exception
-        self.sim._enqueue(self, delay=0.0, priority=NORMAL)
-        return self
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so the kernel will not re-raise it."""
-        self._defused = True
 
     def cancel(self) -> bool:
         """Abandon the event: the kernel discards it instead of dispatching.
@@ -155,36 +127,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically ``delay`` seconds in the future.
+    """An event that fires by itself ``delay`` seconds after its creation.
 
-    Unlike a plain :class:`Event`, a timeout is scheduled on construction and
-    cannot be triggered manually.
+    Build one with :meth:`Simulator.timeout
+    <repro.sim.simulator.Simulator.timeout>`, which schedules it at once
+    (and reuses a recycled instance when it can).  A timeout is created
+    triggered, so calling :meth:`succeed` on it raises
+    :class:`~repro.sim.errors.EventAlreadyTriggered`.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: object = None):
-        if delay < 0:
-            # Same exception as Simulator._enqueue: a negative delay is a
-            # scheduling error wherever it is caught.
-            raise SimulationError(f"negative delay {delay!r}")
-        # Field init is inlined (rather than chaining through
-        # Event.__init__) deliberately: timeouts are the kernel's hottest
-        # allocation — one per MAC wait, backoff and frame — and the
-        # super() call was measurable.  Keep in sync with Event.__init__
-        # and with the pooled fast path in Simulator.timeout().
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._processed = False
-        self._defused = False
-        self._cancelled = False
-        self.delay = delay
-        sim._enqueue(self, delay=delay, priority=NORMAL)
-
-    def succeed(self, value: object = None) -> "Event":
-        raise EventAlreadyTriggered("Timeout events trigger themselves")
-
-    def fail(self, exception: BaseException) -> "Event":
-        raise EventAlreadyTriggered("Timeout events trigger themselves")

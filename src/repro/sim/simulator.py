@@ -7,10 +7,10 @@ insertion order).  All model code — radios, MACs, BCP — runs inside event
 callbacks driven by this loop.
 
 The agenda is one binary heap of ``(time, priority, sequence, event)``
-tuples owned by the simulator, and :meth:`Simulator.run` is one inlined
-dispatch loop serving all three ``until`` forms (drain, horizon, event);
-:meth:`Simulator.step` is the single-event API.  Every pinned golden
-digest was recorded on this agenda.
+tuples owned by the simulator, and :meth:`Simulator.run` is the one
+inlined dispatch loop.  It serves two ``until`` forms: ``None`` drains
+the agenda, a number runs every event due at or before that horizon.
+Every pinned golden digest was recorded on this agenda.
 
 Two kernel optimizations ride on the loop:
 
@@ -25,9 +25,8 @@ Two kernel optimizations ride on the loop:
   pop time, undelivered and uncounted in ``events_processed``, instead
   of being dispatched dead.  A cancelled ``Timeout`` that nothing else
   references (the MAC's abandoned ack timers) feeds the same free-list
-  as a dispatched one.  Until then the dead entry stays queued, so
-  :meth:`Simulator.peek` may report a time occupied only by cancelled
-  entries; the clock never *advances* to such a time.
+  as a dispatched one.  Until then the dead entry stays queued, but the
+  clock never *advances* to a time occupied only by cancelled entries.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import heapq
 import sys
 import typing
 
-from repro.sim.errors import SimulationError, StopSimulation
+from repro.sim.errors import SimulationError
 from repro.sim.events import NORMAL, Event, Timeout
 from repro.sim.rng import RngRegistry
 
@@ -114,9 +113,11 @@ class Simulator:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now.
 
-        Hot path: reuses a pooled :class:`Timeout` when the run loop has
-        proven one unreferenced, and inlines the field setup otherwise
-        (mirroring ``Timeout.__init__`` — keep the two in sync).
+        The only way to build a :class:`Timeout`.  Hot path: reuses a
+        pooled instance when the run loop has proven one unreferenced,
+        and sets up a fresh one field by field otherwise (timeouts are
+        the kernel's hottest allocation — one per MAC wait, backoff and
+        frame — so it skips ``Event.__init__``; keep the two in sync).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -130,9 +131,7 @@ class Simulator:
             event.sim = self
             event.callbacks = []
             event._value = value
-            event._ok = True
             event._processed = False
-            event._defused = False
             event._cancelled = False
             event.delay = delay
         # Inlined _enqueue: one method call per timer is measurable at
@@ -189,40 +188,7 @@ class Simulator:
         self._sequence = seq + 1
         heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none.
-
-        May report a time occupied only by cancelled entries.
-        """
-        queue = self._queue
-        return queue[0][0] if queue else _INFINITY
-
-    def step(self) -> None:
-        """Process exactly one live event (advancing the clock to it).
-
-        Cancelled entries encountered on the way are discarded, so a
-        step always dispatches; an agenda holding nothing but cancelled
-        entries counts as empty.
-        """
-        queue = self._queue
-        while True:
-            if not queue:
-                raise SimulationError("step() on an empty agenda")
-            when, _priority, _seq, event = heapq.heappop(queue)
-            if not event._cancelled:
-                break
-            self.events_cancelled += 1
-        self._now = when
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody waited on: surface it instead of dropping it.
-            raise typing.cast(BaseException, event._value)
-
-    def run(self, until: float | Event | None = None) -> object:
+    def run(self, until: float | None = None) -> None:
         """Run the event loop.
 
         Parameters
@@ -231,26 +197,11 @@ class Simulator:
             * ``None`` — run until the agenda is empty.
             * a number — run all events with ``time <= until``, then set the
               clock to ``until``.
-            * an :class:`Event` — run until that event is processed and
-              return its value (raising if it failed).
 
-        A :class:`~repro.sim.errors.StopSimulation` raised by a callback
-        halts the loop early.
+        An exception raised by a callback propagates out of ``run``.
         """
         horizon = _INFINITY
-        # The until-event form attaches a stop callback (SimPy's idiom).
-        # It only records the dispatch; the loop breaks once the event's
-        # whole callback list has run, so callbacks appended after the
-        # hook still see the event.
-        stop: list[Event] = []
-        if isinstance(until, Event):
-            if until.callbacks is None:
-                # Already processed.
-                if not until._ok:
-                    raise typing.cast(BaseException, until._value)
-                return until._value
-            until.callbacks.append(stop.append)
-        elif until is not None:
+        if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise SimulationError(
@@ -263,69 +214,48 @@ class Simulator:
         pool = self._pool
         getrefcount = sys.getrefcount
         timeout_type = Timeout
-        halted = False
-        try:
-            while queue and queue[0][0] <= horizon:
-                when, _priority, _seq, event = pop(queue)
-                if event._cancelled:
-                    self.events_cancelled += 1
-                    # Cancelled timeouts recycle too (same refcount proof
-                    # as below).  Their callbacks never ran, so the list
-                    # is non-empty and must be cleared; _cancelled is the
-                    # one extra flag to reset.  A timer something else
-                    # still references (a model handle) has a higher
-                    # refcount and falls through.
-                    if type(event) is timeout_type and getrefcount(event) == 2:
-                        event.callbacks.clear()
-                        event._cancelled = False
-                        pool.append(event)
-                    continue
-                self._now = when
-                self.events_processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                # One callback (a waiting continuation) is the common
-                # case; skip the iterator for it.
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise typing.cast(BaseException, event._value)
-                # Free-list: refcount 2 == the loop local + getrefcount's
-                # argument — nothing else (no model code) still holds
-                # the timeout, so it is safe to
-                # reset and reuse.  Reattach the emptied callbacks list
-                # rather than allocating a fresh one.  Only _processed
-                # needs resetting here: timeout() overwrites _value and
-                # delay on reuse, _defused is never consulted for a
-                # timeout (_ok is always True), and a processed event
-                # cannot have been cancelled.  The pool is trimmed to
-                # _POOL_MAX once per run, not per event.
+        while queue and queue[0][0] <= horizon:
+            when, _priority, _seq, event = pop(queue)
+            if event._cancelled:
+                self.events_cancelled += 1
+                # Cancelled timeouts recycle too (same refcount proof as
+                # below).  Their callbacks never ran, so the list is
+                # non-empty and must be cleared; _cancelled is the one
+                # extra flag to reset.  A timer something else still
+                # references (a model handle) has a higher refcount and
+                # falls through.
                 if type(event) is timeout_type and getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._processed = False
+                    event.callbacks.clear()
+                    event._cancelled = False
                     pool.append(event)
-                if stop:
-                    break
-        except StopSimulation:
-            halted = True
-        finally:
-            del pool[_POOL_MAX:]
-        if isinstance(until, Event):
-            if not stop:
-                raise SimulationError(
-                    "run(until=event) exhausted the agenda before the event fired"
-                )
-            if not until._ok:
-                until._defused = True
-                raise typing.cast(BaseException, until.value)
-            return until.value
-        if until is not None and not halted:
+                continue
+            self._now = when
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            event._processed = True
+            # One callback (a waiting continuation) is the common case;
+            # skip the iterator for it.
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            # Free-list: refcount 2 == the loop local + getrefcount's
+            # argument — nothing else (no model code) still holds the
+            # timeout, so it is safe to reset and reuse.  Reattach the
+            # emptied callbacks list rather than allocating a fresh one.
+            # Only _processed needs resetting here: timeout() overwrites
+            # _value and delay on reuse, and a processed event cannot
+            # have been cancelled.  The pool is trimmed to _POOL_MAX once
+            # per run, not per event.
+            if type(event) is timeout_type and getrefcount(event) == 2:
+                callbacks.clear()
+                event.callbacks = callbacks
+                event._processed = False
+                pool.append(event)
+        del pool[_POOL_MAX:]
+        if until is not None:
             self._now = max(self._now, horizon)
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Simulator t={self._now:.6f} agenda={len(self._queue)}>"

@@ -24,6 +24,13 @@ def data_frame(src, dst, payload_bits=256, require_ack=True):
     )
 
 
+def send(mac, frame):
+    """Enqueue ``frame``; the returned list receives its outcome."""
+    outcome = []
+    mac.send(frame, outcome.append)
+    return outcome
+
+
 class Net:
     def __init__(self, n=3, seed=5, loss_p=0.0, params=None):
         self.sim = Simulator(seed=seed)
@@ -95,21 +102,23 @@ class TestMacParams:
 class TestUnicastAck:
     def test_successful_send_returns_true(self):
         net = Net()
-        done = net.macs[0].send(data_frame(0, 1))
-        assert net.sim.run(until=done) is True
+        outcome = send(net.macs[0], data_frame(0, 1))
+        net.sim.run()
+        assert outcome == [True]
         assert len(net.delivered[1]) == 1
 
     def test_ack_received_by_sender(self):
         net = Net()
-        done = net.macs[0].send(data_frame(0, 1))
-        net.sim.run(until=done)
+        net.macs[0].send(data_frame(0, 1))
+        net.sim.run()
         assert net.macs[0].sent_ok == 1
         assert net.macs[0].retransmissions == 0
 
     def test_out_of_range_fails_after_retries(self):
         net = Net()
-        done = net.macs[0].send(data_frame(0, 2))  # 80 m away
-        assert net.sim.run(until=done) is False
+        outcome = send(net.macs[0], data_frame(0, 2))  # 80 m away
+        net.sim.run()
+        assert outcome == [False]
         assert net.macs[0].sent_failed == 1
         assert (
             net.macs[0].retransmissions
@@ -118,8 +127,9 @@ class TestUnicastAck:
 
     def test_no_ack_frames_single_attempt(self):
         net = Net()
-        done = net.macs[0].send(data_frame(0, 2, require_ack=False))
-        assert net.sim.run(until=done) is True  # fire-and-forget "succeeds"
+        outcome = send(net.macs[0], data_frame(0, 2, require_ack=False))
+        net.sim.run()
+        assert outcome == [True]  # fire-and-forget "succeeds"
         assert net.macs[0].retransmissions == 0
 
     def test_loss_triggers_retransmission_then_success(self):
@@ -130,8 +140,9 @@ class TestUnicastAck:
         net = Net(loss_p=0.4, seed=11)
         results = []
         for _ in range(30):
-            done = net.macs[0].send(data_frame(0, 1))
-            results.append(net.sim.run(until=done))
+            net.macs[0].send(data_frame(0, 1), results.append)
+            net.sim.run()
+        assert len(results) == 30
         assert sum(results) >= 25
         assert net.macs[0].retransmissions > 0
         # Dedup: every delivery is unique despite retransmissions; some
@@ -145,20 +156,20 @@ class TestDuplicateSuppression:
     def test_duplicate_data_not_delivered_twice(self):
         net = Net()
         frame = data_frame(0, 1)
-        done = net.macs[0].send(frame)
-        net.sim.run(until=done)
+        net.macs[0].send(frame)
+        net.sim.run()
         # Simulate a lost ACK by replaying the same seq.
         replay = data_frame(0, 1)
         replay.seq = frame.seq
-        done2 = net.macs[0].send(replay)
-        net.sim.run(until=done2)
+        net.macs[0].send(replay)
+        net.sim.run()
         assert len(net.delivered[1]) == 1
 
     def test_distinct_seqs_both_delivered(self):
         net = Net()
         for _ in range(2):
-            done = net.macs[0].send(data_frame(0, 1))
-            net.sim.run(until=done)
+            net.macs[0].send(data_frame(0, 1))
+            net.sim.run()
         assert len(net.delivered[1]) == 2
 
 
@@ -166,9 +177,11 @@ class TestQueueing:
     def test_queue_overflow_drops(self):
         params = sensor_csma_params(queue_capacity=2)
         net = Net(params=params)
-        events = [net.macs[0].send(data_frame(0, 1)) for _ in range(10)]
+        outcomes = []
+        for _ in range(10):
+            net.macs[0].send(data_frame(0, 1), outcomes.append)
         net.sim.run()
-        outcomes = [event.value for event in events]
+        assert len(outcomes) == 10
         assert outcomes.count(False) >= 7  # one in-flight + 2 queued at most
         assert net.macs[0].queue_drops >= 7
 
@@ -187,10 +200,9 @@ class TestContention:
         """Carrier sense + retries sort out a 2-sender hot spot."""
         net = Net(n=3)
         # 0 and 2 both send to 1 (hidden from each other -> real collisions).
-        events = []
         for _ in range(10):
-            events.append(net.macs[0].send(data_frame(0, 1)))
-            events.append(net.macs[2].send(data_frame(2, 1)))
+            net.macs[0].send(data_frame(0, 1))
+            net.macs[2].send(data_frame(2, 1))
         net.sim.run()
         delivered = len(net.delivered[1])
         assert delivered >= 16  # most get through thanks to retries
@@ -198,8 +210,8 @@ class TestContention:
 
     def test_energy_charged_for_macs(self):
         net = Net()
-        done = net.macs[0].send(data_frame(0, 1))
-        net.sim.run(until=done)
+        net.macs[0].send(data_frame(0, 1))
+        net.sim.run()
         # Sender pays tx for data and rx for the ACK.
         categories0 = net.meters[0].by_category()
         assert categories0["tx"] > 0

@@ -78,17 +78,21 @@ def run_plan(*, n, loss_p, plan, seed, params=None):
                 (sim.now, i, frame.src, frame.seq)
             )
         )
-    outcomes = [
-        macs[src].send(data_frame(src, dst, require_ack=require_ack))
-        for src, dst, require_ack in plan
-    ]
+    # Every send asks for its outcome: the trace counts kernel events,
+    # and each outcome is one agenda entry.
+    outcomes = [None] * len(plan)
+    for index, (src, dst, require_ack) in enumerate(plan):
+        macs[src].send(
+            data_frame(src, dst, require_ack=require_ack),
+            lambda success, index=index: outcomes.__setitem__(index, success),
+        )
     sim.run()
     return {
         "now": sim.now,
         "events_processed": sim.events_processed,
         "events_cancelled": sim.events_cancelled,
         "deliveries": deliveries,
-        "outcomes": [event.value for event in outcomes],
+        "outcomes": outcomes,
         "counters": {
             i: (
                 mac.sent_ok,
@@ -180,13 +184,16 @@ class TestAcksDropped:
             for i in range(2)
         }
         macs = {i: DcfMac(sim, radios[i]) for i in range(2)}
-        sim.run(until=radios[0].wake())
-        sim.run(until=radios[1].wake())
+        radios[0].wake()
+        radios[1].wake()
+        sim.run()
         # The delivery callback runs after the ACK is queued but before
         # the SIFS timer fires — sleeping the radio here loses the race.
         macs[1].set_data_handler(lambda frame: radios[1].sleep())
-        done = macs[0].send(data_frame(0, 1))
-        assert sim.run(until=done) is False  # no ACK ever comes back
+        outcomes = []
+        macs[0].send(data_frame(0, 1), outcomes.append)
+        sim.run()
+        assert outcomes == [False]  # no ACK ever comes back
         assert macs[1].acks_dropped == 1
         assert macs[0].sent_failed == 1
         # The radio slept through every retransmission, so only the first

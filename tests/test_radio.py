@@ -109,9 +109,10 @@ class TestHighPowerRadio:
         sim, layout = pair
         radio = self.make(sim, layout)
         meter = radio.meter
-        done = radio.wake()
-        sim.run(until=done)
-        assert sim.now == pytest.approx(LUCENT_11.t_wakeup_s)
+        ready = []
+        radio.wake(lambda: ready.append(sim.now))
+        sim.run()
+        assert ready == [pytest.approx(LUCENT_11.t_wakeup_s)]
         assert radio.state == RadioState.IDLE
         assert meter.by_category()["wakeup"] == pytest.approx(
             LUCENT_11.e_wakeup_j
@@ -121,25 +122,32 @@ class TestHighPowerRadio:
         sim, layout = pair
         radio = self.make(sim, layout)
         meter = radio.meter
-        sim.run(until=radio.wake())
+        radio.wake()
+        sim.run()
         before = meter.by_category()["wakeup"]
-        sim.run(until=radio.wake())
+        ready = []
+        radio.wake(lambda: ready.append(sim.now))
+        sim.run()
+        assert ready == [sim.now]
         assert meter.by_category()["wakeup"] == before
         assert radio.wakeup_count == 1
 
     def test_concurrent_wakes_share_transition(self, pair):
         sim, layout = pair
         radio = self.make(sim, layout)
-        first, second = radio.wake(), radio.wake()
+        ready = []
+        radio.wake(lambda: ready.append("first"))
+        radio.wake(lambda: ready.append("second"))
         sim.run()
-        assert first.processed and second.processed
+        assert ready == ["first", "second"]
         assert radio.wakeup_count == 1
 
     def test_idle_power_integrated(self, pair):
         sim, layout = pair
         radio = self.make(sim, layout)
         meter = radio.meter
-        sim.run(until=radio.wake())
+        radio.wake()
+        sim.run()
         sim.timeout(2.0)
         sim.run()
         radio.sleep()
@@ -168,7 +176,8 @@ class TestHighPowerRadio:
         radio = self.make(sim, layout)
         meter = radio.meter
         self.make(sim, layout, node=1)
-        sim.run(until=radio.wake())
+        radio.wake()
+        sim.run()
         sent = frame(0, 1, payload_bits=8192, header_bits=272)
         radio.transmit(sent)
         sim.run()
@@ -183,8 +192,9 @@ class TestHighPowerRadio:
         radio0 = self.make(sim, layout, node=0)
         radio1 = self.make(sim, layout, node=1)
         meter1 = radio1.meter
-        sim.run(until=radio0.wake())
-        sim.run(until=radio1.wake())
+        radio0.wake()
+        radio1.wake()
+        sim.run()
         radio0.transmit(frame(0, 1))
         sim.run()
         radio1.sleep()
@@ -196,7 +206,8 @@ class TestHighPowerRadio:
         sim, layout = pair
         radio = self.make(sim, layout)
         self.make(sim, layout, node=1)
-        sim.run(until=radio.wake())
+        radio.wake()
+        sim.run()
         radio.transmit(frame(0, 1, payload_bits=80_000))
         errors = []
 
@@ -210,14 +221,16 @@ class TestHighPowerRadio:
         sim.run()
         assert errors and "transmitting" in errors[0]
 
-    def test_sleep_mid_wake_fails_waiters(self, pair):
+    def test_sleep_mid_wake_drops_waiters(self, pair):
         sim, layout = pair
         radio = self.make(sim, layout)
-        waiter = radio.wake()
+        ready = []
+        radio.wake(lambda: ready.append(sim.now))
         radio.sleep()
-        with pytest.raises(SimulationError, match="turned off"):
-            sim.run(until=waiter)
+        sim.run()
+        assert ready == []
         assert radio.state == RadioState.OFF
+        assert sim.events_processed == 1  # the wake's own timer, a no-op
 
     def test_off_radio_receives_nothing(self, pair):
         sim, layout = pair
@@ -225,7 +238,8 @@ class TestHighPowerRadio:
         radio1 = self.make(sim, layout, node=1)
         got = []
         radio1.set_receiver(got.append)
-        sim.run(until=radio0.wake())
+        radio0.wake()
+        sim.run()
         radio0.transmit(frame(0, 1))
         sim.run()
         assert got == []

@@ -1,4 +1,4 @@
-"""Event primitives: triggering, values, failure, timeouts."""
+"""Event primitives: triggering, values, timeouts."""
 
 import pytest
 
@@ -27,23 +27,12 @@ class TestEventLifecycle:
     def test_succeed_sets_value(self, sim):
         event = sim.event().succeed("payload")
         assert event.triggered
-        assert event.ok
         assert event.value == "payload"
 
     def test_succeed_twice_raises(self, sim):
         event = sim.event().succeed()
         with pytest.raises(EventAlreadyTriggered):
             event.succeed()
-
-    def test_fail_then_succeed_raises(self, sim):
-        event = sim.event()
-        event.fail(RuntimeError("boom"))
-        with pytest.raises(EventAlreadyTriggered):
-            event.succeed()
-
-    def test_fail_requires_exception(self, sim):
-        with pytest.raises(TypeError):
-            sim.event().fail("not an exception")
 
     def test_processed_after_run(self, sim):
         event = sim.event().succeed(7)
@@ -59,16 +48,15 @@ class TestEventLifecycle:
         assert seen == [41]
 
     def test_unhandled_failure_propagates_from_run(self, sim):
-        event = sim.event()
-        event.fail(RuntimeError("unhandled"))
+        # Events carry no failure value: a callback's exception is the
+        # only failure, and the loop never swallows it.
+        def boom(_event):
+            raise RuntimeError("unhandled")
+
+        sim.timeout(1.0).callbacks.append(boom)
         with pytest.raises(RuntimeError, match="unhandled"):
             sim.run()
-
-    def test_defused_failure_does_not_propagate(self, sim):
-        event = sim.event()
-        event.fail(RuntimeError("handled"))
-        event.defuse()
-        sim.run()  # no raise
+        assert sim.now == 1.0
 
 
 class TestTimeout:
@@ -91,15 +79,7 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             sim.timeout(-0.1)
 
-    def test_negative_delay_rejected_direct_construction(self, sim):
-        from repro.sim import Timeout
-
-        with pytest.raises(SimulationError):
-            Timeout(sim, -0.1)
-
     def test_cannot_trigger_manually(self, sim):
         timeout = sim.timeout(1)
         with pytest.raises(EventAlreadyTriggered):
             timeout.succeed()
-        with pytest.raises(EventAlreadyTriggered):
-            timeout.fail(RuntimeError())

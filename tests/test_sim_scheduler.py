@@ -56,32 +56,14 @@ class TestAgendaOrdering:
     def test_interleaved_push_and_dispatch(self, agenda):
         sim, fired = agenda
         _push(sim, 1.0, NORMAL, "a", fired)
-        sim.step()
+        sim.run(until=1.0)
         # A push at the just-dispatched time is still retrievable and
         # orders against later pushes by time.
         _push(sim, 1.0, NORMAL, "b", fired)
         _push(sim, 1.5, NORMAL, "c", fired)
-        sim.step()
-        sim.step()
+        sim.run()
         assert fired == ["a", "b", "c"]
-        assert sim.peek() == float("inf")
-
-    def test_step_and_run_dispatch_in_the_same_order(self):
-        def trace(drive):
-            sim = Simulator(seed=1)
-            fired = []
-            for index, (when, priority) in enumerate(
-                [(2.0, NORMAL), (1.0, URGENT), (2.0, URGENT), (1.0, NORMAL)]
-            ):
-                _push(sim, when, priority, index, fired)
-            drive(sim)
-            return fired
-
-        def step_all(sim):
-            while sim.peek() != float("inf"):
-                sim.step()
-
-        assert trace(lambda sim: sim.run()) == trace(step_all) == [1, 3, 2, 0]
+        assert sim.now == 1.5
 
 
 # The simulator's agenda is a binary heap; the id names it in each
@@ -130,17 +112,13 @@ class TestCancellation:
         assert fired == []
         assert sim.events_cancelled == 1
 
-    def test_run_until_event_skips_cancelled(self, sim):
+    def test_run_until_horizon_skips_cancelled(self, sim):
         sim.timeout(1.0).cancel()
         target = sim.timeout(2.0, value="done")
-        assert sim.run(until=target) == "done"
-        assert sim.events_cancelled == 1
-
-    def test_step_skips_cancelled(self, sim):
-        sim.timeout(1.0).cancel()
-        sim.timeout(2.0)
-        sim.step()
-        assert sim.now == 2.0
+        sim.timeout(3.0)
+        sim.run(until=2.0)
+        assert target.processed
+        assert sim.events_processed == 1
         assert sim.events_cancelled == 1
 
 
@@ -173,20 +151,6 @@ class TestTimeoutFreeList:
         sim.run()
         assert fresh.value == "fresh"
         assert sim.events_processed == before + 1
-
-    def test_run_until_event_recycles_timeouts(self, sim):
-        # The until-event form runs the same loop as the other two, so a
-        # timeout it dispatches feeds the free-list too.
-        done = sim.event()
-        sim.timeout(1.0).callbacks.append(lambda _event: done.succeed())
-        sim.run(until=done)
-        assert len(sim._pool) == 1
-        recycled = sim._pool[-1]
-        fresh = sim.timeout(2.0, value="fresh")
-        assert fresh is recycled
-        assert fresh.callbacks == []
-        assert not fresh.processed
-        assert sim.run(until=fresh) == "fresh"
 
     def test_recycled_timer_value_not_leaked(self, sim):
         values = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import URGENT, SimulationError, Simulator, StopSimulation
+from repro.sim import URGENT, SimulationError, Simulator
 
 
 # The simulator's agenda is a binary heap; the id names it in each
@@ -15,24 +15,6 @@ def sim(request):
 class TestClockAndAgenda:
     def test_time_starts_at_zero(self, sim):
         assert sim.now == 0.0
-
-    def test_peek_empty_agenda(self, sim):
-        assert sim.peek() == float("inf")
-
-    def test_peek_returns_next_time(self, sim):
-        sim.timeout(7.0)
-        sim.timeout(3.0)
-        assert sim.peek() == 3.0
-
-    def test_step_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
-    def test_step_advances_one_event(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(2.0)
-        sim.step()
-        assert sim.now == 1.0
 
     def test_same_time_events_fifo(self, sim):
         order = []
@@ -62,70 +44,11 @@ class TestRunModes:
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
-    def test_run_until_event_returns_value(self, sim):
-        timeout = sim.timeout(2.0, value="v")
-        assert sim.run(until=timeout) == "v"
-
-    def test_run_until_processed_event_returns_immediately(self, sim):
-        timeout = sim.timeout(1.0, value="old")
-        sim.run()
-        assert sim.run(until=timeout) == "old"
-
-    def test_run_until_unreachable_event_raises(self, sim):
-        event = sim.event()  # never triggered
-        sim.timeout(1.0)
-        with pytest.raises(SimulationError, match="exhausted"):
-            sim.run(until=event)
-
-    def test_run_until_failed_event_raises(self, sim):
-        event = sim.event()
-        sim.call_later(1.0, lambda: event.fail(RuntimeError("failed")))
-        with pytest.raises(RuntimeError, match="failed"):
-            sim.run(until=event)
-
-    def test_run_until_failed_event_is_defused(self, sim):
-        # Raising through run(until=event) counts as delivering the
-        # failure to the caller: the event must come out defused, or the
-        # next run() would re-raise it as unhandled.
-        event = sim.event()
-        sim.call_later(1.0, lambda: event.fail(RuntimeError("failed")))
-        with pytest.raises(RuntimeError, match="failed"):
-            sim.run(until=event)
-        sim.run()  # no re-raise
-
-    def test_run_until_event_runs_callbacks_added_after_stop_hook(self, sim):
-        # run() attaches its stop callback to the until-event when it
-        # starts; callbacks appended later (here, by a model callback
-        # mid-run) must still run before run() returns.
-        target = sim.event()
-        seen = []
-        target.callbacks.append(lambda _e: seen.append("before"))
-
-        def late():
-            target.callbacks.append(lambda e: seen.append(("after", e.value)))
-            target.succeed("v")
-
-        sim.call_later(1.0, late)
-        sim.call_later(5.0, lambda: seen.append("later event"))
-        assert sim.run(until=target) == "v"
-        assert seen == ["before", ("after", "v")]
-        assert sim.now == 1.0
-
-    def test_stop_simulation_halts_run(self, sim):
-        def bomb():
-            raise StopSimulation()
-
-        fired = []
-        sim.call_later(1.0, bomb)
-        sim.call_later(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == []
-
     def test_run_drains_agenda(self, sim):
         sim.timeout(1.0)
         sim.timeout(2.0)
         sim.run()
-        assert sim.peek() == float("inf")
+        assert sim.events_processed == 2
         assert sim.now == 2.0
 
 
