@@ -16,11 +16,10 @@ strict subset of the bench matrix (senders {5, 35}, bursts {10, 100},
 still 120 s) chosen so every asserted shape survives.
 
 Execution goes through the sweep runner configured from the environment:
-``REPRO_JOBS`` fans cells over worker processes (default serial),
-``REPRO_BACKEND`` overrides the execution backend (``serial`` or
-``process[:N]``), and ``REPRO_CACHE_DIR``, when set,
-persists results on disk across sessions — so local benchmark runs get
-the parallel speedup by exporting one variable.  Within a session,
+``REPRO_JOBS`` fans cells over worker processes (default serial), and
+``REPRO_CACHE_DIR``, when set, persists results on disk across sessions
+— so local benchmark runs get the parallel speedup by exporting one
+variable.  Within a session,
 sweeps are additionally memoized so figure pairs sharing one (5/6, 8/9)
 only pay for it once.
 """
@@ -84,7 +83,7 @@ def record_phase_timings(request):
     (see :mod:`repro.perf.phases`); whatever accumulated lands in the
     test's ``extra_info`` so the artifact records where sweep time went,
     seeding the trajectory ``repro bench`` gates.  Cells fanned out to
-    worker processes (``REPRO_JOBS``/``REPRO_BACKEND``) accumulate in the
+    worker processes (``REPRO_JOBS`` > 1) accumulate in the
     workers and are not transported back; cells served from the result
     cache never run at all — both legitimately record nothing.
     """

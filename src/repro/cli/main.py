@@ -40,14 +40,14 @@ Examples
 
 Simulation figures (fig5–fig10) and prototype figures (fig11–fig12)
 execute through the sweep runner: cells fan out over ``--jobs`` worker
-processes (default ``$REPRO_JOBS``, then serial; ``$REPRO_BACKEND``
-overrides the strategy) and completed cells persist in an on-disk cache
-(``--cache-dir``, default ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so
-regenerating a figure, or a figure pair sharing a sweep, skips
-already-computed cells.  ``--shard K/N`` executes only this machine's
-deterministic slice and writes a shard manifest instead of rendering.
-Progress (cells completed, cache hits, ETA) streams to stderr; the
-artifact itself goes to stdout or ``--output``.
+processes (default ``$REPRO_JOBS``, then serial) and completed cells
+persist in an on-disk cache (``--cache-dir``, default
+``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so regenerating a figure,
+or a figure pair sharing a sweep, skips already-computed cells.
+``--shard K/N`` executes only this machine's deterministic slice and
+writes a shard manifest instead of rendering.  Progress (cells
+completed, cache hits, ETA) streams to stderr; the artifact itself goes
+to stdout or ``--output``.
 """
 
 from __future__ import annotations
@@ -79,13 +79,10 @@ from repro.runner import (
     MergeError,
     ProgressPrinter,
     ResultCache,
-    ShardBackend,
     ShardSpec,
     SweepRunner,
     config_key,
-    default_backend,
     merge_shards,
-    resolve_jobs,
     write_shard_manifest,
 )
 from repro.testbed.experiment import (
@@ -262,10 +259,9 @@ def _runner_from_args(
 ) -> SweepRunner:
     """Build the sweep runner the CLI flags describe.
 
-    Flag/environment mistakes (bad ``$REPRO_JOBS``/``$REPRO_BACKEND``, a
-    cache dir that is a file) exit cleanly here; ValueErrors raised
-    later, during the sweep itself, are internal failures and keep their
-    tracebacks.
+    Flag/environment mistakes (a bad ``$REPRO_JOBS``, a cache dir that
+    is a file) exit cleanly here; ValueErrors raised later, during the
+    sweep itself, are internal failures and keep their tracebacks.
     """
     try:
         cache = None
@@ -332,12 +328,11 @@ def _render_shard(artifact: str, args: argparse.Namespace) -> str:
         )
     try:
         cache = ResultCache(args.cache_dir)
-        backend = ShardBackend(spec, default_backend(resolve_jobs(args.jobs)))
         runner = SweepRunner(
             jobs=args.jobs,
             cache=cache,
             progress=ProgressPrinter(sys.stderr),
-            backend=backend,
+            shard=spec,
         )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}")

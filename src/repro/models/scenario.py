@@ -934,8 +934,9 @@ def run_replicated(
     """Run ``n_runs`` seeds of ``config`` and summarize with 95% CIs.
 
     ``runner`` may be a :class:`~repro.runner.SweepRunner` to parallelize
-    or cache the replicas; the default serial runner is bit-identical to
-    in-process execution.
+    or cache the replicas; the default runner (serial unless
+    ``$REPRO_JOBS`` says otherwise) is bit-identical to in-process
+    execution.
     """
     from repro.runner.executor import SweepRunner
 

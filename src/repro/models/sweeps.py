@@ -24,7 +24,8 @@ The matrix is embarrassingly parallel: :func:`sweep_plan` lays out every
 ``(label, sender-count, seed)`` run as an independent
 :class:`~repro.models.scenario.ScenarioConfig`, and :func:`run_sweep`
 executes the batch through a :class:`~repro.runner.SweepRunner` — serial
-by default, fanned over worker processes with ``jobs > 1``, and served
+by default, fanned over worker processes with ``jobs > 1`` (or
+``$REPRO_JOBS > 1`` for the default runner), and served
 from the on-disk result cache when one is attached.  Results are
 byte-identical either way.
 """

@@ -10,34 +10,25 @@ such matrices:
   those hashes (simulation *and* prototype results), with GC
   (:meth:`ResultCache.gc` — corruption, age, LRU-by-size under a
   cache-dir lockfile) and inventory stats;
-* :mod:`~repro.runner.backends` — the pluggable :class:`Backend` protocol
-  and its local strategies, :class:`SerialBackend` and
-  :class:`ProcessBackend` (``--jobs N`` / ``$REPRO_JOBS``;
-  ``$REPRO_BACKEND`` overrides globally);
-* :mod:`~repro.runner.shard` — :class:`ShardBackend`, deterministic
+* :mod:`~repro.runner.executor` — :class:`SweepRunner`, the one
+  execution engine: cache lookups and stores, then in-process cells
+  (``jobs == 1``) or a local process pool (``--jobs N`` /
+  ``$REPRO_JOBS``), optionally restricted to one shard;
+* :mod:`~repro.runner.shard` — :class:`ShardSpec`, deterministic
   ``shard K of N`` partitioning of a sweep across machines by config
   hash, shard manifests, and :func:`merge_shards` to assemble the
   machines' cache directories into one result set;
-* :mod:`~repro.runner.executor` — :class:`SweepRunner`, the
-  cache-and-progress coordinator that drives whichever backend;
 * :mod:`~repro.runner.progress` — per-cell :class:`ProgressEvent` stream
   (cells completed, cache hits, ETA) for CLI reporting.
 
 Determinism: every stochastic choice in the simulator derives from the
 config's own ``seed`` via named RNG streams (:mod:`repro.sim.rng`), so a
-cell's result is a pure function of its config.  Serial, process-pool and
+cell's result is a pure function of its config.  In-process, pooled and
 sharded execution therefore produce byte-identical results (the
 golden-trace tests pin a digest of them), and a config hash is a sound
 cache key on any machine.
 """
 
-from repro.runner.backends import (
-    Backend,
-    ProcessBackend,
-    SerialBackend,
-    default_backend,
-    parse_backend,
-)
 from repro.runner.cache import (
     CacheDirLock,
     CacheLockedError,
@@ -53,7 +44,6 @@ from repro.runner.progress import ProgressEvent, ProgressPrinter
 from repro.runner.shard import (
     MergeError,
     MergeReport,
-    ShardBackend,
     ShardSpec,
     merge_shards,
     shard_index,
@@ -61,26 +51,20 @@ from repro.runner.shard import (
 )
 
 __all__ = [
-    "Backend",
     "CacheDirLock",
     "CacheLockedError",
     "GcReport",
     "MergeError",
     "MergeReport",
-    "ProcessBackend",
     "ProgressEvent",
     "ProgressPrinter",
     "ResultCache",
-    "SerialBackend",
-    "ShardBackend",
     "ShardSpec",
     "SweepRunner",
     "canonical_json",
     "config_key",
-    "default_backend",
     "default_cache_dir",
     "merge_shards",
-    "parse_backend",
     "register_result_type",
     "resolve_jobs",
     "results_digest",

@@ -126,9 +126,9 @@ def results_digest(results: typing.Sequence[typing.Any]) -> str:
     """A stable sha256 over a sequence of registered results.
 
     The golden-trace determinism tests pin this digest in-repo: identical
-    across backends, processes, platforms and Python versions because it
-    goes through the same canonical serialization the cache stores
-    (sorted keys, ``repr``-round-tripped floats).
+    across execution modes, processes, platforms and Python versions
+    because it goes through the same canonical serialization the cache
+    stores (sorted keys, ``repr``-round-tripped floats).
     """
     import hashlib
 

@@ -13,6 +13,11 @@ which is disjoint and exhaustive by construction, uniform because sha256
 is, and stable across processes, machines and Python versions because
 the key itself is.
 
+:class:`~repro.runner.executor.SweepRunner` takes a :class:`ShardSpec`
+and executes only the pending cells the spec :meth:`~ShardSpec.owns`;
+the rest stay unexecuted, so a shard run requires a result cache (its
+product is cache entries plus a manifest, not a result list).
+
 Workflow (see the README's multi-machine section)::
 
     host0$ repro fig5 --paper --shard 0/2 --cache-dir /tmp/shard0
@@ -37,8 +42,7 @@ import os
 import pathlib
 import typing
 
-from repro.runner.backends import Backend, CompleteFn, SerialBackend
-from repro.runner.hashing import CACHE_SCHEMA_VERSION, config_key
+from repro.runner.hashing import CACHE_SCHEMA_VERSION
 
 #: File-name suffix of shard manifests.  Deliberately *not* ``.json``:
 #: cache entries are ``<sha256>.json`` and everything that globs entries
@@ -105,49 +109,6 @@ class ShardSpec:
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
-
-
-class ShardBackend:
-    """Execute only this machine's deterministic slice of the batch.
-
-    Wraps an inner backend (serial or process — sharding composes with
-    local parallelism) and filters the pending indices down to the cells
-    :meth:`ShardSpec.owns`.  Cells outside the slice are simply never
-    executed; their result slots stay ``None``, which is why the runner
-    insists on a cache (``requires_cache``) — a shard run's *product* is
-    cache entries plus a manifest, not an in-memory result list.
-
-    After :meth:`execute`, :attr:`owned` / :attr:`skipped` report the
-    slice split of the last batch (for CLI summaries).
-    """
-
-    requires_cache = True
-
-    def __init__(self, spec: ShardSpec, inner: Backend | None = None):
-        self.spec = spec
-        self.inner: Backend = inner if inner is not None else SerialBackend()
-        self.owned = 0
-        self.skipped = 0
-
-    @property
-    def name(self) -> str:
-        return f"shard:{self.spec} over {self.inner.name}"
-
-    def execute(
-        self,
-        fn: typing.Callable[[typing.Any], typing.Any],
-        configs: typing.Sequence[typing.Any],
-        pending: typing.Sequence[int],
-        complete: CompleteFn,
-    ) -> None:
-        mine = [
-            index
-            for index in pending
-            if self.spec.owns(config_key(configs[index]))
-        ]
-        self.owned = len(mine)
-        self.skipped = len(pending) - len(mine)
-        self.inner.execute(fn, configs, mine, complete)
 
 
 def manifest_path(

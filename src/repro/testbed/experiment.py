@@ -234,7 +234,8 @@ def sweep_thresholds(
     processes, serve them from the on-disk result cache (prototype
     measurements cache exactly like simulation results — a warm cache
     recomputes nothing), or execute one shard of a multi-machine sweep.
-    The default serial runner matches in-process execution.
+    The default runner (serial unless ``$REPRO_JOBS`` says otherwise)
+    matches in-process execution.
     """
     from repro.runner.executor import SweepRunner
 

@@ -43,16 +43,6 @@ def j_to_mj(joules: float) -> float:
     return joules * 1e3
 
 
-def j_to_uj(joules: float) -> float:
-    """Convert an energy in joules to microjoules."""
-    return joules * 1e6
-
-
-def uj_to_j(microjoules: float) -> float:
-    """Convert an energy in microjoules to joules."""
-    return microjoules * 1e-6
-
-
 def kbps_to_bps(kilobits_per_second: float) -> float:
     """Convert a rate in kilobits/s (decimal, as radio datasheets quote) to bits/s."""
     return kilobits_per_second * 1e3
@@ -63,16 +53,6 @@ def mbps_to_bps(megabits_per_second: float) -> float:
     return megabits_per_second * 1e6
 
 
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a size in bytes to bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a size in bits to bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
 def kb_to_bits(kilobytes: float) -> float:
     """Convert binary kilobytes (1 KB = 1024 B) to bits."""
     return kilobytes * BYTES_PER_KB * BITS_PER_BYTE
@@ -81,28 +61,3 @@ def kb_to_bits(kilobytes: float) -> float:
 def bits_to_kb(num_bits: float) -> float:
     """Convert bits to binary kilobytes (1 KB = 1024 B)."""
     return num_bits / (BYTES_PER_KB * BITS_PER_BYTE)
-
-
-def ms_to_s(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds * 1e-3
-
-
-def s_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1e3
-
-
-def transmission_time(size_bits: float, rate_bps: float) -> float:
-    """Return the airtime in seconds of ``size_bits`` at ``rate_bps``.
-
-    Raises
-    ------
-    ValueError
-        If the rate is not strictly positive or the size is negative.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps!r}")
-    if size_bits < 0:
-        raise ValueError(f"size must be non-negative, got {size_bits!r}")
-    return size_bits / rate_bps

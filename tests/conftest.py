@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.channel.medium import Medium
 from repro.energy.meter import MeterBank
@@ -12,6 +13,15 @@ from repro.mac.dcf import DcfMac
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim.simulator import Simulator
 from repro.topology.layout import grid_layout, line_layout
+
+#: Property tests draw the same examples on every run (``ci``, the
+#: default), so a tier-1 pass or failure belongs to the tree under test,
+#: not to the draw.  ``--hypothesis-profile=explore`` restores random
+#: draws, and the example database, to hunt for new counterexamples; a
+#: failure found that way becomes a named regression test.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("ci")
 
 
 @pytest.fixture

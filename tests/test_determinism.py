@@ -1,13 +1,14 @@
-"""Golden-trace determinism: every backend, byte-for-byte, pinned in-repo.
+"""Golden-trace determinism: every execution mode, byte for byte, pinned.
 
-Distributed results are only trustworthy if execution strategy can never
-change them.  These tests run one small sweep through every backend —
-serial, a 2-worker process pool, and two complementary shards merged via
-the real manifest/merge path — and assert the serialized results are
-byte-identical.  One digest is pinned as a repo constant: if it changes,
-either the simulator's semantics changed (bump
-:data:`repro.runner.hashing.CACHE_SCHEMA_VERSION` and re-pin, in the same
-commit that explains why) or a nondeterminism bug crept in (fix it).
+Distributed results are only trustworthy if execution mode can never
+change them.  These tests run one small sweep every way the runner can
+— in-process, a 2-worker process pool, and two complementary shards
+merged via the real manifest/merge path — and assert the serialized
+results are byte-identical.  One digest is pinned as a repo constant: if
+it changes, either the simulator's semantics changed (bump
+:data:`repro.runner.hashing.CACHE_SCHEMA_VERSION` and re-pin, in the
+same commit that explains why) or a nondeterminism bug crept in (fix
+it).
 """
 
 import pytest
@@ -16,10 +17,7 @@ from repro.cli.main import build_parser, render_artifact
 from repro.models.scenario import run_scenario
 from repro.models.sweeps import SweepScale, run_sweep, sweep_digest, sweep_plan
 from repro.runner import (
-    ProcessBackend,
     ResultCache,
-    SerialBackend,
-    ShardBackend,
     ShardSpec,
     SweepRunner,
     config_key,
@@ -222,7 +220,7 @@ def golden_sweep(runner=None):
 
 class TestGoldenDigest:
     def test_serial_run_matches_pinned_digest(self):
-        sweep = golden_sweep(SweepRunner(backend=SerialBackend()))
+        sweep = golden_sweep(SweepRunner(jobs=1))
         assert sweep_digest(sweep) == GOLDEN_DIGEST
 
     def test_prototype_matches_pinned_digest(self):
@@ -231,7 +229,7 @@ class TestGoldenDigest:
         results = sweep_thresholds(
             [1024.0, 2048.0],
             base_config=PrototypeConfig(n_messages=100),
-            runner=SweepRunner(backend=SerialBackend()),
+            runner=SweepRunner(jobs=1),
         )
         assert results_digest(results) == GOLDEN_PROTOTYPE_DIGEST
 
@@ -312,7 +310,7 @@ class TestGoldenDigest:
         )
 
     def test_digest_is_sensitive_to_results(self):
-        sweep = golden_sweep(SweepRunner(backend=SerialBackend()))
+        sweep = golden_sweep(SweepRunner(jobs=1))
         baseline = sweep_digest(sweep)
         label = next(iter(sweep.cells))
         count = next(iter(sweep.cells[label]))
@@ -322,13 +320,13 @@ class TestGoldenDigest:
 
 class TestBackendsAreByteIdentical:
     def test_process_pool_matches_serial(self):
-        serial = golden_sweep(SweepRunner(backend=SerialBackend()))
-        process = golden_sweep(SweepRunner(backend=ProcessBackend(2)))
+        serial = golden_sweep(SweepRunner(jobs=1))
+        process = golden_sweep(SweepRunner(jobs=2))
         assert sweep_digest(process) == sweep_digest(serial)
         assert process.cells == serial.cells
 
     def test_merged_shards_match_serial(self, tmp_path):
-        serial = golden_sweep(SweepRunner(backend=SerialBackend()))
+        serial = golden_sweep(SweepRunner(jobs=1))
         plan = sweep_plan(GOLDEN_CASE, GOLDEN_SCALE, rate_bps=GOLDEN_RATE)
         configs = [planned.config for planned in plan]
         keys = [config_key(config) for config in configs]
@@ -339,8 +337,7 @@ class TestBackendsAreByteIdentical:
             spec = ShardSpec(index, 2)
             shard_dir = tmp_path / f"s{index}"
             SweepRunner(
-                cache=ResultCache(shard_dir),
-                backend=ShardBackend(spec, SerialBackend()),
+                jobs=1, cache=ResultCache(shard_dir), shard=spec
             ).map(run_scenario, configs)
             write_shard_manifest(
                 shard_dir, spec, [k for k in keys if spec.owns(k)]
@@ -423,8 +420,8 @@ class TestReplicaDeterminism:
         ]
 
     def test_digest_stable_across_repeated_runs(self):
-        first = golden_sweep(SweepRunner(backend=SerialBackend()))
-        second = golden_sweep(SweepRunner(backend=SerialBackend()))
+        first = golden_sweep(SweepRunner(jobs=1))
+        second = golden_sweep(SweepRunner(jobs=1))
         assert sweep_digest(first) == sweep_digest(second)
 
 

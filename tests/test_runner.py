@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.runner.executor import JOBS_ENV
 from repro.runner.hashing import CACHE_SCHEMA_VERSION
 from repro.runner.progress import ProgressTracker
 from repro.stats.metrics import RunResult
+from repro.topology.registry import TopologySpec
 
 #: A deliberately tiny scenario (3×3 grid, 10 simulated seconds) so each
 #: run costs milliseconds.
@@ -30,9 +32,35 @@ TINY = ScenarioConfig(
 #: A tiny sweep: 2 cells × 2 replicas + 2 baseline cells = 8 runs.
 TINY_SCALE = SweepScale(senders=(2, 3), bursts=(10,), n_runs=2, sim_time_s=10.0)
 
+#: Two three-node islands 1 km apart (as in test_disconnected_scenarios):
+#: the far island's senders cannot reach the sink, so the cell raises.
+ISLANDS = ScenarioConfig(
+    topology=TopologySpec.of(
+        "from-file",
+        positions=(
+            (0, 0.0, 0.0),
+            (1, 30.0, 0.0),
+            (2, 60.0, 0.0),
+            (3, 1000.0, 0.0),
+            (4, 1030.0, 0.0),
+            (5, 1060.0, 0.0),
+        ),
+    ),
+    sink=0,
+    n_senders=5,
+    burst_packets=10,
+    rate_bps=2000.0,
+    sim_time_s=30.0,
+)
+
 
 def tiny_result(seed: int = 1) -> RunResult:
     return run_scenario(TINY.replace(seed=seed))
+
+
+def _worker_pid(_config) -> int:
+    """Module-level (picklable) cell: which process ran it."""
+    return os.getpid()
 
 
 class TestConfigKey:
@@ -228,10 +256,60 @@ class TestExecutor:
         assert [r.model for r in results] == ["dual"] * 4
         assert results == [run_scenario(c) for c in self.configs]
 
+    def test_serial_executes_in_order(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "2")  # explicit jobs=1 beats the env
+        seen = []
+
+        def fn(config):  # a closure: only in-process execution can run it
+            seen.append(config.seed)
+            return config.seed * 10
+
+        assert SweepRunner(jobs=1).map(fn, self.configs) == [10, 20, 30, 40]
+        assert seen == [1, 2, 3, 4]
+
     def test_parallel_matches_serial_exactly(self):
         serial = SweepRunner(jobs=1).map(run_scenario, self.configs)
         parallel = SweepRunner(jobs=2).map(run_scenario, self.configs)
         assert parallel == serial
+
+    def test_single_pending_cell_runs_in_process(self, tmp_path):
+        # One cell costs less than a pool spawn; the runner shortcuts.
+        cache = ResultCache(tmp_path)
+        for config in self.configs[:3]:
+            cache.put(config, run_scenario(config))
+        seen = []
+
+        def local_closure(config):  # unpicklable on purpose
+            seen.append(config.seed)
+            return run_scenario(config)
+
+        results = SweepRunner(jobs=4, cache=cache).map(
+            local_closure, self.configs
+        )
+        assert seen == [4]
+        assert results == [run_scenario(c) for c in self.configs]
+
+    def test_zero_jobs_means_all_cores(self):
+        assert SweepRunner(jobs=0).jobs == (os.cpu_count() or 1)
+
+    def test_default_runner_honours_jobs_env(self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        assert SweepRunner().jobs == 1
+        assert SweepRunner().map(_worker_pid, [0, 1]) == [os.getpid()] * 2
+        monkeypatch.setenv(JOBS_ENV, "2")
+        runner = SweepRunner()
+        assert runner.jobs == 2
+        # Two pending cells under $REPRO_JOBS=2 run in worker processes.
+        pids = runner.map(_worker_pid, [0, 1])
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cell_propagates_and_is_not_cached(self, tmp_path, jobs):
+        cache = ResultCache(tmp_path)
+        batch = [self.configs[0], ISLANDS, self.configs[1]]
+        with pytest.raises(ValueError, match="cannot reach sink 0"):
+            SweepRunner(jobs=jobs, cache=cache).map(run_scenario, batch)
+        assert not cache.path_for(ISLANDS).exists()
 
     def test_cache_hits_skip_execution(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -329,7 +407,6 @@ class TestSweepIntegration:
 
     def test_prototype_warm_cache_recomputes_nothing(self, tmp_path, monkeypatch):
         """Acceptance: a warm prototype cache performs zero recomputations."""
-        from repro.runner import SerialBackend
         from repro.testbed import experiment
 
         thresholds = [1024.0, 2048.0, 4096.0]
@@ -344,7 +421,7 @@ class TestSweepIntegration:
         cold_cache = ResultCache(tmp_path)
         cold = experiment.sweep_thresholds(
             thresholds,
-            runner=SweepRunner(cache=cold_cache, backend=SerialBackend()),
+            runner=SweepRunner(jobs=1, cache=cold_cache),
         )
         assert executions == thresholds
         assert cold_cache.stats.stores == len(thresholds)
@@ -352,7 +429,7 @@ class TestSweepIntegration:
         warm_cache = ResultCache(tmp_path)
         warm = experiment.sweep_thresholds(
             thresholds,
-            runner=SweepRunner(cache=warm_cache, backend=SerialBackend()),
+            runner=SweepRunner(jobs=1, cache=warm_cache),
         )
         assert executions == []  # zero recomputations
         assert warm_cache.stats.hits == len(thresholds)

@@ -8,8 +8,6 @@ from repro.models.scenario import ScenarioConfig, run_scenario
 from repro.runner import (
     MergeError,
     ResultCache,
-    SerialBackend,
-    ShardBackend,
     ShardSpec,
     SweepRunner,
     config_key,
@@ -82,7 +80,11 @@ class TestShardIndex:
             shard_index(KEYS[0], 0)
 
 
-class TestShardBackend:
+class TestShardedRunner:
+    def test_shard_without_cache_rejected(self):
+        with pytest.raises(ValueError, match="requires a result cache"):
+            SweepRunner(shard=ShardSpec(0, 2))
+
     def test_complementary_shards_cover_plan_exactly_once(self, tmp_path):
         executed: dict[int, list[int]] = {}
         for index in range(2):
@@ -92,26 +94,41 @@ class TestShardBackend:
                 _seen.append(config.seed)
                 return run_scenario(config)
 
-            backend = ShardBackend(ShardSpec(index, 2), SerialBackend())
             SweepRunner(
-                cache=ResultCache(tmp_path / str(index)), backend=backend
+                jobs=1,
+                cache=ResultCache(tmp_path / str(index)),
+                shard=ShardSpec(index, 2),
             ).map(spy, CONFIGS)
             executed[index] = seen
-            assert backend.owned == len(seen)
-            assert backend.skipped == len(CONFIGS) - len(seen)
+            owned = [
+                c.seed for c, k in zip(CONFIGS, KEYS) if shard_index(k, 2) == index
+            ]
+            assert seen == owned
+        assert 0 < len(executed[0]) < len(CONFIGS)  # a genuine split
         all_seeds = sorted(executed[0] + executed[1])
         assert all_seeds == sorted(c.seed for c in CONFIGS)
         assert set(executed[0]).isdisjoint(executed[1])
 
-    def test_out_of_shard_cells_stay_none_unless_cached(self, tmp_path):
-        backend = ShardBackend(ShardSpec(0, 2), SerialBackend())
-        results = SweepRunner(
-            cache=ResultCache(tmp_path), backend=backend
-        ).map(run_scenario, CONFIGS)
-        owned = [ShardSpec(0, 2).owns(key) for key in KEYS]
-        assert 0 < sum(owned) < len(CONFIGS)  # a genuine split
-        for result, mine in zip(results, owned):
-            assert (result is not None) == mine
+    def test_out_of_shard_cell_served_from_cache(self, tmp_path):
+        spec = ShardSpec(0, 2)
+        owned = [spec.owns(key) for key in KEYS]
+        foreign = owned.index(False)
+        cache = ResultCache(tmp_path)
+        cached = run_scenario(CONFIGS[foreign])
+        cache.put(CONFIGS[foreign], cached)
+        seen: list[int] = []
+
+        def spy(config):
+            seen.append(config.seed)
+            return run_scenario(config)
+
+        results = SweepRunner(jobs=1, cache=cache, shard=spec).map(
+            spy, CONFIGS
+        )
+        assert results[foreign] == cached
+        assert seen == [c.seed for c, mine in zip(CONFIGS, owned) if mine]
+        for index, (result, mine) in enumerate(zip(results, owned)):
+            assert (result is not None) == (mine or index == foreign)
 
 
 class TestManifest:
@@ -146,9 +163,7 @@ def _run_shard(directory, index, count, configs=CONFIGS):
     """Execute one shard into ``directory`` and write its manifest."""
     spec = ShardSpec(index, count)
     cache = ResultCache(directory)
-    SweepRunner(
-        cache=cache, backend=ShardBackend(spec, SerialBackend())
-    ).map(run_scenario, configs)
+    SweepRunner(jobs=1, cache=cache, shard=spec).map(run_scenario, configs)
     keys = [key for key in (config_key(c) for c in configs) if spec.owns(key)]
     write_shard_manifest(directory, spec, keys)
     return keys

@@ -13,10 +13,6 @@ def test_mj_roundtrip():
     assert units.j_to_mj(units.mj_to_j(1.328)) == pytest.approx(1.328)
 
 
-def test_uj_roundtrip():
-    assert units.uj_to_j(units.j_to_uj(0.5)) == pytest.approx(0.5)
-
-
 def test_kbps_to_bps():
     assert units.kbps_to_bps(250) == 250_000
 
@@ -25,33 +21,6 @@ def test_mbps_to_bps():
     assert units.mbps_to_bps(11) == 11_000_000
 
 
-def test_bytes_bits_roundtrip():
-    assert units.bytes_to_bits(32) == 256
-    assert units.bits_to_bytes(256) == 32
-
-
 def test_kb_uses_binary_kilobytes():
     assert units.kb_to_bits(1) == 8192
     assert units.bits_to_kb(8192) == 1.0
-
-
-def test_ms_roundtrip():
-    assert units.s_to_ms(units.ms_to_s(192)) == pytest.approx(192)
-
-
-def test_transmission_time():
-    assert units.transmission_time(250_000, 250_000) == pytest.approx(1.0)
-
-
-def test_transmission_time_zero_size():
-    assert units.transmission_time(0, 1000) == 0.0
-
-
-def test_transmission_time_rejects_zero_rate():
-    with pytest.raises(ValueError):
-        units.transmission_time(100, 0)
-
-
-def test_transmission_time_rejects_negative_size():
-    with pytest.raises(ValueError):
-        units.transmission_time(-1, 1000)
