@@ -344,9 +344,12 @@ def _render_shard(artifact: str, args: argparse.Namespace) -> str:
     manifest = write_shard_manifest(
         cache.directory, spec, owned_keys, artifact=artifact
     )
+    # Every owned cell the cache could not serve was computed and put
+    # once; the cache's hits also count other shards' cells.
+    computed = cache.stats.stores + cache.stats.write_errors
     return (
         f"{artifact} shard {spec}: {len(owned_keys)}/{len(configs)} cells "
-        f"owned ({cache.stats.stores} computed, {cache.stats.hits} served "
+        f"owned ({computed} computed, {len(owned_keys) - computed} served "
         f"from cache)\n"
         f"manifest: {manifest}\n"
         f"assemble with: repro merge-shards <dest> {cache.directory} "

@@ -20,10 +20,11 @@ Receiver side
     WAKEUP-ACK advertising how much it can accept (its free buffer space —
     receiver flow control; a full receiver stays silent).  It turns the
     radio back off once the advertised burst has arrived or after an idle
-    timeout.  Reassembled packets that have reached their destination are
-    delivered up, a fragment's worth in one call; in-transit packets are
-    re-buffered toward their own next hop, so multi-hop bulk forwarding
-    emerges from the same per-hop logic.
+    timeout.  Packets travel as runs (:class:`~repro.net.packets.PacketRun`):
+    the runs of a fragment that have reached their destination are
+    delivered up in one call; each in-transit run is re-buffered toward its
+    own next hop with one submit, so multi-hop bulk forwarding emerges from
+    the same per-hop logic.
 
 Control messages always travel over the low-power radio; data always over
 the high-power radio ("data messages are always sent by the high-power
@@ -82,7 +83,7 @@ from repro.core.messages import (
 )
 from repro.mac.base import ContentionMac
 from repro.mac.frames import Frame, FrameKind
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.net.routing import RoutingError, RoutingLike
 from repro.net.shortcut import ShortcutLearner
 from repro.radio.radio import HighPowerRadio
@@ -93,8 +94,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
     from repro.traffic.generators import CbrSource
 
-#: Delivery callback: takes a run of packets addressed to the node.
-DeliverFn = typing.Callable[[typing.Sequence[DataPacket]], None]
+#: Delivery callback: takes the packet runs addressed to the node.
+DeliverFn = typing.Callable[[typing.Sequence[PacketRun]], None]
 
 
 @dataclasses.dataclass(slots=True)
@@ -153,8 +154,8 @@ class BcpNodeSpec:
         routing state is per-deployment, not per-node).
     deliver:
         Sink-delivery callback for packets that reach their destination;
-        it takes a run of packets in arrival order (the packets of one
-        fragment addressed to the node, or one packet).
+        it takes packet runs in arrival order (the runs of one fragment
+        addressed to the node, or one run).
     address_map:
         Optional dual-radio address table (``None`` disables the lookup).
     """
@@ -229,8 +230,9 @@ class BcpAgent:
         Routing tables of the two networks; control follows ``low_routing``,
         data follows ``high_routing`` (or a learned shortcut).
     deliver:
-        Callback invoked with each run of :class:`DataPacket` objects
-        whose final destination is this node (see :class:`BcpNodeSpec`).
+        Callback invoked with the :class:`~repro.net.packets.PacketRun`
+        objects whose final destination is this node (see
+        :class:`BcpNodeSpec`).
     address_map:
         Optional dual-radio address table; when provided, the agent
         resolves the peer's high-power address before each handshake,
@@ -342,39 +344,42 @@ class BcpAgent:
     # Sender side: routing interface.
     # ------------------------------------------------------------------
 
-    def submit(self, packet: DataPacket) -> None:
-        """Accept a data packet from the routing layer (paper: "Sender Side:
-        Interface to Routing").
+    def submit(self, run: PacketRun) -> None:
+        """Accept a run of data packets from the routing layer (paper:
+        "Sender Side: Interface to Routing").
 
         Packets destined for this node are delivered immediately; others are
-        buffered toward their high-power next hop, possibly triggering a
-        handshake.  With a ``max_delay_s`` budget configured, a deadline
-        timer guards every buffered packet (the paper's delay-constrained
-        future work).
+        buffered toward their high-power next hop, as far as they fit,
+        possibly triggering a handshake.  With a ``max_delay_s`` budget
+        configured, a deadline timer guards every buffered packet (the
+        paper's delay-constrained future work).  The state and counters
+        are those of submitting the packets one by one.
         """
         if self.feed is not None:
             self.catch_up()
-        self.stats.packets_submitted += 1
-        if packet.dst == self.node_id:
-            self.stats.packets_delivered += 1
-            self.deliver((packet,))
+        stats = self.stats
+        count = len(run.created_s)
+        stats.packets_submitted += count
+        if run.dst == self.node_id:
+            stats.packets_delivered += count
+            self.deliver((run,))
             return
         try:
-            next_hop = self._data_next_hop(packet.dst)
+            next_hop = self._data_next_hop(run.dst)
         except RoutingError:
             # A partitioned source (the sink, or every relay toward it,
             # is dead this epoch) drops at ingestion — counted, never a
             # crash.  Unreachable without fault injection: scenario
             # construction validates sender connectivity up front.
-            self.stats.packets_unroutable += 1
+            stats.packets_unroutable += count
             return
-        if self.buffer.push(next_hop, packet):
-            self.stats.packets_buffered += 1
+        buffered = self.buffer.push_many(next_hop, run)
+        stats.packets_buffered += buffered
+        stats.packets_dropped_buffer += count - buffered
+        if buffered:
             if self.config.max_delay_s is not None:
-                self._arm_deadline(next_hop, packet)
+                self._arm_deadlines(next_hop, run, buffered)
             self._check_threshold(next_hop)
-        else:
-            self.stats.packets_dropped_buffer += 1
 
     def _data_next_hop(self, dst: int) -> int:
         if self.shortcuts is not None:
@@ -445,7 +450,9 @@ class BcpAgent:
         now = self.sim.now
         due = feed.due_s()
         if due < now or inclusive and due == now:
-            self._push_fed(feed.take(now, inclusive))
+            run = feed.take(now, inclusive)
+            if run is not None:
+                self._push_fed(run)
 
     def rearm(self) -> None:
         """Re-aim the pending event after routes (or the feed's
@@ -463,19 +470,18 @@ class BcpAgent:
             self._feed_hop_known = True
         return self._feed_hop
 
-    def _push_fed(self, packets: list[DataPacket]) -> bool:
-        """Buffer a batch of fed packets; whether the last one was kept."""
-        count = len(packets)
+    def _push_fed(self, run: PacketRun) -> bool:
+        """Buffer a run of fed packets; whether the last one was kept."""
+        count = len(run.created_s)
         stats = self.stats
         stats.packets_submitted += count
         next_hop = self._fed_next_hop()
         if next_hop is None:
             stats.packets_unroutable += count
             return False
-        buffered = self.buffer.push_many(next_hop, packets)
+        buffered = self.buffer.push_many(next_hop, run)
         stats.packets_buffered += buffered
         stats.packets_dropped_buffer += count - buffered
-        # One source's packets are all one size, so drops are a suffix.
         return buffered == count
 
     def _feed_crossing_s(self) -> float | None:
@@ -531,8 +537,8 @@ class BcpAgent:
         self._feed_event = None
         feed = typing.cast("CbrSource", self.feed)
         now = self.sim.now
-        packets = feed.take(now, inclusive=True)
-        if packets and self._push_fed(packets) and packets[-1].created_s == now:
+        run = feed.take(now, inclusive=True)
+        if run is not None and self._push_fed(run) and run.created_s[-1] == now:
             # The packet due now was buffered: run the check its submit
             # would have (which re-arms).
             self._check_threshold(typing.cast(int, self._feed_hop))
@@ -633,15 +639,15 @@ class BcpAgent:
         next_hop = session.next_hop
         self.catch_up()
         budget = min(allowed_bytes, self.buffer.bytes_for(next_hop))
-        packets = self.buffer.pop_up_to(next_hop, budget)
-        if not packets:
+        runs = self.buffer.pop_up_to(next_hop, budget)
+        if not runs:
             self._end_transfer(session)
             return
         if self.feed is not None:
             # The freed room may let a fed packet in sooner.
             self._arm_feed()
         session.fragments = assemble_burst(
-            packets,
+            runs,
             session.session_id,
             self.node_id,
             self.config.frame_payload_bytes,
@@ -668,9 +674,9 @@ class BcpAgent:
         fragments = session.fragments
         fragment = fragments[session.sent]
         if success:
-            self.stats.packets_sent += len(fragment.packets)
+            self.stats.packets_sent += fragment.packets
         else:
-            self.stats.packets_lost_mac += len(fragment.packets)
+            self.stats.packets_lost_mac += fragment.packets
         session.sent += 1
         if session.sent < len(fragments):
             self._send_fragment(session)
@@ -681,7 +687,7 @@ class BcpAgent:
             # forwarded — but only until a shortcut for this destination
             # is known, so the listening cost is paid per route, not per
             # burst.
-            destination = fragments[0].packets[0].dst
+            destination = fragments[0].runs[0].dst
             if not self.shortcuts.has_shortcut(destination):
                 self._radio_holds += 1
                 self.sim.call_later(
@@ -727,14 +733,16 @@ class BcpAgent:
     # Delay-constrained fallback (the paper's Section 5 future work).
     # ------------------------------------------------------------------
 
-    def _arm_deadline(self, next_hop: int, packet: DataPacket) -> None:
-        """Flush via the low-power radio if ``packet`` is still buffered
-        when its delay budget expires (age measured from generation)."""
+    def _arm_deadlines(self, next_hop: int, run: PacketRun, count: int) -> None:
+        """Flush via the low-power radio if a packet (of the first ``count``
+        in ``run``) is still buffered when its delay budget expires (age
+        measured from generation)."""
         budget = typing.cast(float, self.config.max_delay_s)
-        remaining = max(0.0, packet.created_s + budget - self.sim.now)
-        self.sim.call_later(
-            remaining, self._deadline_expired, next_hop, packet.packet_id
-        )
+        for offset, created_s in enumerate(run.created_s[:count]):
+            remaining = max(0.0, created_s + budget - self.sim.now)
+            self.sim.call_later(
+                remaining, self._deadline_expired, next_hop, run.first_id + offset
+            )
 
     def _deadline_expired(self, next_hop: int, packet_id: int) -> None:
         if not self.buffer.has_packet(next_hop, packet_id):
@@ -746,25 +754,27 @@ class BcpAgent:
     def _flush_via_low_radio(self, next_hop: int) -> None:
         """Send everything buffered for ``next_hop`` as individual
         low-power data frames (immediate, no wake-up handshake)."""
-        packets = self.buffer.pop_up_to(next_hop, float("inf"))
+        runs = self.buffer.pop_up_to(next_hop, float("inf"))
         header_bits = self.low_mac.radio.spec.header_bits
-        for packet in packets:
+        for run in runs:
+            count = len(run.created_s)
             try:
-                low_hop = self.low_routing.next_hop(self.node_id, packet.dst)
+                low_hop = self.low_routing.next_hop(self.node_id, run.dst)
             except RoutingError:
-                self.stats.packets_dropped_buffer += 1
+                self.stats.packets_dropped_buffer += count
                 continue
-            frame = Frame(
-                kind=FrameKind.DATA,
-                src=self.node_id,
-                dst=low_hop,
-                payload_bits=packet.payload_bits,
-                header_bits=header_bits,
-                payload=packet,
-                require_ack=True,
-            )
-            self.low_mac.send(frame)
-            self.stats.packets_sent_low += 1
+            for offset in range(count):
+                frame = Frame(
+                    kind=FrameKind.DATA,
+                    src=self.node_id,
+                    dst=low_hop,
+                    payload_bits=run.payload_bits,
+                    header_bits=header_bits,
+                    payload=run if count == 1 else run.slice(offset, offset + 1),
+                    require_ack=True,
+                )
+                self.low_mac.send(frame)
+            self.stats.packets_sent_low += count
 
     # ------------------------------------------------------------------
     # Control plane over the low-power radio.
@@ -803,10 +813,10 @@ class BcpAgent:
                 self.stats.control_forwarded += 1
                 self._forward_control(envelope.forwarded())
             return
-        if isinstance(envelope, DataPacket):
-            # Delay-constrained data travelling over the low-power radio:
-            # deliver or keep forwarding immediately (it was flushed
-            # because buffering would violate its deadline).
+        if isinstance(envelope, PacketRun):
+            # Delay-constrained data travelling over the low-power radio,
+            # one packet per frame: deliver or keep forwarding immediately
+            # (buffering would violate its deadline).
             packet = envelope
             packet.hops += 1
             if packet.dst == self.node_id:
@@ -938,23 +948,24 @@ class BcpAgent:
             session.received_bytes += fragment.payload_bits / 8
             session.fragments_seen.add(fragment.index)
             session.fragments_total = fragment.total
-        # Packets addressed here reach the sink in one call, counted as
-        # if each had been submitted; the rest are submitted for relay.
-        # Relaying never delivers synchronously, so handing the local run
-        # over after the loop keeps the per-packet order and state.
+        # Runs addressed here reach the sink in one call, counted as if
+        # each packet had been submitted; each other run is submitted for
+        # relay.  Relaying never delivers synchronously, so handing the
+        # local runs over after the loop keeps the per-packet order and
+        # state.
         stats = self.stats
-        node_id = self.node_id
-        local = []
-        for packet in fragment.packets:
-            packet.hops += 1
-            stats.packets_received += 1
-            if packet.dst == node_id:
-                local.append(packet)
+        stats.packets_received += fragment.packets
+        local, count = [], 0
+        for run in fragment.runs:
+            run.hops += 1
+            if run.dst == self.node_id:
+                local.append(run)
+                count += len(run.created_s)
             else:
-                self.submit(packet)
+                self.submit(run)
         if local:
-            stats.packets_submitted += len(local)
-            stats.packets_delivered += len(local)
+            stats.packets_submitted += count
+            stats.packets_delivered += count
             self.deliver(local)
         # Turn off as soon as the advertised burst is complete ("the
         # receiver turns off its high-power radio when it receives the
@@ -998,18 +1009,16 @@ class BcpAgent:
         if self.shortcuts is None:
             return
         fragment = frame.payload
-        if not isinstance(fragment, BurstFragment) or not fragment.packets:
+        if not isinstance(fragment, BurstFragment):
             return
         # Recognize our packets by their network-layer source: relays
         # re-fragment bursts under their own session/origin, but the
-        # DataPackets inside keep the original sender.
-        ours = [
-            packet
-            for packet in fragment.packets
-            if packet.src == self.node_id
-        ]
-        if not ours:
+        # packet runs inside keep the original sender.
+        ours = next(
+            (run for run in fragment.runs if run.src == self.node_id), None
+        )
+        if ours is None:
             return
         self.catch_up()
-        if self.shortcuts.observe_forwarding(ours[0].dst, frame.src):
+        if self.shortcuts.observe_forwarding(ours.dst, frame.src):
             self.rearm()

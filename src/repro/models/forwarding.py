@@ -1,7 +1,8 @@
 """Hop-by-hop store-and-forward agent for the single-radio models.
 
 The paper's *Sensor* and *802.11* baselines forward each data packet
-immediately over their one radio along the routing tree.  The
+immediately over their one radio along the routing tree.  Their sources
+push single packets (runs of length 1), one per frame.  The
 :class:`ForwardingAgent` is that network layer: it accepts locally generated
 packets, relays received ones, and delivers packets addressed to its node.
 (The dual-radio model replaces this agent with
@@ -14,7 +15,7 @@ import typing
 
 from repro.mac.base import ContentionMac
 from repro.mac.frames import Frame, FrameKind
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.net.routing import RoutingError, RoutingLike
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,7 +39,7 @@ class ForwardingAgent:
         node_id: int,
         mac: ContentionMac,
         routing: RoutingLike,
-        deliver: typing.Callable[[DataPacket], None],
+        deliver: typing.Callable[[typing.Sequence[PacketRun]], None],
     ):
         self.sim = sim
         self.node_id = node_id
@@ -56,10 +57,10 @@ class ForwardingAgent:
         mac = self.mac
         return mac.sent_failed + mac.queue_drops + mac.power_down_drops
 
-    def submit(self, packet: DataPacket) -> None:
+    def submit(self, packet: PacketRun) -> None:
         """Accept a packet (locally generated or received) for handling."""
         if packet.dst == self.node_id:
-            self.deliver(packet)
+            self.deliver((packet,))
             return
         try:
             next_hop = self.routing.next_hop(self.node_id, packet.dst)
@@ -79,7 +80,7 @@ class ForwardingAgent:
 
     def _on_frame(self, frame: Frame) -> None:
         packet = frame.payload
-        if not isinstance(packet, DataPacket):
+        if not isinstance(packet, PacketRun):
             return
         packet.hops += 1
         self.submit(packet)

@@ -688,7 +688,7 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
                     node,
                     built.low_macs[node],
                     low_table,
-                    built.collector.deliver,
+                    built.collector.deliver_many,
                 )
             )
     elif config.model == MODEL_WIFI:
@@ -702,7 +702,7 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
                     node,
                     built.high_macs[node],
                     high_table,
-                    built.collector.deliver,
+                    built.collector.deliver_many,
                 )
             )
     else:  # MODEL_DUAL

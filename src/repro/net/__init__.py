@@ -8,7 +8,7 @@ from repro.net.addressing import (
     format_short_address,
 )
 from repro.net.csr import CsrGraph
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.net.policy import (
     POLICY_HOPS,
     POLICY_RESIDUAL,
@@ -32,11 +32,11 @@ from repro.net.shortcut import ShortcutLearner
 __all__ = [
     "AddressMap",
     "CsrGraph",
-    "DataPacket",
     "DijkstraRoutingTable",
     "HIGH_INTERFACE",
     "LOW_INTERFACE",
     "LinkCostModel",
+    "PacketRun",
     "POLICY_HOPS",
     "POLICY_RESIDUAL",
     "POLICY_TX_ENERGY",

@@ -1,11 +1,17 @@
-"""Sink-side measurement: delivery counts, delays, duplicate detection."""
+"""Sink-side measurement: delivery counts, delays, duplicate detection.
+
+Packets arrive as runs (:class:`~repro.net.packets.PacketRun`), each
+accounted for in bulk: one check and one mark of its id range, one
+extension of the delay array.  Only a run partly seen already, or with
+ids outside the dense duplicate map, is taken packet by packet.
+"""
 
 from __future__ import annotations
 
 import typing
 from array import array
 
-from repro.net.packets import DataPacket, next_packet_id
+from repro.net.packets import PacketRun, next_packet_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
@@ -18,17 +24,16 @@ _GROW_SLACK = 4096
 class SinkCollector:
     """Records every packet delivered at the sink.
 
-    The collector is the models' delivery callback: :meth:`deliver` for
-    one packet, :meth:`deliver_many` for a run of them (a BCP fragment).
-    It tracks the goodput numerator (payload bits, duplicates excluded),
+    The collector's :meth:`deliver_many` is the models' delivery
+    callback.  It tracks the goodput numerator (payload bits, duplicates excluded) and
     per-packet end-to-end delay (generation → sink, buffering included —
-    the paper's delay metric) and per-source tallies.
+    the paper's delay metric).
 
     Accounting is compact: delays are an ``array('d')`` (exact doubles,
-    summed in delivery order), hops a running total, and duplicate
-    detection one byte per packet id from the id counter's value at
-    construction on — every packet generated after the collector is built
-    — with a set for any id outside that range.
+    in delivery order), hops a running total, and duplicate detection
+    one byte per packet id from the id counter's value at construction
+    on — every packet generated after the collector is built — with a set
+    for any id outside that range.
     """
 
     def __init__(self, sim: "Simulator", sink_id: int):
@@ -39,54 +44,55 @@ class SinkCollector:
         self.duplicates = 0
         self.delays_s = array("d")
         self.hops_total = 0
-        self.per_source: dict[int, int] = {}
         self._id_base = next_packet_id()
         #: ``_seen[id - _id_base]`` is 1 once that id has been delivered.
         self._seen = bytearray()
         self._seen_other: set[int] = set()
 
-    def deliver(self, packet: DataPacket) -> None:
-        """Accept ``packet`` at the sink."""
-        self.deliver_many((packet,))
+    def deliver_many(self, runs: typing.Iterable[PacketRun]) -> None:
+        """Accept the packets of ``runs`` at the sink, in order.
 
-    def deliver_many(self, packets: typing.Iterable[DataPacket]) -> None:
-        """Accept ``packets`` at the sink, in order.
-
-        Exactly equivalent to :meth:`deliver` per packet, including the
-        state left behind when a packet addressed elsewhere raises.
+        Raises on a run addressed elsewhere, leaving the runs before it
+        accepted.
         """
         sink_id = self.sink_id
         now = self.sim.now
         seen = self._seen
-        base = self._id_base
-        append_delay = self.delays_s.append
-        per_source = self.per_source
-        for packet in packets:
-            if packet.dst != sink_id:
+        for run in runs:
+            if run.dst != sink_id:
                 raise ValueError(
-                    f"sink {sink_id} received a packet addressed to {packet.dst}"
+                    f"sink {sink_id} received a packet addressed to {run.dst}"
                 )
-            offset = packet.packet_id - base
-            if 0 <= offset < len(seen):
-                if seen[offset]:
-                    self.duplicates += 1
-                    continue
-                seen[offset] = 1
-            elif not self._first_sighting(packet.packet_id):
-                self.duplicates += 1
-                continue
-            self.packets_delivered += 1
-            self.bits_delivered += packet.payload_bits
-            append_delay(now - packet.created_s)
-            self.hops_total += packet.hops
-            src = packet.src
-            per_source[src] = per_source.get(src, 0) + 1
+            created = run.created_s
+            count = len(created)
+            start = run.first_id - self._id_base
+            stop = start + count
+            if 0 <= start and stop <= len(seen) and seen.find(1, start, stop) < 0:
+                seen[start:stop] = b"\x01" * count
+                fresh = created
+            else:
+                fresh = [
+                    t
+                    for offset, t in enumerate(created)
+                    if self._first_sighting(start + offset)
+                ]
+                self.duplicates += count - len(fresh)
+                count = len(fresh)
+            self.packets_delivered += count
+            self.bits_delivered += count * run.payload_bits
+            self.delays_s.extend([now - t for t in fresh])
+            self.hops_total += count * run.hops
 
-    def _first_sighting(self, packet_id: int) -> bool:
-        """Mark an id outside the dense map as seen; False if it was."""
-        base, seen, others = self._id_base, self._seen, self._seen_other
-        offset = packet_id - base
+    def _first_sighting(self, offset: int) -> bool:
+        """Mark the id ``_id_base + offset`` as seen; False if it was."""
+        seen = self._seen
         mapped = len(seen)
+        if 0 <= offset < mapped:
+            first = not seen[offset]
+            seen[offset] = 1
+            return first
+        base, others = self._id_base, self._seen_other
+        packet_id = base + offset
         if 0 <= offset < 2 * mapped + _GROW_SLACK:
             # Just past the map: grow it, and move over any ids the set
             # took before the map reached them.

@@ -7,37 +7,38 @@ capture [Luo et al., ICDCS'07] — the paper's motivating example of an
 application that fills BCP buffers quickly.  A source counts what it
 generated so goodput can be computed.
 
-A source pushes each packet into its ``submit`` callback — a routing
-agent's or BCP agent's ingestion method — from a chain of kernel
-callbacks: every emission re-arms one pooled
-:class:`~repro.sim.events.Timeout` for the next, so a pushed packet costs
-one event dispatch.  The first wait is armed at construction, with its
-rng draw; setting ``stop_s`` mid-run (the fault injector's kill) takes
-effect at the next emission, which ends the chain.
+A source pushes each packet (a :class:`~repro.net.packets.PacketRun` of
+length 1) into its ``submit`` callback — a routing agent's or BCP agent's
+ingestion method — from a chain of kernel callbacks: every emission
+re-arms one pooled :class:`~repro.sim.events.Timeout` for the next, so a
+pushed packet costs one event dispatch.  The first wait is armed at
+construction, with its rng draw; setting ``stop_s`` mid-run (the fault
+injector's kill) takes effect at the next emission, which ends the chain.
 
 A CBR source's packets are due at times known in advance, so a consumer
 that only needs them in bulk can pull them instead: after
 :meth:`CbrSource.detach` no timer runs, and :meth:`CbrSource.take`
-materializes every packet due before a given time.  The due times come
-from the same first draw and the same repeated ``+= interval_s`` float
-additions the chain's clock performs, so a pulled packet carries the
-``created_s`` the pushed one would have.  BCP agents pull
-(:meth:`repro.core.bcp.BcpAgent.adopt`).
+returns every packet due before a given time as one run, with one block
+of ids.  The due times come from the same first draw and the same
+repeated ``+= interval_s`` float additions the chain's clock performs,
+so a pulled packet carries the ``created_s`` the pushed one would have.
+BCP agents pull (:meth:`repro.core.bcp.BcpAgent.adopt`).
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import typing
 
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.sim.events import Event
 from repro.units import BITS_PER_BYTE
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
-SubmitFn = typing.Callable[[DataPacket], None]
+SubmitFn = typing.Callable[[PacketRun], None]
 
 
 class SourceStats:
@@ -76,7 +77,7 @@ class _Source:
         stats.packets_generated += 1
         stats.bits_generated += self.payload_bits
         self.submit(
-            DataPacket(self.node_id, self.dst, self.payload_bits, self.sim.now)
+            PacketRun.new(self.node_id, self.dst, self.payload_bits, [self.sim.now])
         )
 
 
@@ -143,44 +144,50 @@ class CbrSource(_Source):
         if not self._first.cancel():
             raise RuntimeError("detach() after the first packet was pushed")
 
+    def _extend(self, n: int) -> None:
+        """Append the next ``n`` due times: the chain clock's repeated
+        ``+= interval_s`` additions, run by ``accumulate``."""
+        due = self._due
+        due += itertools.islice(
+            itertools.accumulate(
+                itertools.repeat(self.interval_s, n), initial=due[-1]
+            ),
+            1,
+            None,
+        )
+
     def due_s(self, k: int = 0) -> float:
         """Due time of the ``k``-th packet not yet taken (0 = the next).
 
         A due time at or past ``stop_s`` is never generated.
         """
-        due = self._due
-        if len(due) <= k:
-            t = due[-1]
-            interval = self.interval_s
-            for _ in range(k + 1 - len(due)):
-                t += interval
-                due.append(t)
-        return due[k]
+        if len(self._due) <= k:
+            self._extend(k + 1 - len(self._due))
+        return self._due[k]
 
-    def take(self, until: float, inclusive: bool = False) -> list[DataPacket]:
+    def take(self, until: float, inclusive: bool = False) -> PacketRun | None:
         """Generate every packet due before ``until`` (or at it, with
-        ``inclusive``) and before ``stop_s``, in order, and return them."""
+        ``inclusive``) and before ``stop_s``, and return them as one run
+        (None if there are none)."""
         stop = self.stop_s
         if stop is not None and stop <= until:
             until, inclusive = stop, False
         due = self._due
-        t = due[-1]
-        while t < until or inclusive and t == until:
-            t += self.interval_s
-            due.append(t)
+        while due[-1] < until or inclusive and due[-1] == until:
+            self._extend(int((until - due[-1]) / self.interval_s) + 1)
         # ``due`` ascends and now ends past ``until``.
         count = (bisect.bisect_right if inclusive else bisect.bisect_left)(
             due, until
         )
         if not count:
-            return []
-        node_id, dst, bits = self.node_id, self.dst, self.payload_bits
-        packets = [DataPacket(node_id, dst, bits, t) for t in due[:count]]
+            return None
+        bits = self.payload_bits
+        run = PacketRun.new(self.node_id, self.dst, bits, due[:count])
         del due[:count]
         stats = self.stats
         stats.packets_generated += count
         stats.bits_generated += count * bits
-        return packets
+        return run
 
 
 class PoissonSource(_Source):

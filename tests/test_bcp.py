@@ -11,11 +11,12 @@ from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
 from repro.net.addressing import AddressMap
-from repro.net.packets import DataPacket
 from repro.net.routing import RoutingTable
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
+
+from tests.runs import single, unpack
 
 
 class DualNet:
@@ -79,7 +80,7 @@ class DualNet:
                 high_radio=self.high_radios[i],
                 low_routing=low_table,
                 high_routing=high_table,
-                deliver=self.delivered.extend,
+                deliver=lambda runs: self.delivered.extend(unpack(runs)),
                 address_map=addresses,
             )
             for i in range(n)
@@ -89,12 +90,7 @@ class DualNet:
         dst = self.sink if dst is None else dst
         for _ in range(count):
             self.agents[node].submit(
-                DataPacket(
-                    src=node,
-                    dst=dst,
-                    payload_bits=size_bytes * 8,
-                    created_s=self.sim.now,
-                )
+                single(node, dst, size_bytes * 8, self.sim.now)
             )
 
 
@@ -195,7 +191,7 @@ class TestFlowControl:
         # Node 0 wants to push 4 packets; node 1 only has room for 2.
         net.inject(0, 4)
         net.sim.run(until=1.0)
-        assert net.agents[1].buffer.drops == 0
+        assert net.agents[1].stats.packets_dropped_buffer == 0
 
     def test_full_receiver_stays_silent(self):
         config = BcpConfig.for_burst_packets(2, buffer_capacity_bytes=64.0)

@@ -3,8 +3,8 @@
 
 from repro.core.messages import ControlEnvelope, Wakeup, WakeupAck
 from repro.net.addressing import AddressMap
-from repro.net.packets import DataPacket
 
+from tests.runs import single, unpack
 from tests.test_bcp import DualNet
 
 
@@ -94,15 +94,16 @@ class TestHighFrameEdges:
         from repro.mac.frames import Frame, FrameKind
 
         net = DualNet()
-        packet = DataPacket(src=0, dst=1, payload_bits=256, created_s=0.0)
+        packet = single(0, 1, 256, 0.0)
         fragment = BurstFragment(session_id=777, origin=0, index=0, total=1,
-                                 packets=[packet])
+                                 runs=[packet], packets=1, payload_bits=256)
         net.agents[1]._on_high_frame(
             Frame(FrameKind.DATA, src=0, dst=1,
                   payload_bits=fragment.payload_bits, header_bits=272,
                   payload=fragment)
         )
-        assert net.delivered == [packet]
+        assert [p.packet_id for p in net.delivered] == [packet.first_id]
+        assert net.delivered == unpack([packet])
 
 
 class TestMeanHops:

@@ -20,11 +20,12 @@ from repro.energy.meter import MeterBank
 from repro.energy.radio_specs import LUCENT_11, MICAZ
 from repro.mac.csma import SensorCsmaMac
 from repro.mac.dcf import DcfMac
-from repro.net.packets import DataPacket
 from repro.net.routing import RoutingTable
 from repro.radio.radio import HighPowerRadio, LowPowerRadio
 from repro.sim import Simulator
 from repro.topology import line_layout
+
+from tests.runs import single, unpack
 
 
 def build_pair(threshold_packets, capacity_packets, seed):
@@ -59,7 +60,7 @@ def build_pair(threshold_packets, capacity_packets, seed):
             high_radio=high[i],
             low_routing=table,
             high_routing=table,
-            deliver=delivered.extend,
+            deliver=lambda runs: delivered.extend(unpack(runs)),
         )
         for i in (0, 1)
     }
@@ -82,8 +83,7 @@ def test_conservation_and_order(batches, threshold, seed):
     def feed(index):
         """Submit one batch; the next follows 0.5 s later."""
         for _ in range(batches[index]):
-            packet = DataPacket(src=0, dst=1, payload_bits=256,
-                                created_s=sim.now)
+            packet = single(0, 1, 256, sim.now)
             submitted.append(packet)
             sender.submit(packet)
         if index + 1 < len(batches):
@@ -93,7 +93,7 @@ def test_conservation_and_order(batches, threshold, seed):
     sim.run(until=120.0)
 
     stats = sender.stats
-    buffered = sender.buffer.packets_for(1)
+    buffered = int(sender.buffer.bytes_for(1) // 32)
     assert stats.packets_submitted == len(submitted)
     # Conservation: everything is delivered, buffered, dropped, or was
     # lost by the MAC (impossible on this clean link).
@@ -105,7 +105,7 @@ def test_conservation_and_order(batches, threshold, seed):
     ids = [packet.packet_id for packet in delivered]
     assert len(ids) == len(set(ids))
     # FIFO order per flow.
-    submitted_ids = [p.packet_id for p in submitted]
+    submitted_ids = [p.first_id for p in submitted]
     positions = {pid: i for i, pid in enumerate(submitted_ids)}
     assert ids == sorted(ids, key=positions.__getitem__)
 
@@ -119,8 +119,7 @@ def test_no_handshake_below_threshold(n_packets, threshold):
     sim, agents, delivered = build_pair(threshold, 1000, seed=1)
     sender = agents[0]
     for _ in range(n_packets):
-        sender.submit(DataPacket(src=0, dst=1, payload_bits=256,
-                                 created_s=sim.now))
+        sender.submit(single(0, 1, 256, sim.now))
     sim.run(until=30.0)
     if n_packets < threshold:
         assert sender.stats.wakeups_sent == 0
@@ -137,8 +136,7 @@ def test_radio_always_off_at_quiescence(seed):
     BCP never leaks a radio hold."""
     sim, agents, delivered = build_pair(4, 1000, seed)
     for _ in range(16):
-        agents[0].submit(DataPacket(src=0, dst=1, payload_bits=256,
-                                    created_s=sim.now))
+        agents[0].submit(single(0, 1, 256, sim.now))
     sim.run(until=60.0)
     assert len(delivered) == 16
     assert not agents[0].high_radio.is_on

@@ -1,5 +1,7 @@
 """CLI argument handling and artifact rendering."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, render_artifact
@@ -197,6 +199,26 @@ class TestShardCli:
         assert "shard 0/1" in text
         assert (tmp_path / "shard-0of1.manifest").exists()
         assert list(tmp_path.glob("*.json"))
+
+    def test_shard_summary_counts_only_owned_cells(self, tmp_path):
+        """Another shard's cached cells are neither owned nor served."""
+
+        def summary(shard):
+            text = render_artifact(
+                parse("fig5", *self.TINY, "--shard", shard,
+                      "--cache-dir", str(tmp_path))
+            )
+            found = re.search(
+                r"(\d+)/\d+ cells owned \((\d+) computed, (\d+) served", text
+            )
+            return tuple(int(group) for group in found.groups())
+
+        other_owned, _, _ = summary("1/2")
+        assert other_owned > 0
+        owned, computed, served = summary("0/2")
+        assert owned > 0
+        assert (computed, served) == (owned, 0)
+        assert summary("0/2") == (owned, 0, owned)
 
     def test_prototype_shard_supported(self, tmp_path):
         text = render_artifact(

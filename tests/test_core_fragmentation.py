@@ -1,18 +1,23 @@
-"""Burst assembly/reassembly, including hypothesis round-trips."""
+"""Burst assembly, including hypothesis round-trips."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.fragmentation import assemble_burst, reassemble
-from repro.net.packets import DataPacket
+from repro.core.fragmentation import assemble_burst
+from repro.net.packets import PacketRun
+
+from tests.runs import single, unpack
 
 
 def packets(count, size_bytes=32):
-    return [
-        DataPacket(src=1, dst=0, payload_bits=size_bytes * 8, created_s=0.0)
-        for _ in range(count)
-    ]
+    return [single(1, 0, size_bytes * 8, 0.0) for _ in range(count)]
+
+
+def carried(fragments):
+    """The packets of ``fragments``, taken in fragment-index order."""
+    ordered = sorted(fragments, key=lambda fragment: fragment.index)
+    return unpack([run for fragment in ordered for run in fragment.runs])
 
 
 class TestAssemble:
@@ -20,13 +25,20 @@ class TestAssemble:
         """32-byte packets into 1024-byte frames: 32 per frame."""
         fragments = assemble_burst(packets(64), 1, 5, 1024)
         assert len(fragments) == 2
-        assert all(len(f.packets) == 32 for f in fragments)
+        assert all(f.packets == 32 for f in fragments)
         assert all(f.payload_bits == 1024 * 8 for f in fragments)
 
     def test_trailing_partial_fragment(self):
         fragments = assemble_burst(packets(33), 1, 5, 1024)
         assert len(fragments) == 2
-        assert len(fragments[1].packets) == 1
+        assert fragments[1].packets == 1
+
+    def test_one_run_cut_at_the_frame_budget(self):
+        run = PacketRun.new(1, 0, 256, [float(i) for i in range(70)])
+        fragments = assemble_burst([run], 1, 5, 1024)
+        assert [f.packets for f in fragments] == [32, 32, 6]
+        assert [len(f.runs) for f in fragments] == [1, 1, 1]
+        assert carried(fragments) == unpack([run])
 
     def test_indices_and_total(self):
         fragments = assemble_burst(packets(70), 9, 5, 1024)
@@ -50,24 +62,17 @@ class TestReassemble:
     def test_round_trip_order(self):
         originals = packets(100)
         fragments = assemble_burst(originals, 1, 5, 1024)
-        recovered = reassemble(fragments)
-        assert [p.packet_id for p in recovered] == [
-            p.packet_id for p in originals
-        ]
+        assert carried(fragments) == unpack(originals)
 
     def test_out_of_order_fragments(self):
         originals = packets(96)
         fragments = assemble_burst(originals, 1, 5, 1024)
-        recovered = reassemble(reversed(fragments))
-        assert [p.packet_id for p in recovered] == [
-            p.packet_id for p in originals
-        ]
+        assert carried(reversed(fragments)) == unpack(originals)
 
     def test_missing_fragment_leaves_gap(self):
         originals = packets(96)
         fragments = assemble_burst(originals, 1, 5, 1024)
-        recovered = reassemble([fragments[0], fragments[2]])
-        assert len(recovered) == 64
+        assert len(carried([fragments[0], fragments[2]])) == 64
 
 
 sizes = st.lists(st.integers(min_value=1, max_value=128), min_size=0, max_size=60)
@@ -75,22 +80,15 @@ sizes = st.lists(st.integers(min_value=1, max_value=128), min_size=0, max_size=6
 
 @given(sizes, st.integers(min_value=128, max_value=2048))
 def test_property_round_trip(packet_sizes, frame_bytes):
-    """assemble → reassemble is the identity on any packet sequence."""
-    originals = [
-        DataPacket(src=1, dst=0, payload_bits=size * 8, created_s=0.0)
-        for size in packet_sizes
-    ]
+    """Assembly keeps every packet, in order, whatever the sizes."""
+    originals = [single(1, 0, size * 8, 0.0) for size in packet_sizes]
     fragments = assemble_burst(originals, 1, 2, frame_bytes)
-    recovered = reassemble(fragments)
-    assert [p.packet_id for p in recovered] == [p.packet_id for p in originals]
+    assert carried(fragments) == unpack(originals)
 
 
 @given(sizes, st.integers(min_value=128, max_value=2048))
 def test_property_fragments_respect_budget(packet_sizes, frame_bytes):
-    originals = [
-        DataPacket(src=1, dst=0, payload_bits=size * 8, created_s=0.0)
-        for size in packet_sizes
-    ]
+    originals = [single(1, 0, size * 8, 0.0) for size in packet_sizes]
     fragments = assemble_burst(originals, 1, 2, frame_bytes)
     for fragment in fragments:
         assert fragment.payload_bits <= frame_bytes * 8
@@ -99,12 +97,9 @@ def test_property_fragments_respect_budget(packet_sizes, frame_bytes):
 
 @given(sizes)
 def test_property_conservation(packet_sizes):
-    originals = [
-        DataPacket(src=1, dst=0, payload_bits=size * 8, created_s=0.0)
-        for size in packet_sizes
-    ]
+    originals = [single(1, 0, size * 8, 0.0) for size in packet_sizes]
     fragments = assemble_burst(originals, 1, 2, 1024)
-    assert sum(len(f.packets) for f in fragments) == len(originals)
+    assert sum(f.packets for f in fragments) == len(originals)
     assert sum(f.payload_bits for f in fragments) == sum(
         p.payload_bits for p in originals
     )

@@ -132,7 +132,7 @@ class TestConnectedSubsetRunsBesideIsland:
         # The sensor model's ForwardingAgent degrades per packet: submit
         # a packet for the far island on the *live* network and the
         # RoutingError is absorbed into the unroutable counter.
-        from repro.net.packets import DataPacket
+        from tests.runs import single
 
         config = _config(
             model="sensor",
@@ -144,7 +144,5 @@ class TestConnectedSubsetRunsBesideIsland:
         built = build_network(config, sim)
         agent = built.agents[1]
         before = agent.packets_unroutable
-        agent.submit(
-            DataPacket(src=1, dst=4, payload_bits=256, created_s=sim.now)
-        )
+        agent.submit(single(1, 4, 256, sim.now))
         assert agent.packets_unroutable == before + 1

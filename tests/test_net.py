@@ -9,26 +9,35 @@ from repro.net.addressing import (
     format_eui48,
     format_short_address,
 )
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.net.routing import RoutingError, RoutingTable
 from repro.net.shortcut import ShortcutLearner
 from repro.topology import grid_layout, line_layout
 
 
-class TestDataPacket:
+class TestPacketRun:
     def test_fields(self):
-        packet = DataPacket(src=3, dst=0, payload_bits=256, created_s=1.5)
-        assert packet.payload_bytes == 32
-        assert packet.hops == 0
+        run = PacketRun.new(3, 0, 256, [1.5, 2.5])
+        assert len(run.created_s) == 2
+        assert run.payload_bits == 256
+        assert run.hops == 0
 
     def test_unique_ids(self):
-        a = DataPacket(0, 1, 8, 0.0)
-        b = DataPacket(0, 1, 8, 0.0)
-        assert a.packet_id != b.packet_id
+        a = PacketRun.new(0, 1, 8, [0.0, 0.0, 0.0])
+        b = PacketRun.new(0, 1, 8, [0.0])
+        assert b.first_id == a.first_id + 3
 
     def test_positive_payload_required(self):
         with pytest.raises(ValueError):
-            DataPacket(0, 1, 0, 0.0)
+            PacketRun.new(0, 1, 0, [0.0])
+
+    def test_slice_keeps_ids_and_hops(self):
+        run = PacketRun.new(3, 0, 256, [0.5, 1.5, 2.5])
+        run.hops = 2
+        tail = run.slice(1, 3)
+        assert (tail.first_id, tail.created_s, tail.hops) == (
+            run.first_id + 1, [1.5, 2.5], 2
+        )
 
 
 class TestAddressing:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro.stats.collector as collector_module
 from repro import multi_hop_config
 from repro.models.scenario import build_network
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.sim import Simulator
 from repro.stats import (
     ENERGY_TOTAL,
@@ -21,6 +21,8 @@ from repro.stats import (
     merge_counters,
     summarize_runs,
 )
+
+from tests.runs import single, unpack
 
 
 class TestConfidence:
@@ -119,23 +121,18 @@ class TestSinkCollector:
         sim = Simulator(seed=1)
         collector = SinkCollector(sim, sink_id=0)
 
-        sim.call_later(
-            2.0,
-            collector.deliver,
-            DataPacket(src=5, dst=0, payload_bits=256, created_s=0.5),
-        )
+        sim.call_later(2.0, collector.deliver_many, [single(5, 0, 256, 0.5)])
         sim.run()
         assert collector.packets_delivered == 1
         assert collector.bits_delivered == 256
         assert list(collector.delays_s) == [1.5]
-        assert collector.per_source == {5: 1}
 
     def test_duplicates_excluded(self):
         sim = Simulator(seed=1)
         collector = SinkCollector(sim, sink_id=0)
-        packet = DataPacket(src=5, dst=0, payload_bits=256, created_s=0.0)
-        collector.deliver(packet)
-        collector.deliver(packet)
+        packet = single(5, 0, 256, 0.0)
+        collector.deliver_many([packet])
+        collector.deliver_many([packet])
         assert collector.packets_delivered == 1
         assert collector.duplicates == 1
 
@@ -143,8 +140,7 @@ class TestSinkCollector:
         sim = Simulator(seed=1)
         collector = SinkCollector(sim, sink_id=0)
         with pytest.raises(ValueError):
-            collector.deliver(DataPacket(src=5, dst=3, payload_bits=8,
-                                         created_s=0.0))
+            collector.deliver_many([single(5, 3, 8, 0.0)])
 
     def test_delay_statistics(self):
         sim = Simulator(seed=1)
@@ -153,8 +149,9 @@ class TestSinkCollector:
         assert collector.max_delay_s == 0.0
 
 
-class _ReferenceSink:
-    """The collector's semantics written plainly: a set and two lists."""
+class ReferenceSink:
+    """The collector's semantics written plainly, one packet at a time:
+    a set and two lists."""
 
     def __init__(self, sink_id):
         self.sink_id = sink_id
@@ -163,7 +160,6 @@ class _ReferenceSink:
         self.hops = []
         self.bits = 0
         self.duplicates = 0
-        self.per_source = {}
 
     def deliver(self, packet, now):
         if packet.dst != self.sink_id:
@@ -177,7 +173,10 @@ class _ReferenceSink:
         self.bits += packet.payload_bits
         self.delays.append(now - packet.created_s)
         self.hops.append(packet.hops)
-        self.per_source[packet.src] = self.per_source.get(packet.src, 0) + 1
+
+    def deliver_runs(self, runs, now):
+        for packet in unpack(runs):
+            self.deliver(packet, now)
 
 
 def _state(collector):
@@ -187,7 +186,6 @@ def _state(collector):
         collector.duplicates,
         list(collector.delays_s),
         collector.hops_total,
-        collector.per_source,
         collector.mean_delay_s,
         collector.max_delay_s,
         collector.mean_hops,
@@ -202,7 +200,6 @@ def _reference_state(reference):
         reference.duplicates,
         delays,
         sum(reference.hops),
-        reference.per_source,
         sum(delays) / len(delays) if delays else 0.0,
         max(delays) if delays else 0.0,
         sum(reference.hops) / len(reference.hops) if reference.hops else 0.0,
@@ -218,11 +215,12 @@ _id_offsets = st.one_of(
     st.integers(10**6, 10**6 + 40),
 )
 
-_packet_specs = st.tuples(
+_run_specs = st.tuples(
     _id_offsets,
     st.integers(1, 6),  # src
     st.sampled_from([0, 0, 0, 0, 0, 0, 0, 7]),  # dst (sink 0)
-    st.floats(0.0, 50.0, allow_nan=False),  # created_s
+    st.sampled_from([8, 160, 256]),  # payload_bits
+    st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=12),
     st.integers(0, 5),  # hops
 )
 
@@ -230,40 +228,28 @@ _packet_specs = st.tuples(
 class TestDeliverMany:
     @settings(max_examples=100, deadline=None)
     @given(
-        runs=st.lists(
-            st.lists(_packet_specs, max_size=12).map(tuple), max_size=10
-        ),
+        batches=st.lists(st.lists(_run_specs, max_size=4), max_size=10),
         repeat=st.booleans(),
     )
-    def test_matches_per_packet_delivery(self, runs, repeat):
-        if repeat:  # deliver every run twice: all-duplicate runs
-            runs = [run for run in runs for _ in range(2)]
+    def test_matches_per_packet_delivery(self, batches, repeat):
+        if repeat:  # deliver every batch twice: all-duplicate runs
+            batches = [batch for batch in batches for _ in range(2)]
         sim = Simulator(seed=1)
         bulk = SinkCollector(sim, sink_id=0)
-        single = SinkCollector(sim, sink_id=0)
-        reference = _ReferenceSink(0)
+        one_by_one = SinkCollector(sim, sink_id=0)
+        reference = ReferenceSink(0)
         base = bulk._id_base
-        for step, run in enumerate(runs):
+        for step, batch in enumerate(batches):
             sim.run(until=50.0 + step * 1.25)
-            packets = []
-            for offset, src, dst, created_s, hops in run:
-                packet = DataPacket(
-                    src=src,
-                    dst=dst,
-                    payload_bits=256,
-                    created_s=created_s,
-                    packet_id=base + offset,
-                )
-                packet.hops = hops
-                packets.append(packet)
+            runs = [
+                PacketRun(src, dst, bits, base + offset, list(created), hops)
+                for offset, src, dst, bits, created, hops in batch
+            ]
             errors = []
             for sink, deliver in (
-                (bulk, lambda: bulk.deliver_many(packets)),
-                (single, lambda: [single.deliver(p) for p in packets]),
-                (
-                    reference,
-                    lambda: [reference.deliver(p, sim.now) for p in packets],
-                ),
+                (bulk, lambda: bulk.deliver_many(runs)),
+                (one_by_one, lambda: [one_by_one.deliver_many([r]) for r in runs]),
+                (reference, lambda: reference.deliver_runs(runs, sim.now)),
             ):
                 try:
                     deliver()
@@ -273,7 +259,7 @@ class TestDeliverMany:
             assert len(set(errors)) <= 1
             expected = _reference_state(reference)
             assert _state(bulk) == expected
-            assert _state(single) == expected
+            assert _state(one_by_one) == expected
 
     def test_mean_delay_is_the_plain_float_sum(self):
         sim = Simulator(seed=1)
@@ -281,10 +267,8 @@ class TestDeliverMany:
         delays = [0.1, 1e16, 0.3, -1e16 + 2.0, 0.7]
         sim.run(until=1e16)
         collector.deliver_many(
-            [
-                DataPacket(src=1, dst=0, payload_bits=8, created_s=1e16 - d)
-                for d in delays
-            ]
+            [PacketRun.new(1, 0, 8, [1e16 - d for d in delays[:2]]),
+             PacketRun.new(1, 0, 8, [1e16 - d for d in delays[2:]])]
         )
         recorded = [1e16 - (1e16 - d) for d in delays]
         assert list(collector.delays_s) == recorded

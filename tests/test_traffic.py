@@ -7,6 +7,8 @@ import pytest
 from repro.sim import Simulator
 from repro.traffic import AudioBurstSource, CbrSource, PoissonSource
 
+from tests.runs import Collect
+
 
 @pytest.fixture
 def sim():
@@ -15,8 +17,8 @@ def sim():
 
 class TestCbr:
     def test_rate_achieved(self, sim):
-        packets = []
-        CbrSource(sim, 1, 0, packets.append, rate_bps=200.0, payload_bytes=32)
+        packets = Collect()
+        CbrSource(sim, 1, 0, packets, rate_bps=200.0, payload_bytes=32)
         sim.run(until=1280.0)  # 1000 intervals of 1.28 s
         assert 995 <= len(packets) <= 1001
 
@@ -25,8 +27,8 @@ class TestCbr:
         assert source.interval_s == pytest.approx(256 / 2000.0)
 
     def test_packets_well_formed(self, sim):
-        packets = []
-        CbrSource(sim, 3, 0, packets.append, rate_bps=200.0)
+        packets = Collect()
+        CbrSource(sim, 3, 0, packets, rate_bps=200.0)
         sim.run(until=10.0)
         for packet in packets:
             assert packet.src == 3
@@ -35,8 +37,8 @@ class TestCbr:
             assert packet.created_s <= sim.now
 
     def test_stop_time_respected(self, sim):
-        packets = []
-        CbrSource(sim, 1, 0, packets.append, rate_bps=2000.0, stop_s=5.0)
+        packets = Collect()
+        CbrSource(sim, 1, 0, packets, rate_bps=2000.0, stop_s=5.0)
         sim.run(until=100.0)
         assert all(packet.created_s < 5.0 + 0.129 for packet in packets)
         count_at_stop = len(packets)
@@ -54,8 +56,8 @@ class TestCbr:
     def test_start_jitter_desynchronizes(self):
         def first_emission(node_id):
             sim = Simulator(seed=50)
-            packets = []
-            CbrSource(sim, node_id, 0, packets.append, rate_bps=200.0)
+            packets = Collect()
+            CbrSource(sim, node_id, 0, packets, rate_bps=200.0)
             sim.run(until=3.0)
             return packets[0].created_s
 
@@ -68,15 +70,15 @@ class TestCbr:
 
 class TestPoisson:
     def test_mean_rate(self, sim):
-        packets = []
-        PoissonSource(sim, 1, 0, packets.append, mean_rate_bps=2000.0)
+        packets = Collect()
+        PoissonSource(sim, 1, 0, packets, mean_rate_bps=2000.0)
         sim.run(until=1000.0)
         # Expected ~7812 packets; allow 5% tolerance.
         assert 7400 <= len(packets) <= 8200
 
     def test_interarrivals_vary(self, sim):
-        packets = []
-        PoissonSource(sim, 1, 0, packets.append, mean_rate_bps=2000.0)
+        packets = Collect()
+        PoissonSource(sim, 1, 0, packets, mean_rate_bps=2000.0)
         sim.run(until=50.0)
         gaps = {
             round(b.created_s - a.created_s, 6)
@@ -91,12 +93,12 @@ class TestPoisson:
 
 class TestAudioBurst:
     def test_bursts_are_dense(self, sim):
-        packets = []
+        packets = Collect()
         AudioBurstSource(
             sim,
             1,
             0,
-            packets.append,
+            packets,
             burst_rate_bps=64_000.0,
             burst_duration_s=1.0,
             mean_silence_s=30.0,
@@ -105,12 +107,12 @@ class TestAudioBurst:
         assert len(packets) > 500  # several bursts of ~250 packets each
 
     def test_silence_between_bursts(self, sim):
-        packets = []
+        packets = Collect()
         AudioBurstSource(
             sim,
             1,
             0,
-            packets.append,
+            packets,
             burst_rate_bps=64_000.0,
             burst_duration_s=0.5,
             mean_silence_s=60.0,
@@ -184,9 +186,9 @@ INTERLEAVED_PIN = ("b9b3f5708bac9ffb", 1472, 1480)
 
 def _run_schedule(kind, kill_at=None):
     sim = Simulator(seed=7)
-    packets = []
+    packets = Collect()
     source = _build_source(
-        kind, sim, 1, packets.append, stop_s=None if kill_at is None else 40.0
+        kind, sim, 1, packets, stop_s=None if kill_at is None else 40.0
     )
     if kill_at is not None:
         def kill():
@@ -220,13 +222,13 @@ def test_interleaved_sources_keep_their_order():
     source's own times.
     """
     sim = Simulator(seed=3)
-    packets = []
+    packets = Collect()
     sources = [
-        CbrSource(sim, node, 0, packets.append, rate_bps=2000.0)
+        CbrSource(sim, node, 0, packets, rate_bps=2000.0)
         for node in (1, 2, 3)
     ]
-    sources.append(_build_source("poisson", sim, 4, packets.append))
-    sources.append(_build_source("audio", sim, 5, packets.append))
+    sources.append(_build_source("poisson", sim, 4, packets))
+    sources.append(_build_source("audio", sim, 5, packets))
     sim.run(until=30.0)
     assert (
         _schedule_digest(packets, limit=len(packets)),

