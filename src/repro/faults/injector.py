@@ -21,11 +21,13 @@ machinery the engine layers expose:
 The ordering inside a kill matters: MACs are stopped while their radios
 are still up (so timer teardown never observes a half-dead radio), radios
 before the medium retire (so the port stops listening before the index
-repair reads listening state), and routing last (so partition checks see
-the post-repair topology).  Around all of it — and around every revive,
-link change and cost refresh — BCP agents that pull their CBR packets on
-demand first buffer every packet due so far on the old routes, and
-re-aim their pending event afterwards.
+repair reads listening state), and routing last.  The partition check
+runs after routing, against the epoch's full dead set: it asks each
+table which live senders cannot reach the sink, a query that grows no
+routing tree and draws no tie-break, so it cannot move a route.  Around
+all of it — and around every revive, link change and cost refresh — BCP
+agents that pull their CBR packets on demand first buffer every packet
+due so far on the old routes, and re-aim their pending event afterwards.
 
 Everything here is fault-path-only.  The zero plan never constructs an
 injector, so no-fault runs execute none of this code and the pinned
@@ -293,20 +295,19 @@ class FaultInjector:
         self.monitor.note_epoch(self._is_partitioned())
 
     def _is_partitioned(self) -> bool:
-        """Whether some live sender cannot reach the sink on every tier.
+        """Whether some live sender cannot reach the sink on at least one
+        tier: one tier cut off is enough, even if another still reaches.
 
-        A dead sink partitions every live sender by definition (its
-        routing rows read unreachable).  Dead senders are skipped — a
-        node that cannot originate is not partitioned, just gone.
+        A dead sink partitions every live sender by definition.  Dead
+        senders are skipped — a node that cannot originate is not
+        partitioned, just gone.
         """
         sink = self.config.sink
-        for table in self.built.route_tables.values():
-            for sender in self.built.senders:
-                if sender in self.dead:
-                    continue
-                if not table.has_route(sender, sink):
-                    return True
-        return False
+        live = [sender for sender in self.built.senders if sender not in self.dead]
+        return any(
+            table.unreachable(live, sink)
+            for table in self.built.route_tables.values()
+        )
 
     # -- results ---------------------------------------------------------
 

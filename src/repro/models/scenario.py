@@ -642,11 +642,7 @@ def _check_sender_routes(
     tiers, and a clear error beats a mid-run RoutingError traceback.
     """
     for name, table in tables.items():
-        unreachable = [
-            sender
-            for sender in senders
-            if not table.has_route(sender, config.sink)
-        ]
+        unreachable = table.unreachable(senders, config.sink)
         if unreachable:
             raise ValueError(
                 f"senders {unreachable} cannot reach sink {config.sink} over "

@@ -2,8 +2,8 @@
 
 "BCP needs to be able to map the low-power and high-power radio addresses
 for the receiver."  Each node has one address per radio interface; the
-:class:`AddressMap` resolves a node id to the address of a given interface
-and back.  In the simulator addresses are synthetic but structurally
+:class:`AddressMap` binds them, one-to-one, and answers whether a node
+has an address on a given interface.  In the simulator addresses are synthetic but structurally
 faithful: sensor interfaces get 16-bit-style short addresses, 802.11
 interfaces get EUI-48-style strings, and the lookups BCP performs before a
 handshake go through this table exactly as a real implementation's would.
@@ -18,7 +18,7 @@ HIGH_INTERFACE = "high"
 
 
 class AddressMap:
-    """Bidirectional node-id ↔ per-interface address table."""
+    """One-to-one node-id ↔ per-interface address bindings."""
 
     def __init__(self) -> None:
         self._by_node: dict[tuple[int, str], str] = {}
@@ -48,14 +48,6 @@ class AddressMap:
         self.register(node_id, LOW_INTERFACE, format_short_address(node_id))
         if has_high_radio:
             self.register(node_id, HIGH_INTERFACE, format_eui48(node_id))
-
-    def address_of(self, node_id: int, interface: str) -> str:
-        """The address of ``node_id`` on ``interface`` (KeyError if absent)."""
-        return self._by_node[(node_id, interface)]
-
-    def node_of(self, address: str) -> int:
-        """The node owning ``address`` (KeyError if unknown)."""
-        return self._by_address[address][0]
 
     def has_interface(self, node_id: int, interface: str) -> bool:
         """Whether ``node_id`` has an address on ``interface``."""

@@ -134,12 +134,6 @@ class CsrGraph:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def neighbor_ids(self, node_id: int) -> list[int]:
-        """Neighbor ids of ``node_id``, ascending."""
-        i = self._index_of[node_id]
-        ids = self.ids
-        return [ids[j] for j in self.indices[self.indptr[i] : self.indptr[i + 1]]]
-
     def has_edge(self, a: int, b: int) -> bool:
         """Whether ``a`` and ``b`` are directly linked (O(log degree))."""
         ia = self._index_of.get(a)

@@ -46,6 +46,16 @@ The BFS engine has two seeded schemes:
 
 Routes minimize hop count; all query methods raise :class:`RoutingError`
 for pairs with no connecting path (see :meth:`RoutingTable.next_hop`).
+
+Reachability is answered apart from the trees.  ``unreachable(sources,
+dst)`` — the fault injector's partition check and the build-time sender
+check — needs no tie-break: it walks the static CSR minus the dead nodes
+with a plain BFS, draws no rng, and shares no state with the trees.  It
+keeps one witness path per (destination, source) and reuses it while none
+of its nodes is dead, so a fault epoch re-searches only the sources whose
+witness a death cut.  Because a lazy table's trees are pure functions of
+(tie seed, destination, dead set), asking this query instead of
+``has_route`` changes which trees get built, never what any route is.
 """
 
 from __future__ import annotations
@@ -132,7 +142,7 @@ class _QueryMixin:
     settled for that source; without it they must cover the whole
     component.  Everything else — ``has_route``, ``next_hop``, ``hops``,
     ``depths_to``, ``path`` and the :class:`RoutingError` text — lives
-    here.
+    here, as does the tree-free reachability query ``unreachable``.
 
     Every engine memoizes ``next_hop`` per ``(src, dst)`` pair in
     ``_hop_memo``; routes change only through :meth:`_resolve_dead` (an
@@ -141,6 +151,9 @@ class _QueryMixin:
 
     adjacency: CsrGraph
     _hop_memo: dict[tuple[int, int], int]
+    #: dst index → source index → a path to it (:meth:`unreachable`);
+    #: checked against the dead set on use, so no epoch clears it.
+    _witnesses: dict[int, dict[int, list[int]]]
     #: Topology epoch the current trees were computed against (0 =
     #: pristine build; only :meth:`invalidate_epoch` moves it).
     epoch: int = 0
@@ -225,6 +238,102 @@ class _QueryMixin:
             return False
         src_idx, dst_idx = indexes
         return self._tree(dst_idx, src_idx)[0][src_idx] >= 0
+
+    def unreachable(
+        self, sources: typing.Iterable[int], dst: int
+    ) -> list[int]:
+        """The ``sources`` with no path to ``dst``, in the given order.
+
+        Exactly ``[s for s in sources if not has_route(s, dst)]``, but it
+        draws no rng and builds, expands or rewinds no tree: reachability
+        has no tie to break.  Each source keeps a witness path to ``dst``
+        (CSR indexes) that answers while none of its nodes is dead; a
+        source without one runs a plain BFS that stops at ``dst`` or at
+        any node of a still-valid witness and splices its path onto it.
+        """
+        index_of = self.adjacency._index_of
+        dead_idx = self._dead_idx
+        dst_idx = index_of.get(dst)
+        if dst_idx is None or dst_idx in dead_idx:
+            return [src for src in sources if src != dst]
+        witnesses = self._witnesses.setdefault(dst_idx, {})
+        for src_idx, path in list(witnesses.items()):
+            if not dead_idx.isdisjoint(path):
+                del witnesses[src_idx]
+        # Node → (a valid witness through it, its position there).
+        anchors: dict[int, tuple[list[int], int]] | None = None
+        # Nodes a failed search proved cut off from ``dst``.
+        stranded: set[int] = set()
+        out = []
+        for src in sources:
+            if src == dst:
+                continue
+            src_idx = index_of.get(src)
+            if src_idx is None or src_idx in dead_idx or src_idx in stranded:
+                out.append(src)
+                continue
+            if src_idx in witnesses:
+                continue
+            if anchors is None:
+                anchors = {dst_idx: ([dst_idx], 0)}
+                for path in witnesses.values():
+                    for pos, node in enumerate(path):
+                        anchors.setdefault(node, (path, pos))
+            path = self._witness_search(src_idx, anchors, stranded)
+            if path is None:
+                out.append(src)
+                continue
+            witnesses[src_idx] = path
+            for pos, node in enumerate(path):
+                anchors.setdefault(node, (path, pos))
+        return out
+
+    def _witness_search(
+        self,
+        src_idx: int,
+        anchors: dict[int, tuple[list[int], int]],
+        stranded: set[int],
+    ) -> list[int] | None:
+        """A live path from ``src_idx`` to the destination, or None.
+
+        BFS over live nodes until it meets an ``anchor``, whose witness
+        suffix completes the path; no search node is an anchor, so the
+        spliced path is simple.  A search that fails adds every node it
+        reached to ``stranded``.
+        """
+        hit = anchors.get(src_idx)
+        if hit is not None:
+            path, pos = hit
+            return path[pos:]
+        csr = self.adjacency
+        indptr, indices = csr.indptr, csr.indices
+        dead_idx = self._dead_idx
+        came_from = {src_idx: -1}
+        frontier = [src_idx]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for neighbor in indices[indptr[node] : indptr[node + 1]]:
+                    if neighbor in came_from or neighbor in dead_idx:
+                        continue
+                    if neighbor in stranded:
+                        # Same component as one already cut off.
+                        stranded.update(came_from)
+                        return None
+                    came_from[neighbor] = node
+                    hit = anchors.get(neighbor)
+                    if hit is not None:
+                        path, pos = hit
+                        prefix = []
+                        while node != -1:
+                            prefix.append(node)
+                            node = came_from[node]
+                        prefix.reverse()
+                        return prefix + path[pos:]
+                    next_frontier.append(neighbor)
+            frontier = next_frontier
+        stranded.update(came_from)
+        return None
 
     def next_hop(self, src: int, dst: int) -> int:
         """The neighbor of ``src`` on the chosen path to ``dst``.
@@ -418,6 +527,7 @@ class RoutingTable(_QueryMixin):
     ):
         self.adjacency = adjacency
         self._hop_memo = {}
+        self._witnesses = {}
         self.threaded = threaded
         self._rng = rng
         self._tie_seed: int | None = (
@@ -648,6 +758,7 @@ class DijkstraRoutingTable(_QueryMixin):
     ):
         self.adjacency = adjacency
         self._hop_memo = {}
+        self._witnesses = {}
         self.cost_model = cost_model
         self._tie_seed: int | None = (
             None if rng is None else rng.getrandbits(64)

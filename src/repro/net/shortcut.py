@@ -94,7 +94,3 @@ class ShortcutLearner:
     def has_shortcut(self, dst: int) -> bool:
         """Whether a shortcut toward ``dst`` has been learned."""
         return dst in self._learned
-
-    def forget(self, dst: int) -> None:
-        """Drop the learned shortcut for ``dst`` (e.g. after delivery failure)."""
-        self._learned.pop(dst, None)

@@ -59,7 +59,11 @@ def _index_sets(layout: Layout, range_m: float) -> dict[int, set[int]]:
 
 def _csr_sets(layout: Layout, range_m: float) -> dict[int, set[int]]:
     csr = CsrGraph.from_layout(layout, range_m)
-    return {i: set(csr.neighbor_ids(i)) for i in layout.node_ids}
+    ids, indptr, indices = csr.ids, csr.indptr, csr.indices
+    return {
+        ids[i]: {ids[j] for j in indices[indptr[i] : indptr[i + 1]]}
+        for i in range(len(ids))
+    }
 
 
 @settings(max_examples=60, deadline=None)

@@ -358,6 +358,29 @@ class TestScriptedScenarioChurn:
         assert result.counters["faults.partitioned_epochs"] >= 1.0
         assert result.counters["faults.unroutable_drops"] > 0
 
+    def test_cut_relay_opens_and_closes_a_partition(self):
+        # A 6-node line, senders 1-5 toward sink 0: relay 2 dying cuts 3-5
+        # off (partitioned), sender 5 dying keeps 3-4 cut (partitioned),
+        # and 2's recovery reconnects every live sender (dead 5 is gone,
+        # not partitioned).  Exact counts, recorded before the partition
+        # check stopped growing routing trees.
+        plan = FaultPlan(
+            crashes=((10.0, 2), (12.0, 5)), recoveries=((20.0, 2),)
+        )
+        config = ScenarioConfig(
+            model="dual",
+            topology=TopologySpec.of("line", n=6),
+            sink=0,
+            n_senders=5,
+            sim_time_s=30.0,
+            burst_packets=10,
+            seed=1,
+            faults=plan,
+        )
+        counters = run_scenario(config).counters
+        assert counters["faults.epochs"] == 3.0
+        assert counters["faults.partitioned_epochs"] == 2.0
+
     def test_random_churn_is_seed_deterministic(self):
         plan = FaultPlan(crash_rate_per_node_s=0.002, mean_downtime_s=20.0)
         config = ScenarioConfig(model="sensor", sim_time_s=60.0, faults=plan)

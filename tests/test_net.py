@@ -65,12 +65,6 @@ class TestAddressing:
         addresses.register_node(7, has_high_radio=False)
         assert not addresses.has_interface(7, HIGH_INTERFACE)
 
-    def test_roundtrip(self):
-        addresses = AddressMap()
-        addresses.register_node(9)
-        high = addresses.address_of(9, HIGH_INTERFACE)
-        assert addresses.node_of(high) == 9
-
     def test_duplicate_interface_rejected(self):
         addresses = AddressMap()
         addresses.register(1, LOW_INTERFACE, "a")
@@ -186,9 +180,3 @@ class TestShortcutLearner:
     def test_ignores_self(self):
         learner, _low, _high = self.make()
         assert not learner.observe_forwarding(3, forwarder=0)
-
-    def test_forget_restores_default(self):
-        learner, low, _high = self.make()
-        learner.observe_forwarding(3, forwarder=2)
-        learner.forget(3)
-        assert learner.next_hop(3) == low.next_hop(0, 3)

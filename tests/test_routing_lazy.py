@@ -53,8 +53,9 @@ class TestCsrGraph:
     def test_from_links(self):
         csr = CsrGraph.from_links([3, 1, 2], [(1, 3), (3, 2)])
         assert csr.ids == (1, 2, 3)
-        assert csr.neighbor_ids(3) == [1, 2]
-        assert csr.neighbor_ids(1) == [3]
+        # Rows hold neighbor indexes: 3 is index 2, linked to 1 and 2.
+        assert csr.indices[csr.indptr[2] : csr.indptr[3]] == [0, 1]
+        assert csr.indices[csr.indptr[0] : csr.indptr[1]] == [2]
         assert csr.n_edges == 2
 
     def test_has_edge(self):
@@ -66,8 +67,8 @@ class TestCsrGraph:
     def test_rows_sorted_ascending(self):
         layout = random_layout(30, 120.0, 120.0, random.Random(5))
         csr = CsrGraph.from_layout(layout, 50.0)
-        for node in csr.ids:
-            row = csr.neighbor_ids(node)
+        for i in range(len(csr)):
+            row = csr.indices[csr.indptr[i] : csr.indptr[i + 1]]
             assert row == sorted(row)
 
     def test_membership_and_len(self):
