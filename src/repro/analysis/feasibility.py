@@ -14,9 +14,8 @@ These are closed-form sweeps over the Section 2.1 equations:
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
-
-import numpy
 
 from repro.energy.breakeven import (
     DualRadioLink,
@@ -50,10 +49,19 @@ class Series:
             raise ValueError("x and y must have equal length")
 
 
+def _lin_space(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced values from ``lo`` to ``hi`` inclusive:
+    ``lo + i * step``, the last exactly ``hi`` (``numpy.linspace``'s
+    float arithmetic, so the values match it bit for bit)."""
+    step = (hi - lo) / (points - 1)
+    return [lo + i * step for i in range(points - 1)] + [hi]
+
+
 def _log_space(start: float, stop: float, points: int) -> list[float]:
-    return [float(v) for v in numpy.logspace(
-        numpy.log10(start), numpy.log10(stop), points
-    )]
+    """``points`` log-spaced values from ``start`` to ``stop`` inclusive:
+    ten to the power of each :func:`_lin_space` exponent."""
+    exponents = _lin_space(math.log10(start), math.log10(stop), points)
+    return [10.0 ** e for e in exponents]
 
 
 def fig1_energy_vs_size(

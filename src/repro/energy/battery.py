@@ -37,11 +37,6 @@ class Battery:
         """Remaining charge as a fraction of capacity in [0, 1]."""
         return self.remaining_j / self.capacity_j
 
-    @property
-    def is_depleted(self) -> bool:
-        """Whether the battery has no usable charge left."""
-        return self.remaining_j <= 0.0
-
     def drain(self, joules: float) -> None:
         """Remove ``joules`` from the battery.
 

@@ -79,10 +79,6 @@ class RadioEnergyModel:
             + self.e_amp_j_per_bit * distance_m**self.path_loss_exponent
         )
 
-    def rx_cost_j(self, bits: float) -> float:
-        """Energy to receive ``bits`` (distance-independent)."""
-        return self.e_elec_j_per_bit * bits
-
 
 #: The literature-standard parameterization (50 nJ/bit electronics,
 #: 100 pJ/bit/m² amplifier, free-space exponent) — the shared flyweight
@@ -213,11 +209,6 @@ class RadioSpec:
     def airtime(self, size_bits: float) -> float:
         """Time to clock ``size_bits`` onto the air at this radio's rate."""
         return size_bits / self.rate_bps
-
-    def packet_airtime(self, payload_bits: float | None = None) -> float:
-        """Airtime of one packet (header included)."""
-        payload = self.payload_bits if payload_bits is None else payload_bits
-        return (payload + self.header_bits) / self.rate_bps
 
     def tx_power_for_range(self, distance_m: float) -> float:
         """Cheapest discrete transmit power whose reach covers ``distance_m``.

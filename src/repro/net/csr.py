@@ -9,19 +9,17 @@ Node ids are mapped onto ``0..n-1`` in ascending id order, so index order
 and id order agree — a BFS over indexes breaks ties exactly like one over
 sorted ids.
 
-Builders cover the three places routing graphs come from:
+Builders cover the two places routing graphs come from:
 
 * :meth:`CsrGraph.from_layout` — a uniform radio range over a
   :class:`~repro.topology.layout.Layout`: the pairs
   :meth:`~repro.topology.layout.Layout.pairs_within` finds with the code
   base's one spatial hash (the medium's neighbor index takes its
-  candidates from the same helper).  Edge-for-edge identical to
-  ``layout.graph(range_m)`` (same ``in_range`` tolerance).
+  candidates from the same helper).  Edge-for-edge identical to an
+  O(n²) ``in_range`` scan (same tolerance).
 * :meth:`CsrGraph.from_links` — an explicit link list, e.g. the
   bidirectionally-audible links a :class:`~repro.channel.medium.Medium`'s
   neighbor index reports for a shadowed channel.
-* :meth:`CsrGraph.from_networkx` — any existing connectivity graph (tests,
-  fallback interop).
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ import bisect
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
-    import networkx
-
     from repro.topology.layout import Layout
 
 
@@ -73,7 +69,7 @@ class CsrGraph:
     def from_layout(cls, layout: "Layout", range_m: float) -> "CsrGraph":
         """Connectivity at a uniform ``range_m``: the pairs
         :meth:`Layout.pairs_within` finds, so edge-for-edge identical to
-        ``layout.graph(range_m)`` without its O(n²) pairwise scan."""
+        an O(n²) ``in_range`` scan without its cost."""
         return cls.from_links(layout.node_ids, layout.pairs_within(range_m))
 
     @classmethod
@@ -88,14 +84,6 @@ class CsrGraph:
             adjacency[a].append(b)
             adjacency[b].append(a)
         return cls(tuple(adjacency), adjacency)
-
-    @classmethod
-    def from_networkx(cls, graph: "networkx.Graph") -> "CsrGraph":
-        """Flatten an existing networkx connectivity graph."""
-        return cls(
-            tuple(graph.nodes),
-            {node: list(graph.neighbors(node)) for node in graph.nodes},
-        )
 
     # -- queries ---------------------------------------------------------
 

@@ -68,13 +68,5 @@ class EventLog:
         """Append one entry."""
         self.entries.append(LogEntry(time_s, mote, event, duration_s, detail))
 
-    def of_type(self, event: str, mote: str | None = None) -> list[LogEntry]:
-        """All entries of one event type (optionally one mote's)."""
-        return [
-            entry
-            for entry in self.entries
-            if entry.event == event and (mote is None or entry.mote == mote)
-        ]
-
     def __len__(self) -> int:
         return len(self.entries)

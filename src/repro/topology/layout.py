@@ -2,9 +2,8 @@
 
 A :class:`Layout` is simply an ordered mapping of integer node ids to
 :class:`~repro.topology.geometry.Position`.  Connectivity is *not* stored
-here — it is a function of each radio's range — but :meth:`Layout.graph`
-materializes the connectivity graph for a given range (used to build routing
-tables).
+here — it is a function of each radio's range; routing builds its graphs
+with ``CsrGraph.from_layout``.
 
 Layouts are immutable once constructed, so derived data (:attr:`Layout.node_ids`,
 :meth:`Layout.neighbors_within`) is computed once and served as cached
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 import math
 import typing
-
-import networkx
 
 from repro.topology.geometry import RANGE_EPSILON_M, Position, in_range
 
@@ -125,41 +122,6 @@ class Layout:
                         if hypot(ax - bx, ay - by) <= limit:
                             yield a, b
 
-    def graph(self, range_m: float) -> "networkx.Graph":
-        """Connectivity graph for radios with transmission range ``range_m``.
-
-        Edges carry a ``distance`` attribute in meters.
-        """
-        g = networkx.Graph()
-        g.add_nodes_from(self._positions)
-        ids = list(self._positions)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                if in_range(self._positions[a], self._positions[b], range_m):
-                    g.add_edge(a, b, distance=self.distance(a, b))
-        return g
-
-    def graph_for_ranges(
-        self, ranges: typing.Mapping[int, float]
-    ) -> "networkx.Graph":
-        """Connectivity graph for heterogeneous per-node ranges.
-
-        An edge exists only when the two nodes are within *both* ranges
-        (links must be bidirectional to carry a handshake); with a uniform
-        range map this reduces exactly to :meth:`graph`.  Nodes missing
-        from ``ranges`` are placed in the graph but get no edges (e.g.
-        nodes without a high-power radio in a heterogeneous deployment).
-        """
-        g = networkx.Graph()
-        g.add_nodes_from(self._positions)
-        ids = [n for n in self._positions if n in ranges]
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                reach = min(ranges[a], ranges[b])
-                if in_range(self._positions[a], self._positions[b], reach):
-                    g.add_edge(a, b, distance=self.distance(a, b))
-        return g
-
 
 def grid_layout(rows: int = 6, cols: int = 6, spacing_m: float = 40.0) -> Layout:
     """The paper's evaluation layout: a ``rows × cols`` grid.
@@ -192,7 +154,20 @@ def line_layout(n_nodes: int, spacing_m: float = 40.0) -> Layout:
 
 
 def _connected(layout: Layout, range_m: float) -> bool:
-    return networkx.is_connected(layout.graph(range_m))
+    """Whether every node reaches every other over links of ``range_m``
+    (the :meth:`Layout.pairs_within` pairs, the ``in_range`` predicate)."""
+    adjacency: dict[int, list[int]] = {node: [] for node in layout.node_ids}
+    for a, b in layout.pairs_within(range_m):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen = {layout.node_ids[0]}
+    stack = list(seen)
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return len(seen) == len(adjacency)
 
 
 def _sample_until_connected(

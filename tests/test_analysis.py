@@ -1,5 +1,8 @@
 """Analysis sweeps behind Figures 1-4."""
 
+import decimal
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -12,6 +15,7 @@ from repro.analysis import (
     fig4_savings_vs_burst,
     knee_burst_size,
 )
+from repro.analysis.feasibility import _lin_space, _log_space
 from repro.energy.radio_specs import CABLETRON, LUCENT_2, LUCENT_11
 
 
@@ -19,6 +23,53 @@ class TestSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Series("x", (1.0, 2.0), (1.0,))
+
+
+#: (start, stop, points): the Fig. 1 and Fig. 2 defaults, then edge cases.
+LOG_SPACES = (
+    (0.1, 10.0, 50),
+    (1e-3, 10.0, 50),
+    (0.1, 10.0, 2),
+    (0.5, 7.3, 33),
+    (1e-6, 1e6, 1001),
+)
+
+
+def _exact_power_of_ten(exponent):
+    """``10 ** exponent``, correctly rounded to a float."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return float(decimal.Decimal(10) ** decimal.Decimal(exponent))
+
+
+class TestLogSpace:
+    @pytest.mark.parametrize("start, stop, points", LOG_SPACES)
+    def test_endpoints_exact(self, start, stop, points):
+        values = _log_space(start, stop, points)
+        assert len(values) == points
+        assert values[0] == 10.0 ** math.log10(start)
+        assert values[-1] == 10.0 ** math.log10(stop)
+
+    @pytest.mark.parametrize("start, stop, points", LOG_SPACES)
+    def test_values_are_correctly_rounded_powers(self, start, stop, points):
+        exponents = _lin_space(math.log10(start), math.log10(stop), points)
+        assert _log_space(start, stop, points) == [
+            _exact_power_of_ten(e) for e in exponents
+        ]
+
+    @pytest.mark.parametrize("start, stop, points", LOG_SPACES)
+    def test_matches_numpy(self, start, stop, points):
+        numpy = pytest.importorskip("numpy")
+        lo, hi = numpy.log10(start), numpy.log10(stop)
+        # The exponents are numpy.linspace's, bit for bit.
+        assert _lin_space(float(lo), float(hi), points) == [
+            float(v) for v in numpy.linspace(lo, hi, points)
+        ]
+        # numpy's vectorized power may miss the correctly rounded value
+        # (which _log_space returns) by one ulp on some CPUs.
+        for ours, theirs in zip(
+            _log_space(start, stop, points), numpy.logspace(lo, hi, points)
+        ):
+            assert abs(ours - float(theirs)) <= math.ulp(float(theirs))
 
 
 class TestFig1:

@@ -32,7 +32,7 @@ class TestBattery:
     def test_exact_drain_depletes(self):
         battery = Battery(10.0)
         battery.drain(10.0)
-        assert battery.is_depleted
+        assert battery.remaining_j == 0.0
 
     def test_lifetime_projection(self):
         battery = Battery(86400.0)  # 1 J/s for a day

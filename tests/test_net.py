@@ -13,6 +13,7 @@ from repro.net.packets import PacketRun
 from repro.net.routing import RoutingError, RoutingTable
 from repro.net.shortcut import ShortcutLearner
 from repro.topology import grid_layout, line_layout
+from tests.oracles import nx_graph
 
 
 class TestPacketRun:
@@ -107,11 +108,10 @@ class TestRouting:
         assert not table.has_route(0, 2)
 
     def test_grid_routes_are_shortest(self):
-        import networkx
-
+        networkx = pytest.importorskip("networkx")
         layout = grid_layout(6, 6, 40.0)
         table = RoutingTable.from_layout(layout, 40.0)
-        graph = layout.graph(40.0)
+        graph = nx_graph(layout, 40.0)
         for src in (35, 17, 5):
             assert table.hops(src, 0) == networkx.shortest_path_length(
                 graph, src, 0

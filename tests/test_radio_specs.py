@@ -91,10 +91,6 @@ class TestDerived:
     def test_airtime(self):
         assert MICAZ.airtime(250e3) == pytest.approx(1.0)
 
-    def test_packet_airtime_includes_header(self):
-        expected = (32 + 8) * 8 / 250e3
-        assert MICAZ.packet_airtime() == pytest.approx(expected)
-
     def test_energy_per_payload_bit_micaz_beats_2mbps_cards(self):
         """The Fig. 1 infeasibility: Micaz per-bit beats Cabletron/Lucent-2."""
         assert MICAZ.energy_per_payload_bit() < CABLETRON.energy_per_payload_bit()

@@ -20,6 +20,7 @@ from repro.topology.layout import (
     random_layout,
 )
 from repro.topology.geometry import Position
+from tests.oracles import nx_graph
 
 
 def _edge_set_nx(graph):
@@ -38,17 +39,12 @@ class TestCsrGraph:
     def test_from_layout_matches_networkx_grid(self):
         layout = grid_layout(5, 5, 40.0)
         csr = CsrGraph.from_layout(layout, 40.0)
-        assert _edge_set_csr(csr) == _edge_set_nx(layout.graph(40.0))
+        assert _edge_set_csr(csr) == _edge_set_nx(nx_graph(layout, 40.0))
 
     def test_from_layout_matches_networkx_random(self):
         layout = random_layout(60, 200.0, 200.0, random.Random(11))
         csr = CsrGraph.from_layout(layout, 55.0)
-        assert _edge_set_csr(csr) == _edge_set_nx(layout.graph(55.0))
-
-    def test_from_networkx_round_trip(self):
-        graph = grid_layout(3, 4, 40.0).graph(40.0)
-        csr = CsrGraph.from_networkx(graph)
-        assert _edge_set_csr(csr) == _edge_set_nx(graph)
+        assert _edge_set_csr(csr) == _edge_set_nx(nx_graph(layout, 55.0))
 
     def test_from_links(self):
         csr = CsrGraph.from_links([3, 1, 2], [(1, 3), (3, 2)])
@@ -80,11 +76,11 @@ class TestCsrGraph:
         # in_range() accepts distances up to range + RANGE_EPSILON_M; an
         # edge a hair past the nominal range can straddle two cell
         # boundaries of a range-sized hash, so the cells must be sized to
-        # the inclusive reach.  layout.graph is the ground truth.
+        # the inclusive reach.  An in_range scan is the ground truth.
         layout = Layout(
             {0: Position(39.9999999, 0.0), 1: Position(80.0000004, 0.0)}
         )
-        assert _edge_set_nx(layout.graph(40.0)) == {(0, 1)}
+        assert _edge_set_nx(nx_graph(layout, 40.0)) == {(0, 1)}
         csr = CsrGraph.from_layout(layout, 40.0)
         assert csr.has_edge(0, 1)
 

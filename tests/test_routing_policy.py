@@ -60,10 +60,6 @@ class TestRadioEnergyModel:
         assert model.tx_cost_j(100, 0.0) == model.e_elec_j_per_bit * 100
         assert model.tx_cost_j(100, -1.0) == model.e_elec_j_per_bit * 100
 
-    def test_rx_cost_is_distance_free_electronics(self):
-        model = RadioEnergyModel()
-        assert model.rx_cost_j(8) == model.e_elec_j_per_bit * 8
-
     def test_path_loss_exponent_applies(self):
         steep = RadioEnergyModel(path_loss_exponent=4.0)
         flat = RadioEnergyModel(path_loss_exponent=2.0)

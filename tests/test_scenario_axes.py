@@ -43,6 +43,7 @@ from repro.topology.registry import (
 )
 from repro.traffic.generators import AudioBurstSource, CbrSource, PoissonSource
 from repro.traffic.registry import TRAFFIC
+from tests.oracles import nx_graph
 
 
 def rng_for(seed, name="layout"):
@@ -162,12 +163,11 @@ class TestGeneratedLayoutProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 25))
     def test_connect_range_yields_connected_graph(self, seed, n):
-        import networkx
-
+        networkx = pytest.importorskip("networkx")
         layout = random_layout(
             n, 100.0, 100.0, rng_for(seed), connect_range_m=45.0
         )
-        assert networkx.is_connected(layout.graph(45.0))
+        assert networkx.is_connected(nx_graph(layout, 45.0))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), n=st.integers(2, 25),
@@ -175,13 +175,12 @@ class TestGeneratedLayoutProperties:
     def test_clustered_connect_range_yields_connected_graph(
         self, seed, n, clusters
     ):
-        import networkx
-
+        networkx = pytest.importorskip("networkx")
         layout = clustered_layout(
             n, 80.0, 80.0, rng_for(seed), clusters=clusters, sigma_m=10.0,
             connect_range_m=50.0,
         )
-        assert networkx.is_connected(layout.graph(50.0))
+        assert networkx.is_connected(nx_graph(layout, 50.0))
 
     def test_impossible_connectivity_fails_loudly(self):
         with pytest.raises(ValueError, match="no connected layout"):
@@ -467,16 +466,29 @@ class TestComposedDefaultsAreByteIdentical:
 
 class TestRoutingFollowsAudibility:
     def test_heterogeneous_graph_uses_min_range(self):
-        from repro.topology.layout import line_layout
-
-        layout = line_layout(3, 100.0)  # 0 -100m- 1 -100m- 2
-        graph = layout.graph_for_ranges({0: 250.0, 1: 250.0, 2: 100.0})
-        # 0-2 is 200 m: inside 0's range but outside 2's -> no edge
-        assert graph.has_edge(0, 1) and graph.has_edge(1, 2)
-        assert not graph.has_edge(0, 2)
-        # uniform map reduces to the single-range graph
-        uniform = layout.graph_for_ranges({n: 100.0 for n in layout.node_ids})
-        assert set(uniform.edges) == set(layout.graph(100.0).edges)
+        # 0 -35m- 1 -35m- 2 with Cabletrons (250 m) at 0 and 1 and a
+        # Lucent 11 Mb/s (40 m) at 2: 0-2 (70 m) is inside 0's range but
+        # outside 2's -> no edge (links must be heard both ways).
+        config = ScenarioConfig(
+            model="dual",
+            topology=TopologySpec.of(
+                "from-file",
+                positions=((0, 0.0, 0.0), (1, 35.0, 0.0), (2, 70.0, 0.0)),
+            ),
+            sink=0,
+            n_senders=2,
+            sim_time_s=5.0,
+            high_radios=RadioAssignment(
+                default=CABLETRON.name, overrides=((2, LUCENT_11.name),)
+            ),
+        )
+        built = build_network(config, Simulator(seed=1))
+        assert built.route_tables["high"].adjacency.edges == [(0, 1), (1, 2)]
+        # a uniform assignment reduces to the single-range graph
+        uniform = config.replace(high_radios=RadioAssignment(default=CABLETRON.name))
+        built = build_network(uniform, Simulator(seed=1))
+        expected = nx_graph(built.layout, CABLETRON.range_m)
+        assert set(built.route_tables["high"].adjacency.edges) == set(expected.edges)
 
     def test_shadowed_routing_only_uses_audible_links(self):
         # Heavy shadowing mutes/extends links; every routed edge must be
@@ -503,7 +515,7 @@ class TestRoutingFollowsAudibility:
         table = built.agents[0].routing
         from repro.topology.layout import grid_layout
 
-        expected = grid_layout(6, 6, 40.0).graph(40.0)
+        expected = nx_graph(grid_layout(6, 6, 40.0), 40.0)
         assert set(table.adjacency.edges) == set(expected.edges)
 
 

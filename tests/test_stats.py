@@ -21,6 +21,7 @@ from repro.stats import (
     merge_counters,
     summarize_runs,
 )
+from repro.stats.confidence import _t_quantile
 
 from tests.runs import single, unpack
 
@@ -74,6 +75,39 @@ class TestConfidence:
     def test_property_constant_sample_zero_width(self, value, n):
         estimate = mean_confidence([value] * n)
         assert estimate.half_width == pytest.approx(0.0, abs=1e-9)
+
+
+#: The paper's confidence levels and more, as two-sided quantile levels.
+T_LEVELS = tuple((1.0 + c) / 2.0 for c in (0.8, 0.9, 0.95, 0.99, 0.999))
+T_DFS = tuple(range(1, 60)) + (100, 199, 500, 1000, 5000)
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("p", (0.6,) + T_LEVELS)
+    def test_one_degree_of_freedom_is_cauchy(self, p):
+        expected = math.tan(math.pi * (p - 0.5))
+        assert _t_quantile(p, 1) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("p", (0.6,) + T_LEVELS)
+    def test_two_degrees_of_freedom_closed_form(self, p):
+        expected = (2 * p - 1) * math.sqrt(2 / (4 * p * (1 - p)))
+        assert _t_quantile(p, 2) == pytest.approx(expected, rel=1e-12)
+
+    def test_symmetric_about_the_median(self):
+        assert _t_quantile(0.5, 7) == 0.0
+        assert _t_quantile(0.025, 19) == -_t_quantile(0.975, 19)
+
+    def test_p_outside_unit_interval_rejected(self):
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                _t_quantile(p, 3)
+
+    def test_matches_scipy(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for df in T_DFS:
+            for p in T_LEVELS:
+                expected = float(scipy_stats.t.ppf(p, df))
+                assert _t_quantile(p, df) == pytest.approx(expected, rel=1e-10)
 
 
 def result(generated=1000.0, delivered=800.0, energy=2.0, delay=1.0):

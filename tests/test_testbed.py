@@ -19,6 +19,15 @@ from repro.testbed import (
 from repro.testbed import eventlog
 
 
+def _of_type(log, event, mote=None):
+    """The entries of one event type (optionally one mote's)."""
+    return [
+        entry
+        for entry in log.entries
+        if entry.event == event and (mote is None or entry.mote == mote)
+    ]
+
+
 class TestEventLog:
     def test_append_and_filter(self):
         log = EventLog()
@@ -26,8 +35,11 @@ class TestEventLog:
         log.log(0.0, "receiver", eventlog.SENSOR_RX, 0.001)
         log.log(1.0, "sender", eventlog.WIFI_WAKEUP)
         assert len(log) == 3
-        assert len(log.of_type(eventlog.SENSOR_TX)) == 1
-        assert len(log.of_type(eventlog.SENSOR_RX, mote="sender")) == 0
+        assert [(entry.mote, entry.event) for entry in log.entries] == [
+            ("sender", eventlog.SENSOR_TX),
+            ("receiver", eventlog.SENSOR_RX),
+            ("sender", eventlog.WIFI_WAKEUP),
+        ]
 
 
 class TestEmulation:
@@ -37,8 +49,8 @@ class TestEmulation:
         duration = link.transfer(2.0, "sender", "receiver", 16)
         expected = (16 * 8 + TMOTE_CC2420.header_bits) / TMOTE_CC2420.rate_bps
         assert duration == pytest.approx(expected)
-        (tx,) = log.of_type(eventlog.SENSOR_TX, "sender")
-        (rx,) = log.of_type(eventlog.SENSOR_RX, "receiver")
+        (tx,) = _of_type(log, eventlog.SENSOR_TX, "sender")
+        (rx,) = _of_type(log, eventlog.SENSOR_RX, "receiver")
         assert tx.time_s == rx.time_s == 2.0
         assert tx.duration_s == rx.duration_s == duration
 
@@ -52,14 +64,14 @@ class TestEmulation:
         b.wake(0.0)
         duration = a.transfer_frame(1.0, b, 1024)
         assert duration == a.frame_airtime_s(1024)
-        assert log.of_type(eventlog.WIFI_TX, "sender")
-        assert log.of_type(eventlog.WIFI_RX, "receiver")
+        assert _of_type(log, eventlog.WIFI_TX, "sender")
+        assert _of_type(log, eventlog.WIFI_RX, "receiver")
 
     def test_wake_logs_event(self):
         log = EventLog()
         mac = EmulatedWifiMac(log, "sender", LUCENT_11)
         mac.wake(0.0)
-        assert len(log.of_type(eventlog.WIFI_WAKEUP)) == 1
+        assert len(_of_type(log, eventlog.WIFI_WAKEUP)) == 1
 
 
 class TestAccounting:

@@ -1,7 +1,11 @@
 """Layouts, geometry and connectivity graphs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.net.csr import CsrGraph
+from repro.net.routing import RoutingTable
 from repro.sim import Simulator
 from repro.topology import (
     Layout,
@@ -11,6 +15,9 @@ from repro.topology import (
     line_layout,
     random_layout,
 )
+from repro.topology.geometry import RANGE_EPSILON_M
+from repro.topology.layout import _connected
+from tests.oracles import nx_graph
 
 
 class TestGeometry:
@@ -47,18 +54,10 @@ class TestGridLayout:
         assert neighbors == [1, 3, 5, 7]  # orthogonal only; diagonal is 56m
 
     def test_connectivity_graph_connected_at_40m(self):
-        import networkx
-
-        grid = grid_layout(6, 6, 40.0)
-        graph = grid.graph(40.0)
-        assert networkx.is_connected(graph)
+        assert _connected(grid_layout(6, 6, 40.0), 40.0)
 
     def test_graph_disconnected_below_spacing(self):
-        import networkx
-
-        grid = grid_layout(3, 3, 40.0)
-        graph = grid.graph(30.0)
-        assert not networkx.is_connected(graph)
+        assert not _connected(grid_layout(3, 3, 40.0), 30.0)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -70,15 +69,11 @@ class TestLineLayout:
         """Source and destination 200 m apart: 5 sensor hops."""
         line = line_layout(6, 40.0)
         assert line.distance(0, 5) == pytest.approx(200.0)
-        graph = line.graph(40.0)
-        import networkx
-
-        assert networkx.shortest_path_length(graph, 0, 5) == 5
+        assert RoutingTable.from_layout(line, 40.0).hops(0, 5) == 5
 
     def test_one_cabletron_hop(self):
         line = line_layout(6, 40.0)
-        graph = line.graph(250.0)
-        assert graph.has_edge(0, 5)
+        assert CsrGraph.from_layout(line, 250.0).has_edge(0, 5)
 
     def test_minimum_two_nodes(self):
         with pytest.raises(ValueError):
@@ -113,3 +108,63 @@ class TestLayoutValidation:
         grid = grid_layout(2, 2)
         assert 0 in grid
         assert 99 not in grid
+
+
+class TestConnectedMatchesNetworkx:
+    """``_connected`` (a search over ``pairs_within``) answers exactly
+    what networkx's ``is_connected`` says of the ``in_range`` graph."""
+
+    RANGE_M = 40.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        ),
+        spacing=st.sampled_from(
+            (
+                RANGE_M,
+                RANGE_M + RANGE_EPSILON_M,
+                RANGE_M + 2 * RANGE_EPSILON_M,
+                RANGE_M * 0.75,
+            )
+        ),
+    )
+    def test_grid_points_at_the_range_boundary(self, cells, spacing):
+        # Orthogonal neighbours sit exactly at the range, at range + eps
+        # (still linked), or just past it.
+        layout = Layout(
+            {
+                i: Position(col * spacing, row * spacing)
+                for i, (col, row) in enumerate(cells)
+            }
+        )
+        networkx = pytest.importorskip("networkx")
+        expected = networkx.is_connected(nx_graph(layout, self.RANGE_M))
+        assert _connected(layout, self.RANGE_M) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.floats(0.0, 150.0), st.floats(0.0, 150.0)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_random_layouts(self, points):
+        layout = Layout({i: Position(x, y) for i, (x, y) in enumerate(points)})
+        networkx = pytest.importorskip("networkx")
+        expected = networkx.is_connected(nx_graph(layout, self.RANGE_M))
+        assert _connected(layout, self.RANGE_M) == expected
+
+    def test_boundary_pairs_link(self):
+        for gap in (self.RANGE_M, self.RANGE_M + RANGE_EPSILON_M):
+            pair = Layout({0: Position(0.0, 0.0), 1: Position(gap, 0.0)})
+            assert _connected(pair, self.RANGE_M)
+        far = Layout(
+            {0: Position(0.0, 0.0), 1: Position(self.RANGE_M + 1e-5, 0.0)}
+        )
+        assert not _connected(far, self.RANGE_M)
