@@ -118,10 +118,10 @@ def main_smoke() -> None:
         run_cell(cell_args)
 
     cache = ResultCache(os.environ.get("REPRO_CACHE_DIR"))
-    stats = cache.disk_stats()
-    print(f"\nfirst pass: {len(matrix)} cells, cache now holds {stats.entries}")
-    if stats.entries < len(matrix):
-        sys.exit(f"expected >= {len(matrix)} cached cells, found {stats.entries}")
+    entries = len(cache)
+    print(f"\nfirst pass: {len(matrix)} cells, cache now holds {entries}")
+    if entries < len(matrix):
+        sys.exit(f"expected >= {len(matrix)} cached cells, found {entries}")
 
     # Second pass over the SAME full matrix: every cell — including the
     # stochastic propagation models and the from-file layout — must be a

@@ -21,10 +21,6 @@ Examples
     repro merge-shards merged/ /tmp/s0 /tmp/s1
     repro fig5 --paper --cache-dir merged/
 
-    repro cache stats                      # what is in the cache
-    repro cache gc --max-bytes 500M        # LRU-trim to a size budget
-    repro cache gc --max-age 30d           # drop entries older than 30 days
-
     repro scenarios list                   # registered composition axes
 
     repro bench                            # smoke perf suite + its ceilings
@@ -55,7 +51,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 
@@ -75,7 +70,6 @@ from repro.report.scenario import render_run_report
 from repro.topology.registry import TOPOLOGIES, TopologySpec, topology_node_count
 from repro.traffic.registry import TRAFFIC
 from repro.runner import (
-    CacheLockedError,
     MergeError,
     ProgressPrinter,
     ResultCache,
@@ -97,49 +91,6 @@ _SIM_FIGURES = {"fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
 _PROTO_FIGURES = {"fig11", "fig12"}
 
 
-def parse_size(text: str) -> int:
-    """Parse a byte size: plain bytes or K/M/G suffixed (``500M``)."""
-    raw = text.strip().upper()
-    factors = {"K": 1024, "M": 1024**2, "G": 1024**3}
-    factor = 1
-    if raw and raw[-1] in factors:
-        factor = factors[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad size {text!r}; expected e.g. 1048576, 512K, 500M, 2G"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("size must be non-negative")
-    return value * factor
-
-
-def parse_duration(text: str) -> float:
-    """Parse a duration: plain seconds or s/m/h/d suffixed (``30d``)."""
-    raw = text.strip().lower()
-    factors = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    factor = 1.0
-    if raw and raw[-1] in factors:
-        factor = factors[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad duration {text!r}; expected e.g. 3600, 90s, 30m, 12h, 7d"
-        ) from None
-    seconds = value * factor
-    # float() accepts "nan", "inf" and overflowing literals; a NaN age
-    # would compare False against every entry and silently match none.
-    if not math.isfinite(seconds):
-        raise argparse.ArgumentTypeError(f"duration {text!r} is not finite")
-    if seconds < 0:
-        raise argparse.ArgumentTypeError("duration must be non-negative")
-    return seconds
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The artifact-mode argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -147,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reproduce tables/figures of 'Improving Energy Conservation "
             "Using Bulk Transmission over High-Power Radios in Sensor "
-            "Networks' (ICDCS 2008).  Also: repro merge-shards --help, "
-            "repro cache --help."
+            "Networks' (ICDCS 2008).  Also: repro merge-shards --help."
         ),
     )
     parser.add_argument(
@@ -384,7 +334,7 @@ def render_artifact(args: argparse.Namespace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# merge-shards and cache subcommands.
+# merge-shards subcommand.
 # ---------------------------------------------------------------------------
 
 
@@ -406,66 +356,6 @@ def _merge_shards_main(argv: typing.Sequence[str]) -> int:
         report = merge_shards(args.dest, args.sources)
     except MergeError as error:
         print(f"repro: merge-shards: {error}", file=sys.stderr)
-        return 1
-    print(report.summary())
-    return 0
-
-
-def _cache_main(argv: typing.Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description="Inspect or garbage-collect the on-disk result cache.",
-    )
-    # --cache-dir lives on a shared parent so the natural flag order
-    # ('repro cache gc --cache-dir X') parses; top-level options after a
-    # subcommand would be 'unrecognized arguments' to argparse.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help=(
-            "cache directory (default $REPRO_CACHE_DIR, else ~/.cache/repro)"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "stats", parents=[common], help="inventory the cache directory"
-    )
-    gc = sub.add_parser(
-        "gc",
-        parents=[common],
-        help=(
-            "evict corrupted entries, then by age, then LRU down to a "
-            "size budget (takes the cache-dir lockfile; in-flight cells "
-            "of a concurrent sweep are skipped)"
-        ),
-    )
-    gc.add_argument(
-        "--max-bytes",
-        type=parse_size,
-        default=None,
-        help="LRU-evict oldest entries until the cache fits (e.g. 500M)",
-    )
-    gc.add_argument(
-        "--max-age",
-        type=parse_duration,
-        default=None,
-        help="evict entries not touched for this long (e.g. 30d, 12h)",
-    )
-    args = parser.parse_args(list(argv))
-    try:
-        cache = ResultCache(args.cache_dir)
-    except ValueError as error:
-        print(f"repro: cache: {error}", file=sys.stderr)
-        return 1
-    if args.command == "stats":
-        print(cache.disk_stats().summary())
-        return 0
-    try:
-        report = cache.gc(max_bytes=args.max_bytes, max_age_s=args.max_age)
-    except CacheLockedError as error:
-        print(f"repro: cache gc: {error}", file=sys.stderr)
         return 1
     print(report.summary())
     return 0
@@ -887,8 +777,8 @@ def _run_main(argv: typing.Sequence[str]) -> int:
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
-    """CLI entry point: artifacts, ``run``, ``bench``, ``scenarios``,
-    ``merge-shards``, or ``cache``."""
+    """CLI entry point: artifacts, ``run``, ``bench``, ``scenarios`` or
+    ``merge-shards``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "run":
         return _run_main(argv[1:])
@@ -898,8 +788,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         return _scenarios_main(argv[1:])
     if argv and argv[0] == "merge-shards":
         return _merge_shards_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     text = render_artifact(args)

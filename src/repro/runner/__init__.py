@@ -7,9 +7,7 @@ such matrices:
 * :mod:`~repro.runner.hashing` — stable content keys for scenario configs
   (dataclass → canonical JSON → sha256);
 * :mod:`~repro.runner.cache` — an on-disk :class:`ResultCache` keyed by
-  those hashes (simulation *and* prototype results), with GC
-  (:meth:`ResultCache.gc` — corruption, age, LRU-by-size under a
-  cache-dir lockfile) and inventory stats;
+  those hashes (simulation *and* prototype results);
 * :mod:`~repro.runner.executor` — :class:`SweepRunner`, the one
   execution engine: cache lookups and stores, then in-process cells
   (``jobs == 1``) or a local process pool (``--jobs N`` /
@@ -30,9 +28,6 @@ cache key on any machine.
 """
 
 from repro.runner.cache import (
-    CacheDirLock,
-    CacheLockedError,
-    GcReport,
     ResultCache,
     default_cache_dir,
     register_result_type,
@@ -51,9 +46,6 @@ from repro.runner.shard import (
 )
 
 __all__ = [
-    "CacheDirLock",
-    "CacheLockedError",
-    "GcReport",
     "MergeError",
     "MergeReport",
     "ProgressEvent",

@@ -117,22 +117,21 @@ class SweepRunner:
         """
         if describe is None:
             describe = lambda index, _config: f"cell {index}"  # noqa: E731
-        tracker = ProgressTracker(len(configs), sink=self.progress)
         results: list[ResultT | None] = [None] * len(configs)
+        hits: list[int] = []
         pending: list[int] = []
         for index, config in enumerate(configs):
             cached = self.cache.get(config) if self.cache is not None else None
             if cached is not None:
                 results[index] = typing.cast(ResultT, cached)
-                tracker.cell_done(index, describe(index, config), cached=True)
-            else:
+                hits.append(index)
+            elif self.shard is None or self.shard.owns(config_key(config)):
                 pending.append(index)
-        if self.shard is not None:
-            pending = [
-                index
-                for index in pending
-                if self.shard.owns(config_key(configs[index]))
-            ]
+        # Out-of-shard uncached cells never complete here, so they count
+        # neither towards the total nor the ETA.
+        tracker = ProgressTracker(len(hits) + len(pending), sink=self.progress)
+        for index in hits:
+            tracker.cell_done(index, describe(index, configs[index]), cached=True)
 
         def complete(index: int, result: typing.Any) -> None:
             results[index] = typing.cast(ResultT, result)

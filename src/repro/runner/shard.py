@@ -40,17 +40,22 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import typing
 
 from repro.runner.hashing import CACHE_SCHEMA_VERSION
 
 #: File-name suffix of shard manifests.  Deliberately *not* ``.json``:
 #: cache entries are ``<sha256>.json`` and everything that globs entries
-#: (GC, ``len(cache)``, merging) must never confuse a manifest for one.
+#: (``len(cache)``, merging) must never confuse a manifest for one.
 MANIFEST_SUFFIX = ".manifest"
 
 #: The ``kind`` tag inside a manifest file.
 MANIFEST_KIND = "repro-shard-manifest"
+
+#: A config-hash key as :func:`~repro.runner.hashing.config_key` writes
+#: it: a lowercase sha256 hexdigest, hence also a safe file-name stem.
+_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
 
 
 class MergeError(RuntimeError):
@@ -80,6 +85,11 @@ class ShardSpec:
     count: int
 
     def __post_init__(self) -> None:
+        for value in (self.index, self.count):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"shard index and count must be integers, got {value!r}"
+                )
         if self.count < 1:
             raise ValueError(f"shard count must be >= 1, got {self.count}")
         if not 0 <= self.index < self.count:
@@ -152,7 +162,12 @@ def write_shard_manifest(
 
 
 def read_shard_manifest(path: str | os.PathLike) -> dict[str, typing.Any]:
-    """Load and structurally validate one manifest file."""
+    """Load and structurally validate one manifest file.
+
+    Manifests arrive from other hosts' directories, so nothing in one is
+    trusted: the shard must be a valid :class:`ShardSpec` and every cell
+    a config-hash key, which :func:`merge_shards` joins into file names.
+    """
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -163,6 +178,21 @@ def read_shard_manifest(path: str | os.PathLike) -> dict[str, typing.Any]:
     for field in ("schema", "version", "shard", "cells"):
         if field not in payload:
             raise MergeError(f"shard manifest {path} lacks {field!r}")
+    shard = payload["shard"]
+    try:
+        ShardSpec(shard["index"], shard["count"])
+    except (TypeError, KeyError, ValueError) as error:
+        raise MergeError(
+            f"shard manifest {path} has a bad shard {shard!r}: {error}"
+        ) from None
+    cells = payload["cells"]
+    if not isinstance(cells, list):
+        raise MergeError(f"shard manifest {path}: cells is not a list")
+    for key in cells:
+        if not isinstance(key, str) or not _KEY_PATTERN.fullmatch(key):
+            raise MergeError(
+                f"shard manifest {path} lists {key!r}, not a config-hash key"
+            )
     return payload
 
 
@@ -223,8 +253,8 @@ def merge_shards(
     package version, and the shard count — any mismatch refuses the whole
     merge with :class:`MergeError`, because a half-merged cache of mixed
     simulator versions is worse than no cache.  Missing cell files (e.g.
-    evicted by GC after the manifest was written) are tolerated and
-    counted; re-running the shard regenerates them.
+    deleted after the manifest was written) are tolerated and counted;
+    re-running the shard regenerates them.
 
     Merging into a directory that already has entries (including one of
     the sources) is fine — entries are keyed by content hash, so a

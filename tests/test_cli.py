@@ -109,64 +109,6 @@ class TestRenderArtifact:
         assert "Micaz" in target.read_text()
 
 
-class TestUnitParsers:
-    def test_parse_size(self):
-        from repro.cli.main import parse_size
-
-        assert parse_size("1048576") == 1024**2
-        assert parse_size("512K") == 512 * 1024
-        assert parse_size("500m") == 500 * 1024**2
-        assert parse_size("2G") == 2 * 1024**3
-
-    def test_parse_size_rejects_garbage(self):
-        import argparse
-
-        from repro.cli.main import parse_size
-
-        for bad in ("many", "-3", "1.5M", ""):
-            with pytest.raises(argparse.ArgumentTypeError):
-                parse_size(bad)
-
-    def test_parse_duration(self):
-        from repro.cli.main import parse_duration
-
-        assert parse_duration("3600") == 3600.0
-        assert parse_duration("90s") == 90.0
-        assert parse_duration("30m") == 1800.0
-        assert parse_duration("12h") == 12 * 3600.0
-        assert parse_duration("7d") == 7 * 86400.0
-
-    def test_parse_duration_rejects_garbage(self):
-        import argparse
-
-        from repro.cli.main import parse_duration
-
-        for bad in ("soon", "-1", ""):
-            with pytest.raises(argparse.ArgumentTypeError):
-                parse_duration(bad)
-
-    def test_parse_duration_rejects_non_finite(self):
-        import argparse
-
-        from repro.cli.main import parse_duration
-
-        # float() takes all of these; an overflowing unit product too.
-        for bad in ("nan", "-nan", "inf", "-inf", "1e400", "1e308d"):
-            with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
-                parse_duration(bad)
-
-    def test_cache_gc_rejects_nan_max_age(self, tmp_path, capsys):
-        from repro.cli import main
-
-        # A NaN age compares False against every entry, so gc would run
-        # and silently evict nothing by age: refuse it at parse time.
-        with pytest.raises(SystemExit) as exc:
-            main(["cache", "gc", "--cache-dir", str(tmp_path),
-                  "--max-age", "nan"])
-        assert exc.value.code == 2
-        assert "not finite" in capsys.readouterr().err
-
-
 class TestShardCli:
     TINY = ("--runs", "1", "--sim-time", "30", "--senders", "3",
             "--bursts", "10")
@@ -256,34 +198,6 @@ class TestMergeShardsCli:
         )
 
 
-class TestCacheCli:
-    def test_stats_and_gc(self, tmp_path, capsys):
-        from repro.cli import main
-
-        render_artifact(
-            parse("fig5", *TestShardCli.TINY, "--cache-dir", str(tmp_path))
-        )
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "RunResult" in out
-        assert main(["cache", "gc", "--cache-dir", str(tmp_path),
-                     "--max-bytes", "0"]) == 0
-        out = capsys.readouterr().out
-        # Freshly-written cells are in-flight: a GC racing a sweep must
-        # not evict them, whatever the byte budget says.
-        assert "in-flight skipped" in out
-        assert list(tmp_path.glob("*.json"))
-
-    def test_gc_on_locked_cache_fails_cleanly(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.runner.cache import GC_LOCK_NAME
-
-        tmp_path.joinpath(GC_LOCK_NAME).write_text("{}")
-        rc = main(["cache", "gc", "--cache-dir", str(tmp_path)])
-        assert rc == 1
-        assert "already running" in capsys.readouterr().err
-
-
 class TestScaleFromArgs:
     def test_paper_flag(self):
         from repro.cli.main import _scale_from_args
@@ -346,7 +260,7 @@ class TestRunCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         cache = ResultCache(tmp_path)
-        assert cache.disk_stats().entries == 1
+        assert len(cache) == 1
 
     def test_bad_topology_exits_cleanly(self):
         from repro.cli import main

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
@@ -180,15 +181,26 @@ class TestResultCache:
         assert cache.stats.write_errors == 2
 
     def test_stale_tmp_files_swept_fresh_ones_kept(self, tmp_path):
-        import os as _os
-
+        # A writer killed between write and os.replace leaves
+        # ``<key>.tmp<pid>`` behind; the next cache on the directory
+        # removes it once it is past the hour an in-flight write could
+        # plausibly take, and leaves younger ones to their writers.
+        now = time.time()
         stale = tmp_path / "deadbeef.tmp123"
         stale.write_text("partial write")
-        _os.utime(stale, times=(0, 0))  # epoch-old
+        os.utime(stale, times=(0, 0))  # epoch-old
+        orphan = tmp_path / "beef.tmp124"
+        orphan.write_text("partial write")
+        os.utime(orphan, times=(now - 3700.0, now - 3700.0))
+        young = tmp_path / "face.tmp125"
+        young.write_text("in-flight write")
+        os.utime(young, times=(now - 3500.0, now - 3500.0))
         fresh = tmp_path / "cafe.tmp456"
         fresh.write_text("in-flight write")
         ResultCache(tmp_path)
         assert not stale.exists()
+        assert not orphan.exists()
+        assert young.exists()
         assert fresh.exists()
 
     def test_truncated_and_stale_schema_entries_recover(self, tmp_path):
@@ -211,6 +223,34 @@ class TestResultCache:
         cache.put(TINY, tiny_result())
         cache.put(TINY.replace(seed=2), tiny_result(seed=2))
         assert len(cache) == 2
+
+
+class TestPrototypeRoundTrip:
+    def test_prototype_result_survives_cache(self, tmp_path):
+        from repro.testbed.experiment import (
+            PrototypeConfig,
+            run_prototype,
+        )
+
+        config = PrototypeConfig(threshold_bytes=1024.0, n_messages=50)
+        result = run_prototype(config)
+        cache = ResultCache(tmp_path)
+        cache.put(config, result)
+        restored = ResultCache(tmp_path).get(config)
+        assert restored == result
+        assert restored.dual_breakdown == result.dual_breakdown
+
+    def test_entries_tagged_with_their_result_type(self, tmp_path):
+        from repro.testbed.experiment import PrototypeConfig, run_prototype
+
+        config = PrototypeConfig(threshold_bytes=1024.0, n_messages=50)
+        cache = ResultCache(tmp_path)
+        proto_path = cache.put(config, run_prototype(config))
+        run_path = cache.put(TINY, tiny_result())
+        assert json.loads(proto_path.read_text())["result_type"] == (
+            "PrototypeResult"
+        )
+        assert json.loads(run_path.read_text())["result_type"] == "RunResult"
 
 
 class TestResolveJobs:

@@ -130,6 +130,23 @@ class TestShardedRunner:
         for index, (result, mine) in enumerate(zip(results, owned)):
             assert (result is not None) == (mine or index == foreign)
 
+    def test_sharded_progress_counts_only_cells_it_completes(self, tmp_path):
+        spec = ShardSpec(0, 2)
+        owned = [spec.owns(key) for key in KEYS]
+        foreign = owned.index(False)
+        cache = ResultCache(tmp_path)
+        cache.put(CONFIGS[foreign], run_scenario(CONFIGS[foreign]))
+        events = []
+        SweepRunner(jobs=1, cache=cache, shard=spec, progress=events.append).map(
+            run_scenario, CONFIGS
+        )
+        # Owned cells plus the cached foreign one; the other shard's
+        # uncached cells are neither progress nor ETA.
+        assert events[-1].total == sum(owned) + 1 < len(CONFIGS)
+        assert events[-1].completed == events[-1].total
+        assert events[-1].eta_s == 0.0
+        assert "done in" in events[-1].format()
+
 
 class TestManifest:
     def test_write_and_read(self, tmp_path):
@@ -157,6 +174,30 @@ class TestManifest:
             read_shard_manifest(bogus)
         with pytest.raises(MergeError):
             read_shard_manifest(tmp_path / "absent.manifest")
+
+    def test_read_rejects_cells_that_are_not_keys(self, tmp_path):
+        for bad in ("../../x", KEYS[0].upper(), KEYS[0][:-1], KEYS[0] + "\n", 7):
+            path = write_shard_manifest(tmp_path, ShardSpec(0, 1), [bad])
+            with pytest.raises(MergeError, match="not a config-hash key"):
+                read_shard_manifest(path)
+
+    def test_read_rejects_bad_shards(self, tmp_path):
+        path = write_shard_manifest(tmp_path, ShardSpec(0, 2), KEYS[:1])
+        payload = json.loads(path.read_text())
+        for bad in (
+            {"index": "0", "count": 2},
+            {"index": 0, "count": 2.5},
+            {"index": True, "count": 2},
+            {"index": 2, "count": 2},
+            {"index": 0, "count": 0},
+            {"index": 0},
+            [0, 2],
+            3,
+        ):
+            payload["shard"] = bad
+            path.write_text(json.dumps(payload))
+            with pytest.raises(MergeError, match="bad shard"):
+                read_shard_manifest(path)
 
 
 def _run_shard(directory, index, count, configs=CONFIGS):
@@ -208,7 +249,7 @@ class TestMergeShards:
     def test_missing_cell_files_tolerated(self, tmp_path):
         keys = _run_shard(tmp_path / "s0", 0, 1)
         victim = tmp_path / "s0" / f"{keys[0]}.json"
-        victim.unlink()  # e.g. GC'd after the manifest was written
+        victim.unlink()  # e.g. deleted after the manifest was written
         report = merge_shards(tmp_path / "merged", [tmp_path / "s0"])
         assert report.missing == 1
         assert report.copied == len(keys) - 1
@@ -243,6 +284,17 @@ class TestMergeShards:
         empty.mkdir()
         with pytest.raises(MergeError, match="no shard manifest"):
             merge_shards(tmp_path / "merged", [empty])
+
+    def test_refuses_to_write_outside_destination(self, tmp_path):
+        # A manifest from another host lists a path, not a key: the merge
+        # must neither read outside the source nor write outside dest.
+        source = tmp_path / "a" / "b"
+        (tmp_path / "x.json").write_text("{}")
+        write_shard_manifest(source, ShardSpec(0, 1), ["../../x"])
+        dest = tmp_path / "out" / "m" / "dest"
+        with pytest.raises(MergeError, match="not a config-hash key"):
+            merge_shards(dest, [source])
+        assert not (tmp_path / "out" / "x.json").exists()
 
     def test_refuses_file_destination(self, tmp_path):
         _run_shard(tmp_path / "s0", 0, 1)
