@@ -203,6 +203,17 @@ class TestResultCache:
         assert young.exists()
         assert fresh.exists()
 
+    def test_stale_tmp_files_removed_and_counted(self, tmp_path):
+        # An orphan left after the cache was built goes at the next sweep,
+        # which reports how many files it removed.
+        cache = ResultCache(tmp_path)
+        stale = tmp_path / "deadbeef.tmp99"
+        stale.write_text("orphan")
+        os.utime(stale, times=(0, 0))
+        assert cache._sweep_stale_tmp_files() == 1
+        assert not stale.exists()
+        assert cache._sweep_stale_tmp_files() == 0
+
     def test_truncated_and_stale_schema_entries_recover(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.put(TINY, tiny_result())
