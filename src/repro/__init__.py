@@ -58,7 +58,7 @@ from repro.models.scenario import (
     run_scenario,
     single_hop_config,
 )
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 from repro.stats.metrics import RunResult
 from repro.testbed.experiment import (
@@ -86,7 +86,6 @@ __all__ = [
     "ScenarioConfig",
     "Simulator",
     "TABLE_1",
-    "Timeout",
     "__version__",
     "breakeven_bits",
     "breakeven_bits_multihop",

@@ -38,8 +38,8 @@ Model
 
 Performance
 -----------
-The medium never schedules per-neighbour events: one start and one end
-event per transmission.  Audible sets come from a
+The medium never schedules per-neighbour events: one end-of-frame agenda
+entry per transmission.  Audible sets come from a
 :class:`~repro.channel.index.NeighborIndex` built once, at the medium's
 first use — the first frame, neighbor query or fault op.  Registering a
 port after that raises :class:`ValueError`, so the index never
@@ -63,7 +63,8 @@ registration-order rank arrays:
   class*.  Receiver-side energy is one
   :meth:`~repro.energy.meter.MeterBank.apply_fanout` call per frame: each
   listener's bank row paired with its class's column plan, which
-  :meth:`_reception_plans` resolves once per frame shape instead of per
+  :meth:`_reception_plans` resolves once per frame shape (one lookup
+  for the overhear and addressed plans together) instead of per
   receiver.  Homogeneous and mixed-spec fleets take the same loop; the
   bank stamps each node's first charges in the order a per-receiver
   ``charge`` loop would, so golden digests do not depend on the fleet's
@@ -78,8 +79,8 @@ exist yet, bump :attr:`topology_epoch` and repair state incrementally.
 The neighbor index is the only owner of fault state: it validates each
 op, records retired nodes and downed links, and refilters only the
 affected audible sets (:meth:`NeighborIndex.retire_node`).  In-flight
-frames from a dying sender are *aborted* (their end event still pops,
-but end-of-frame processing is skipped — no delivery, no charges), and
+frames from a dying sender are *aborted* (their end-of-frame entry still
+pops, but end-of-frame processing is skipped — no delivery, no charges), and
 the busy refcounts are replayed over the surviving active records
 against the repaired audibility groups.  Routing tables consume the
 epoch through their own ``invalidate_epoch`` API; a run that never
@@ -135,14 +136,19 @@ class LossModel:
 #: Upper bound on recycled Transmission records retained per medium.
 _RECORD_POOL_MAX = 64
 
+#: One reception plan per charge class (see ``Medium._reception_plans``).
+_Plans = list[list[tuple[float, list[float], list[int]]]]
+
 
 class Transmission:
     """Bookkeeping record for one in-flight frame.
 
-    The record doubles as its own end-of-frame callback (appended to the
-    end event's callback list directly), saving a closure allocation per
-    frame on the hottest medium path — and recycles itself through the
-    medium's record pool after end-of-frame processing.
+    The record doubles as its own end-of-frame callback (the ``fn`` of
+    the frame's agenda entry), saving a closure allocation per frame on
+    the hottest medium path.  At end of frame it runs the medium's
+    processing, recycles itself through the medium's record pool, then
+    ends the sender's transmission and calls the sender's ``on_end``, in
+    that order.
     """
 
     __slots__ = (
@@ -151,6 +157,8 @@ class Transmission:
         "frame",
         "start_s",
         "end_s",
+        "duration",
+        "on_end",
         "corrupted",
         "receiver_listening",
         "busy_ranks",
@@ -165,6 +173,8 @@ class Transmission:
         frame: Frame,
         start_s: float,
         end_s: float,
+        duration: float,
+        on_end: typing.Callable[[], None] | None,
         receiver_listening: bool,
     ):
         self.medium = medium
@@ -172,6 +182,12 @@ class Transmission:
         self.frame = frame
         self.start_s = start_s
         self.end_s = end_s
+        #: The airtime the sender asked for (``end_s - start_s`` may
+        #: round differently).
+        self.duration = duration
+        #: The sender's end-of-frame callback; a MAC that dies mid-frame
+        #: clears it, while the medium still finishes the frame.
+        self.on_end = on_end
         #: Set when another audible transmission overlapped at the receiver.
         self.corrupted = False
         #: Whether the addressed receiver could hear when the frame started.
@@ -183,23 +199,29 @@ class Transmission:
         #: incremented (also an index-owned shared tuple).
         self.busy_groups: tuple[int, ...] = ()
         #: Set by :meth:`Medium.retire_node` when the sender dies
-        #: mid-frame: the end event still pops, but ``_finish`` skips
+        #: mid-frame: the entry still pops, but ``_finish`` skips
         #: end-of-frame processing entirely (the busy-refcount replay
         #: already excluded the record).
         self.aborted = False
 
-    def __call__(self, _event: typing.Any) -> None:
+    def __call__(self, _arg: None) -> None:
         medium = self.medium
         medium._finish(self)
-        # The record is dead after _finish (nothing else references it):
-        # drop the payload references and recycle it so the next transmit
-        # skips the allocation.  The record stays valid in the end event's
-        # already-dispatched callback slot — it is never called twice.
+        # The record is dead after _finish: drop the payload references
+        # and recycle it so the next transmit skips the allocation.  The
+        # record stays valid in its already-dispatched entry — it is
+        # never called twice.
+        sender = self.sender
+        on_end = self.on_end
         self.sender = None
         self.frame = None
+        self.on_end = None
         pool = medium._record_pool
         if len(pool) < _RECORD_POOL_MAX:
             pool.append(self)
+        sender._end_transmit(self.duration)
+        if on_end is not None:
+            on_end()
 
 
 class Medium:
@@ -242,9 +264,9 @@ class Medium:
         propagation: PropagationModel | None = None,
     ):
         self.sim = sim
-        #: Bound once: transmit creates one end event per frame and the
+        #: Bound once: transmit schedules one entry per frame and the
         #: two attribute hops are measurable at contention scale.
-        self._timeout = sim.timeout
+        self._schedule = sim.schedule
         self.layout = layout
         self.name = name
         self.loss = loss or LossModel(0.0)
@@ -279,12 +301,12 @@ class Medium:
         #: Recycled Transmission records (see ``Transmission.__call__``).
         self._record_pool: list[Transmission] = []
         #: Memoized reception plans keyed by frame shape ``(header_bits,
-        #: duration, addressed)``: one bank column plan per charge class,
-        #: indexed by class id.  The only plan cache — the bank keeps
-        #: none.
+        #: duration)``: the overhear and the addressed plans, each one
+        #: bank column plan per charge class, indexed by class id.  The
+        #: only plan cache — the bank keeps none.
         self._charges_memo: dict[
-            tuple[int, float, bool],
-            list[list[tuple[float, list[float], list[int]]]],
+            tuple[int, float],
+            tuple[_Plans, _Plans],
         ] = {}
         #: Memoized interference verdicts keyed (interferer, sender, rx)
         #: node ids — run constants between topology repairs, which clear
@@ -474,7 +496,7 @@ class Medium:
         topology repair changes audibility).  At the build nothing is on
         the air yet — the index exists before the first frame — so the
         counts start at zero.  Aborted records are dead weight awaiting
-        their end event and hold no refcounts.
+        their end-of-frame entry and hold no refcounts.
         """
         busy = [0] * index.n_groups
         for record in self._active:
@@ -502,14 +524,20 @@ class Medium:
     # -- transmission ------------------------------------------------------
 
     def transmit(
-        self, sender: "RadioPort", frame: Frame, duration: float
-    ) -> "typing.Any":
+        self,
+        sender: "RadioPort",
+        frame: Frame,
+        duration: float,
+        on_end: typing.Callable[[], None] | None = None,
+    ) -> Transmission:
         """Put ``frame`` on the air from ``sender`` for ``duration``
-        seconds (its airtime); returns the end event.
+        seconds (its airtime); returns the in-flight record.
 
         The caller (the radio) is responsible for putting itself into the
         transmitting state for that duration; the medium handles
-        interference, delivery and receiver-side energy.
+        interference, delivery and receiver-side energy.  At end of
+        frame the record calls ``sender._end_transmit(duration)``, then
+        ``on_end()``.
         """
         start = self.sim.now
         end = start + duration
@@ -524,6 +552,8 @@ class Medium:
             record.frame = frame
             record.start_s = start
             record.end_s = end
+            record.duration = duration
+            record.on_end = on_end
             record.corrupted = False
             record.receiver_listening = receiver_listening
             record.busy_ranks = ()
@@ -536,6 +566,8 @@ class Medium:
                 frame,
                 start,
                 end,
+                duration,
+                on_end,
                 receiver_listening=receiver_listening,
             )
         self.frames_sent += 1
@@ -567,9 +599,8 @@ class Medium:
             busy[group] += 1
 
         self._active.append(record)
-        end_event = self._timeout(duration)
-        end_event.callbacks.append(record)
-        return end_event
+        self._schedule(duration, record)
+        return record
 
     def _corrupts(self, interferer: "RadioPort", victim: Transmission) -> bool:
         """Whether ``interferer``'s signal ruins ``victim``'s reception.
@@ -623,28 +654,36 @@ class Medium:
         return interference_distance < self.capture_ratio * signal_distance
 
     def _reception_plans(
-        self, frame: Frame, duration: float, addressed: bool
-    ) -> list[list[tuple[float, list[float], list[int]]]]:
-        """Per-charge-class bank column plans for hearing ``frame``.
+        self, frame: Frame, duration: float
+    ) -> tuple[_Plans, _Plans]:
+        """Per-charge-class bank column plans for hearing ``frame``: the
+        overhear plans, then the addressed plans.
 
         :meth:`RadioPort.reception_charges` is a pure function of the
         radio's class, spec and the frame's shape, so each class's plan is
         resolved once per shape and memoized — frames come in a handful
         of shapes per run (data frames and ACKs each in one), which saves
         recomputing the same float arithmetic and column lookups hundreds
-        of thousands of times.  Indexed by charge-class id.
+        of thousands of times.  Each list is indexed by charge-class id.
+        The overhear plans resolve first, which fixes the order the bank
+        creates its columns in.
         """
-        key = (frame.header_bits, duration, addressed)
+        key = (frame.header_bits, duration)
         plans = self._charges_memo.get(key)
         if plans is None:
             bank = self._bank
-            plans = self._charges_memo[key] = [
-                bank.fanout_plan(
-                    port.component,
-                    port.reception_charges(frame, duration, addressed=addressed),
-                )
-                for port in self._class_ports
-            ]
+            plans = self._charges_memo[key] = tuple(
+                [
+                    bank.fanout_plan(
+                        port.component,
+                        port.reception_charges(
+                            frame, duration, addressed=addressed
+                        ),
+                    )
+                    for port in self._class_ports
+                ]
+                for addressed in (False, True)
+            )
         return plans
 
     def _finish(self, record: Transmission) -> None:
@@ -675,14 +714,12 @@ class Medium:
         # Receiver-side energy for everyone who heard the frame.  Charged
         # whether or not the frame decodes: the radio listened regardless.
         # The addressed receiver pays its class's addressed plan, everyone
-        # else its overhear plan; the overhear plans resolve first, which
-        # fixes the order the bank creates its columns in.  Promiscuous
+        # else its overhear plan.  Promiscuous
         # listeners additionally get a copy of frames addressed elsewhere
         # (approximation: decodability at third parties follows the
         # addressed receiver's collision outcome).
         listening = self._listening
-        plans = self._reception_plans(frame, duration, False)
-        addressed_plans = self._reception_plans(frame, duration, True)
+        plans, addressed_plans = self._reception_plans(frame, duration)
         rows = self._bank_rows
         charge_class = self._charge_class
         pairs = [

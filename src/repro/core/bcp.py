@@ -91,7 +91,7 @@ from repro.sim.events import URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.events import Event
-    from repro.sim.simulator import Simulator
+    from repro.sim.simulator import Entry, Simulator
     from repro.traffic.generators import CbrSource
 
 #: Delivery callback: takes the packet runs addressed to the node.
@@ -299,8 +299,8 @@ class BcpAgent:
         #: The feed's data next hop while routes stand (None: unroutable).
         self._feed_hop: int | None = None
         self._feed_hop_known = False
-        #: The one pending event that pulls the session-starting packet.
-        self._feed_event: Event | None = None
+        #: The one pending entry that pulls the session-starting packet.
+        self._feed_event: Entry | None = None
         self._feed_event_s = 0.0
         self.shortcuts: ShortcutLearner | None = None
         if config.shortcut_learning:
@@ -525,7 +525,7 @@ class BcpAgent:
         if event is not None:
             if when is not None and self._feed_event_s <= when:
                 return
-            event.cancel()
+            self.sim.cancel(event)
             self._feed_event = None
         if when is not None:
             self._feed_event = self.sim.call_at(when, self._feed_due)

@@ -11,23 +11,24 @@ suppression (retransmissions after a lost ACK), and upward delivery through
 a pluggable callback.
 
 The send path is a flat callback state machine: every continuation is a
-plain bound-method callback on the event that resumes it, backoff/ack
-timers come from the kernel's :class:`Timeout` free-list, and
-ack-completion events are pooled per MAC.
+plain bound method that the kernel calls from its own agenda entry
+(:meth:`~repro.sim.simulator.Simulator.schedule`), and the radio calls
+the transmit continuations as ``on_end`` at end of frame.
 
 It replays the agenda of the one-worker-per-MAC generator engine it
 replaced: same timeout values, same priorities, same rng draw order
 from the same ``{name}.backoff`` stream.  Three kinds of entry are
-replayed with no behaviour of their own: the URGENT start event at
-construction, the wakeup a kick triggers while the machine is busy, and
-the delay-0 "hop" event each ack wait enqueues where the old engine's
-first-of-two wait fired.  They take agenda sequence numbers, so they
-decide the order of everything queued at the same instant; every pinned
-digest was recorded with them, so they stay until a deliberate re-pin.
-A send's completion is scheduled (``call_at``, where the old engine
-triggered its per-frame future) only when the caller passed
-``on_done``; dropping the others reorders nothing.  The test suite pins
-the engine's traces on a fixed set of traffic plans.
+replayed with no behaviour of their own: the URGENT start entry at
+construction, the wakeup a kick schedules while the machine is busy,
+and the delay-0 "hop" each resolved ack wait schedules where the old
+engine's first-of-two wait fired.
+They take agenda sequence numbers, so they decide the order of
+everything queued at the same instant; every pinned digest was
+recorded with them, so they stay until a deliberate re-pin.  A send's
+completion is scheduled (where the old engine triggered its per-frame
+future) only when the caller passed ``on_done``; dropping the others
+reorders nothing.  The test suite pins the engine's traces on a fixed
+set of traffic plans.
 """
 
 from __future__ import annotations
@@ -38,19 +39,31 @@ import typing
 from repro.mac.frames import Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams
 from repro.radio.radio import RadioPort
-from repro.sim.events import NORMAL, PENDING, URGENT, Event
+from repro.sim.events import URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.simulator import Simulator
+    from repro.channel.medium import Transmission
+    from repro.sim.simulator import Entry, Simulator
 
 #: How many recent sequence numbers to remember per peer for dedup.
 _DEDUP_WINDOW = 64
 
-#: Upper bound on pooled ack-completion events retained per MAC.
-_ACK_POOL_MAX = 4
-
 #: A send's completion callback: takes whether the MAC delivered the frame.
 OnDone = typing.Callable[[bool], None]
+
+
+class _Wakeup:
+    """A MAC's wakeup: a kick *triggers* it, which schedules one agenda
+    entry; the entry's dispatch *processes* it, and resumes the machine
+    only if the machine *parked* on it (otherwise the dispatch is a
+    no-op, like the generator's resume of an unwaited event)."""
+
+    __slots__ = ("triggered", "processed", "parked")
+
+    def __init__(self) -> None:
+        self.triggered = False
+        self.processed = False
+        self.parked = False
 
 
 class ContentionMac:
@@ -91,13 +104,12 @@ class ContentionMac:
         radio.preamble_s = params.preamble_s
         self._queue: collections.deque[tuple[Frame, OnDone | None]] = collections.deque()
         self._ack_queue: collections.deque[Frame] = collections.deque()
-        self._pending_ack: dict[tuple[int, int], Event] = {}
         # Dedup windows: per-peer (deque, set) pairs — the deque keeps
         # FIFO insertion order for eviction, the set answers membership in
         # O(1) on the hot receive path.
         self._seen: dict[int, tuple[collections.deque, set]] = {}
         self._seq = 0
-        self._wakeup = sim.event()
+        self._wakeup = _Wakeup()
         self._ack_in_progress = False
         self._on_data: typing.Callable[[Frame], None] | None = None
         #: Statistics: drops by cause.
@@ -156,11 +168,13 @@ class ContentionMac:
 
     def _report(self, on_done: OnDone | None, success: bool) -> None:
         if on_done is not None:
-            self.sim.call_at(self.sim.now, on_done, success)
+            self.sim.schedule(0.0, on_done, success)
 
     def _kick(self) -> None:
-        if not self._wakeup.triggered:
-            self._wakeup.succeed()
+        wakeup = self._wakeup
+        if not wakeup.triggered:
+            wakeup.triggered = True
+            self.sim.schedule(0.0, self._on_wakeup, wakeup)
 
     def _ack_wait_s(self) -> float:
         ack_airtime = (
@@ -178,25 +192,28 @@ class ContentionMac:
     # engine's agenda trace entry for entry (see the module docstring).
     # The correspondence, per continuation:
     #
-    # * worker start        → one URGENT delay-0 event at construction
+    # * worker start        → one URGENT delay-0 entry at construction
     #                         (where the worker's start event was);
-    # * ``yield wakeup``    → ``_on_wakeup`` attached to the same pending
-    #                         ``self._wakeup`` event ``_kick`` triggers; a
-    #                         kick that lands while the machine is busy
-    #                         dispatches the wakeup with no callbacks (the
-    #                         generator's no-op resume of an unwaited
-    #                         event) and is consumed inline when idle;
-    # * ``yield timeout``   → a bound-method callback on the same pooled
-    #                         ``Timeout`` (backoff, SIFS, ack wait);
-    # * ``yield transmit``  → callback appended in the same third slot of
-    #                         the medium's end event;
-    # * ``yield ack|timer`` → whichever child fires first enqueues one
-    #                         pooled delay-0 NORMAL "hop" event — exactly
-    #                         where the first-of-two condition was
-    #                         enqueued — and the continuation runs from
-    #                         the hop's dispatch.  The loser's agenda entry
-    #                         (late ack / cancelled timer) is left to pop
-    #                         exactly as the generator leaves it.
+    # * ``yield wakeup``    → the machine parks on the same ``_Wakeup``
+    #                         that ``_kick`` triggers; a kick that lands
+    #                         while the machine is busy dispatches the
+    #                         wakeup's entry as a no-op (the generator's
+    #                         resume of an unwaited event) and is consumed
+    #                         inline when idle;
+    # * ``yield timeout``   → a scheduled bound method (backoff, SIFS,
+    #                         ack wait);
+    # * ``yield transmit``  → the radio's ``on_end``, which the medium's
+    #                         end-of-frame entry calls third, after its own
+    #                         processing and the radio's, as the end
+    #                         event's third callback was;
+    # * ``yield ack|timer`` → a heard ACK schedules a delay-0 entry where
+    #                         the ack event triggered; whichever of it and
+    #                         the timer runs first schedules one delay-0
+    #                         NORMAL "hop" — exactly where the first-of-two
+    #                         condition was enqueued — and the continuation
+    #                         runs from the hop.  The loser's entry (late
+    #                         ack / cancelled timer) is left to pop exactly
+    #                         as the generator leaves it.
     #
     # Identical enqueue points ⇒ identical ``(time, priority, seq)``
     # ordering ⇒ identical rng draw order and golden digests.
@@ -205,26 +222,21 @@ class ContentionMac:
         # Construction stays light: a 10k-node fleet builds 20k MACs, most
         # of which never transmit, so the callback/constant wiring below
         # (`_wire_flat`) is deferred until the machine first has work.
-        # Only the start event touches the agenda, and it is enqueued here
-        # exactly where the generator engine enqueued its own — the
+        # Only the start entry touches the agenda, and it is scheduled
+        # here exactly where the generator engine enqueued its own — the
         # machine enters its dispatch loop at the current time, ahead of
         # same-time NORMALs, so the trace is unchanged.
         self._flat_wired = False
-        sim = self.sim
-        start = Event(sim)
-        start.callbacks.append(self._on_start)
-        start._value = None
-        sim._enqueue(start, delay=0.0, priority=URGENT)
+        self.sim.schedule(0.0, self._on_start, None, URGENT)
 
     def _wire_flat(self) -> None:
         sim = self.sim
         self._flat_wired = True
-        self._wakeup_cb = self._on_wakeup
         self._sifs_cb = self._on_sifs
         self._ack_tx_end_cb = self._on_ack_tx_end
         self._backoff_cb = self._on_backoff
         self._tx_end_cb = self._on_tx_end
-        self._ack_event_cb = self._on_ack_event
+        self._ack_heard_cb = self._on_ack_heard
         self._ack_timeout_cb = self._on_ack_timeout
         self._hop_cb = self._on_hop
         # Hot-path constants and bound methods, resolved once: the backoff
@@ -234,7 +246,7 @@ class ContentionMac:
         # are frozen, the radio's medium and spec never change).
         params = self.params
         radio = self.radio
-        self._timeout = sim.timeout
+        self._schedule = sim.schedule
         self._difs_s = params.difs_s
         self._slot_s = params.slot_s
         self._sifs_s = params.sifs_s
@@ -257,34 +269,35 @@ class ContentionMac:
         self._cur_attempt = 0
         self._cur_attempts = 0
         self._cur_window = 0
-        self._cur_key: tuple[int, int] | None = None
-        # Ack-wait plumbing: the outstanding completion event/timer and
-        # which of them resolved the wait (None = unresolved, True = ack,
-        # False = timeout).
-        self._ack_event: Event | None = None
-        self._ack_timer: Event | None = None
+        # Ack-wait plumbing: the outstanding timer and hop entries, and
+        # which of ack and timer resolved the wait (None = unresolved,
+        # True = ack, False = timeout).
+        self._ack_timer: Entry | None = None
+        self._hop: Entry | None = None
         self._resolved: bool | None = None
-        self._ack_pool: list[Event] = []
-        self._hop_event: Event | None = None
-        self._hop_callbacks: list | None = None
         # Fault-injection handles on the in-flight continuation: the
-        # pending SIFS/backoff timer and the radio end event our callback
-        # rides on.  Both are cleared at the TOP of their callbacks — the
-        # kernel recycles dispatched timeouts through a free-list gated on
-        # refcount, so a ref held across the dispatch would block reuse
-        # (and a stale one could cancel an innocent recycled timer).
-        self._flat_timer: Event | None = None
-        self._flat_tx_end: Event | None = None
+        # pending SIFS/backoff entry and the radio transmission whose
+        # ``on_end`` we are.  Both are cleared at the TOP of their
+        # callbacks, so power_down never touches a dispatched one.
+        self._flat_timer: Entry | None = None
+        self._flat_tx_end: Transmission | None = None
 
-    def _on_start(self, event: Event) -> None:
+    #: The ack wait in progress: its ``(dst, seq)`` key (a fresh tuple per
+    #: wait, which the heard-ACK entry carries to prove it belongs to this
+    #: wait) and whether an ACK for it was heard.  Class attributes, so
+    #: MACs that never wait pay no per-instance slots.
+    _ack_key: tuple[int, int] | None = None
+    _ack_heard = False
+
+    def _on_start(self, _arg: None) -> None:
         if self._powered_down:
-            # Killed before the construction-time start event popped.
+            # Killed before the construction-time start entry popped.
             return
         if not self._queue and not self._ack_queue:
-            # Nothing to do yet: park on the wakeup event without paying
-            # for the full wiring (the overwhelmingly common case in a
-            # large fleet — the generator engine parks the same way).
-            self._wakeup.callbacks.append(self._on_wakeup)
+            # Nothing to do yet: park on the wakeup without paying for the
+            # full wiring (the overwhelmingly common case in a large fleet
+            # — the generator engine parks the same way).
+            self._wakeup.parked = True
             return
         self._wire_flat()
         self._resume_loop()
@@ -295,9 +308,7 @@ class ContentionMac:
             if self._ack_queue:
                 self._cur_ack = self._ack_queue.popleft()
                 self._ack_in_progress = True
-                timer = self._timeout(self._sifs_s)
-                timer.callbacks.append(self._sifs_cb)
-                self._flat_timer = timer
+                self._flat_timer = self._schedule(self._sifs_s, self._sifs_cb)
                 return
             if self._queue:
                 frame, on_done = self._queue.popleft()
@@ -310,25 +321,28 @@ class ContentionMac:
                 self._start_contend()
                 return
             wakeup = self._wakeup
-            if wakeup._processed:
+            if wakeup.processed:
                 # A kick landed while the machine was busy: its wakeup
                 # already dispatched as a no-op.  The generator consumes
                 # such a stale wakeup inline (no agenda entry) and waits
                 # on a fresh one; mirror that.
-                self._wakeup = self.sim.event()
+                self._wakeup = _Wakeup()
                 continue
-            wakeup.callbacks.append(self._wakeup_cb)
+            wakeup.parked = True
             return
 
-    def _on_wakeup(self, event: Event) -> None:
-        self._wakeup = self.sim.event()
+    def _on_wakeup(self, wakeup: _Wakeup) -> None:
+        wakeup.processed = True
+        if not wakeup.parked:
+            return
+        self._wakeup = _Wakeup()
         if not self._flat_wired:
             self._wire_flat()
         self._resume_loop()
 
     # ACK transmission.
 
-    def _on_sifs(self, event: Event) -> None:
+    def _on_sifs(self, _arg: None) -> None:
         """SIFS expired: send the ACK without contending for the channel.
 
         Half-duplex race: the radio can stop being ready *during* SIFS —
@@ -346,12 +360,10 @@ class ContentionMac:
             self._ack_in_progress = False
             self._resume_loop()
             return
-        end = self.radio.transmit(self._cur_ack)
+        self._flat_tx_end = self.radio.transmit(self._cur_ack, self._ack_tx_end_cb)
         self._cur_ack = None
-        end.callbacks.append(self._ack_tx_end_cb)
-        self._flat_tx_end = end
 
-    def _on_ack_tx_end(self, event: Event) -> None:
+    def _on_ack_tx_end(self) -> None:
         self._flat_tx_end = None
         self._ack_in_progress = False
         self._resume_loop()
@@ -370,11 +382,11 @@ class ContentionMac:
 
     def _draw_backoff(self) -> None:
         slots = self._randrange(self._cur_window)
-        timer = self._timeout(self._difs_s + slots * self._slot_s)
-        timer.callbacks.append(self._backoff_cb)
-        self._flat_timer = timer
+        self._flat_timer = self._schedule(
+            self._difs_s + slots * self._slot_s, self._backoff_cb
+        )
 
-    def _on_backoff(self, event: Event) -> None:
+    def _on_backoff(self, _arg: None) -> None:
         self._flat_timer = None
         if self._is_busy_for(self._node_id):
             window = self._cur_window
@@ -384,97 +396,44 @@ class ContentionMac:
         if not self._radio_ready():
             self._finish_frame(False)
             return
-        end = self.radio.transmit(self._cur_frame)
-        end.callbacks.append(self._tx_end_cb)
-        self._flat_tx_end = end
+        self._flat_tx_end = self.radio.transmit(self._cur_frame, self._tx_end_cb)
 
-    def _on_tx_end(self, event: Event) -> None:
+    def _on_tx_end(self) -> None:
         self._flat_tx_end = None
         if not self._cur_needs_ack:
             self._finish_frame(True)
             return
-        # Same creation order as the generator (ack event, pending-ack
-        # registration, then the timer) so the timer's agenda seq is
-        # identical.
-        ack_event = self._take_ack_event()
         frame = self._cur_frame
-        key = (frame.dst, frame.seq)
-        self._cur_key = key
-        self._pending_ack[key] = ack_event
-        self._ack_event = ack_event
-        timer = self._timeout(self._ack_wait)
-        timer.callbacks.append(self._ack_timeout_cb)
-        self._ack_timer = timer
+        self._ack_key = (frame.dst, frame.seq)
+        self._ack_heard = False
+        self._ack_timer = self._schedule(self._ack_wait, self._ack_timeout_cb)
         self._resolved = None
 
-    def _take_ack_event(self) -> Event:
-        pool = self._ack_pool
-        if pool:
-            event = pool.pop()
-            event._value = PENDING
-            event._processed = False
-            event.callbacks = [self._ack_event_cb]
-            return event
-        event = Event(self.sim)
-        event.callbacks.append(self._ack_event_cb)
-        return event
-
-    def _on_ack_event(self, event: Event) -> None:
-        if event is not self._ack_event or self._resolved is not None:
+    def _on_ack_heard(self, key: tuple[int, int]) -> None:
+        if key is not self._ack_key or self._resolved is not None:
             # A late ack: the wait already resolved (the timer fired first
             # at the same timestamp) and the machine may have moved on.
-            # The generator engine dispatched this child as a no-op;
-            # nothing references the event anymore, so recycle it.
-            if len(self._ack_pool) < _ACK_POOL_MAX:
-                self._ack_pool.append(event)
+            # The generator engine dispatched this child as a no-op.
             return
         self._resolved = True
-        self._enqueue_hop()
+        self._hop = self._schedule(0.0, self._hop_cb)
 
-    def _on_ack_timeout(self, event: Event) -> None:
-        # Drop our reference so the kernel free-list recycles the timer at
-        # the end of this dispatch.
+    def _on_ack_timeout(self, _arg: None) -> None:
         self._ack_timer = None
         if self._resolved is None:
             self._resolved = False
-            self._enqueue_hop()
+            self._hop = self._schedule(0.0, self._hop_cb)
 
-    def _enqueue_hop(self) -> None:
-        """One pooled delay-0 NORMAL event (where the generator engine's
-        first-of-two condition fired) whose dispatch runs the ack-wait
-        continuation."""
-        hop = self._hop_event
-        if hop is None:
-            hop = Event(self.sim)
-            hop.callbacks.append(self._hop_cb)
-            self._hop_event = hop
-            self._hop_callbacks = hop.callbacks
-            hop._value = None
-        else:
-            hop._processed = False
-            hop._cancelled = False
-            hop._value = None
-            hop.callbacks = self._hop_callbacks
-        self.sim._enqueue(hop, delay=0.0, priority=NORMAL)
-
-    def _on_hop(self, event: Event) -> None:
+    def _on_hop(self, _arg: None) -> None:
         """The continuation after ``yield ack_event | timeout``."""
-        self._pending_ack.pop(self._cur_key, None)
-        ack_event = self._ack_event
-        self._ack_event = None
+        self._hop = None
+        self._ack_key = None
         if self._resolved:
             timer = self._ack_timer
             self._ack_timer = None
-            timer.cancel()
-            if len(self._ack_pool) < _ACK_POOL_MAX:
-                self._ack_pool.append(ack_event)
+            self.sim.cancel(timer)
             self._finish_frame(True)
             return
-        # Timeout.  The ack event is usually still pending (reusable); if
-        # a late ack triggered it, its agenda entry is still due and
-        # ``_on_ack_event`` recycles it at dispatch instead.
-        if not ack_event.triggered and len(self._ack_pool) < _ACK_POOL_MAX:
-            self._ack_pool.append(ack_event)
         self._cur_attempt += 1
         if self._cur_attempt < self._cur_attempts:
             self._start_contend()
@@ -503,41 +462,27 @@ class ContentionMac:
 
         Queued and in-flight frames report False to their ``on_done``
         callbacks and count in ``power_down_drops``, so upper layers see
-        drops instead of waiting forever.  The machine halts immediately: its
-        pending SIFS/backoff timer and ack plumbing are cancelled via
-        ``Event.cancel`` and its continuation is detached from any
-        in-flight radio end event.  Idempotent.
+        drops instead of waiting forever.  The machine halts immediately:
+        its pending SIFS/backoff, ack-wait and hop entries are cancelled
+        and its ``on_end`` is cleared from any in-flight transmission.
+        Idempotent.
         """
         if self._powered_down:
             return
         self._powered_down = True
         drops = 0
         if self._flat_wired:
-            timer = self._flat_timer
-            if timer is not None:
-                self._flat_timer = None
-                timer.cancel()
-            timer = self._ack_timer
-            if timer is not None:
-                self._ack_timer = None
-                timer.cancel()
-            end = self._flat_tx_end
-            if end is not None:
+            cancel = self.sim.cancel
+            for entry in (self._flat_timer, self._ack_timer, self._hop):
+                if entry is not None:
+                    cancel(entry)
+            self._flat_timer = self._ack_timer = self._hop = None
+            record = self._flat_tx_end
+            if record is not None:
                 # The medium still finishes the (aborted) frame; only our
-                # continuation must not run.  Cancelling the shared end
-                # event would also kill the medium's record processing.
+                # continuation must not run.
                 self._flat_tx_end = None
-                callbacks = end.callbacks
-                if callbacks is not None:
-                    if self._tx_end_cb in callbacks:
-                        callbacks.remove(self._tx_end_cb)
-                    elif self._ack_tx_end_cb in callbacks:
-                        callbacks.remove(self._ack_tx_end_cb)
-            hop = self._hop_event
-            if hop is not None:
-                # No-op unless an ack-wait continuation is mid-hop
-                # (_enqueue_hop resets the mark on reuse).
-                hop.cancel()
+                record.on_end = None
             if self._cur_frame is not None:
                 # A frame is in flight whether or not its sender asked to
                 # hear how it ends.
@@ -547,8 +492,7 @@ class ContentionMac:
                 drops += 1
                 self._report(on_done, False)
             self._cur_ack = None
-            self._cur_key = None
-            self._ack_event = None
+            self._ack_key = None
             self._resolved = None
             self._ack_in_progress = False
         for _frame, on_done in self._queue:
@@ -556,12 +500,11 @@ class ContentionMac:
             self._report(on_done, False)
         self._queue.clear()
         self._ack_queue.clear()
-        self._pending_ack.clear()
         self.power_down_drops += drops
         # Re-park on a fresh wakeup so power_up's kick restarts the
         # machine (it halted without reaching _resume_loop's park).
-        self._wakeup = self.sim.event()
-        self._wakeup.callbacks.append(self._on_wakeup)
+        self._wakeup = _Wakeup()
+        self._wakeup.parked = True
 
     def power_up(self) -> None:
         """Undo :meth:`power_down`; the engine resumes on the next kick."""
@@ -574,9 +517,14 @@ class ContentionMac:
 
     def _on_frame(self, frame: Frame) -> None:
         if frame.kind is FrameKind.ACK:
-            waiter = self._pending_ack.get((frame.src, frame.seq))
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(frame)
+            key = self._ack_key
+            if (
+                key is not None
+                and not self._ack_heard
+                and key == (frame.src, frame.seq)
+            ):
+                self._ack_heard = True
+                self.sim.schedule(0.0, self._ack_heard_cb, key)
             return
         if frame.dst != self.radio.node_id:
             return

@@ -46,10 +46,9 @@ from repro.energy.radio_specs import RadioSpec
 from repro.mac.frames import Frame
 from repro.radio.states import RadioState
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.channel.medium import Medium
+    from repro.channel.medium import Medium, Transmission
     from repro.sim.simulator import Simulator
 
 #: Category for the header portion of overheard frames (charged by the
@@ -173,8 +172,15 @@ class RadioPort:
             frame.payload_bits + frame.header_bits
         ) / self.spec.rate_bps
 
-    def transmit(self, frame: Frame) -> Event:
-        """Put ``frame`` on the air; the returned event fires at end-of-frame.
+    def transmit(
+        self, frame: Frame, on_end: typing.Callable[[], None] | None = None
+    ) -> "Transmission":
+        """Put ``frame`` on the air; ``on_end()`` runs at end-of-frame.
+
+        The callback runs from the frame's end-of-frame agenda entry,
+        after the medium has delivered the frame and this radio has left
+        the transmitting state.  Returns the medium's in-flight record;
+        clearing its ``on_end`` detaches the callback.
 
         Raises
         ------
@@ -194,16 +200,12 @@ class RadioPort:
             self._tx_power_w = self._select_tx_power(frame)
         self._begin_tx_accounting(duration)
         self.medium.note_state(self)
-        end_event = self.medium.transmit(self, frame, duration)
-        # The end event is the medium's Timeout for exactly ``duration``
-        # (``Timeout.delay``), so the bound method needs no closure — one
-        # less allocation per frame.
-        end_event.callbacks.append(self._end_transmit)
-        return end_event
+        return self.medium.transmit(self, frame, duration, on_end)
 
-    def _end_transmit(self, end_event: "Event") -> None:
+    def _end_transmit(self, duration: float) -> None:
+        """End of our frame (called by the medium's record)."""
         self._transmitting = False
-        self._end_tx_accounting(end_event.delay)
+        self._end_tx_accounting(duration)
         self.medium.note_state(self)
 
     # -- discrete transmit-power selection ---------------------------------
@@ -241,8 +243,8 @@ class RadioPort:
         :meth:`power_up`.
 
         Idempotent.  The medium separately aborts any in-flight frame of
-        ours via :meth:`Medium.retire_node`; its end event still pops and
-        :meth:`_end_transmit` then runs against the cleared state, which
+        ours via :meth:`Medium.retire_node`; its end-of-frame entry still
+        pops and :meth:`_end_transmit` then runs against the cleared state, which
         subclass accounting hooks must tolerate.
         """
         if self._powered_down:
@@ -472,7 +474,7 @@ class HighPowerRadio(RadioPort):
 
     def _end_tx_accounting(self, duration: float) -> None:
         if self._powered_down:
-            # The aborted frame's end event popped after a mid-frame
+            # The aborted frame's end entry popped after a mid-frame
             # death; the radio must stay OFF at zero draw.
             return
         # sleep() is forbidden mid-transmission, so we are still awake here.

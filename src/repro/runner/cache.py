@@ -16,7 +16,9 @@ Robustness rules:
   never leaves a half-written entry behind.
 * **Reads never trust the file**: any unreadable, truncated, schema-stale
   or otherwise malformed entry is treated as a miss, deleted, and
-  recomputed — a corrupted cache can cost time, never correctness.
+  recomputed — a corrupted cache can cost time, never correctness.  So
+  is an entry whose stored config does not hash to the key it was read
+  under (a file copied or renamed to another cell's name).
 
 The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
 """
@@ -31,7 +33,12 @@ import time
 import typing
 import warnings
 
-from repro.runner.hashing import CACHE_SCHEMA_VERSION, canonical_json, config_key
+from repro.runner.hashing import (
+    CACHE_SCHEMA_VERSION,
+    canonical_json,
+    config_key,
+    stored_config_key,
+)
 from repro.stats.metrics import RunResult
 
 #: Environment variable overriding the default cache directory.
@@ -185,7 +192,8 @@ class ResultCache:
     def get(self, config: typing.Any) -> typing.Any | None:
         """The cached result for ``config``, or ``None`` on a miss.
 
-        Malformed entries are evicted and reported as misses.  Entries of
+        Malformed entries, and entries whose stored config is not
+        ``config``, are evicted and reported as misses.  Entries of
         a result type this process has not registered (its module is not
         imported) are misses too, but stay on disk — they are valid data
         to some other consumer.
@@ -202,6 +210,8 @@ class ResultCache:
             entry = json.loads(raw.decode())
             if entry["schema"] != CACHE_SCHEMA_VERSION:
                 raise ValueError(f"stale cache schema {entry['schema']!r}")
+            if stored_config_key(entry["config"]) != path.stem:
+                raise ValueError("entry holds another config's result")
             type_name = entry["result_type"]
             spec = _RESULT_TYPES.get(type_name)
             if spec is None:

@@ -108,3 +108,11 @@ def canonical_json(config: typing.Any) -> str:
 def config_key(config: typing.Any) -> str:
     """A stable sha256 hex key identifying ``config``."""
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
+
+
+def stored_config_key(stored: typing.Any) -> str:
+    """The key of a cache entry's stored ``config`` (the parsed
+    :func:`canonical_json`): equal to :func:`config_key` of the config
+    that produced the entry."""
+    blob = json.dumps(stored, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()

@@ -43,7 +43,7 @@ import pathlib
 import re
 import typing
 
-from repro.runner.hashing import CACHE_SCHEMA_VERSION
+from repro.runner.hashing import CACHE_SCHEMA_VERSION, stored_config_key
 
 #: File-name suffix of shard manifests.  Deliberately *not* ``.json``:
 #: cache entries are ``<sha256>.json`` and everything that globs entries
@@ -207,6 +207,9 @@ class MergeReport:
     copied: int = 0
     already_present: int = 0
     missing: int = 0
+    #: Listed entries not copied because their stored config does not
+    #: hash to their key (mislabeled or unreadable files).
+    rejected: int = 0
 
     @property
     def missing_shards(self) -> list[int]:
@@ -220,7 +223,11 @@ class MergeReport:
     @property
     def complete(self) -> bool:
         """Whether every shard contributed and every listed cell landed."""
-        return not self.missing_shards and self.missing == 0
+        return (
+            not self.missing_shards
+            and self.missing == 0
+            and self.rejected == 0
+        )
 
     def summary(self) -> str:
         """One-paragraph human rendering."""
@@ -229,7 +236,8 @@ class MergeReport:
             f"{len(self.shards_seen)}/{self.shard_count} shard(s): "
             f"{self.copied} cell(s) copied, "
             f"{self.already_present} already present, "
-            f"{self.missing} missing from their source dir(s)"
+            f"{self.missing} missing from their source dir(s), "
+            f"{self.rejected} rejected as mislabeled or unreadable"
         ]
         if self.missing_shards:
             missing = ", ".join(str(i) for i in self.missing_shards)
@@ -237,10 +245,18 @@ class MergeReport:
         return "\n".join(lines)
 
 
-def _copy_entry(source: pathlib.Path, dest: pathlib.Path) -> None:
+def _copy_entry(source: pathlib.Path, dest: pathlib.Path, key: str) -> bool:
+    """Copy one entry file if its stored config hashes to ``key``."""
+    raw = source.read_bytes()
+    try:
+        if stored_config_key(json.loads(raw.decode())["config"]) != key:
+            return False
+    except (ValueError, KeyError, TypeError):
+        return False
     tmp = dest.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_bytes(source.read_bytes())
+    tmp.write_bytes(raw)
     os.replace(tmp, dest)
+    return True
 
 
 def merge_shards(
@@ -254,7 +270,8 @@ def merge_shards(
     merge with :class:`MergeError`, because a half-merged cache of mixed
     simulator versions is worse than no cache.  Missing cell files (e.g.
     deleted after the manifest was written) are tolerated and counted;
-    re-running the shard regenerates them.
+    re-running the shard regenerates them.  An entry file whose stored
+    config does not hash to its key is skipped and counted as rejected.
 
     Merging into a directory that already has entries (including one of
     the sources) is fine — entries are keyed by content hash, so a
@@ -309,6 +326,8 @@ def merge_shards(
             if not entry.exists():
                 report.missing += 1
                 continue
-            _copy_entry(entry, target)
-            report.copied += 1
+            if _copy_entry(entry, target, key):
+                report.copied += 1
+            else:
+                report.rejected += 1
     return report

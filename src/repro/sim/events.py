@@ -1,13 +1,14 @@
 """Event primitives for the discrete-event kernel.
 
-The design follows the classic "event with callbacks" model (the same one
-SimPy uses): an :class:`Event` starts *pending*; calling :meth:`Event.succeed`
-*triggers* it, which schedules it on the simulator's agenda; when the
-simulator pops it, the event becomes *processed* and its callbacks run.
-Model code chains its continuations as callbacks on the events it waits
-for.  Events only succeed: a model reports a bad outcome as a value
-(a MAC send reports ``on_done(False)``), never as a failure the kernel
-must propagate.
+The agenda itself holds plain callbacks (see
+:mod:`repro.sim.simulator`); an :class:`Event` is the thin helper for the
+cases that need more than one: several waiters on one occurrence, or a
+value handed to whoever waits.  An :class:`Event` starts *pending*;
+calling :meth:`Event.succeed` *triggers* it, which schedules one agenda
+entry for it; when the simulator dispatches that entry, the event
+becomes *processed* and its callbacks run.  Events only succeed: a model
+reports a bad outcome as a value (a MAC send reports
+``on_done(False)``), never as a failure the kernel must propagate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel stored in ``Event._value`` while the event has not triggered.
 PENDING = object()
 
-#: Scheduling priority for events that must run before ordinary ones at the
-#: same timestamp (the MAC's and BCP's start events).
+#: Scheduling priority for entries that must run before ordinary ones at
+#: the same timestamp (the MAC's and BCP's start entries).
 URGENT = 0
 
 #: Default scheduling priority.
@@ -41,25 +42,23 @@ class Event:
     Notes
     -----
     An event moves through three states: *pending* → *triggered* (it has a
-    value and sits in the agenda) → *processed* (callbacks have run).  Both
+    value and an agenda entry) → *processed* (callbacks have run).  Both
     transitions are one-way; re-triggering raises
     :class:`~repro.sim.errors.EventAlreadyTriggered`.
     """
 
-    __slots__ = (
-        "sim",
-        "callbacks",
-        "_value",
-        "_processed",
-        "_cancelled",
-    )
+    __slots__ = ("sim", "callbacks", "_value", "_entry", "_cancelled")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        #: Callables ``fn(event)`` invoked when the event is processed.
+        #: Callables ``fn(event)`` invoked when the event is processed;
+        #: None once they have run.
         self.callbacks: list[typing.Callable[["Event"], None]] | None = []
         self._value: object = PENDING
-        self._processed = False
+        #: The agenda entry while triggered and undispatched, else None.
+        #: Dropped at dispatch: the entry's argument is this event, and
+        #: keeping both would make every dispatched event a cycle.
+        self._entry: list | None = None
         self._cancelled = False
 
     # -- state inspection ------------------------------------------------
@@ -72,7 +71,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """Whether the event's callbacks have already run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def value(self) -> object:
@@ -88,28 +87,36 @@ class Event:
         if self._value is not PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._value = value
-        self.sim._enqueue(self, delay=0.0, priority=NORMAL)
+        sim = self.sim
+        entry = sim.schedule(0.0, _dispatch, self)
+        if self._cancelled:
+            # Cancelled while pending: the entry still takes its place on
+            # the agenda, and the loop discards it when it comes up.
+            sim.cancel(entry)
+        else:
+            self._entry = entry
         return self
 
     def cancel(self) -> bool:
         """Abandon the event: the kernel discards it instead of dispatching.
 
-        Marks the event dead *in place* — the agenda is never searched.
-        When the entry's time comes up the run loop still pops it, but
-        the kernel drops it undelivered: callbacks never run, the event
-        never becomes *processed*, and it counts in
+        Marks the event's agenda entry dead *in place* — the agenda is
+        never searched.  When the entry's time comes up the run loop
+        still pops it, but drops it undelivered: callbacks never run, the
+        event never becomes *processed*, and it counts in
         ``Simulator.events_cancelled`` rather than ``events_processed``.
-        This is how model code walks away from a wait it no longer needs
-        (a MAC's ack-wait timeout after the ack arrived) without leaving
-        dead events for the loop to dispatch.
 
         A no-op after the event has been processed (callbacks already
         ran; there is nothing left to suppress).  Returns whether the
         cancellation took effect.
         """
-        if self._processed:
+        if self.callbacks is None:
             return False
         self._cancelled = True
+        entry = self._entry
+        if entry is not None:
+            self._entry = None
+            self.sim.cancel(entry)
         return True
 
     @property
@@ -120,20 +127,15 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
             "processed"
-            if self._processed
+            if self.callbacks is None
             else ("triggered" if self.triggered else "pending")
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Timeout(Event):
-    """An event that fires by itself ``delay`` seconds after its creation.
-
-    Build one with :meth:`Simulator.timeout
-    <repro.sim.simulator.Simulator.timeout>`, which schedules it at once
-    (and reuses a recycled instance when it can).  A timeout is created
-    triggered, so calling :meth:`succeed` on it raises
-    :class:`~repro.sim.errors.EventAlreadyTriggered`.
-    """
-
-    __slots__ = ("delay",)
+def _dispatch(event: Event) -> None:
+    """The agenda callback of a triggered event: run its callbacks."""
+    event._entry = None
+    callbacks, event.callbacks = event.callbacks, None
+    for callback in callbacks:
+        callback(event)

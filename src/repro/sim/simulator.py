@@ -1,50 +1,63 @@
 """The discrete-event simulator: clock, agenda and run loop.
 
-:class:`Simulator` keeps an agenda of triggered events ordered by
-``(time, priority, sequence)``; the sequence number makes the ordering
-total and deterministic (ties at the same time and priority process in
-insertion order).  All model code — radios, MACs, BCP — runs inside event
-callbacks driven by this loop.
+:class:`Simulator` keeps an agenda of callbacks ordered by ``(time,
+priority, sequence)``; the sequence number makes the ordering total and
+deterministic (ties at the same time and priority run in insertion
+order).  All model code — radios, MACs, BCP — runs inside callbacks
+driven by this loop.
 
-The agenda is one binary heap of ``(time, priority, sequence, event)``
-tuples owned by the simulator, and :meth:`Simulator.run` is the one
-inlined dispatch loop.  It serves two ``until`` forms: ``None`` drains
-the agenda, a number runs every event due at or before that horizon.
-Every pinned golden digest was recorded on this agenda.
+Each agenda entry is one mutable list, ``[time, priority, sequence, fn,
+arg]``, and dispatching it is the call ``fn(arg)``.  Models schedule
+bound methods directly (:meth:`Simulator.schedule`); an
+:class:`~repro.sim.events.Event` is scheduled the same way, with a
+function that runs its waiters as ``fn``.  :meth:`Simulator.cancel`
+clears the entry's ``fn`` in place: the loop pops the dead entry when
+its time comes up and counts it in ``events_cancelled`` instead of
+``events_processed``, and the clock never *advances* to a time occupied
+only by dead entries.
 
-Two kernel optimizations ride on the loop:
+The entries live in two places:
 
-* **Timeout free-list** — :class:`~repro.sim.events.Timeout` is the
-  kernel's hottest allocation (one per MAC wait, backoff and frame).
-  After a timeout's callbacks run, if the loop holds the only remaining
-  reference (a ``sys.getrefcount`` check — cheap and exact), the object
-  is reset and parked on a bounded pool for :meth:`Simulator.timeout` to
-  reuse instead of allocating.
-* **Cancelled-event discard** — events killed via
-  :meth:`Event.cancel() <repro.sim.events.Event.cancel>` are dropped at
-  pop time, undelivered and uncounted in ``events_processed``, instead
-  of being dispatched dead.  A cancelled ``Timeout`` that nothing else
-  references (the MAC's abandoned ack timers) feeds the same free-list
-  as a dispatched one.  Until then the dead entry stays queued, but the
-  clock never *advances* to a time occupied only by cancelled entries.
+* **the heap** — a binary heap of every entry due later than now, and
+  of the URGENT entries due now;
+* **the lane** — a FIFO ``deque`` of the NORMAL entries whose computed
+  time equals the clock when they are scheduled (delay 0, or a delay
+  the clock's float absorbs).  They are due at once and in insertion
+  order, so they skip the heap's push and pop.
+
+Whenever the lane is not empty, :meth:`Simulator.run` takes the heap's
+top first if it is due now.  A heap entry due now is either URGENT or a
+NORMAL entry scheduled before the clock reached now, so it precedes
+every lane entry in ``(time, priority, sequence)`` order: the two
+places dispatch exactly the order one heap of all entries would.  Every
+pinned golden digest was recorded on that order.
 """
 
 from __future__ import annotations
 
+import collections
 import heapq
-import sys
 import typing
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import NORMAL, Event, Timeout
+from repro.sim.events import NORMAL, Event, _dispatch
 from repro.sim.rng import RngRegistry
 
-#: Upper bound on the Timeout free-list.  Steady-state workloads cycle a
-#: handful of timeouts per MAC; the cap only matters when a burst
-#: drains at once, and keeping it small bounds worst-case retained memory.
-_POOL_MAX = 1024
-
 _INFINITY = float("inf")
+
+#: One agenda entry: ``[time, priority, sequence, fn, arg]``.
+Entry = list
+
+
+def _call(fn: typing.Callable[[], None]) -> None:
+    """Agenda callback for a :meth:`Simulator.call_at` with no arguments."""
+    fn()
+
+
+def _call_star(call: tuple) -> None:
+    """Agenda callback for a :meth:`Simulator.call_at` with several."""
+    fn, args = call
+    fn(*args)
 
 
 class Simulator:
@@ -68,34 +81,33 @@ class Simulator:
     """
 
     # Slots, not a dict: the run loop stores _now and the counters once
-    # per event, and slot descriptors shave a measurable slice off those
+    # per entry, and slot descriptors shave a measurable slice off those
     # hottest attribute accesses.
     __slots__ = (
         "_now",
         "_queue",
+        "_lane",
         "_sequence",
         "events_processed",
         "events_cancelled",
         "rng",
-        "_pool",
     )
 
     def __init__(self, seed: int = 0):
         self._now = 0.0
-        #: The agenda: a heap of ``(time, priority, sequence, event)``.
-        #: The per-push sequence number makes the ordering total.
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: The heap of entries (see the module docstring).
+        self._queue: list[Entry] = []
+        #: The same-instant FIFO lane of NORMAL entries due now.
+        self._lane: collections.deque[Entry] = collections.deque()
         self._sequence = 0
-        #: Events processed so far — an ops counter ``repro bench`` and the
-        #: fig benchmarks record alongside wall times.
+        #: Entries dispatched so far — an ops counter ``repro bench`` and
+        #: the fig benchmarks record alongside wall times.
         self.events_processed = 0
-        #: Events discarded undelivered because they were cancelled
+        #: Entries discarded undelivered because they were cancelled
         #: before their agenda time came up.
         self.events_cancelled = 0
         #: Named deterministic random streams (see :class:`RngRegistry`).
         self.rng = RngRegistry(seed)
-        # Recycled Timeout instances (see module docstring).
-        self._pool: list[Timeout] = []
 
     # -- clock -----------------------------------------------------------
 
@@ -104,41 +116,58 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    # -- event construction ----------------------------------------------
+    # -- scheduling ------------------------------------------------------
+
+    def schedule(
+        self,
+        delay: float,
+        fn: typing.Callable[[typing.Any], None],
+        arg: object = None,
+        priority: int = NORMAL,
+    ) -> Entry:
+        """Run ``fn(arg)`` ``delay`` seconds from now; returns the entry.
+
+        The hot path every model timer takes.  ``priority`` is
+        :data:`~repro.sim.events.NORMAL` or
+        :data:`~repro.sim.events.URGENT`; an URGENT entry runs ahead of
+        the NORMAL ones due at the same time.  Pass the returned entry to
+        :meth:`cancel` to abandon it.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        now = self._now
+        when = now + delay
+        seq = self._sequence
+        self._sequence = seq + 1
+        entry = [when, priority, seq, fn, arg]
+        if when == now and priority == NORMAL:
+            self._lane.append(entry)
+        else:
+            heapq.heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, entry: Entry) -> None:
+        """Abandon ``entry``: the loop discards it instead of running it.
+
+        Marks the entry dead in place (the agenda is never searched) and
+        drops its references.  A no-op on an entry already dispatched.
+        """
+        entry[3] = None
+        entry[4] = None
 
     def event(self) -> Event:
         """Create a fresh pending :class:`Event` owned by this simulator."""
         return Event(self)
 
-    def timeout(self, delay: float, value: object = None) -> Timeout:
+    def timeout(self, delay: float, value: object = None) -> Event:
         """Create an event that fires ``delay`` seconds from now.
 
-        The only way to build a :class:`Timeout`.  Hot path: reuses a
-        pooled instance when the run loop has proven one unreferenced,
-        and sets up a fresh one field by field otherwise (timeouts are
-        the kernel's hottest allocation — one per MAC wait, backoff and
-        frame — so it skips ``Event.__init__``; keep the two in sync).
+        The event is triggered at once with ``value``, so calling its
+        ``succeed`` raises :class:`~repro.sim.errors.EventAlreadyTriggered`.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event._value = value
-            event.delay = delay
-        else:
-            event = Timeout.__new__(Timeout)
-            event.sim = self
-            event.callbacks = []
-            event._value = value
-            event._processed = False
-            event._cancelled = False
-            event.delay = delay
-        # Inlined _enqueue: one method call per timer is measurable at
-        # contention scale.
-        seq = self._sequence
-        self._sequence = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, event))
+        event = Event(self)
+        event._value = value
+        event._entry = self.schedule(delay, _dispatch, event)
         return event
 
     def call_at(
@@ -147,46 +176,44 @@ class Simulator:
         fn: typing.Callable[..., None],
         *args: object,
         priority: int = NORMAL,
-    ) -> Event:
+    ) -> Entry:
         """Schedule plain callable ``fn(*args)`` at absolute time ``when``.
 
         The agenda entry carries ``when`` itself, not ``now + (when -
         now)``, which can round to a neighbouring float.  An ``URGENT``
-        ``priority`` runs it ahead of the ``NORMAL`` events due at the
-        same time.
+        ``priority`` runs it ahead of the ``NORMAL`` entries due at the
+        same time.  Returns the entry, for :meth:`cancel`.
         """
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"cannot schedule at {when} (now is {self._now}); time is monotonic"
+                f"cannot schedule at {when} (now is {now}); time is monotonic"
             )
-        event = Event(self)
-        event._value = None
-        event.callbacks.append(lambda _event: fn(*args))
-        seq = self._sequence
-        self._sequence = seq + 1
-        heapq.heappush(self._queue, (when, priority, seq, event))
-        return event
+        if len(args) == 1:
+            entry = [when, priority, self._sequence, fn, args[0]]
+        elif args:
+            entry = [when, priority, self._sequence, _call_star, (fn, args)]
+        else:
+            entry = [when, priority, self._sequence, _call, fn]
+        self._sequence += 1
+        if when == now and priority == NORMAL:
+            self._lane.append(entry)
+        else:
+            heapq.heappush(self._queue, entry)
+        return entry
 
     def call_later(
         self, delay: float, fn: typing.Callable[..., None], *args: object
-    ) -> Event:
+    ) -> Entry:
         """Schedule plain callable ``fn(*args)`` after ``delay`` seconds.
 
-        Returns the underlying event so callers can compose or inspect it.
+        Returns the entry, for :meth:`cancel`.
         """
-        event = self.timeout(delay)
-        event.callbacks.append(lambda _event: fn(*args))
-        return event
-
-    # -- agenda ----------------------------------------------------------
-
-    def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        """Insert a triggered event into the agenda (kernel internal)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        seq = self._sequence
-        self._sequence = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        return self.call_at(self._now + delay, fn, *args)
+
+    # -- the loop --------------------------------------------------------
 
     def run(self, until: float | None = None) -> None:
         """Run the event loop.
@@ -195,8 +222,8 @@ class Simulator:
         ----------
         until:
             * ``None`` — run until the agenda is empty.
-            * a number — run all events with ``time <= until``, then set the
-              clock to ``until``.
+            * a number — run all entries with ``time <= until``, then set
+              the clock to ``until``.
 
         An exception raised by a callback propagates out of ``run``.
         """
@@ -207,55 +234,37 @@ class Simulator:
                 raise SimulationError(
                     f"cannot run until {horizon} (now is {self._now})"
                 )
-        # Locals, not attribute lookups: a full-fidelity run pops hundreds
-        # of thousands of events.
+        # Locals, not attribute lookups: a full-fidelity run dispatches
+        # hundreds of thousands of entries.
         queue = self._queue
+        lane = self._lane
         pop = heapq.heappop
-        pool = self._pool
-        getrefcount = sys.getrefcount
-        timeout_type = Timeout
-        while queue and queue[0][0] <= horizon:
-            when, _priority, _seq, event = pop(queue)
-            if event._cancelled:
-                self.events_cancelled += 1
-                # Cancelled timeouts recycle too (same refcount proof as
-                # below).  Their callbacks never ran, so the list is
-                # non-empty and must be cleared; _cancelled is the one
-                # extra flag to reset.  A timer something else still
-                # references (a model handle) has a higher refcount and
-                # falls through.
-                if type(event) is timeout_type and getrefcount(event) == 2:
-                    event.callbacks.clear()
-                    event._cancelled = False
-                    pool.append(event)
-                continue
-            self._now = when
-            self.events_processed += 1
-            callbacks, event.callbacks = event.callbacks, None
-            event._processed = True
-            # One callback (a waiting continuation) is the common case;
-            # skip the iterator for it.
-            if len(callbacks) == 1:
-                callbacks[0](event)
+        popleft = lane.popleft
+        now = self._now
+        while True:
+            if lane:
+                # A heap entry due now precedes every lane entry (see the
+                # module docstring).
+                if queue and queue[0][0] <= now:
+                    entry = pop(queue)
+                else:
+                    entry = popleft()
+            elif queue and queue[0][0] <= horizon:
+                entry = pop(queue)
             else:
-                for callback in callbacks:
-                    callback(event)
-            # Free-list: refcount 2 == the loop local + getrefcount's
-            # argument — nothing else (no model code) still holds the
-            # timeout, so it is safe to reset and reuse.  Reattach the
-            # emptied callbacks list rather than allocating a fresh one.
-            # Only _processed needs resetting here: timeout() overwrites
-            # _value and delay on reuse, and a processed event cannot
-            # have been cancelled.  The pool is trimmed to _POOL_MAX once
-            # per run, not per event.
-            if type(event) is timeout_type and getrefcount(event) == 2:
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._processed = False
-                pool.append(event)
-        del pool[_POOL_MAX:]
+                break
+            when, _priority, _seq, fn, arg = entry
+            if fn is None:
+                self.events_cancelled += 1
+                continue
+            self._now = now = when
+            self.events_processed += 1
+            fn(arg)
         if until is not None:
             self._now = max(self._now, horizon)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Simulator t={self._now:.6f} agenda={len(self._queue)}>"
+        return (
+            f"<Simulator t={self._now:.6f} "
+            f"agenda={len(self._queue) + len(self._lane)}>"
+        )

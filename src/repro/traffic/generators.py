@@ -10,8 +10,8 @@ generated so goodput can be computed.
 A source pushes each packet (a :class:`~repro.net.packets.PacketRun` of
 length 1) into its ``submit`` callback — a routing agent's or BCP agent's
 ingestion method — from a chain of kernel callbacks: every emission
-re-arms one pooled :class:`~repro.sim.events.Timeout` for the next, so a
-pushed packet costs one event dispatch.  The first wait is armed at
+schedules the agenda entry of the next, so a pushed packet costs one
+dispatch.  The first wait is armed at
 construction, with its rng draw; setting ``stop_s`` mid-run (the fault
 injector's kill) takes effect at the next emission, which ends the chain.
 
@@ -32,7 +32,6 @@ import itertools
 import typing
 
 from repro.net.packets import PacketRun
-from repro.sim.events import Event
 from repro.units import BITS_PER_BYTE
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,23 +125,28 @@ class CbrSource(_Source):
         #: Due times of the packets not yet taken, earliest first (pull
         #: mode); extended one ``+ interval_s`` at a time on demand.
         self._due = [sim.now + gap]
-        #: The chain's first timeout (what :meth:`detach` cancels).
-        self._first = sim.timeout(gap)
+        #: The chain's first entry (what :meth:`detach` cancels); None
+        #: once it has run.
+        self._first = sim.schedule(gap, self._first_tick)
         self._tick_cb = self._tick
-        self._first.callbacks.append(self._tick_cb)
 
-    def _tick(self, _event: Event) -> None:
+    def _first_tick(self, _arg: None) -> None:
+        self._first = None
+        self._tick(None)
+
+    def _tick(self, _arg: None) -> None:
         if self._running():
             self._emit()
-            self.sim.timeout(self.interval_s).callbacks.append(self._tick_cb)
+            self.sim.schedule(self.interval_s, self._tick_cb)
 
     # -- pull mode -----------------------------------------------------------
 
     def detach(self) -> None:
         """Cancel the timer chain before it starts; the caller pulls
         packets with :meth:`take` from now on."""
-        if not self._first.cancel():
+        if self._first is None:
             raise RuntimeError("detach() after the first packet was pushed")
+        self.sim.cancel(self._first)
 
     def _extend(self, n: int) -> None:
         """Append the next ``n`` due times: the chain clock's repeated
@@ -214,11 +218,12 @@ class PoissonSource(_Source):
 
     def _wait(self) -> None:
         if self._running():
-            self.sim.timeout(
-                self._rng.expovariate(1.0 / self.mean_interval_s)
-            ).callbacks.append(self._arrival_cb)
+            self.sim.schedule(
+                self._rng.expovariate(1.0 / self.mean_interval_s),
+                self._arrival_cb,
+            )
 
-    def _arrival(self, _event: Event) -> None:
+    def _arrival(self, _arg: None) -> None:
         if self.stop_s is not None and self.sim.now >= self.stop_s:
             return
         self._emit()
@@ -264,17 +269,18 @@ class AudioBurstSource(_Source):
     def _silence(self) -> None:
         """Wait out one silence (or stop)."""
         if self._running():
-            self.sim.timeout(
-                self._rng.expovariate(1.0 / self.mean_silence_s)
-            ).callbacks.append(self._clip_cb)
+            self.sim.schedule(
+                self._rng.expovariate(1.0 / self.mean_silence_s),
+                self._clip_cb,
+            )
 
-    def _clip(self, _event: Event) -> None:
+    def _clip(self, _arg: None) -> None:
         self._burst_end = self.sim.now + self.burst_duration_s
-        self._sample(_event)
+        self._sample(None)
 
-    def _sample(self, _event: Event) -> None:
+    def _sample(self, _arg: None) -> None:
         if self.sim.now >= self._burst_end:
             self._silence()
         elif self.stop_s is None or self.sim.now < self.stop_s:
             self._emit()
-            self.sim.timeout(self._interval_s).callbacks.append(self._sample_cb)
+            self.sim.schedule(self._interval_s, self._sample_cb)

@@ -8,12 +8,15 @@ leaves every results digest as it was, yet changes the agenda that
 every later same-instant tie is broken on.
 
 This test pins that agenda directly: the ``(time, priority)`` of every
-event the loop dispatches, in dispatch order, on the five cells behind
-``GOLDEN_HANDSHAKE_DIGESTS``.  It records the sequence by swapping the
-``heapq`` module the simulator uses for a wrapper whose ``heappop``
-notes each live entry it pops; the simulator itself has no hook.
+entry the loop dispatches, in dispatch order, on the five cells behind
+``GOLDEN_HANDSHAKE_DIGESTS``.  The loop takes each entry it dispatches
+from one of two places, the heap (``heapq.heappop``) or the same-instant
+lane (``deque.popleft``), so the test swaps the ``heapq`` and
+``collections`` modules the simulator uses for wrappers that note each
+live entry as it is taken; the simulator itself has no hook.
 """
 
+import collections
 import hashlib
 import heapq
 import types
@@ -50,17 +53,28 @@ def dispatch_order(config, monkeypatch):
     digest = hashlib.sha256()
     count = 0
 
-    def heappop(queue):
+    def record(entry):
         nonlocal count
-        entry = heapq.heappop(queue)
-        event = entry[3]
-        if not event._cancelled:
+        if entry[3] is not None:  # cancelled entries are not dispatched
             count += 1
             digest.update(f"{entry[0]!r} {entry[1]}\n".encode())
         return entry
 
-    recording = types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
-    monkeypatch.setattr(simulator_module, "heapq", recording)
+    def heappop(queue):
+        return record(heapq.heappop(queue))
+
+    class Lane(collections.deque):
+        def popleft(self):
+            return record(super().popleft())
+
+    monkeypatch.setattr(
+        simulator_module,
+        "heapq",
+        types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop),
+    )
+    monkeypatch.setattr(
+        simulator_module, "collections", types.SimpleNamespace(deque=Lane)
+    )
     run_scenario(config)
     return count, digest.hexdigest()
 

@@ -124,9 +124,9 @@ class TestCollisions:
         """Sequential (non-overlapping) frames both deliver."""
         h = Harness()
 
-        first = h.radios[0].transmit(data_frame(0, 1))
-        first.callbacks.append(
-            lambda _event: h.radios[0].transmit(data_frame(0, 1))
+        h.radios[0].transmit(
+            data_frame(0, 1),
+            on_end=lambda: h.radios[0].transmit(data_frame(0, 1)),
         )
         h.sim.run()
         assert len(h.received[1]) == 2

@@ -142,9 +142,8 @@ class TestUnicastCounters:
 
         def send(seq):
             # Back to back: each frame goes out when the last one ends.
-            end = h.radios[0].transmit(data_frame(0, 1, seq=seq))
-            if seq + 1 < 40:
-                end.callbacks.append(lambda _event: send(seq + 1))
+            on_end = (lambda: send(seq + 1)) if seq + 1 < 40 else None
+            h.radios[0].transmit(data_frame(0, 1, seq=seq), on_end=on_end)
 
         send(0)
         h.sim.run()
@@ -321,8 +320,9 @@ class OracleMedium(Medium):
     its own port's ``reception_charges`` through ``bank.charge``; the
     batched plans are emptied, so only the oracle charges."""
 
-    def _reception_plans(self, frame, duration, addressed):
-        return [[]] * len(self._class_ports)
+    def _reception_plans(self, frame, duration):
+        empty = [[]] * len(self._class_ports)
+        return empty, empty
 
     def _finish(self, record):
         if not record.aborted:

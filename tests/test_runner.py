@@ -154,6 +154,22 @@ class TestResultCache:
         cache.put(TINY, result)
         assert cache.get(TINY) == result
 
+    def test_entry_under_another_key_is_evicted(self, tmp_path):
+        """A 2-sender 10 s entry copied under a 4-sender 20 s config's key
+        is not served as that config's result."""
+        cache = ResultCache(tmp_path)
+        result = tiny_result()
+        source = cache.put(TINY, result)
+        other = TINY.replace(n_senders=4, sim_time_s=20.0)
+        target = cache.path_for(other)
+        target.write_bytes(source.read_bytes())
+        assert cache.get(other) is None
+        assert not target.exists()  # evicted
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 1
+        assert cache.stats.evicted_corrupt == 1
+        assert cache.get(TINY) == result
+
     def test_binary_garbage_entry_recovers(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.put(TINY, tiny_result())

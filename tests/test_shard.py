@@ -255,6 +255,24 @@ class TestMergeShards:
         assert report.copied == len(keys) - 1
         assert not report.complete
 
+    def test_mislabeled_entry_is_rejected(self, tmp_path):
+        """A 2-sender 10 s entry copied under a 4-sender 20 s config's key
+        (and listed in the manifest) is not merged."""
+        keys = _run_shard(tmp_path / "s0", 0, 1)
+        other = config_key(TINY.replace(n_senders=4, sim_time_s=20.0))
+        source = tmp_path / "s0"
+        (source / f"{other}.json").write_bytes(
+            (source / f"{keys[0]}.json").read_bytes()
+        )
+        write_shard_manifest(source, ShardSpec(0, 1), keys + [other])
+        dest = tmp_path / "merged"
+        report = merge_shards(dest, [source])
+        assert report.rejected == 1
+        assert report.copied == len(keys)
+        assert not (dest / f"{other}.json").exists()
+        assert not report.complete
+        assert "1 rejected" in report.summary()
+
     def test_refuses_schema_mismatch(self, tmp_path):
         _run_shard(tmp_path / "s0", 0, 1)
         path = manifest_path(tmp_path / "s0", ShardSpec(0, 1))

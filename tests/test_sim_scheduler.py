@@ -1,17 +1,19 @@
-"""Agenda ordering, cancellation, and the timeout free-list."""
+"""Agenda ordering, cancellation, the same-instant lane, and fired
+timeouts."""
+
+import gc
+import heapq
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.sim import NORMAL, URGENT, Event, Simulator
+from repro.sim import NORMAL, URGENT, Simulator
 
 
 def _push(sim, when, priority, label, fired):
-    """Enqueue an event at absolute ``when`` that records ``label``."""
-    event = Event(sim)
-    event._value = None
-    event.callbacks.append(lambda _e: fired.append(label))
-    sim._enqueue(event, delay=when - sim.now, priority=priority)
-    return event
+    """Schedule an entry at absolute ``when`` that records ``label``."""
+    return sim.call_at(when, fired.append, label, priority=priority)
 
 
 @pytest.fixture
@@ -122,19 +124,17 @@ class TestCancellation:
         assert sim.events_cancelled == 1
 
 
-class TestTimeoutFreeList:
-    def test_processed_timeout_is_recycled(self, sim):
+class TestFiredTimeouts:
+    """A timeout is a fresh event every time, whatever fired before."""
+
+    def test_processed_timeout_is_not_reused(self, sim):
         first = sim.timeout(1.0, value="a")
         sim.run()
         assert first.processed
         second = sim.timeout(1.0, value="b")
-        # The kernel proved `first` unreferenced-by-the-model at pop time
-        # is false here (we hold it) — so recycling must NOT have reused
-        # it. Drop our reference pattern instead: timers created and
-        # consumed entirely inside the loop are the recycled population.
         assert second is not first
 
-    def test_unreferenced_timers_are_reused(self, sim):
+    def test_timeout_after_many_dispatches_is_fresh(self, sim):
         def tick(left):
             if left:
                 sim.call_later(1.0, tick, left - 1)
@@ -142,8 +142,6 @@ class TestTimeoutFreeList:
         tick(3)
         sim.run()
         before = sim.events_processed
-        # The free-list is warm; a fresh timeout comes from the pool with
-        # fully reset state.
         fresh = sim.timeout(2.0, value="fresh")
         assert fresh.callbacks == []
         assert not fresh.processed
@@ -152,7 +150,7 @@ class TestTimeoutFreeList:
         assert fresh.value == "fresh"
         assert sim.events_processed == before + 1
 
-    def test_recycled_timer_value_not_leaked(self, sim):
+    def test_timer_value_not_leaked(self, sim):
         values = []
 
         def first_fired(event):
@@ -164,3 +162,210 @@ class TestTimeoutFreeList:
         sim.timeout(1.0, value="secret").callbacks.append(first_fired)
         sim.run()
         assert values == ["secret", None]
+
+
+# -- the lane and the heap dispatch one (time, priority, seq) order ---------
+
+
+class ReferenceAgenda:
+    """The agenda as one heap of every entry, sorted by ``(time,
+    priority, seq)``: the order the lane-plus-heap kernel must replay."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+        self._fns = {}
+        self._dead = set()
+        self.events_processed = 0
+        self.events_cancelled = 0
+
+    def schedule(self, delay, fn, priority):
+        seq = self._seq
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, priority, seq))
+        self._fns[seq] = fn
+        return seq
+
+    def cancel(self, seq):
+        self._dead.add(seq)
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else until
+        while self._heap and self._heap[0][0] <= horizon:
+            when, _priority, seq = heapq.heappop(self._heap)
+            if seq in self._dead:
+                self.events_cancelled += 1
+                continue
+            self.now = when
+            self.events_processed += 1
+            self._fns.pop(seq)()
+        if until is not None:
+            self.now = max(self.now, horizon)
+
+
+class KernelAgenda:
+    """The same operations on a :class:`Simulator`, through each of its
+    scheduling entry points."""
+
+    def __init__(self):
+        self.sim = Simulator(seed=1)
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def schedule(self, delay, fn, priority, how):
+        sim = self.sim
+        if how == "schedule":
+            return sim.schedule(delay, lambda _arg: fn(), None, priority)
+        if how == "call_at":
+            return sim.call_at(sim.now + delay, fn, priority=priority)
+        if how == "timeout":
+            event = sim.timeout(delay)
+        else:
+            event = sim.event().succeed()
+        event.callbacks.append(lambda _event: fn())
+        return event
+
+    def cancel(self, handle):
+        if isinstance(handle, list):
+            self.sim.cancel(handle)
+        else:
+            handle.cancel()
+
+    def run(self, until=None):
+        self.sim.run(until)
+
+
+#: Delays that tie with each other, 0, and one (1e-9) that a clock at
+#: 1e8 absorbs (1e8 + 1e-9 == 1e8) but a clock at 0 does not.
+DELAYS = st.sampled_from([0.0, 0.0, 1e-9, 0.25, 0.5, 1.0])
+
+#: One scheduling or cancelling operation.  ``succeed`` triggers a
+#: fresh event (delay 0, NORMAL); ``timeout`` is NORMAL by construction.
+OPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["schedule", "call_at"]),
+        DELAYS,
+        st.sampled_from([NORMAL, URGENT]),
+    ),
+    st.tuples(st.just("timeout"), DELAYS, st.just(NORMAL)),
+    st.tuples(st.just("succeed"), st.just(0.0), st.just(NORMAL)),
+    st.tuples(st.just("cancel"), st.integers(0, 63), st.just(NORMAL)),
+)
+
+
+@st.composite
+def agenda_programs(draw):
+    """A start time, the operations the n-th dispatch performs, and run
+    slices (a horizon, and the operations scheduled before it runs)."""
+    start = draw(st.sampled_from([0.0, 1e8]))
+    per_dispatch = draw(st.lists(st.lists(OPS, max_size=3), max_size=40))
+    slices = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0]),
+                st.lists(OPS, min_size=1, max_size=4),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    slices.sort(key=lambda item: item[0])
+    return start, per_dispatch, slices
+
+
+def replay(agenda, program):
+    """Drive ``agenda`` through ``program``; return the dispatched labels
+    and the clock after each slice."""
+    start, per_dispatch, slices = program
+    agenda.run(until=start)
+    fired = []
+    handles = []
+
+    def apply(ops):
+        for how, value, priority in ops:
+            if how == "cancel":
+                if handles:
+                    agenda.cancel(handles[value % len(handles)])
+                continue
+            label = len(handles)
+
+            def fn(label=label):
+                index = len(fired)
+                fired.append(label)
+                if index < len(per_dispatch):
+                    apply(per_dispatch[index])
+
+            if isinstance(agenda, KernelAgenda):
+                handles.append(agenda.schedule(value, fn, priority, how))
+            else:
+                handles.append(agenda.schedule(value, fn, priority))
+
+    clocks = []
+    for horizon, ops in slices:
+        apply(ops)
+        agenda.run(until=start + horizon)
+        clocks.append(agenda.now)
+    agenda.run()
+    clocks.append(agenda.now)
+    return fired, clocks
+
+
+@given(agenda_programs())
+def test_lane_and_heap_dispatch_in_reference_order(program):
+    reference = ReferenceAgenda()
+    kernel = KernelAgenda()
+    assert replay(kernel, program) == replay(reference, program)
+    assert kernel.sim.events_processed == reference.events_processed
+    assert kernel.sim.events_cancelled == reference.events_cancelled
+
+
+def test_absorbed_delay_waits_behind_an_urgent_entry():
+    """A delay the clock absorbs is due now: it runs after the URGENT
+    entries due now and among the other NORMAL ones in seq order."""
+    sim = Simulator(seed=1)
+    sim.run(until=1e8)
+    fired = []
+    sim.schedule(0.0, fired.append, "zero")
+    sim.schedule(1e-9, fired.append, "absorbed")
+    sim.schedule(0.0, fired.append, "urgent", URGENT)
+    sim.schedule(1.0, fired.append, "later")
+    sim.run()
+    assert fired == ["urgent", "zero", "absorbed", "later"]
+    assert sim.now == 1e8 + 1.0
+
+
+# -- dispatched events hold no agenda entry -----------------------------------
+
+
+def test_kernel_run_leaves_no_cyclic_garbage():
+    """A triggered event and its entry point at each other until the
+    entry is dispatched or cancelled; both break the pair, so a run
+    frees every event by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator(seed=1)
+        fired = []
+        events = []
+        for index in range(20):
+            sim.schedule(0.1 * index, fired.append, index)
+            sim.call_later(0.1 * index, fired.append, -index)
+            timeout = sim.timeout(0.05 * index, value=index)
+            timeout.callbacks.append(lambda event: fired.append(event.value))
+            events.append(timeout)
+            event = sim.event()
+            event.callbacks.append(lambda event: fired.append(event.value))
+            sim.call_later(0.2 * index, event.succeed, index)
+            events.append(event)
+        sim.cancel(sim.schedule(0.5, fired.append, "cancelled"))
+        events[3].cancel()
+        sim.run()
+        assert sim.events_cancelled == 2
+        assert all(event._entry is None for event in events)
+        del sim, events, timeout, event
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

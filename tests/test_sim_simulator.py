@@ -91,7 +91,7 @@ class TestSchedulingHelpers:
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim._enqueue(sim.event(), delay=-1.0)
+            sim.schedule(-1.0, print)
 
 
 class TestDeterminism:
