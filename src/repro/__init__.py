@@ -58,7 +58,6 @@ from repro.models.scenario import (
     run_scenario,
     single_hop_config,
 )
-from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 from repro.stats.metrics import RunResult
 from repro.testbed.experiment import (
@@ -74,7 +73,6 @@ __all__ = [
     "BcpConfig",
     "CABLETRON",
     "DualRadioLink",
-    "Event",
     "LUCENT_11",
     "LUCENT_2",
     "MICA",

@@ -87,10 +87,10 @@ from repro.net.packets import PacketRun
 from repro.net.routing import RoutingError, RoutingLike
 from repro.net.shortcut import ShortcutLearner
 from repro.radio.radio import HighPowerRadio
-from repro.sim.events import URGENT
+from repro.sim.simulator import URGENT
+from repro.stats.summation import ltr_sum
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.events import Event
     from repro.sim.simulator import Entry, Simulator
     from repro.traffic.generators import CbrSource
 
@@ -106,8 +106,9 @@ class _SenderSession:
     session_id: int
     #: WAKEUP attempts made before the current one.
     attempt: int = 0
-    #: The current attempt's WAKEUP-ACK event (its value: allowed bytes).
-    ack_event: typing.Any = None
+    #: The bytes the current attempt's first WAKEUP-ACK allows; None
+    #: until one arrives.
+    allowed: float | None = None
     #: How the current wait ended: None (still waiting), True (the ACK
     #: came first) or False (the timeout did).
     acked: bool | None = None
@@ -585,25 +586,31 @@ class BcpAgent:
             session_id=session.session_id,
             burst_bytes=int(burst),
         )
-        sim = self.sim
-        ack = session.ack_event = sim.event()
+        session.allowed = None
         session.acked = None
         self.stats.wakeups_sent += 1
         self._send_control(wakeup, session.next_hop)
-        timeout = sim.timeout(self.config.wakeup_timeout_s)
+        self.sim.schedule(
+            self.config.wakeup_timeout_s,
+            self._wakeup_wait_ended,
+            (session, session.attempt, False),
+        )
 
-        def first(event: "Event") -> None:
-            if session.ack_event is ack and session.acked is None:
-                session.acked = event is ack
-                sim.call_at(sim.now, self._after_wakeup_wait, session)
-
-        ack.callbacks.append(first)
-        timeout.callbacks.append(first)
+    def _wakeup_wait_ended(
+        self, arrival: tuple[_SenderSession, int, bool]
+    ) -> None:
+        """The ACK (``True``) or the timeout (``False``) of one attempt came
+        up: the first of the current attempt's two wins, the rest are
+        ignored."""
+        session, attempt, acked = arrival
+        if session.attempt == attempt and session.acked is None:
+            session.acked = acked
+            self.sim.call_at(self.sim.now, self._after_wakeup_wait, session)
 
     def _after_wakeup_wait(self, session: _SenderSession) -> None:
         if session.acked:
             self._handshake_failures.pop(session.next_hop, None)
-            allowed = typing.cast(float, session.ack_event.value)
+            allowed = typing.cast(float, session.allowed)
             # Section 3: the sender turns its radio on only upon the ACK.
             session.waking = True
             self.high_radio.wake(lambda: self._transfer(session, allowed))
@@ -881,7 +888,7 @@ class BcpAgent:
     def _acceptable_bytes(self) -> float:
         """How much bulk data this node can take (receiver flow control)."""
         self.catch_up()
-        pending = sum(
+        pending = ltr_sum(
             session.expected_bytes - session.received_bytes
             for session in self._receiver_sessions.values()
             if session.active
@@ -902,8 +909,11 @@ class BcpAgent:
         session = self._sender_sessions.get(ack.origin)
         if session is None or session.session_id != ack.session_id:
             return
-        if session.ack_event is not None and not session.ack_event.triggered:
-            session.ack_event.succeed(float(ack.allowed_bytes))
+        if session.allowed is None:
+            session.allowed = float(ack.allowed_bytes)
+            self.sim.schedule(
+                0.0, self._wakeup_wait_ended, (session, session.attempt, True)
+            )
 
     def _watch_receiver(self, session: _ReceiverSession) -> None:
         """Check the session every idle timeout while it is active."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 import collections
 import typing
 
+from repro.stats.summation import ltr_sum
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
@@ -228,7 +230,7 @@ class MeterBank:
                 continue
             if categories is not None and cat not in categories:
                 continue
-            total += sum(column)
+            total += ltr_sum(column)
         return total
 
     def components(self) -> set[str]:

@@ -45,7 +45,7 @@ from repro.faults.lifetime import LifetimeMonitor
 from repro.faults.plan import FaultPlan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.models.scenario import ScenarioConfig, _BuiltNetwork
+    from repro.models.scenario import Network, ScenarioConfig
     from repro.sim.simulator import Simulator
 
 #: Death causes recorded by the monitor.
@@ -73,7 +73,7 @@ class FaultInjector:
         self,
         sim: "Simulator",
         config: "ScenarioConfig",
-        built: "_BuiltNetwork",
+        built: "Network",
         plan: FaultPlan,
     ):
         if plan.is_zero:

@@ -39,7 +39,7 @@ import typing
 from repro.mac.frames import Frame, FrameKind, make_ack
 from repro.mac.timing import MacParams
 from repro.radio.radio import RadioPort
-from repro.sim.events import URGENT
+from repro.sim.simulator import URGENT
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.channel.medium import Transmission

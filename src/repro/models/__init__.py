@@ -17,6 +17,7 @@ from repro.models.scenario import (
     MODEL_DUAL,
     MODEL_SENSOR,
     MODEL_WIFI,
+    Network,
     PAPER_BURST_SIZES,
     PAPER_SENDER_COUNTS,
     RadioAssignment,
@@ -34,6 +35,7 @@ __all__ = [
     "MODEL_DUAL",
     "MODEL_SENSOR",
     "MODEL_WIFI",
+    "Network",
     "PAPER_BURST_SIZES",
     "PAPER_SENDER_COUNTS",
     "RadioAssignment",

@@ -3,9 +3,14 @@
 A :class:`ScenarioConfig` describes one cell of the experiment matrix:
 which model (*sensor*, *wifi*, *dual*), the deployment, who sends at what
 rate, the burst size, and whether the high-power radio has the multi-hop
-range advantage.  :func:`run_scenario` builds the network, runs it, and
-returns a :class:`~repro.stats.metrics.RunResult`; :func:`run_replicated`
-repeats with different seeds for confidence intervals.
+range advantage.  :func:`run_scenario` is three calls on one
+:class:`Network`: :meth:`Network.build`, :meth:`Network.run` and
+:meth:`Network.result`, which returns a
+:class:`~repro.stats.metrics.RunResult`.  A caller that needs the
+simulator or the built network around a run (a benchmark's work
+counters, a post-run check) makes the same three calls itself.
+:func:`run_replicated` repeats with different seeds for confidence
+intervals.
 
 Scenario composition
 --------------------
@@ -399,8 +404,14 @@ def multi_hop_config(**overrides: typing.Any) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
-class _BuiltNetwork:
-    """Everything a run produces, for post-run metric extraction.
+class Network:
+    """One built scenario cell: every object a run touches, and the run.
+
+    :meth:`build` makes the network of a config in a fresh simulator,
+    :meth:`run` runs it to the config's horizon and :meth:`result`
+    extracts the paper's metrics; :func:`run_scenario` is exactly those
+    three calls.  :func:`build_network` fills in a network for a
+    simulator the caller made.
 
     Per-node collections are struct-of-arrays style: flat lists indexed
     by node id (deployments are validated contiguous ``0..n-1`` by the
@@ -410,8 +421,9 @@ class _BuiltNetwork:
     high radios in the sensor-only model).
     """
 
-    def __init__(self) -> None:
-        self.sim: Simulator | None = None
+    def __init__(self, config: ScenarioConfig, sim: Simulator) -> None:
+        self.config = config
+        self.sim = sim
         self.layout: Layout | None = None
         self.meter_bank: MeterBank | None = None
         self.meters: list[NodeMeter] = []
@@ -431,6 +443,54 @@ class _BuiltNetwork:
         #: BCP agents that pull their CBR source's packets on demand
         #: (:meth:`~repro.core.bcp.BcpAgent.adopt`).
         self.fed_agents: list[BcpAgent] = []
+        #: The run's fault injector; None without a fault plan.
+        self.injector: FaultInjector | None = None
+
+    @staticmethod
+    def build(config: ScenarioConfig) -> "Network":
+        """Build ``config``'s network in a fresh simulator seeded with
+        ``config.seed``, timed as the ``network_build`` phase."""
+        sim = Simulator(seed=config.seed)
+        with phase("network_build"):
+            return build_network(config, sim)
+
+    def run(self) -> None:
+        """Run to ``config.sim_time_s`` under the config's fault plan,
+        timed as the ``sim_loop`` phase."""
+        config = self.config
+        # A zero/absent plan skips the injector entirely: the no-fault path
+        # builds no batteries, schedules no events and adds no counters, so
+        # the pinned golden digests are untouched byte for byte.
+        if config.faults is not None and not config.faults.is_zero:
+            self.injector = FaultInjector(self.sim, config, self, config.faults)
+        with phase("sim_loop"):
+            self.sim.run(until=config.sim_time_s)
+            # The run processed every event at the horizon itself, so
+            # packets due exactly then count as generated too.
+            for agent in self.fed_agents:
+                agent.catch_up(inclusive=True)
+
+    def result(self) -> RunResult:
+        """The paper's metrics of the finished run."""
+        config = self.config
+        collector = self.collector
+        assert collector is not None
+        counters = _collect_counters(self)
+        if self.injector is not None:
+            counters.update(self.injector.counters())
+        return RunResult(
+            model=config.model,
+            sim_time_s=config.sim_time_s,
+            generated_bits=float(
+                sum(source.stats.bits_generated for source in self.sources)
+            ),
+            delivered_bits=float(collector.bits_delivered),
+            mean_delay_s=collector.mean_delay_s,
+            max_delay_s=collector.max_delay_s,
+            energy_j=_collect_energy(config, self),
+            counters=counters,
+            mean_hops=collector.mean_hops,
+        )
 
 
 def select_senders(config: ScenarioConfig, sim: Simulator) -> list[int]:
@@ -493,7 +553,7 @@ def _audibility_graph(layout: Layout, medium: Medium) -> CsrGraph:
 
 
 def _residual_reader(
-    config: ScenarioConfig, built: "_BuiltNetwork"
+    config: ScenarioConfig, built: Network
 ) -> typing.Callable[[int], float]:
     """Node id → live remaining-battery fraction, for residual routing.
 
@@ -524,7 +584,7 @@ def _residual_reader(
 
 def _route_table(
     config: ScenarioConfig,
-    built: _BuiltNetwork,
+    built: Network,
     medium: Medium,
     spec: RadioSpec,
     uniform: bool,
@@ -567,7 +627,7 @@ def _route_table(
 
 
 def _build_low_stack(
-    config: ScenarioConfig, sim: Simulator, built: _BuiltNetwork
+    config: ScenarioConfig, sim: Simulator, built: Network
 ) -> RoutingLike:
     layout = built.layout
     assert layout is not None
@@ -594,7 +654,7 @@ def _build_low_stack(
 
 
 def _build_high_stack(
-    config: ScenarioConfig, sim: Simulator, built: _BuiltNetwork
+    config: ScenarioConfig, sim: Simulator, built: Network
 ) -> RoutingLike:
     layout = built.layout
     assert layout is not None
@@ -653,7 +713,7 @@ def _check_sender_routes(
             )
 
 
-def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
+def build_network(config: ScenarioConfig, sim: Simulator) -> Network:
     """Construct the full network for ``config`` inside ``sim``.
 
     Per-node construction is flyweight-shaped: all class-level data (BCP
@@ -665,8 +725,7 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
     scenario a seconds-scale build (see ``repro bench``'s
     ``scenario-compose-10k`` case).
     """
-    built = _BuiltNetwork()
-    built.sim = sim
+    built = Network(config, sim)
     built.layout = config.build_layout(sim)
     n_nodes = config.n_nodes
     built.meter_bank = MeterBank(n_nodes)
@@ -777,9 +836,7 @@ def build_network(config: ScenarioConfig, sim: Simulator) -> _BuiltNetwork:
     return built
 
 
-def _collect_energy(
-    config: ScenarioConfig, built: _BuiltNetwork
-) -> dict[str, float]:
+def _collect_energy(config: ScenarioConfig, built: Network) -> dict[str, float]:
     low_component = f"radio.{config.low_spec.name}"
     ideal = header = full_low = high_full = 0.0
     for radio in built.high_radios:
@@ -832,7 +889,7 @@ def _collect_energy(
     return energy
 
 
-def _collect_counters(built: _BuiltNetwork) -> dict[str, float]:
+def _collect_counters(built: Network) -> dict[str, float]:
     counters: dict[str, float] = {}
 
     def bump(name: str, value: float) -> None:
@@ -874,40 +931,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     the run reports ``network_build`` (which includes ``routing_build``)
     and ``sim_loop`` wall-clock phases into it.
     """
-    sim = Simulator(seed=config.seed)
-    with phase("network_build"):
-        built = build_network(config, sim)
-    # A zero/absent plan skips the injector entirely: the no-fault path
-    # builds no batteries, schedules no events and adds no counters, so
-    # the pinned golden digests are untouched byte for byte.
-    injector = None
-    if config.faults is not None and not config.faults.is_zero:
-        injector = FaultInjector(sim, config, built, config.faults)
-    with phase("sim_loop"):
-        sim.run(until=config.sim_time_s)
-        # The run processed every event at the horizon itself, so packets
-        # due exactly then count as generated too.
-        for agent in built.fed_agents:
-            agent.catch_up(inclusive=True)
-    generated = float(
-        sum(source.stats.bits_generated for source in built.sources)
-    )
-    collector = built.collector
-    assert collector is not None
-    counters = _collect_counters(built)
-    if injector is not None:
-        counters.update(injector.counters())
-    return RunResult(
-        model=config.model,
-        sim_time_s=config.sim_time_s,
-        generated_bits=generated,
-        delivered_bits=float(collector.bits_delivered),
-        mean_delay_s=collector.mean_delay_s,
-        max_delay_s=collector.max_delay_s,
-        energy_j=_collect_energy(config, built),
-        counters=counters,
-        mean_hops=collector.mean_hops,
-    )
+    network = Network.build(config)
+    network.run()
+    return network.result()
 
 
 def replica_configs(config: ScenarioConfig, n_runs: int) -> list[ScenarioConfig]:

@@ -16,7 +16,6 @@ ops counter (deterministic work, which cannot flake).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import random
 import typing
@@ -152,21 +151,17 @@ def _case_sim_loop_10k() -> BenchCase:
         )
 
     def run(config):
-        from repro.models.scenario import build_network
-        from repro.perf.phases import collect_phases, phase
-        from repro.sim.simulator import Simulator
+        from repro.models.scenario import Network
+        from repro.perf.phases import collect_phases
 
         with collect_phases() as timings:
-            sim = Simulator(seed=config.seed)
-            with phase("network_build"):
-                built = build_network(config, sim)
-            with phase("sim_loop"):
-                sim.run(until=config.sim_time_s)
+            network = Network.build(config)
+            network.run()
         ops: dict[str, float] = {
             "nodes": float(config.n_nodes),
-            "agents": float(len(built.agents)),
-            "events": float(sim.events_processed),
-            "events_cancelled": float(sim.events_cancelled),
+            "agents": float(len(network.agents)),
+            "events": float(network.sim.events_processed),
+            "events_cancelled": float(network.sim.events_cancelled),
         }
         for name, seconds in timings.items():
             ops[f"phase.{name}_s"] = seconds
@@ -197,36 +192,24 @@ def _fig_cell_config(**overrides):
     return single_hop_config(**defaults)
 
 
-@contextlib.contextmanager
-def _capture_network(sink: list) -> typing.Iterator[None]:
-    """Append the network ``run_scenario`` builds to ``sink``: the run
-    returns only its results, and a case's work counters live on the
-    simulator and the network."""
-    from repro.models import scenario
+def _run_network(config):
+    """Build, run and collect ``config``'s cell under a phase collector;
+    returns the network (its simulator and layers carry the work
+    counters), the result and the phase timings."""
+    from repro.models.scenario import Network
+    from repro.perf.phases import collect_phases
 
-    build_network = scenario.build_network
-
-    def capturing(config, sim):
-        built = build_network(config, sim)
-        sink.append(built)
-        return built
-
-    scenario.build_network = capturing
-    try:
-        yield
-    finally:
-        scenario.build_network = build_network
+    with collect_phases() as timings:
+        network = Network.build(config)
+        network.run()
+        result = network.result()
+    return network, result, timings
 
 
 def _run_cell(config) -> dict[str, float]:
-    from repro.models.scenario import run_scenario
-    from repro.perf.phases import collect_phases
-
-    captured: list = []
-    with _capture_network(captured), collect_phases() as timings:
-        result = run_scenario(config)
+    network, result, timings = _run_network(config)
     ops: dict[str, float] = {
-        "events": float(captured[0].sim.events_processed),
+        "events": float(network.sim.events_processed),
         "delivered_bits": result.delivered_bits,
         "frames_sent": result.counters.get("medium.low.sent", 0.0)
         + result.counters.get("medium.high.sent", 0.0),
@@ -289,16 +272,14 @@ def _case_scenario_compose(
         )
 
     def run(config):
-        from repro.models.scenario import build_network
-        from repro.perf.phases import collect_phases, phase
-        from repro.sim.simulator import Simulator
+        from repro.models.scenario import Network
+        from repro.perf.phases import collect_phases
 
-        with collect_phases() as timings, phase("network_build"):
-            sim = Simulator(seed=config.seed)
-            built = build_network(config, sim)
+        with collect_phases() as timings:
+            network = Network.build(config)
         ops: dict[str, float] = {
             "nodes": float(config.n_nodes),
-            "agents": float(len(built.agents)),
+            "agents": float(len(network.agents)),
         }
         for name, seconds in timings.items():
             ops[f"phase.{name}_s"] = seconds
@@ -366,19 +347,14 @@ def _case_churn_1k() -> BenchCase:
         )
 
     def run(config):
-        from repro.models.scenario import run_scenario
         from repro.net.routing import RoutingTable
-        from repro.perf.phases import collect_phases
 
         # The network's index and routing tables carry the deterministic
         # epoch-repair work counters.
-        captured: list = []
-        with _capture_network(captured), collect_phases() as timings:
-            result = run_scenario(config)
-        (built,) = captured
+        network, result, timings = _run_network(config)
         bfs = [
             table
-            for table in built.route_tables.values()
+            for table in network.route_tables.values()
             if isinstance(table, RoutingTable)
         ]
         ops: dict[str, float] = {
@@ -390,7 +366,7 @@ def _case_churn_1k() -> BenchCase:
             "global_partitions": float(
                 sum(
                     medium._index.global_partitions
-                    for medium in built.mediums
+                    for medium in network.mediums
                     if medium._index is not None
                 )
             ),

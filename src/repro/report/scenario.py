@@ -13,6 +13,7 @@ import typing
 
 from repro.report.tables import format_value, render_table
 from repro.stats.metrics import ENERGY_TOTAL, RunResult, merge_counters
+from repro.stats.summation import ltr_sum
 from repro.stats.summary import ReplicatedSummary
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -107,7 +108,7 @@ def _lifetime_lines(results: typing.Sequence[RunResult]) -> list[str]:
     lines = ["", "network lifetime", "----------------"]
     if first_deaths:
         lines.append(
-            f"first death : {format_value(sum(first_deaths) / len(first_deaths))} s "
+            f"first death : {format_value(ltr_sum(first_deaths) / len(first_deaths))} s "
             f"mean over {len(first_deaths)}/{n} run(s) with deaths"
         )
     else:
@@ -120,7 +121,7 @@ def _lifetime_lines(results: typing.Sequence[RunResult]) -> list[str]:
         ("mac drops   ", "faults.power_down_drops"),
         ("unroutable  ", "faults.unroutable_drops"),
     ):
-        total = sum(c.get(key, 0.0) for c in per_run)
+        total = ltr_sum(c.get(key, 0.0) for c in per_run)
         lines.append(f"{label}: {format_value(total / n)} per run")
     return lines
 
@@ -134,7 +135,7 @@ def _mean_first_death(results: typing.Sequence[RunResult]) -> float | None:
     ]
     if not deaths:
         return None
-    return sum(deaths) / len(deaths)
+    return ltr_sum(deaths) / len(deaths)
 
 
 def render_policy_comparison(
@@ -153,7 +154,7 @@ def render_policy_comparison(
     base_energy = None
     base_death = None
     if base_results:
-        base_energy = sum(
+        base_energy = ltr_sum(
             result.energy_j[ENERGY_TOTAL] for result in base_results
         ) / len(base_results)
         base_death = _mean_first_death(base_results)
@@ -161,7 +162,7 @@ def render_policy_comparison(
     for policy, results in results_by_policy.items():
         if not results:
             continue
-        energy = sum(
+        energy = ltr_sum(
             result.energy_j[ENERGY_TOTAL] for result in results
         ) / len(results)
         if base_energy:

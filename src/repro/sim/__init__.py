@@ -9,29 +9,25 @@ library is available here, the kernel is implemented from scratch:
   ``[time, priority, sequence, fn, arg]``, scheduled with ``schedule`` /
   ``call_at`` / ``call_later`` and abandoned with ``cancel``; NORMAL
   entries due at the current instant wait in a FIFO lane beside the
-  heap.
-* :class:`Event` — a one-shot occurrence for several waiters, or for a
-  value handed to the waiter; ``Simulator.timeout`` builds one that
-  fires by itself.  An event only ever succeeds; there is no failure
-  value to propagate.
+  heap; an URGENT entry runs ahead of the NORMAL ones due with it.
 * :class:`RngRegistry` — named deterministic random streams.
 
 Every model (radio, MAC, BCP, traffic, faults) is a set of callbacks: a
 continuation is the agenda entry that resumes it, without SimPy's
-generator processes.  Models hand out no futures either: a caller that
-wants to hear when its MAC send, radio transmission or radio wake
-completes passes a callback, which the model schedules at the instant
-of completion.  A caller that passes none costs no agenda entry.
+generator processes.  A wait for whichever of two things comes first
+(BCP's WAKEUP-ACK or its timeout) is two entries with one callback that
+keeps the first arrival and ignores the other.  Models hand out no
+futures either: a caller that wants to hear when its MAC send, radio
+transmission or radio wake completes passes a callback, which the model
+schedules at the instant of completion.  A caller that passes none
+costs no agenda entry.
 """
 
-from repro.sim.errors import EventAlreadyTriggered, SimulationError
-from repro.sim.events import NORMAL, URGENT, Event
+from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry, derive_seed
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import NORMAL, URGENT, Simulator
 
 __all__ = [
-    "Event",
-    "EventAlreadyTriggered",
     "NORMAL",
     "RngRegistry",
     "SimulationError",

@@ -5,7 +5,3 @@ from __future__ import annotations
 
 class SimulationError(Exception):
     """Base class for all kernel-level errors."""
-
-
-class EventAlreadyTriggered(SimulationError):
-    """Raised when ``succeed`` is called on an already-triggered event."""

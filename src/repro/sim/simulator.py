@@ -8,13 +8,11 @@ driven by this loop.
 
 Each agenda entry is one mutable list, ``[time, priority, sequence, fn,
 arg]``, and dispatching it is the call ``fn(arg)``.  Models schedule
-bound methods directly (:meth:`Simulator.schedule`); an
-:class:`~repro.sim.events.Event` is scheduled the same way, with a
-function that runs its waiters as ``fn``.  :meth:`Simulator.cancel`
-clears the entry's ``fn`` in place: the loop pops the dead entry when
-its time comes up and counts it in ``events_cancelled`` instead of
-``events_processed``, and the clock never *advances* to a time occupied
-only by dead entries.
+bound methods directly (:meth:`Simulator.schedule`); there is no other
+kind of entry.  :meth:`Simulator.cancel` clears the entry's ``fn`` in
+place: the loop pops the dead entry when its time comes up and counts
+it in ``events_cancelled`` instead of ``events_processed``, and the
+clock never *advances* to a time occupied only by dead entries.
 
 The entries live in two places:
 
@@ -40,10 +38,16 @@ import heapq
 import typing
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import NORMAL, Event, _dispatch
 from repro.sim.rng import RngRegistry
 
 _INFINITY = float("inf")
+
+#: Scheduling priority for entries that must run before ordinary ones at
+#: the same timestamp (the MAC's and BCP's start entries).
+URGENT = 0
+
+#: Default scheduling priority.
+NORMAL = 1
 
 #: One agenda entry: ``[time, priority, sequence, fn, arg]``.
 Entry = list
@@ -128,8 +132,7 @@ class Simulator:
         """Run ``fn(arg)`` ``delay`` seconds from now; returns the entry.
 
         The hot path every model timer takes.  ``priority`` is
-        :data:`~repro.sim.events.NORMAL` or
-        :data:`~repro.sim.events.URGENT`; an URGENT entry runs ahead of
+        :data:`NORMAL` or :data:`URGENT`; an URGENT entry runs ahead of
         the NORMAL ones due at the same time.  Pass the returned entry to
         :meth:`cancel` to abandon it.
         """
@@ -154,21 +157,6 @@ class Simulator:
         """
         entry[3] = None
         entry[4] = None
-
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event` owned by this simulator."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: object = None) -> Event:
-        """Create an event that fires ``delay`` seconds from now.
-
-        The event is triggered at once with ``value``, so calling its
-        ``succeed`` raises :class:`~repro.sim.errors.EventAlreadyTriggered`.
-        """
-        event = Event(self)
-        event._value = value
-        event._entry = self.schedule(delay, _dispatch, event)
-        return event
 
     def call_at(
         self,

@@ -14,6 +14,7 @@ from repro.stats.metrics import (
     merge_counters,
 )
 from repro.stats.summary import ReplicatedSummary, summarize_runs
+from repro.stats.summation import ltr_sum
 
 __all__ = [
     "ENERGY_HIGH_RADIO",
@@ -27,6 +28,7 @@ __all__ = [
     "RunResult",
     "SinkCollector",
     "j_per_bit_to_j_per_kbit",
+    "ltr_sum",
     "mean_confidence",
     "merge_counters",
     "summarize_runs",

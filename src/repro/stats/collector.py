@@ -12,6 +12,7 @@ import typing
 from array import array
 
 from repro.net.packets import PacketRun, next_packet_id
+from repro.stats.summation import ltr_sum
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
@@ -112,7 +113,7 @@ class SinkCollector:
     @property
     def mean_delay_s(self) -> float:
         """Average end-to-end delay over delivered packets (0 if none)."""
-        return sum(self.delays_s) / len(self.delays_s) if self.delays_s else 0.0
+        return ltr_sum(self.delays_s) / len(self.delays_s) if self.delays_s else 0.0
 
     @property
     def max_delay_s(self) -> float:

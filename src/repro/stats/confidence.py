@@ -6,6 +6,8 @@ import dataclasses
 import math
 import typing
 
+from repro.stats.summation import ltr_sum
+
 
 @dataclasses.dataclass(frozen=True)
 class Estimate:
@@ -55,10 +57,10 @@ def mean_confidence(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     n = len(values)
-    mean = sum(values) / n
+    mean = ltr_sum(values) / n
     if n < 2:
         return Estimate(mean=mean, half_width=0.0, n=n, confidence=confidence)
-    variance = sum((value - mean) ** 2 for value in values) / (n - 1)
+    variance = ltr_sum((value - mean) ** 2 for value in values) / (n - 1)
     std_error = math.sqrt(variance / n)
     t_crit = _t_quantile((1.0 + confidence) / 2.0, n - 1)
     return Estimate(

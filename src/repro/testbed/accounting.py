@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.energy.radio_specs import RadioSpec
+from repro.stats.summation import ltr_sum
 from repro.testbed import eventlog
 from repro.testbed.eventlog import EventLog
 
@@ -93,7 +94,7 @@ def account_mote(
             busy_s += entry.duration_s
     if wake_started is not None:
         awake_intervals.append((wake_started, end_time_s))
-    awake_s = sum(end - start for start, end in awake_intervals)
+    awake_s = ltr_sum(end - start for start, end in awake_intervals)
     out.wifi_idle = wifi_spec.p_idle_w * max(0.0, awake_s - busy_s)
     return out
 

@@ -28,6 +28,7 @@ import typing
 
 from repro.energy.radio_specs import LUCENT_11, RadioSpec
 from repro.runner.cache import register_result_type
+from repro.stats.summation import ltr_sum
 from repro.testbed import eventlog
 from repro.testbed.accounting import EnergyBreakdown, account_experiment
 from repro.testbed.emulation import (
@@ -210,7 +211,7 @@ def run_prototype(config: PrototypeConfig) -> PrototypeResult:
         )
     dual_per_packet = breakdown.total / delivered
     sensor_per_packet = _sensor_baseline_energy_per_packet_j(config)
-    mean_delay = sum(delays) / len(delays)
+    mean_delay = ltr_sum(delays) / len(delays)
     return PrototypeResult(
         threshold_bytes=config.threshold_bytes,
         dual_energy_per_packet_uj=dual_per_packet * 1e6,

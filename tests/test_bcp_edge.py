@@ -1,6 +1,7 @@
 """BCP edge cases: address-map gating, TTL exhaustion, late/stray acks."""
 
 
+from repro.core.config import BcpConfig
 from repro.core.messages import ControlEnvelope, Wakeup, WakeupAck
 from repro.net.addressing import AddressMap
 
@@ -63,6 +64,50 @@ class TestControlPlane:
         net.agents[0]._handle_wakeup_ack(stale)
         net.sim.run(until=6.0)
         assert not net.high_radios[0].is_on
+
+    @staticmethod
+    def deaf_handshake():
+        """A sender whose WAKEUPs never arrive: attempt 0 goes out at
+        t=0 and times out at 0.2 s, attempt 1 at 0.4 s, then the
+        handshake fails."""
+        config = BcpConfig.for_burst_packets(
+            4, wakeup_timeout_s=0.2, wakeup_retries=1
+        )
+        net = DualNet(low_loss=0.999, config=config, seed=9)
+        net.inject(0, 4)
+        net.sim.run(until=0.0)
+        sender = net.agents[0]
+        (session,) = sender._sender_sessions.values()
+        ack = WakeupAck(origin=1, target=0, session_id=session.session_id,
+                        allowed_bytes=1024)
+        return net, sender, session, ack
+
+    def test_ack_after_the_timeout_won_ignored(self):
+        """An ACK that arrives at the instant attempt 0's timeout won,
+        before the retry goes out, must not end attempt 1's wait."""
+        net, sender, session, ack = self.deaf_handshake()
+        # Queued after the timeout at the same instant: it runs between
+        # the timeout and the retry it triggers.
+        net.sim.call_at(0.2, sender._handle_wakeup_ack, ack)
+        net.sim.run(until=0.2)
+        assert (session.attempt, session.acked) == (1, None)
+        net.sim.run(until=0.5)
+        assert sender.stats.wakeups_sent == 2
+        assert sender.stats.handshakes_failed == 1
+        assert sender.stats.bursts_completed == 0
+        assert net.delivered == []
+
+    def test_stale_timeout_during_the_next_attempt_ignored(self):
+        """Attempt 0's timeout arriving again during attempt 1 must
+        neither end attempt 1's wait nor send an early retry."""
+        net, sender, session, _ack = self.deaf_handshake()
+        net.sim.call_at(0.3, sender._wakeup_wait_ended, (session, 0, False))
+        net.sim.run(until=0.35)
+        assert (session.attempt, session.acked) == (1, None)
+        assert sender.stats.wakeups_sent == 2
+        assert sender.stats.handshakes_failed == 0
+        net.sim.run(until=0.5)
+        assert sender.stats.handshakes_failed == 1
 
     def test_non_control_low_frame_ignored(self):
         """Random payloads on the low radio don't confuse BCP."""

@@ -389,30 +389,23 @@ class TestScriptedScenarioChurn:
         assert first.counters == second.counters
         assert first.counters["faults.deaths"] > 0
 
-    def test_crash_mid_wake_session_restarts_on_revival(self, monkeypatch):
+    def test_crash_mid_wake_session_restarts_on_revival(self):
         # Node 0 dies inside the 0.81 ms Lucent wake that precedes its
         # burst at 10.15689 s: the wake's waiter dies with the radio.
         # On revival the agent must drop the stranded session, or it
         # blocks every later session toward that hop and node 0's
         # buffered packets never leave.
-        from repro.models import scenario as scenario_module
-        from repro.models.scenario import single_hop_config
+        from repro.models.scenario import Network, single_hop_config
 
-        built = []
-        build_network = scenario_module.build_network
-
-        def capturing(config, sim):
-            built.append(build_network(config, sim))
-            return built[-1]
-
-        monkeypatch.setattr(scenario_module, "build_network", capturing)
         config = single_hop_config(
             rows=3, cols=3, sink=4, n_senders=8, seed=7, burst_packets=80,
             rate_bps=2000.0, sim_time_s=60.0,
             faults=FaultPlan(crashes=((10.1567, 0),), recoveries=((15.0, 0),)),
         )
-        result = run_scenario(config)
-        agent = built[0].agents[0]
+        network = Network.build(config)
+        network.run()
+        result = network.result()
+        agent = network.agents[0]
         assert result.counters["faults.recoveries"] == 1.0
         assert agent._sender_sessions == {}
         assert agent.buffer.total_bytes == 0.0

@@ -71,7 +71,7 @@ class TestPowerIntegrator:
         meter = node_meter()
         integrator = PowerIntegrator(sim, meter, "radio")
         integrator.set_power(2.0, "idle")
-        sim.timeout(5.0)
+        sim.call_later(5.0, lambda: None)
         sim.run()
         integrator.flush()
         assert meter.total() == pytest.approx(10.0)
@@ -81,7 +81,7 @@ class TestPowerIntegrator:
         integrator = PowerIntegrator(sim, meter, "radio")
         integrator.set_power(1.0, "idle")
         sim.call_later(2.0, lambda: integrator.set_power(3.0, "tx"))
-        sim.timeout(5.0)
+        sim.call_later(5.0, lambda: None)
         sim.run()
         integrator.flush()
         categories = meter.by_category()
@@ -91,7 +91,7 @@ class TestPowerIntegrator:
     def test_zero_power_charges_nothing(self, sim):
         meter = node_meter()
         integrator = PowerIntegrator(sim, meter, "radio")
-        sim.timeout(10.0)
+        sim.call_later(10.0, lambda: None)
         sim.run()
         integrator.flush()
         assert meter.total() == 0.0
@@ -105,7 +105,7 @@ class TestPowerIntegrator:
         meter = node_meter()
         integrator = PowerIntegrator(sim, meter, "radio")
         integrator.set_power(1.0, "idle")
-        sim.timeout(4.0)
+        sim.call_later(4.0, lambda: None)
         sim.run()
         integrator.flush()
         integrator.flush()

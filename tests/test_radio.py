@@ -71,7 +71,7 @@ class TestLowPowerRadio:
         medium = Medium(sim, layout, "m")
         meter = MeterBank(2).meter(0)
         LowPowerRadio(sim, 0, MICAZ, medium, meter)
-        sim.timeout(100.0)
+        sim.call_later(100.0, lambda: None)
         sim.run()
         assert meter.total() == 0.0
 
@@ -148,7 +148,7 @@ class TestHighPowerRadio:
         meter = radio.meter
         radio.wake()
         sim.run()
-        sim.timeout(2.0)
+        sim.call_later(2.0, lambda: None)
         sim.run()
         radio.sleep()
         assert meter.by_category()["idle"] == pytest.approx(
@@ -159,7 +159,7 @@ class TestHighPowerRadio:
         sim, layout = pair
         radio = self.make(sim, layout)
         meter = radio.meter
-        sim.timeout(100.0)
+        sim.call_later(100.0, lambda: None)
         sim.run()
         radio.flush_accounting()
         assert meter.total() == 0.0

@@ -1,12 +1,8 @@
-"""Event primitives: triggering, values, timeouts."""
+"""A scheduled event's life: waiting on the agenda, firing, its argument."""
 
 import pytest
 
-from repro.sim import (
-    EventAlreadyTriggered,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import SimulationError, Simulator
 
 
 @pytest.fixture
@@ -16,44 +12,34 @@ def sim():
 
 class TestEventLifecycle:
     def test_new_event_is_pending(self, sim):
-        event = sim.event()
-        assert not event.triggered
-        assert not event.processed
-
-    def test_value_raises_while_pending(self, sim):
-        with pytest.raises(SimulationError):
-            sim.event().value
-
-    def test_succeed_sets_value(self, sim):
-        event = sim.event().succeed("payload")
-        assert event.triggered
-        assert event.value == "payload"
-
-    def test_succeed_twice_raises(self, sim):
-        event = sim.event().succeed()
-        with pytest.raises(EventAlreadyTriggered):
-            event.succeed()
+        # Scheduling only queues the entry: nothing runs before `run`.
+        fired = []
+        sim.schedule(0.0, fired.append, "now")
+        assert fired == []
+        assert sim.events_processed == 0
 
     def test_processed_after_run(self, sim):
-        event = sim.event().succeed(7)
+        fired = []
+        sim.schedule(0.0, fired.append, 7)
         sim.run()
-        assert event.processed
+        assert fired == [7]
+        assert sim.events_processed == 1
 
     def test_callbacks_receive_event(self, sim):
-        event = sim.event()
+        # The callback receives the entry's argument, None when omitted.
         seen = []
-        event.callbacks.append(lambda e: seen.append(e.value))
-        event.succeed(41)
+        sim.schedule(1.0, seen.append, 41)
+        sim.schedule(1.0, seen.append)
         sim.run()
-        assert seen == [41]
+        assert seen == [41, None]
 
     def test_unhandled_failure_propagates_from_run(self, sim):
-        # Events carry no failure value: a callback's exception is the
-        # only failure, and the loop never swallows it.
-        def boom(_event):
+        # An entry carries no failure value: a callback's exception is
+        # the only failure, and the loop never swallows it.
+        def boom(_arg):
             raise RuntimeError("unhandled")
 
-        sim.timeout(1.0).callbacks.append(boom)
+        sim.schedule(1.0, boom)
         with pytest.raises(RuntimeError, match="unhandled"):
             sim.run()
         assert sim.now == 1.0
@@ -61,25 +47,23 @@ class TestEventLifecycle:
 
 class TestTimeout:
     def test_fires_at_delay(self, sim):
-        timeout = sim.timeout(2.5, value="done")
+        seen = []
+        sim.schedule(2.5, lambda value: seen.append((sim.now, value)), "done")
         sim.run()
+        assert seen == [(2.5, "done")]
         assert sim.now == 2.5
-        assert timeout.value == "done"
 
     def test_zero_delay_fires_now(self, sim):
-        timeout = sim.timeout(0)
+        fired = []
+        sim.call_later(0, fired.append, "now")
         sim.run()
-        assert timeout.processed
+        assert fired == ["now"]
         assert sim.now == 0.0
 
     def test_negative_delay_rejected(self, sim):
-        # Normalized: every scheduling entry point rejects a negative
-        # delay with SimulationError (Timeout used to raise ValueError
-        # while Simulator._enqueue raised SimulationError).
+        # Every delay-taking entry point rejects a negative delay with
+        # SimulationError.
         with pytest.raises(SimulationError):
-            sim.timeout(-0.1)
-
-    def test_cannot_trigger_manually(self, sim):
-        timeout = sim.timeout(1)
-        with pytest.raises(EventAlreadyTriggered):
-            timeout.succeed()
+            sim.schedule(-0.1, print)
+        with pytest.raises(SimulationError):
+            sim.call_later(-0.1, print)

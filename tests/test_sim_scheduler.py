@@ -1,5 +1,5 @@
 """Agenda ordering, cancellation, the same-instant lane, and fired
-timeouts."""
+timer entries."""
 
 import gc
 import heapq
@@ -78,61 +78,67 @@ def sim(request):
 class TestCancellation:
     def test_cancelled_timer_never_fires(self, sim):
         fired = []
-        timeout = sim.timeout(1.0)
-        timeout.callbacks.append(lambda _e: fired.append("t"))
-        assert timeout.cancel() is True
-        assert timeout.cancelled
+        entry = sim.schedule(1.0, fired.append, "t")
+        sim.cancel(entry)
         sim.run()
         assert fired == []
-        assert not timeout.processed
+        assert sim.events_processed == 0
+        assert sim.events_cancelled == 1
 
     def test_cancelled_events_counted_separately(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(2.0).cancel()
+        sim.call_later(1.0, lambda: None)
+        sim.cancel(sim.call_later(2.0, lambda: None))
         sim.run()
         assert sim.events_processed == 1
         assert sim.events_cancelled == 1
 
     def test_clock_never_advances_to_cancelled_only_time(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(5.0).cancel()
+        sim.call_later(1.0, lambda: None)
+        sim.cancel(sim.call_later(5.0, lambda: None))
         sim.run()
         assert sim.now == 1.0
 
     def test_cancel_after_processed_is_a_noop(self, sim):
-        timeout = sim.timeout(1.0)
+        fired = []
+        entry = sim.schedule(1.0, fired.append, "t")
         sim.run()
-        assert timeout.cancel() is False
-        assert not timeout.cancelled
+        sim.cancel(entry)
+        sim.run()
+        assert fired == ["t"]
+        assert sim.events_processed == 1
+        assert sim.events_cancelled == 0
 
     def test_cancel_mid_run_from_a_callback(self, sim):
-        doomed = sim.timeout(2.0)
         fired = []
-        doomed.callbacks.append(lambda _e: fired.append("doomed"))
-        sim.call_later(1.0, doomed.cancel)
+        doomed = sim.schedule(2.0, fired.append, "doomed")
+        sim.call_later(1.0, sim.cancel, doomed)
         sim.run()
         assert fired == []
         assert sim.events_cancelled == 1
 
     def test_run_until_horizon_skips_cancelled(self, sim):
-        sim.timeout(1.0).cancel()
-        target = sim.timeout(2.0, value="done")
-        sim.timeout(3.0)
+        fired = []
+        sim.cancel(sim.schedule(1.0, fired.append, "cancelled"))
+        sim.schedule(2.0, fired.append, "done")
+        sim.schedule(3.0, fired.append, "later")
         sim.run(until=2.0)
-        assert target.processed
+        assert fired == ["done"]
         assert sim.events_processed == 1
         assert sim.events_cancelled == 1
 
 
 class TestFiredTimeouts:
-    """A timeout is a fresh event every time, whatever fired before."""
+    """A timer entry is a fresh list every time, whatever fired before:
+    the agenda keeps no pool of dispatched entries."""
 
     def test_processed_timeout_is_not_reused(self, sim):
-        first = sim.timeout(1.0, value="a")
+        fired = []
+        first = sim.schedule(1.0, fired.append, "a")
         sim.run()
-        assert first.processed
-        second = sim.timeout(1.0, value="b")
+        second = sim.schedule(1.0, fired.append, "b")
         assert second is not first
+        sim.run()
+        assert fired == ["a", "b"]
 
     def test_timeout_after_many_dispatches_is_fresh(self, sim):
         def tick(left):
@@ -142,24 +148,21 @@ class TestFiredTimeouts:
         tick(3)
         sim.run()
         before = sim.events_processed
-        fresh = sim.timeout(2.0, value="fresh")
-        assert fresh.callbacks == []
-        assert not fresh.processed
-        assert not fresh.cancelled
+        fired = []
+        fresh = sim.schedule(2.0, fired.append, "fresh")
+        assert fresh[0] == sim.now + 2.0
         sim.run()
-        assert fresh.value == "fresh"
+        assert fired == ["fresh"]
         assert sim.events_processed == before + 1
 
     def test_timer_value_not_leaked(self, sim):
         values = []
 
-        def first_fired(event):
-            values.append(event.value)
-            sim.timeout(1.0).callbacks.append(
-                lambda later: values.append(later.value)
-            )
+        def first_fired(value):
+            values.append(value)
+            sim.schedule(1.0, values.append)
 
-        sim.timeout(1.0, value="secret").callbacks.append(first_fired)
+        sim.schedule(1.0, first_fired, "secret")
         sim.run()
         assert values == ["secret", None]
 
@@ -221,18 +224,10 @@ class KernelAgenda:
             return sim.schedule(delay, lambda _arg: fn(), None, priority)
         if how == "call_at":
             return sim.call_at(sim.now + delay, fn, priority=priority)
-        if how == "timeout":
-            event = sim.timeout(delay)
-        else:
-            event = sim.event().succeed()
-        event.callbacks.append(lambda _event: fn())
-        return event
+        return sim.call_later(delay, fn)
 
-    def cancel(self, handle):
-        if isinstance(handle, list):
-            self.sim.cancel(handle)
-        else:
-            handle.cancel()
+    def cancel(self, entry):
+        self.sim.cancel(entry)
 
     def run(self, until=None):
         self.sim.run(until)
@@ -242,16 +237,17 @@ class KernelAgenda:
 #: 1e8 absorbs (1e8 + 1e-9 == 1e8) but a clock at 0 does not.
 DELAYS = st.sampled_from([0.0, 0.0, 1e-9, 0.25, 0.5, 1.0])
 
-#: One scheduling or cancelling operation.  ``succeed`` triggers a
-#: fresh event (delay 0, NORMAL); ``timeout`` is NORMAL by construction.
+#: One scheduling or cancelling operation.  ``call_later`` is NORMAL by
+#: construction; the delay-0 NORMAL ``schedule`` keeps the same-instant
+#: lane as busy as the rest.
 OPS = st.one_of(
     st.tuples(
         st.sampled_from(["schedule", "call_at"]),
         DELAYS,
         st.sampled_from([NORMAL, URGENT]),
     ),
-    st.tuples(st.just("timeout"), DELAYS, st.just(NORMAL)),
-    st.tuples(st.just("succeed"), st.just(0.0), st.just(NORMAL)),
+    st.tuples(st.just("call_later"), DELAYS, st.just(NORMAL)),
+    st.tuples(st.just("schedule"), st.just(0.0), st.just(NORMAL)),
     st.tuples(st.just("cancel"), st.integers(0, 63), st.just(NORMAL)),
 )
 
@@ -337,35 +333,31 @@ def test_absorbed_delay_waits_behind_an_urgent_entry():
     assert sim.now == 1e8 + 1.0
 
 
-# -- dispatched events hold no agenda entry -----------------------------------
+# -- a run leaves nothing for the cycle collector ----------------------------
 
 
 def test_kernel_run_leaves_no_cyclic_garbage():
-    """A triggered event and its entry point at each other until the
-    entry is dispatched or cancelled; both break the pair, so a run
-    frees every event by reference counting alone."""
+    """A dispatched or cancelled entry keeps no reference back into the
+    agenda, so a run frees every entry by reference counting alone."""
     gc.collect()
     gc.disable()
     try:
         sim = Simulator(seed=1)
         fired = []
-        events = []
+        entries = []
         for index in range(20):
-            sim.schedule(0.1 * index, fired.append, index)
-            sim.call_later(0.1 * index, fired.append, -index)
-            timeout = sim.timeout(0.05 * index, value=index)
-            timeout.callbacks.append(lambda event: fired.append(event.value))
-            events.append(timeout)
-            event = sim.event()
-            event.callbacks.append(lambda event: fired.append(event.value))
-            sim.call_later(0.2 * index, event.succeed, index)
-            events.append(event)
+            entries.append(sim.schedule(0.1 * index, fired.append, index))
+            entries.append(sim.call_later(0.1 * index, fired.append, -index))
+            entries.append(sim.call_at(0.05 * index, fired.extend, (index, 1)))
+            entries.append(
+                sim.call_at(0.05 * index, fired.insert, 0, index, priority=URGENT)
+            )
+            entries.append(sim.call_later(0.2 * index, fired.clear))
         sim.cancel(sim.schedule(0.5, fired.append, "cancelled"))
-        events[3].cancel()
+        sim.cancel(entries[3])
         sim.run()
         assert sim.events_cancelled == 2
-        assert all(event._entry is None for event in events)
-        del sim, events, timeout, event
+        del sim, entries
         assert gc.collect() == 0
     finally:
         gc.enable()

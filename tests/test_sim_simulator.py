@@ -27,7 +27,7 @@ class TestClockAndAgenda:
 
 class TestRunModes:
     def test_run_until_time_sets_clock(self, sim):
-        sim.timeout(1.0)
+        sim.call_later(1.0, lambda: None)
         sim.run(until=10.0)
         assert sim.now == 10.0
 
@@ -39,14 +39,14 @@ class TestRunModes:
         assert fired == [5]
 
     def test_run_until_past_raises(self, sim):
-        sim.timeout(5.0)
+        sim.call_later(5.0, lambda: None)
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
     def test_run_drains_agenda(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(2.0)
+        sim.call_later(1.0, lambda: None)
+        sim.call_later(2.0, lambda: None)
         sim.run()
         assert sim.events_processed == 2
         assert sim.now == 2.0
@@ -60,7 +60,7 @@ class TestSchedulingHelpers:
         assert seen == [(1, 2)]
 
     def test_call_at_absolute_time(self, sim):
-        sim.timeout(4.0)
+        sim.call_later(4.0, lambda: None)
         sim.run(until=3.0)
         seen = []
         sim.call_at(5.0, lambda: seen.append(sim.now))
@@ -84,7 +84,7 @@ class TestSchedulingHelpers:
         assert seen == ["urgent", "normal"]
 
     def test_call_at_past_raises(self, sim):
-        sim.timeout(2.0)
+        sim.call_later(2.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.call_at(1.0, lambda: None)
