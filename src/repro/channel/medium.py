@@ -539,7 +539,7 @@ class Medium:
         frame the record calls ``sender._end_transmit(duration)``, then
         ``on_end()``.
         """
-        start = self.sim.now
+        start = self.sim._now
         end = start + duration
         receiver_port = self._ports.get(frame.dst)
         receiver_listening = (
@@ -581,12 +581,12 @@ class Medium:
         for other in self._active:
             # The new transmission corrupts ongoing receptions whose
             # receiver hears this sender too loudly to reject it.
-            if not other.corrupted and corrupts(interferer=sender, victim=other):
+            if not other.corrupted and corrupts(sender, other):
                 other.corrupted = True
             # Ongoing transmissions corrupt the new one if audible at its
             # receiver (this includes the receiver itself transmitting).
             if receiver_port is not None and not record.corrupted:
-                if corrupts(interferer=other.sender, victim=record):
+                if corrupts(other.sender, record):
                     record.corrupted = True
 
         # Direct dict reads over the index's per-node tuples: these two

@@ -74,6 +74,9 @@ class MeterBank:
         #: keys by it gives the order the node first charged them.
         self._first_seq: dict[tuple[str, str], list[int]] = {}
         self._next_seq = 0
+        self._by_component: dict[
+            str, dict[str, tuple[list[float], list[int]]]
+        ] = {}
 
     def charge(
         self, index: int, joules: float, component: str, category: str
@@ -114,6 +117,15 @@ class MeterBank:
         else:
             seq = self._first_seq[key]
         return column, seq
+
+    def component_columns(
+        self, component: str
+    ) -> dict[str, tuple[list[float], list[int]]]:
+        """A ``category -> (values, first-charge-seq)`` column cache for
+        ``component``: one dict per component, shared by every caller,
+        which fills it from :meth:`_column_pair`.  Columns never move, so
+        an entry stays valid for the bank's lifetime."""
+        return self._by_component.setdefault(component, {})
 
     def fanout_plan(
         self, component: str, charges: typing.Sequence[tuple[float, str]]
@@ -320,6 +332,8 @@ class PowerIntegrator:
         self._since = sim.now
         self._power_w = 0.0
         self._category = CATEGORY_IDLE
+        self._row = meter.index
+        self._columns = meter.bank.component_columns(component)
 
     @property
     def power_w(self) -> float:
@@ -330,15 +344,33 @@ class PowerIntegrator:
         """Close the current segment and start drawing ``watts`` under ``category``."""
         if watts < 0:
             raise ValueError(f"negative power {watts!r}")
-        self.flush()
+        # Radios call this at every state change, so the segment is closed
+        # here rather than through flush -> NodeMeter.charge ->
+        # MeterBank.charge.  A node's first charge of a category still goes
+        # through the bank, which stamps the node's first-charge sequence;
+        # every later one is a single in-place add of the same
+        # power * elapsed (both factors positive, so the bank's sign check
+        # is vacuous).
+        now = self.sim._now
+        elapsed = now - self._since
+        power = self._power_w
+        if elapsed > 0 and power > 0:
+            row = self._row
+            columns = self._columns.get(self._category)
+            if columns is not None and columns[1][row] >= 0:
+                columns[0][row] += power * elapsed
+            else:
+                self._charge_first(power * elapsed)
+        self._since = now
         self._power_w = watts
         self._category = category
 
+    def _charge_first(self, joules: float) -> None:
+        category = self._category
+        meter = self.meter
+        meter.charge(joules, self.component, category)
+        self._columns[category] = meter.bank._column_pair(self.component, category)
+
     def flush(self) -> None:
         """Charge the energy of the open segment up to the current time."""
-        elapsed = self.sim.now - self._since
-        if elapsed > 0 and self._power_w > 0:
-            self.meter.charge(
-                self._power_w * elapsed, self.component, self._category
-            )
-        self._since = self.sim.now
+        self.set_power(self._power_w, self._category)

@@ -45,6 +45,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.channel.medium import Transmission
     from repro.sim.simulator import Entry, Simulator
 
+#: Read at module scope on the receive path (cheaper than the enum
+#: class attribute on CPython 3.11).
+_ACK = FrameKind.ACK
+
 #: How many recent sequence numbers to remember per peer for dedup.
 _DEDUP_WINDOW = 64
 
@@ -260,7 +264,7 @@ class ContentionMac:
         self._ack_wait = self._ack_wait_s()
         self._is_busy_for = radio.medium.is_busy_for
         self._node_id = radio.node_id
-        self._randrange: typing.Any = None
+        self._getrandbits: typing.Any = None
         # In-flight item state (one item at a time: the machine is serial).
         self._cur_frame: Frame | None = None
         self._cur_done: OnDone | None = None
@@ -375,13 +379,23 @@ class ContentionMac:
         if attempt > 0:
             self.retransmissions += 1
         self._cur_window = self._cw_by_attempt[attempt]
-        if self._randrange is None:
+        if self._getrandbits is None:
             self._rng = rng = self.sim.rng.stream(f"{self.name}.backoff")
-            self._randrange = rng.randrange
+            self._getrandbits = rng.getrandbits
         self._draw_backoff()
 
     def _draw_backoff(self) -> None:
-        slots = self._randrange(self._cur_window)
+        # ``randrange(window)`` written out: for ``n >= 1`` it is
+        # ``_randbelow_with_getrandbits(n)`` on CPython 3.11-3.13, this
+        # rejection loop, so the draws (and the stream's state) are the
+        # same without its two extra calls.  ``MacParams`` keeps every
+        # window at least 1.
+        n = self._cur_window
+        k = n.bit_length()
+        getrandbits = self._getrandbits
+        slots = getrandbits(k)
+        while slots >= n:
+            slots = getrandbits(k)
         self._flat_timer = self._schedule(
             self._difs_s + slots * self._slot_s, self._backoff_cb
         )
@@ -516,7 +530,7 @@ class ContentionMac:
     # -- receive path ----------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.ACK:
+        if frame.kind is _ACK:
             key = self._ack_key
             if (
                 key is not None

@@ -30,6 +30,8 @@ _DEFAULT_PARAMS = dcf_params()
 class DcfMac(ContentionMac):
     """802.11 DCF MAC driving a :class:`HighPowerRadio`."""
 
+    radio: HighPowerRadio
+
     def __init__(
         self,
         sim: "Simulator",
@@ -40,5 +42,5 @@ class DcfMac(ContentionMac):
         super().__init__(sim, radio, params or _DEFAULT_PARAMS, name=name)
 
     def _radio_ready(self) -> bool:
-        radio = typing.cast(HighPowerRadio, self.radio)
-        return radio.is_on and not radio.is_transmitting
+        radio = self.radio
+        return radio.is_on and not radio._transmitting

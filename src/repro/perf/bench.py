@@ -29,7 +29,8 @@ BENCH_SCHEMA = 1
 
 @dataclasses.dataclass
 class CaseResult:
-    """One case's measurement: best wall time over ``repeats`` runs."""
+    """One case's measurement: best wall time over ``repeats`` runs, and
+    the ops counters of that best run."""
 
     wall_s: float
     repeats: int
@@ -106,10 +107,13 @@ def run_case(
         # pauses, coupling measurements that should be independent.
         gc.collect()
         start = time.perf_counter()
-        ops = dict(case.run(state))
+        round_ops = dict(case.run(state))
         elapsed = time.perf_counter() - start
         if elapsed < best:
+            # The ops (phase timings included) of the round whose wall is
+            # reported, so a phase never reads longer than the whole run.
             best = elapsed
+            ops = round_ops
     if profile_dir is not None:
         import cProfile
 

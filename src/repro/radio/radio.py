@@ -51,6 +51,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.channel.medium import Medium, Transmission
     from repro.sim.simulator import Simulator
 
+#: State constants read at module scope: a ``RadioState.X`` class
+#: attribute read costs several times a global read on CPython 3.11, and
+#: the high-power radio tests its state on every frame.
+_OFF = RadioState.OFF
+_WAKING = RadioState.WAKING
+_IDLE = RadioState.IDLE
+_TX = RadioState.TX
+
 #: Category for the header portion of overheard frames (charged by the
 #: paper's "Sensor-header" baseline).
 CATEGORY_OVERHEAR_HEADER = "overhear_header"
@@ -359,7 +367,7 @@ class HighPowerRadio(RadioPort):
         component: str | None = None,
     ):
         super().__init__(sim, node_id, spec, medium, meter, component)
-        self.state = RadioState.OFF
+        self.state = _OFF
         self._integrator = PowerIntegrator(sim, meter, self.component)
         self._wake_waiters: list[typing.Callable[[], None]] = []
         self.wakeup_count = 0
@@ -369,11 +377,12 @@ class HighPowerRadio(RadioPort):
     @property
     def is_on(self) -> bool:
         """Whether the radio is awake (idle or transmitting)."""
-        return self.state in (RadioState.IDLE, RadioState.TX)
+        state = self.state
+        return state is _IDLE or state is _TX
 
     @property
     def is_listening(self) -> bool:
-        return self.state == RadioState.IDLE
+        return self.state is _IDLE
 
     def wake(self, on_ready: typing.Callable[[], None] | None = None) -> None:
         """Turn the radio on; ``on_ready()`` runs once it reaches IDLE.
@@ -392,17 +401,17 @@ class HighPowerRadio(RadioPort):
             return
         if on_ready is not None:
             self._wake_waiters.append(on_ready)
-        if self.state == RadioState.WAKING:
+        if self.state is _WAKING:
             return
-        self.state = RadioState.WAKING
+        self.state = _WAKING
         self.wakeup_count += 1
         self.meter.charge(self.spec.e_wakeup_j, self.component, CATEGORY_WAKEUP)
         sim.call_later(self.spec.t_wakeup_s, self._finish_wake)
 
     def _finish_wake(self) -> None:
-        if self.state != RadioState.WAKING:
+        if self.state is not _WAKING:
             return  # sleep() raced the wake; waiters were already dropped
-        self.state = RadioState.IDLE
+        self.state = _IDLE
         self._integrator.set_power(self.spec.p_idle_w, CATEGORY_IDLE)
         self.medium.note_state(self)
         waiters, self._wake_waiters = self._wake_waiters, []
@@ -425,10 +434,10 @@ class HighPowerRadio(RadioPort):
             raise SimulationError(
                 f"node {self.node_id}: cannot sleep while transmitting"
             )
-        if self.state == RadioState.OFF:
+        if self.state is _OFF:
             return
         self._wake_waiters = []
-        self.state = RadioState.OFF
+        self.state = _OFF
         self._integrator.set_power(0.0, CATEGORY_IDLE)
         self.medium.note_state(self)
 
@@ -444,7 +453,7 @@ class HighPowerRadio(RadioPort):
         if self._powered_down:
             return
         self._wake_waiters = []
-        self.state = RadioState.OFF
+        self.state = _OFF
         self._integrator.set_power(0.0, CATEGORY_IDLE)
         super().power_down()
 
@@ -464,7 +473,7 @@ class HighPowerRadio(RadioPort):
             )
 
     def _begin_tx_accounting(self, duration: float) -> None:
-        self.state = RadioState.TX
+        self.state = _TX
         power = (
             self.spec.p_tx_w
             if self._tx_levels is None
@@ -478,7 +487,7 @@ class HighPowerRadio(RadioPort):
             # death; the radio must stay OFF at zero draw.
             return
         # sleep() is forbidden mid-transmission, so we are still awake here.
-        self.state = RadioState.IDLE
+        self.state = _IDLE
         self._integrator.set_power(self.spec.p_idle_w, CATEGORY_IDLE)
 
     def reception_charges(

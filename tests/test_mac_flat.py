@@ -235,3 +235,36 @@ class TestDedupWindow:
         # Eviction keeps every per-peer window bounded.
         for order, seen in mac._seen.values():
             assert len(order) == len(seen) <= _DEDUP_WINDOW
+
+
+class TestInlinedBackoffDraw:
+    """``_draw_backoff`` writes ``randrange(window)`` out as its rejection
+    loop: for every window it must give the library's draws, and leave
+    the stream in the library's state."""
+
+    def test_matches_randrange_draw_for_draw(self):
+        for seed in (0, 1, 7, 12345, 2**40 + 3):
+            sim = Simulator(seed=seed)
+            medium = Medium(sim, line_layout(2, 40.0), "high")
+            bank = MeterBank(2)
+            radio = HighPowerRadio(sim, 0, LUCENT_11, medium, bank.meter(0))
+            mac = DcfMac(sim, radio)
+            mac._wire_flat()
+            delays = []
+            mac._schedule = lambda delay, _fn: delays.append(delay)
+            stream = sim.rng.stream(f"{mac.name}.backoff")
+            reference = random.Random()
+            reference.setstate(stream.getstate())
+
+            def expect(window):
+                return mac._difs_s + reference.randrange(window) * mac._slot_s
+
+            mac._start_contend()  # draws from the first attempt's window
+            expected = [expect(mac._cur_window)]
+            for window in range(1, 1025):
+                mac._cur_window = window
+                mac._draw_backoff()
+                expected.append(expect(window))
+            assert delays == expected
+            assert mac._rng is stream
+            assert mac._rng.getstate() == reference.getstate()

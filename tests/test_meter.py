@@ -2,7 +2,7 @@
 power integrators."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.energy.meter import MeterBank, PowerIntegrator
@@ -197,3 +197,129 @@ class TestBankMatchesPlainDicts:
     def test_fanout_plan_rejects_negative_charges(self):
         with pytest.raises(ValueError, match="negative"):
             MeterBank(1).fanout_plan("radio", ((1.0, "rx"), (-0.5, "rx")))
+
+
+# -- the integrator's cached-column fast path -------------------------------
+
+
+class ChargeThroughMeter:
+    """The integrator as it was before its fast path: every segment closes
+    through ``NodeMeter.charge``."""
+
+    def __init__(self, sim, meter, component):
+        self.sim = sim
+        self.meter = meter
+        self.component = component
+        self._since = sim.now
+        self._power_w = 0.0
+        self._category = "idle"
+
+    def set_power(self, watts, category):
+        if watts < 0:
+            raise ValueError(f"negative power {watts!r}")
+        self.flush()
+        self._power_w = watts
+        self._category = category
+
+    def flush(self):
+        elapsed = self.sim.now - self._since
+        if elapsed > 0 and self._power_w > 0:
+            self.meter.charge(
+                self._power_w * elapsed, self.component, self._category
+            )
+        self._since = self.sim.now
+
+
+WATTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def integrator_ops(draw):
+    """Clock advances interleaved with ``set_power``/``flush`` on one of
+    two nodes' integrators, and direct charges that share the
+    integrator's component (so another path may stamp a key first)."""
+    node = st.integers(min_value=0, max_value=1)
+    advance = st.tuples(
+        st.just("advance"),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        ),
+    )
+    set_power = st.tuples(
+        st.just("set_power"), node, WATTS, st.sampled_from(CATEGORIES)
+    )
+    flush = st.tuples(st.just("flush"), node)
+    direct = st.tuples(
+        st.just("charge"), node, JOULES, st.sampled_from(("tx", "wakeup"))
+    )
+    return draw(
+        st.lists(st.one_of(advance, set_power, flush, direct), max_size=40)
+    )
+
+
+class TestIntegratorFastPath:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=integrator_ops())
+    # Node 1 charges idle first, so node 0's first idle charge finds the
+    # column already cached and must still stamp its own first-charge seq.
+    @example(
+        ops=[
+            ("set_power", 0, 1.0, "idle"),
+            ("set_power", 1, 2.0, "idle"),
+            ("advance", 1.0),
+            ("flush", 1),
+            ("flush", 0),
+            ("charge", 0, 0.5, "tx"),
+        ]
+    )
+    def test_bank_equals_charge_through_meter(self, ops):
+        sims = [Simulator(seed=1), Simulator(seed=1)]
+        banks = [MeterBank(2), MeterBank(2)]
+        integrators = [
+            [
+                kind(sim, bank.meter(i), "radio.high")
+                for i in range(2)
+            ]
+            for kind, sim, bank in zip(
+                (PowerIntegrator, ChargeThroughMeter), sims, banks
+            )
+        ]
+        for op in ops:
+            for sim, bank, nodes in zip(sims, banks, integrators):
+                if op[0] == "advance":
+                    sim.run(sim.now + op[1])
+                elif op[0] == "set_power":
+                    nodes[op[1]].set_power(op[2], op[3])
+                elif op[0] == "flush":
+                    nodes[op[1]].flush()
+                else:
+                    bank.meter(op[1]).charge(op[2], "radio.high", op[3])
+        for sim, nodes in zip(sims, integrators):
+            for integrator in nodes:
+                integrator.flush()
+        fast, reference = banks
+        for index in range(2):
+            # Same keys in the same first-charge order, and the same bits.
+            assert [
+                (key, joules.hex()) for key, joules in fast.node_items(index)
+            ] == [
+                (key, joules.hex())
+                for key, joules in reference.node_items(index)
+            ]
+
+    def test_negative_power_rejected_after_fast_path(self, sim):
+        meter = node_meter()
+        integrator = PowerIntegrator(sim, meter, "radio")
+        integrator.set_power(1.0, "idle")
+        sim.call_later(1.0, lambda: integrator.set_power(2.0, "idle"))
+        sim.call_later(2.0, lambda: integrator.set_power(1.0, "tx"))
+        sim.run()
+        with pytest.raises(ValueError, match="negative"):
+            integrator.set_power(-0.5, "idle")
+        # The refused call left the open segment alone.
+        assert integrator.power_w == 1.0
+        assert meter.breakdown() == {("radio", "idle"): 3.0}

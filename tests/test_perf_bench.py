@@ -79,6 +79,26 @@ class TestHarness:
         assert result.wall_s >= 0.0
         assert result.ops == {"n": 1000.0}
 
+    def test_ops_come_from_the_best_round(self, monkeypatch):
+        # A fake clock: round i takes walls[i] seconds and reports ops
+        # naming itself, so a mix-up between rounds shows in the result.
+        walls = [3.0, 1.0, 2.0]
+        clock = {"now": 0.0, "round": 0}
+
+        def run(_state):
+            i = clock["round"]
+            clock["round"] += 1
+            clock["now"] += walls[i]
+            return {"round": float(i), "phase.sim_loop_s": walls[i] - 0.5}
+
+        monkeypatch.setattr(perf_bench.time, "perf_counter", lambda: clock["now"])
+        case = BenchCase(
+            name="stub", summary="stub", setup=lambda: None, run=run, repeats=3
+        )
+        result = run_case(case)
+        assert result.wall_s == 1.0
+        assert result.ops == {"round": 1.0, "phase.sim_loop_s": 0.5}
+
     def test_repeats_override(self):
         assert run_case(_tiny_case(), repeats=5).repeats == 5
         with pytest.raises(ValueError, match="at least 1"):

@@ -243,3 +243,63 @@ class TestHighPowerRadio:
         radio0.transmit(frame(0, 1))
         sim.run()
         assert got == []
+
+
+class TestHighPowerPredicates:
+    """``is_on``, ``is_listening`` and the medium's per-rank listening
+    mirror follow ``state`` through every transition."""
+
+    def check(self, radio):
+        state = radio.state
+        assert isinstance(state, RadioState)
+        assert radio.is_on == (state in (RadioState.IDLE, RadioState.TX))
+        assert radio.is_listening == (state == RadioState.IDLE)
+        assert radio.medium._listening[radio._medium_rank] == radio.is_listening
+        return state
+
+    def test_every_transition(self, pair):
+        sim, layout = pair
+        medium = Medium(sim, layout, "m")
+        bank = MeterBank(2)
+        radio = HighPowerRadio(sim, 0, LUCENT_11, medium, bank.meter(0))
+        HighPowerRadio(sim, 1, LUCENT_11, medium, bank.meter(1))
+        medium.neighbors(0)  # builds the index, and with it the mirror
+        seen = [self.check(radio)]
+
+        def wake():
+            radio.wake(lambda: seen.append(self.check(radio)))
+            seen.append(self.check(radio))
+
+        def transmit(payload_bits=256):
+            radio.transmit(
+                frame(0, 1, payload_bits=payload_bits),
+                on_end=lambda: seen.append(self.check(radio)),
+            )
+            seen.append(self.check(radio))
+
+        wake()
+        sim.run()  # _finish_wake, then the waiter
+        transmit()
+        sim.run()  # end of frame
+        radio.sleep()
+        seen.append(self.check(radio))
+        wake()
+        sim.run()
+        transmit(payload_bits=80_000)
+        sim.call_later(1e-4, radio.power_down)
+        sim.call_later(2e-4, lambda: seen.append(self.check(radio)))
+        sim.run()  # the aborted frame's end still pops
+        radio.power_up()
+        seen.append(self.check(radio))
+        wake()
+        sim.run()
+        assert seen == [
+            RadioState.OFF,
+            RadioState.WAKING, RadioState.IDLE,
+            RadioState.TX, RadioState.IDLE,
+            RadioState.OFF,
+            RadioState.WAKING, RadioState.IDLE,
+            RadioState.TX, RadioState.OFF, RadioState.OFF,
+            RadioState.OFF,
+            RadioState.WAKING, RadioState.IDLE,
+        ]
